@@ -2,9 +2,12 @@
 
 At a fixed smoothing level eps the first-order conditions form a square
 nonlinear system F_eps(v, lambda) = 0 of dimension 2m+1.  A damped Newton
-method drives ||F_eps|| to zero, solving each linear system iteratively
-through operator applies only.  This script runs one subproblem on the
-bundled dataset and prints the per-iteration trace.
+method drives ||F_eps|| to zero.  Each linear system is tried first by
+BiCGStab on the assembled sparse Jacobian; when that misses its forcing
+target it is solved directly, fold by fold, with a Schur complement on C
+(route "direct"), or as a Levenberg-Marquardt step after a collapsed line
+search (route "lm").  This script runs one subproblem on the bundled dataset
+and prints the per-iteration trace, with the route each step took.
 """
 
 import time
@@ -29,10 +32,11 @@ t0 = time.perf_counter()
 r, trace, status = M.solve_subproblem(p, eps, r0, cfg)
 wall = time.perf_counter() - t0
 
-print(f"\n{'k':>3} {'||F||':>12} {'step':>8} {'lin iters':>9} {'backtracks':>10}")
+print(f"\n{'k':>3} {'||F||':>12} {'step':>8} {'lin iters':>9} "
+      f"{'backtracks':>10} {'route':>9}")
 for row in trace.rows:
     print(f"{row.k:3d} {row.normF:12.4e} {row.step:8.4f} "
-          f"{row.lin_iters:9d} {row.backtracks:10d}")
+          f"{row.lin_iters:9d} {row.backtracks:10d} {row.route:>9}")
 print(f"\nstatus = {status} in {len(trace.rows)} iterations, "
       f"{trace.total_lin_iters} linear iterations, {wall:.1f}s")
 

@@ -9,7 +9,7 @@ eps_min, so eps0=1, kappa=0.5, eps_min=1e-6 yields exactly 21 subproblems.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -120,10 +120,7 @@ def run_smoothing(p, ocfg=None, ncfg=None, r0=None):
         # solving much below the eps^2/2 complementarity scale wastes work,
         # so the tolerance is relaxed while eps is large and floors at f_tol
         f_tol = max(ncfg.f_tol, 1e-2 * eps * eps)
-        sub_cfg = NewtonConfig(sigma=ncfg.sigma, rho=ncfg.rho, f_tol=f_tol,
-                               max_iters=ncfg.max_iters,
-                               max_backtracks=ncfg.max_backtracks,
-                               reg_mu=ncfg.reg_mu, krylov=ncfg.krylov)
+        sub_cfg = replace(ncfg, f_tol=f_tol)
         r.eps = eps
         op0 = KktOperator(p, r)
         warm_normF = float(np.linalg.norm(op0.residual()))

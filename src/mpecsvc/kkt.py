@@ -142,6 +142,89 @@ class KktOperator:
         return (sp.diags(w.wG) @ LG + sp.diags(w.wH) @ LH).toarray()
 
 
+class SingularSystemError(RuntimeError):
+    """A direct solve met a singular system (see fold_solve)."""
+
+
+def fold_solve(K, rhs, folds, border, shift=None):
+    """Solve a fold-bordered system by per-fold dense factors.
+
+    K is J_r F_eps as assembled by materialize_kkt; its entries couple two
+    folds only through the border (MpecProblem.fold_index gives the sets).
+    Without `shift` the system is K x = rhs.  With it, the system is the
+    Levenberg-Marquardt augmented form [[I, K], [K, -shift*I]] (u; x) = rhs
+    of twice the dimension, whose folds and border are the same index sets
+    taken in both halves.
+
+    Each fold's dense diagonal block M_t is LU-factored (LAPACK getrf) and
+    solved for the fold's right-hand side together with its border columns
+    E_t.  With R_t the border rows of fold t, the border is closed by the
+    dense Schur complement S = M_bb - sum_t R_t M_t^{-1} E_t and the folds
+    are back-substituted.  One fold block is held at a time.
+
+    Raises SingularSystemError when a fold factor has an exactly zero pivot
+    or S is zero to within the rounding error of its own computation,
+    sigma_min(S) <= eps_mach * kappa * ||M_bb| + sum_t |R_t| |M_t^{-1} E_t||
+    (Frobenius norm) with kappa the largest condition number of the fold
+    blocks as LAPACK gecon estimates it, or is not finite.
+    """
+    from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
+
+    K = K.tocsr()
+    n = K.shape[0]
+
+    def dense(Kb, rows, cols):
+        """The system's rows x cols block from K's, Fortran-ordered."""
+        Kb = Kb.toarray(order="F")
+        if shift is None:
+            return Kb
+        eye = np.equal.outer(rows, cols)
+        out = np.empty((2 * len(rows), 2 * len(cols)), order="F")
+        out[:len(rows), :len(cols)] = eye
+        out[:len(rows), len(cols):] = Kb
+        out[len(rows):, :len(cols)] = Kb
+        out[len(rows):, len(cols):] = -shift * eye
+        return out
+
+    def pos(idx):
+        return idx if shift is None else np.concatenate([idx, n + idx])
+
+    rhs = np.asarray(rhs, dtype=float)
+    K_border = K[border]
+    S = dense(K_border[:, border], border, border)
+    S_scale = np.abs(S)
+    r_border = rhs[pos(border)]
+    kappa = 1.0
+    solved = []
+    for idx in folds:
+        K_fold = K[idx]
+        M = dense(K_fold[:, idx], idx, idx)
+        E = dense(K_fold[:, border], idx, border)
+        R = dense(K_border[:, idx], border, idx)
+        anorm = float(np.abs(M).sum(axis=0).max())
+        lu, piv, info = dgetrf(M, overwrite_a=True)
+        if info > 0:
+            raise SingularSystemError(f"zero pivot {info} in a fold factor")
+        rcond, _ = dgecon(lu, anorm)
+        kappa = max(kappa, 1.0 / rcond if rcond > 0 else np.inf)
+        YZ, _ = dgetrs(lu, piv, np.column_stack([rhs[pos(idx)], E]))
+        y, Z = YZ[:, 0], YZ[:, 1:]
+        S -= R @ Z
+        S_scale += np.abs(R) @ np.abs(Z)
+        r_border -= R @ y
+        solved.append((y, Z))
+    tol = np.finfo(float).eps * kappa * np.linalg.norm(S_scale)
+    if not (np.all(np.isfinite(S))
+            and np.linalg.svd(S, compute_uv=False)[-1] > tol):
+        raise SingularSystemError("Schur complement zero to rounding")
+    x_border = np.linalg.solve(S, r_border)
+    x = np.empty_like(rhs)
+    x[pos(border)] = x_border
+    for idx, (y, Z) in zip(folds, solved):
+        x[pos(idx)] = y - Z @ x_border
+    return x
+
+
 def residual(p, r):
     """F_eps(r) of length 2m+1."""
     return KktOperator(p, r).residual()

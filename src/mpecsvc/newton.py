@@ -1,9 +1,14 @@
 """Damped Newton iteration on F_eps(r) = 0 with Armijo backtracking.
 
-Each step solves J_r F_eps(r) d = -F_eps(r) by BiCGStab.  If the solve fails
-or the direction is not a descent direction for the merit g = 0.5*||F||^2,
-the system is retried with a shifted operator J + mu*I (mu doubling up to
-1e-2); the final fallback is steepest descent on g.
+Each step solves J_r F_eps(r) d = -F_eps(r).  BiCGStab on the assembled
+sparse matrix is tried first; when it misses its forcing target, the step is
+solved exactly by kkt.fold_solve, one dense factorization per fold closed by
+a Schur complement on C.  After a collapsed line search the subproblem
+switches to Levenberg-Marquardt directions, solved the same way on the
+augmented system.  Instances too large to assemble use restarted MINRES with
+a J + mu*I shift ladder.  When no route yields a descent direction for the
+merit g = 0.5*||F||^2, the step is steepest descent on g.  Each trace row
+records the route its step took.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kkt import KktOperator, KktPoint
+from .kkt import KktOperator, KktPoint, SingularSystemError, fold_solve
 from .krylov import KrylovConfig, bicgstab
 
 
@@ -41,6 +46,7 @@ class TraceRow:
     step: float
     lin_iters: int
     backtracks: int
+    route: str           # bicgstab | direct | lm | minres | steepest
 
 
 @dataclass
@@ -89,11 +95,16 @@ def _direction(op, F, cfg, lm=False):
     & Steihaug, 1982); the cap at 1e-2 holds the target fixed while
     ||F|| > 1.1e-3.  If its (true, recomputed) residual misses the target,
     the step is recomputed from the assembled sparse system by a direct
-    factorization, an exact Newton step (order 2, again up to a constant);
-    for instances too large to assemble, restarted MINRES with
-    true-residual checks stands in (MINRES's recursive residual estimate
-    drifts badly here), backed by a J + mu*I ladder when the direction is
-    not descent.
+    solve, an exact Newton step (order 2, again up to a constant).  The
+    direct solve is kkt.fold_solve: the system is block diagonal over the
+    folds apart from the border {C}, so it takes one dense LU factorization
+    per fold and a 1x1 Schur complement on C.  A singular system (an exactly
+    zero fold pivot, or a Schur complement that is zero to rounding, as at
+    lambda = 0 where the Hessian vanishes) gives no direct step.  For
+    instances too large to assemble, restarted MINRES with true-residual
+    checks stands in (MINRES's recursive residual estimate drifts badly
+    here), backed by a J + mu*I ladder (mu = reg_mu, then x100 up to 1e-2)
+    when the direction is not descent.
 
     With `lm=True` the exact solve is replaced by a Levenberg-Marquardt
     direction (J^2 + mu*I) d = -J F with mu = ||F||^2.  The caller switches
@@ -101,8 +112,13 @@ def _direction(op, F, cfg, lm=False):
     is nearly singular and the exact direction blows up along its null
     space, while the mu = ||F||^2 damping is known to keep quadratic local
     convergence under a local error bound without any nonsingularity.  The
-    solve runs through the sparse augmented form [[I, J], [J, -mu*I]],
-    which avoids forming J^2.  Returns (d, grad, grad_dot_d, lin_iters).
+    solve runs through the augmented form [[I, J], [J, -mu*I]], which avoids
+    forming J^2, again fold by fold with a 2x2 Schur complement on the two
+    copies of C; mu grows by x100 (up to 1e4) while the direction is not
+    descent.  Every route falls back to steepest descent, d = -grad.
+
+    Returns (d, grad, grad_dot_d, lin_iters, route) with route one of
+    bicgstab, direct, lm, minres or steepest.
     """
     try:
         K = op.materialize_kkt()
@@ -123,9 +139,8 @@ def _direction(op, F, cfg, lm=False):
     def is_descent(d, gd):
         return gd < -1e-12 * np.linalg.norm(d) * norm_grad
 
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
     dim = F.shape[0]
+    folds, border = op.p.fold_index
 
     lin_iters = 0
     if not lm:
@@ -137,33 +152,32 @@ def _direction(op, F, cfg, lm=False):
         d = res.x
         gd = float(np.dot(grad, d))
         if res.residual_norm <= target * normF and is_descent(d, gd):
-            return d, grad, gd, lin_iters
+            return d, grad, gd, lin_iters, "bicgstab"
 
     if K is not None and lm:
+        rhs = np.concatenate([-F, np.zeros(dim)])
         mu = max(normF * normF, cfg.reg_mu * cfg.reg_mu)
         while mu <= 1e4:
-            aug = sp.bmat([[sp.identity(dim), K],
-                           [K, -mu * sp.identity(dim)]], format="csc")
             try:
-                sol = spla.splu(aug).solve(np.concatenate([-F, np.zeros(dim)]))
-                d = sol[dim:]
+                d = fold_solve(K, rhs, folds, border, shift=mu)[dim:]
                 lin_iters += 1
-            except RuntimeError:
-                d = np.full(dim, np.nan)
-            gd = float(np.dot(grad, d))
-            if np.all(np.isfinite(d)) and is_descent(d, gd):
-                return d, grad, gd, lin_iters
+                gd = float(np.dot(grad, d))
+                if np.all(np.isfinite(d)) and is_descent(d, gd):
+                    return d, grad, gd, lin_iters, "lm"
+            except SingularSystemError:
+                pass
             mu *= 100.0
     elif K is not None:
         try:
-            d = spla.splu(K.tocsc()).solve(-F)
+            d = fold_solve(K, -F, folds, border)
             lin_iters += 1
             gd = float(np.dot(grad, d))
             if np.all(np.isfinite(d)) and is_descent(d, gd):
-                return d, grad, gd, lin_iters
-        except RuntimeError:       # exactly singular factor
+                return d, grad, gd, lin_iters, "direct"
+        except SingularSystemError:
             pass
     else:
+        import scipy.sparse.linalg as spla
         mu = 0.0
         while True:
             def matvec(x, _m=mu):
@@ -187,12 +201,12 @@ def _direction(op, F, cfg, lm=False):
                 prev_rel = rel
             gd = float(np.dot(grad, d))
             if np.all(np.isfinite(d)) and is_descent(d, gd):
-                return d, grad, gd, lin_iters
+                return d, grad, gd, lin_iters, "minres"
             mu = cfg.reg_mu if mu == 0.0 else mu * 100.0
             if mu > 1e-2:
                 break
     d = -grad
-    return d, grad, float(np.dot(grad, d)), lin_iters
+    return d, grad, float(np.dot(grad, d)), lin_iters, "steepest"
 
 
 def solve_subproblem(p, eps, r0, cfg=None):
@@ -223,7 +237,7 @@ def solve_subproblem(p, eps, r0, cfg=None):
         if stagnant >= 5:
             status = "line_search_failure"
             break
-        d, grad, gd, lin_iters = _direction(op, F, cfg, lm)
+        d, grad, gd, lin_iters, route = _direction(op, F, cfg, lm)
         nv = p.m + 1
         dv, dl = d[:nv], d[nv:]
         g0 = 0.5 * normF * normF
@@ -242,7 +256,8 @@ def solve_subproblem(p, eps, r0, cfg=None):
         except LineSearchError:
             status = "line_search_failure"
             trace.append(k=k, normF=normF, step=0.0,
-                         lin_iters=lin_iters, backtracks=cfg.max_backtracks)
+                         lin_iters=lin_iters, backtracks=cfg.max_backtracks,
+                         route=route)
             break
         backtracks = int(round(np.log(s) / np.log(cfg.rho))) if s < 1.0 else 0
         r, op, F = cache[s]
@@ -255,7 +270,7 @@ def solve_subproblem(p, eps, r0, cfg=None):
         if backtracks >= 4:
             lm = True
         trace.append(k=k, normF=normF, step=s,
-                     lin_iters=lin_iters, backtracks=backtracks)
+                     lin_iters=lin_iters, backtracks=backtracks, route=route)
     else:
         if normF <= cfg.f_tol:
             status = "converged"

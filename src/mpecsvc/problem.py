@@ -11,6 +11,7 @@ cost O(nnz(A) + nnz(B)) per application.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,6 +73,26 @@ class MpecProblem:
         """Split a length-m vector into the four G/H blocks."""
         n1, n2 = self.n1, self.n2
         return s[:n1], s[n1:2 * n1], s[2 * n1:2 * n1 + n2], s[2 * n1 + n2:]
+
+    @cached_property
+    def fold_index(self):
+        """Fold index sets of r = (v, lambda) and the border {C}.
+
+        Returns (folds, border): folds[t] holds the positions in r of fold
+        t's zeta, z, alpha and xi and of their multipliers, in that order;
+        border holds the position of C.  A B^T and B B^T are block diagonal
+        over folds and only the H block C*1 - alpha touches C, so J_r F_eps
+        couples two folds through C alone.  Computed on first use.
+        """
+        n1, n2, m1, m2 = self.n1, self.n2, self.m1, self.m2
+        folds = []
+        for t in range(self.T):
+            zeta = np.arange(t * m1, (t + 1) * m1)
+            alpha = np.arange(t * m2, (t + 1) * m2)
+            g = np.concatenate([zeta, n1 + zeta, 2 * n1 + alpha,
+                                2 * n1 + n2 + alpha])   # positions in G
+            folds.append(np.concatenate([1 + g, self.m + 1 + g]))
+        return tuple(folds), np.array([0])
 
 
 @dataclass(frozen=True)

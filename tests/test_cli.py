@@ -37,8 +37,10 @@ class TestSolve:
         assert 0.0 <= report["E_cv"] <= 100.0
         trace = list(csv.reader((out / "trace.csv").open()))
         assert trace[0] == ["outer_t", "eps", "k", "normF", "step",
-                            "lin_iters", "backtracks"]
+                            "lin_iters", "backtracks", "route"]
         assert len(trace) > 1
+        assert {row[-1] for row in trace[1:]} <= {
+            "bicgstab", "direct", "lm", "minres", "steepest"}
         problem = json.loads((out / "problem.json").read_text())
         assert problem["m"] == 36
 

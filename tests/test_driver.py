@@ -1,5 +1,7 @@
 """Outer smoothing loop, post-processing, and diagnostics."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from mpecsvc.driver import (OuterConfig, classify_index_sets, cv_error,
                             postprocess, run_smoothing)
 from mpecsvc.driver import test_error as holdout_error
 from mpecsvc.kkt import KktOperator, KktPoint
+from mpecsvc.krylov import KrylovConfig
 from mpecsvc.newton import NewtonConfig
 
 
@@ -92,6 +95,32 @@ class TestSmoothingLoop:
         v_b, rep_b = run_smoothing(tiny_p, ocfg, NewtonConfig(max_iters=100))
         np.testing.assert_array_equal(v_a.to_vector(), v_b.to_vector())
         assert rep_a.E_cv == rep_b.E_cv
+
+
+    def test_every_newton_setting_reaches_the_subproblems(self, tiny_p,
+                                                          monkeypatch):
+        ncfg = NewtonConfig(sigma=1e-3, rho=0.4, f_tol=1e-7, max_iters=60,
+                            max_backtracks=30, reg_mu=1e-6,
+                            krylov=KrylovConfig(rel_tol=1e-9, max_iters=300),
+                            precond="jacobi")
+        default = NewtonConfig()
+        unset = [f.name for f in fields(NewtonConfig)
+                 if getattr(ncfg, f.name) == getattr(default, f.name)]
+        assert not unset, f"give these a non-default value: {unset}"
+        seen = []
+
+        def spy(p, eps, r0, cfg):
+            seen.append((eps, cfg))
+            return r0, M.NewtonTrace(), "converged"
+
+        monkeypatch.setattr(M.driver, "solve_subproblem", spy)
+        run_smoothing(tiny_p, OuterConfig(eps_min=0.25), ncfg)
+        assert [eps for eps, _ in seen] == [1.0, 0.5, 0.25]
+        for eps, cfg in seen:
+            assert cfg.f_tol == max(ncfg.f_tol, 1e-2 * eps * eps)
+            for f in fields(NewtonConfig):
+                if f.name != "f_tol":
+                    assert getattr(cfg, f.name) == getattr(ncfg, f.name), f.name
 
 
 class TestPostprocess:

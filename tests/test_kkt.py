@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import mpecsvc as M
 from mpecsvc import problem as pb
-from mpecsvc.kkt import KktOperator, KktPoint, jacobi_precond, licq_probe
+from mpecsvc.kkt import (KktOperator, KktPoint, SingularSystemError,
+                         fold_solve, jacobi_precond, licq_probe)
 from mpecsvc.smoothing import fb_value
 
 from conftest import random_kkt_point
@@ -142,3 +145,115 @@ class TestPrecond:
         assert out.shape == u.shape
         assert np.all(np.isfinite(out))
         assert np.all(out != 0.0)
+
+
+def fold_labels(p):
+    """Fold number of each position of r, -1 on the border."""
+    folds, border = p.fold_index
+    labels = np.full(2 * p.m + 1, -2)
+    for t, idx in enumerate(folds):
+        labels[idx] = t
+    labels[border] = -1
+    return labels
+
+
+def zero_multiplier_point(p, eps, seed):
+    """Interior v with lambda = 0: the Hessian vanishes and rank K <= 2m."""
+    rng = np.random.default_rng(seed)
+    return KktPoint(v=np.abs(rng.standard_normal(p.m + 1)) + 0.1,
+                    lam=np.zeros(p.m), eps=eps)
+
+
+def lm_system(K, mu):
+    n = K.shape[0]
+    return sp.bmat([[sp.identity(n), K], [K, -mu * sp.identity(n)]],
+                   format="csc")
+
+
+def rel_err(x, ref):
+    return float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
+
+
+@pytest.fixture(scope="module")
+def heart_kkts(heart_p):
+    """Assembled KKT matrices at random points on heart, one per eps."""
+    return [KktOperator(heart_p, random_kkt_point(heart_p, eps, seed=20 + i))
+            .materialize_kkt() for i, eps in enumerate((1.0, 1e-2, 1e-4))]
+
+
+class TestFoldSolve:
+    def test_fold_index_partitions_r(self, tiny_p, heart_p):
+        for p in (tiny_p, heart_p):
+            folds, border = p.fold_index
+            labels = fold_labels(p)
+            assert (labels >= -1).all()
+            assert sum(len(idx) for idx in folds) + len(border) == 2 * p.m + 1
+            assert all(len(idx) == 2 * p.m // p.T for idx in folds)
+            np.testing.assert_array_equal(border, [0])
+
+    @pytest.mark.parametrize("name", ["tiny_p", "heart_p"])
+    def test_no_entry_couples_two_folds(self, name, request):
+        p = request.getfixturevalue(name)
+        labels = fold_labels(p)
+        for i, eps in enumerate((1.0, 1e-2, 1e-4)):
+            K = KktOperator(p, random_kkt_point(p, eps, seed=i)).materialize_kkt()
+            coo = K.tocoo()
+            a, b = labels[coo.row], labels[coo.col]
+            assert not np.any((a >= 0) & (b >= 0) & (a != b))
+            assert np.any(a == -1)          # the border does couple to folds
+
+    def test_newton_system_matches_splu(self, heart_p, heart_kkts):
+        rng = np.random.default_rng(30)
+        for K in heart_kkts:
+            rhs = rng.standard_normal(K.shape[0])
+            ref = spla.splu(K.tocsc()).solve(rhs)
+            x = fold_solve(K, rhs, *heart_p.fold_index)
+            assert rel_err(x, ref) <= 1e-8
+
+    @pytest.mark.parametrize("mu", [1e-8, 1e-4, 1e-2, 1.0])
+    def test_lm_system_matches_splu(self, heart_p, heart_kkts, mu):
+        rng = np.random.default_rng(31)
+        for K in heart_kkts:
+            rhs = np.concatenate([rng.standard_normal(K.shape[0]),
+                                  np.zeros(K.shape[0])])
+            ref = spla.splu(lm_system(K, mu)).solve(rhs)
+            x = fold_solve(K, rhs, *heart_p.fold_index, shift=mu)
+            assert rel_err(x, ref) <= 1e-8
+
+    @pytest.mark.parametrize("name", ["tiny_p", "heart_p"])
+    def test_zero_multipliers_are_singular(self, name, request):
+        p = request.getfixturevalue(name)
+        for i, eps in enumerate((1.0, 1e-2)):
+            K = KktOperator(p, zero_multiplier_point(p, eps, seed=i)).materialize_kkt()
+            with pytest.raises(SingularSystemError):
+                fold_solve(K, np.ones(K.shape[0]), *p.fold_index)
+            # the LM shift makes the augmented system nonsingular
+            x = fold_solve(K, np.ones(2 * K.shape[0]), *p.fold_index, shift=1e-2)
+            assert np.all(np.isfinite(x))
+
+    def test_zero_fold_pivot_is_singular(self, tiny_p):
+        K = KktOperator(tiny_p, random_kkt_point(tiny_p, 0.5)).materialize_kkt()
+        folds, border = tiny_p.fold_index
+        keep = np.ones(K.shape[0])
+        keep[folds[1]] = 0.0       # zero fold 1's rows and columns
+        K = sp.diags(keep) @ K @ sp.diags(keep)
+        with pytest.raises(SingularSystemError, match="zero pivot"):
+            fold_solve(K, np.ones(K.shape[0]), folds, border)
+
+    @pytest.mark.parametrize("ulps, singular", [(0, True), (1, True),
+                                                (2.0**32, False)])
+    def test_schur_complement_zero_to_rounding_is_singular(self, ulps, singular):
+        # three 1x1 folds (identity) bordered by e = (0.5, 0.25, 0.75):
+        # every product is exact, so S = K_bb - 0.875 exactly
+        e = np.array([0.5, 0.25, 0.75])
+        K = np.eye(4)
+        K[0, 1:] = K[1:, 0] = e
+        K[0, 0] = 0.875 + ulps * np.spacing(0.875)
+        folds, border = (np.array([1]), np.array([2]), np.array([3])), np.array([0])
+        rhs = np.arange(1.0, 5.0)
+        if singular:
+            with pytest.raises(SingularSystemError, match="Schur"):
+                fold_solve(sp.csr_matrix(K), rhs, folds, border)
+        else:
+            x = fold_solve(sp.csr_matrix(K), rhs, folds, border)
+            assert np.linalg.norm(K @ x - rhs) <= 1e-12 * np.linalg.norm(x)

@@ -1,12 +1,17 @@
 """Damped Newton subproblem solver and Armijo line search."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from mpecsvc.driver import initial_point
 from mpecsvc.kkt import KktOperator, KktPoint
-from mpecsvc.newton import (LineSearchError, NewtonConfig, armijo_search,
-                            solve_subproblem)
+from mpecsvc.krylov import KrylovConfig
+from mpecsvc.newton import (LineSearchError, NewtonConfig, _direction,
+                            armijo_search, solve_subproblem)
+
+ROUTES = {"bicgstab", "direct", "lm", "minres", "steepest"}
 
 
 class TestConfig:
@@ -74,6 +79,7 @@ class TestSubproblem:
         assert len(norms) >= 1
         assert all(b < a for a, b in zip(norms, norms[1:]))
         assert trace.total_lin_iters > 0
+        assert {row.route for row in trace.rows} <= ROUTES
 
     def test_max_iters_status(self, tiny_p):
         r0 = initial_point(tiny_p, 1.0)
@@ -95,3 +101,37 @@ class TestSubproblem:
         _, trace_cold, _ = solve_subproblem(tiny_p, 0.25,
                                             initial_point(tiny_p, 1.0), cold_cfg)
         assert len(trace2.rows) <= len(trace_cold.rows)
+
+
+class TestDirection:
+    @pytest.fixture
+    def starved(self):
+        """A config whose one BiCGStab iteration misses any forcing target."""
+        return NewtonConfig(krylov=KrylovConfig(max_iters=1))
+
+    def test_direct_route_solves_the_newton_system(self, tiny_p, starved):
+        v = initial_point(tiny_p, 1.0).v
+        op = KktOperator(tiny_p, KktPoint(v=v, lam=np.full(tiny_p.m, 0.1),
+                                          eps=0.5))
+        F = op.residual()
+        d, grad, gd, lin_iters, route = _direction(op, F, starved)
+        assert route == "direct"
+        assert np.linalg.norm(op.kkt_apply(d) + F) <= 1e-10 * np.linalg.norm(F)
+        assert gd == pytest.approx(float(grad @ d)) and gd < 0
+
+    @pytest.mark.parametrize("name", ["tiny_p", "heart_p"])
+    def test_singular_direct_solve_falls_back_silently(self, name, request,
+                                                       starved, capfd):
+        # lambda = 0: the Hessian vanishes and J_r F_eps has rank <= 2m
+        p = request.getfixturevalue(name)
+        v = initial_point(p, 1.0).v
+        op = KktOperator(p, KktPoint(v=v, lam=np.zeros(p.m), eps=0.5))
+        F = op.residual()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d, grad, gd, _, route = _direction(op, F, starved)
+            d_lm, _, gd_lm, _, route_lm = _direction(op, F, starved, lm=True)
+        assert route == "steepest"
+        np.testing.assert_array_equal(d, -grad)
+        assert route_lm == "lm" and gd_lm < 0
+        assert capfd.readouterr().err == ""
