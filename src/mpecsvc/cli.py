@@ -59,7 +59,6 @@ def build_parser():
     sp.add_argument("--newton-maxit", type=int, default=200)
     sp.add_argument("--lin-rtol", type=float, default=1e-10)
     sp.add_argument("--lin-maxit", type=int, default=None)
-    sp.add_argument("--precond", choices=["none", "jacobi"], default="none")
     sp.add_argument("--dump-problem", action="store_true",
                     help="also write dimensions and sparsity stats as JSON")
 
@@ -124,7 +123,7 @@ def cmd_solve(args):
     ocfg = driver.OuterConfig(eps0=args.eps0, eps_min=args.eps_min,
                               kappa=args.kappa, initial_C=args.initial_C)
     ncfg = NewtonConfig(sigma=args.sigma, rho=args.rho, f_tol=args.ftol,
-                        max_iters=args.newton_maxit, precond=args.precond,
+                        max_iters=args.newton_maxit,
                         krylov=KrylovConfig(rel_tol=args.lin_rtol,
                                             max_iters=args.lin_maxit))
     v_star, report = driver.run_smoothing(p, ocfg, ncfg)
@@ -141,7 +140,6 @@ def cmd_solve(args):
         "initial_C": args.initial_C, "sigma": args.sigma, "rho": args.rho,
         "ftol": args.ftol, "newton_maxit": args.newton_maxit,
         "lin_rtol": args.lin_rtol, "lin_maxit": args.lin_maxit,
-        "precond": args.precond,
     }
     rd = report.to_dict(dataset=str(args.data),
                         dims=problem.sparsity_stats(p), config=config_echo)
@@ -224,8 +222,8 @@ def cmd_check(args):
     results.append(("kkt_symmetry", sym <= 1e-10 * max(scale, 1.0)))
 
     v_int = np.abs(rng.standard_normal(p.m + 1)) + 0.1
-    sigma, iters = kkt.licq_probe(p, v_int, eps)
-    results.append(("licq_probe_positive", sigma > 1e-10))
+    sigma, _, converged = kkt.licq_probe(p, v_int, eps)
+    results.append(("licq_probe_positive", converged and sigma > 1e-10))
 
     ok = True
     for name, passed in results:

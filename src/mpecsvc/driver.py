@@ -78,6 +78,10 @@ class SolveReport:
             "index_set_sizes": self.index_set_sizes,
             "outer_iters": self.outer_iters,
             "inner_iters_total": self.inner_iters_total,
+            "subproblems": [
+                {"t": rec.t, "eps": rec.eps, "status": rec.status,
+                 "inner_iters": rec.inner_iters, "normF": rec.normF}
+                for rec in self.outer_records],
             "wall_ms": self.wall_ms,
         }
 

@@ -30,7 +30,6 @@ class NewtonConfig:
     max_backtracks: int = 40
     reg_mu: float = 1e-8       # initial shift for the regularized retry
     krylov: KrylovConfig | None = None
-    precond: str = "none"      # none | jacobi (small instances only)
 
     def __post_init__(self):
         if not (0.0 < self.sigma < 0.5):
@@ -131,10 +130,6 @@ def _direction(op, F, cfg, lm=False):
     normF = float(np.linalg.norm(F))
     target = max(kcfg.rel_tol, min(1e-2, 0.3 * np.sqrt(normF)))
     budget = kcfg.max_iters if kcfg.max_iters is not None else 2 * F.shape[0]
-    precond = None
-    if cfg.precond == "jacobi":
-        from .kkt import jacobi_precond
-        precond = jacobi_precond(op)
 
     def is_descent(d, gd):
         return gd < -1e-12 * np.linalg.norm(d) * norm_grad
@@ -146,8 +141,7 @@ def _direction(op, F, cfg, lm=False):
     if not lm:
         res = bicgstab(apply, -F,
                        cfg=replace(kcfg, rel_tol=target,
-                                   max_iters=min(budget, 400)),
-                       precond=precond)
+                                   max_iters=min(budget, 400)))
         lin_iters = res.iterations
         d = res.x
         gd = float(np.dot(grad, d))

@@ -20,7 +20,6 @@ import scipy.sparse as sp
 class DualSvcConfig:
     max_epochs: int = 1000
     tol: float = 1e-8          # max projected-gradient violation
-    shrink: bool = False
     seed: int = 0
 
     def __post_init__(self):

@@ -126,22 +126,27 @@ def test_01_derivative_suite(heart_p):
 def test_02_constraint_rank_probe(heart_p, micro_p):
     rng = np.random.default_rng(1)
     worst = np.inf
+    unconverged = 0
     for i in range(10):
         v = np.abs(rng.standard_normal(heart_p.m + 1)) + 0.1
         for eps in (1.0, 1e-2):
-            est, _ = licq_probe(heart_p, v, eps)
+            est, _, converged = licq_probe(heart_p, v, eps)
             worst = min(worst, est)
+            unconverged += not converged
     dense_rel = 0.0
-    for eps in (1.0, 1e-2):
-        v = np.abs(rng.standard_normal(micro_p.m + 1)) + 0.1
-        est, _ = licq_probe(micro_p, v, eps)
-        op = KktOperator(micro_p, KktPoint(v=v, lam=np.zeros(micro_p.m),
-                                           eps=eps))
+    checks = [(micro_p, eps) for eps in (1.0, 1e-2)]
+    checks += [(heart_p, eps) for eps in (1.0, 0.1, 1e-2, 1e-4)]
+    for p, eps in checks:
+        v = np.abs(rng.standard_normal(p.m + 1)) + 0.1
+        est, _, converged = licq_probe(p, v, eps)
+        unconverged += not converged
+        op = KktOperator(p, KktPoint(v=v, lam=np.zeros(p.m), eps=eps))
         smin = np.linalg.svd(op.materialize_jacobian(), compute_uv=False)[-1]
         dense_rel = max(dense_rel, abs(est - smin) / smin)
-    ok = worst > 1e-10 and dense_rel <= 1e-6
+    ok = worst > 1e-10 and dense_rel <= 1e-6 and unconverged == 0
     report("constraint_rank_probe", ok,
-           f"min sigma_min estimate {worst:.3e}, dense SVD rel {dense_rel:.1e}")
+           f"min sigma_min estimate {worst:.3e}, dense SVD rel {dense_rel:.1e} "
+           f"(m = 8 and m = {heart_p.m}), {unconverged} unconverged")
 
 
 def test_03_subproblem_correctness(solve_result):

@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import mpecsvc as M
-from mpecsvc.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARSE, main)
+from mpecsvc.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARSE, EXIT_SOLVER,
+                         main)
 
 from conftest import make_tiny_dataset
 
@@ -55,6 +60,23 @@ class TestSolve:
             reports.append(rep)
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("maxit", [200, 1])
+    def test_exit_code_follows_listed_statuses(self, data_file, tmp_path,
+                                               maxit):
+        code = run(["solve", "--data", data_file, "--p1", 6,
+                    "--eps-min", "1e-3", "--newton-maxit", maxit,
+                    "--out", tmp_path, "--quiet"])
+        report = json.loads((tmp_path / "report.json").read_text())
+        subs = report["subproblems"]
+        assert len(subs) == report["outer_iters"]
+        assert [s["t"] for s in subs] == list(range(len(subs)))
+        assert all(set(s) == {"t", "eps", "status", "inner_iters", "normF"}
+                   for s in subs)
+        assert sum(s["inner_iters"] for s in subs) == report["inner_iters_total"]
+        failed = [s for s in subs if s["status"] != "converged"]
+        assert code == (EXIT_SOLVER if failed else EXIT_OK)
+        assert bool(failed) == (maxit == 1)
+
     def test_missing_file(self, tmp_path):
         code = run(["solve", "--data", tmp_path / "nope.libsvm",
                     "--p1", 6, "--out", tmp_path, "--quiet"])
@@ -90,8 +112,42 @@ class TestCheck:
         assert {"jacobian_fd", "hessian_fd", "merit_grad_fd",
                 "kkt_symmetry", "licq_probe_positive"} <= names
 
+    def test_unconverged_probe_fails(self, data_file, tmp_path, capsys,
+                                     monkeypatch):
+        monkeypatch.setattr(M.kkt, "licq_probe",
+                            lambda p, v, eps: (1.0, 50, False))
+        code = run(["check", "--data", data_file, "--p1", 6,
+                    "--out", tmp_path])
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL  licq_probe_positive" in lines
+        assert code == EXIT_CHECK_FAILED
+
     def test_parse_error_exit(self, tmp_path):
         bad = tmp_path / "bad.libsvm"
         bad.write_text("+1 2:1 1:2\n")
         code = run(["check", "--data", bad, "--p1", 2, "--out", tmp_path])
         assert code == EXIT_PARSE
+
+
+def test_check_and_grid_leave_heavy_scipy_modules_unloaded(data_file,
+                                                          tmp_path):
+    """check and grid run on numpy and scipy.sparse alone.
+
+    scipy.linalg, scipy.optimize and scipy.sparse.linalg each add several
+    MB to the resident size of a run.
+    """
+    script = (
+        "import sys\n"
+        "from mpecsvc.cli import main\n"
+        "for cmd in ('check', 'grid'):\n"
+        f"    main([cmd, '--data', {str(data_file)!r}, '--p1', '6',\n"
+        f"          '--out', {str(tmp_path)!r}, '--quiet'])\n"
+        "heavy = ('scipy.linalg', 'scipy.optimize', 'scipy.sparse.linalg')\n"
+        "print(sorted(m for m in sys.modules if m.startswith(heavy)))\n")
+    src = str(Path(M.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"

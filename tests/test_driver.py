@@ -101,8 +101,7 @@ class TestSmoothingLoop:
                                                           monkeypatch):
         ncfg = NewtonConfig(sigma=1e-3, rho=0.4, f_tol=1e-7, max_iters=60,
                             max_backtracks=30, reg_mu=1e-6,
-                            krylov=KrylovConfig(rel_tol=1e-9, max_iters=300),
-                            precond="jacobi")
+                            krylov=KrylovConfig(rel_tol=1e-9, max_iters=300))
         default = NewtonConfig()
         unset = [f.name for f in fields(NewtonConfig)
                  if getattr(ncfg, f.name) == getattr(default, f.name)]

@@ -1,5 +1,7 @@
 """KKT residual, Jacobian/Hessian applies, merit calculus, LICQ probe."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,10 +10,10 @@ import scipy.sparse.linalg as spla
 import mpecsvc as M
 from mpecsvc import problem as pb
 from mpecsvc.kkt import (KktOperator, KktPoint, SingularSystemError,
-                         fold_solve, jacobi_precond, licq_probe)
+                         fold_solve, jjt_inverse, licq_probe)
 from mpecsvc.smoothing import fb_value
 
-from conftest import random_kkt_point
+from conftest import make_tiny_dataset, random_kkt_point
 
 
 def fd_dir(fn, x, d, h):
@@ -117,34 +119,77 @@ class TestDerivatives:
             assert float(np.dot(grad, dr)) == pytest.approx(fd, rel=1e-5)
 
 
+def dense_sigma_min(p, v, eps):
+    op = KktOperator(p, KktPoint(v=v, lam=np.zeros(p.m), eps=eps))
+    return np.linalg.svd(op.materialize_jacobian(), compute_uv=False)[-1]
+
+
 class TestLicq:
     def test_probe_matches_dense_svd(self, micro_p):
         rng = np.random.default_rng(8)
         for eps in (1.0, 1e-2):
             v = np.abs(rng.standard_normal(micro_p.m + 1)) + 0.1
-            est, _ = licq_probe(micro_p, v, eps)
-            op = KktOperator(micro_p, KktPoint(v=v, lam=np.zeros(micro_p.m),
-                                               eps=eps))
-            smin = np.linalg.svd(op.materialize_jacobian(), compute_uv=False)[-1]
-            assert est == pytest.approx(smin, rel=1e-6)
+            est, _, converged = licq_probe(micro_p, v, eps)
+            assert converged
+            assert est == pytest.approx(dense_sigma_min(micro_p, v, eps),
+                                        rel=1e-6)
+
+    @pytest.mark.parametrize("eps", [1.0, 0.1, 1e-2, 1e-4])
+    def test_probe_matches_dense_svd_on_heart(self, heart_p, eps):
+        rng = np.random.default_rng(9)
+        v = np.abs(rng.standard_normal(heart_p.m + 1)) + 0.1
+        est, iters, converged = licq_probe(heart_p, v, eps)
+        assert converged and iters <= 50
+        assert est == pytest.approx(dense_sigma_min(heart_p, v, eps), rel=1e-6)
+
+    @pytest.mark.parametrize("eps", [1.0, 1e-3])
+    def test_jjt_inverse_solves_jjt(self, tiny_p, eps):
+        rng = np.random.default_rng(10)
+        v = rng.standard_normal(tiny_p.m + 1)
+        op = KktOperator(tiny_p, KktPoint(v=v, lam=np.zeros(tiny_p.m), eps=eps))
+        J = op.materialize_jacobian()
+        y = rng.standard_normal(tiny_p.m)
+        np.testing.assert_allclose(jjt_inverse(op)(y),
+                                   np.linalg.solve(J @ J.T, y), rtol=1e-8)
 
     def test_probe_positive_interior(self, tiny_p):
         rng = np.random.default_rng(9)
         v = np.abs(rng.standard_normal(tiny_p.m + 1)) + 0.1
-        est, _ = licq_probe(tiny_p, v, 0.1)
-        assert est > 1e-10
+        est, _, converged = licq_probe(tiny_p, v, 0.1)
+        assert converged and est > 1e-10
 
+    def test_one_step_is_not_converged(self, heart_p):
+        v = np.abs(np.random.default_rng(11).standard_normal(heart_p.m + 1)) + 0.1
+        est, iters, converged = licq_probe(heart_p, v, 0.1, max_iters=1)
+        assert (iters, converged) == (1, False)
+        assert np.isfinite(est)
 
-class TestPrecond:
-    def test_jacobi_positive_and_applies(self, tiny_p):
-        r = random_kkt_point(tiny_p, eps=0.5, seed=10)
-        op = KktOperator(tiny_p, r)
-        apply = jacobi_precond(op)
-        u = np.ones(2 * tiny_p.m + 1)
-        out = apply(u)
-        assert out.shape == u.shape
-        assert np.all(np.isfinite(out))
-        assert np.all(out != 0.0)
+    def test_weight_rounding_to_zero_is_unconverged(self, tiny_p):
+        v = np.abs(np.random.default_rng(13).standard_normal(tiny_p.m + 1)) + 0.1
+        v[1 + 2 * tiny_p.n1 + tiny_p.n2:] = 1e10     # G = xi swamps H and eps
+        op = KktOperator(tiny_p, KktPoint(v=v, lam=np.zeros(tiny_p.m), eps=1e-3))
+        assert op.weights.wG.min() == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est, iters, converged = licq_probe(tiny_p, v, 1e-3)
+        assert (iters, converged) == (0, False) and np.isnan(est)
+
+    def test_probe_beyond_the_materialize_guard(self):
+        ds = make_tiny_dataset(n_points=700, n_features=5, seed=3)
+        p = M.assemble(ds, M.make_split(ds, p1=669, T=3, seed=0))
+        assert p.m > 4000
+        with pytest.raises(ValueError):
+            pb.materialize_LH(p)
+        rng = np.random.default_rng(12)
+        v = np.abs(rng.standard_normal(p.m + 1)) + 0.1
+        for eps in (1.0, 1e-2):
+            est, _, converged = licq_probe(p, v, eps)
+            assert converged and np.isfinite(est) and est > 0.0
+            # sigma_min(J) <= ||J^T y|| / ||y|| for every y
+            op = KktOperator(p, KktPoint(v=v, lam=np.zeros(p.m), eps=eps))
+            for _ in range(3):
+                y = rng.standard_normal(p.m)
+                assert est <= np.linalg.norm(op.jac_t_apply(y)) / np.linalg.norm(y)
 
 
 def fold_labels(p):
