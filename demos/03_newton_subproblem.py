@@ -5,8 +5,9 @@ nonlinear system F_eps(v, lambda) = 0 of dimension 2m+1.  A damped Newton
 method drives ||F_eps|| to zero.  Each linear system is tried first by
 BiCGStab on the assembled sparse Jacobian; when that misses its forcing
 target it is solved directly, fold by fold, with a Schur complement on C
-(route "direct"), or as a Levenberg-Marquardt step after a collapsed line
-search (route "lm").  This script runs one subproblem on the bundled dataset
+(route "direct").  After a collapsed line search the step is the
+Levenberg-Marquardt direction (route "lm"), the real part of the same fold
+solve with the imaginary shift -i*||F||.  This script runs one subproblem on the bundled dataset
 and prints the per-iteration trace, with the route each step took.
 """
 

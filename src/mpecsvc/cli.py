@@ -16,7 +16,6 @@ import numpy as np
 
 from . import data as dio
 from . import driver, kkt, problem, svc
-from .krylov import KrylovConfig
 from .newton import NewtonConfig
 
 EXIT_OK = 0
@@ -57,8 +56,6 @@ def build_parser():
     sp.add_argument("--rho", type=float, default=0.5)
     sp.add_argument("--ftol", type=float, default=1e-8)
     sp.add_argument("--newton-maxit", type=int, default=200)
-    sp.add_argument("--lin-rtol", type=float, default=1e-10)
-    sp.add_argument("--lin-maxit", type=int, default=None)
     sp.add_argument("--dump-problem", action="store_true",
                     help="also write dimensions and sparsity stats as JSON")
 
@@ -123,9 +120,7 @@ def cmd_solve(args):
     ocfg = driver.OuterConfig(eps0=args.eps0, eps_min=args.eps_min,
                               kappa=args.kappa, initial_C=args.initial_C)
     ncfg = NewtonConfig(sigma=args.sigma, rho=args.rho, f_tol=args.ftol,
-                        max_iters=args.newton_maxit,
-                        krylov=KrylovConfig(rel_tol=args.lin_rtol,
-                                            max_iters=args.lin_maxit))
+                        max_iters=args.newton_maxit)
     v_star, report = driver.run_smoothing(p, ocfg, ncfg)
     report.C_hat, w_hat = driver.postprocess(p, v_star, ds, plan)
     report.E_te = driver.test_error(ds, plan.test_indices, w_hat)
@@ -139,7 +134,6 @@ def cmd_solve(args):
         "eps0": args.eps0, "eps_min": args.eps_min, "kappa": args.kappa,
         "initial_C": args.initial_C, "sigma": args.sigma, "rho": args.rho,
         "ftol": args.ftol, "newton_maxit": args.newton_maxit,
-        "lin_rtol": args.lin_rtol, "lin_maxit": args.lin_maxit,
     }
     rd = report.to_dict(dataset=str(args.data),
                         dims=problem.sparsity_stats(p), config=config_echo)

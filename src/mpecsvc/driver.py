@@ -14,9 +14,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import problem as pb
-from .kkt import KktOperator, KktPoint
+from .kkt import (KktOperator, KktPoint, SingularSystemError,
+                  constraint_fold_solves)
 from .newton import NewtonConfig, solve_subproblem
-from .smoothing import fb_weights
 from .svc import DualSvcConfig, solve_l1svc_dual, validation_error
 
 
@@ -176,26 +176,18 @@ def test_error(ds, test_indices, w):
     return 100.0 * validation_error(ds, test_indices, w)
 
 
-def _cone_direction(p, op):
+def _cone_direction(op):
     """Direction U spanning the critical cone null(J_v Phi), unit C component.
 
-    The alpha block solves a dense T*m2 system; the remaining blocks follow by
-    diagonal eliminations.
+    With J_v Phi = [c | J_f] split as in kkt.constraint_fold_solves,
+    U = (1, -J_f^{-1} c), by the exact fold solves of the rank probe.  U is
+    NaN when a smoothing weight rounds to 0 and those solves do not exist.
     """
-    w = op.weights
-    n1, n2 = p.n1, p.n2
-    w1G, w2G, w3G, w4G = p.split_m(w.wG)
-    w1H, w2H, w3H, w4H = p.split_m(w.wH)
-    BBt = (p.B @ p.B.T).toarray()
-    # (W4H + W4G ((W3H)^{-1} W3G + BB^T)) U_alpha = W4H 1
-    Mat = w4G[:, None] * BBt
-    Mat[np.diag_indices(n2)] += w4H + w4G * (w3G / w3H)
-    U_alpha = np.linalg.solve(Mat, w4H)
-    ABt_Ua = p.A @ (p.B.T @ U_alpha)
-    U_z = -(w1H * ABt_Ua) / (w1G * (w2G / w2H) + w1H)
-    U_zeta = (w2G / w2H) * U_z
-    U_xi = -(w3G * U_alpha + w3H * (BBt @ U_alpha)) / w3H
-    return np.concatenate([[1.0], U_zeta, U_z, U_alpha, U_xi])
+    try:
+        solve, _, c = constraint_fold_solves(op)
+    except SingularSystemError:
+        return np.full(op.p.m + 1, np.nan)
+    return np.concatenate([[1.0], -solve(c)])
 
 
 def assumption2_value(p, r_star):
@@ -218,11 +210,12 @@ def assumption2_value(p, r_star):
                    subproblem, a negative one a maximizer along C.
       A2_cone_alt  the same quadratic form via the G/H decomposition
                    (U^G)^T M^G U^G + (U^H)^T M^H U^H + 2 (U^G)^T M^GH U^H
+    Both A2_cone values are NaN when a smoothing weight rounds to 0.
     """
     op = KktOperator(p, r_star)
     v = op.v
     A2_paper = float(v @ op.hess_apply(v))
-    U = _cone_direction(p, op)
+    U = _cone_direction(op)
     A2_cone = float(U @ op.hess_apply(U))
     UG = pb.apply_LG(p, U)
     UH = pb.apply_LH(p, U)

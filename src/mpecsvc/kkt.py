@@ -147,15 +147,15 @@ class SingularSystemError(RuntimeError):
     """A direct solve met a singular system (see fold_solve)."""
 
 
-def fold_solve(K, rhs, folds, border, shift=None):
-    """Solve a fold-bordered system by per-fold dense factors.
+def fold_solve(K, rhs, folds, border, shift=0.0):
+    """Solve (K + shift*I) x = rhs by per-fold dense factors.
 
     K is J_r F_eps as assembled by materialize_kkt; its entries couple two
     folds only through the border (MpecProblem.fold_index gives the sets).
-    Without `shift` the system is K x = rhs.  With it, the system is the
-    Levenberg-Marquardt augmented form [[I, K], [K, -shift*I]] (u; x) = rhs
-    of twice the dimension, whose folds and border are the same index sets
-    taken in both halves.
+    The scalar shift may be real or complex; a complex shift makes the whole
+    solve complex (LAPACK zgetrf in place of dgetrf).  With the real
+    symmetric K and shift = -i*sigma, Re x = K (K^2 + sigma^2 I)^{-1} rhs,
+    the Levenberg-Marquardt solve, with no matrix larger than K's folds.
 
     Each fold's dense diagonal block M_t is LU-factored (LAPACK getrf) and
     solved for the fold's right-hand side together with its border columns
@@ -169,46 +169,39 @@ def fold_solve(K, rhs, folds, border, shift=None):
     (Frobenius norm) with kappa the largest condition number of the fold
     blocks as LAPACK gecon estimates it, or is not finite.
     """
-    from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
+    from scipy.linalg.lapack import get_lapack_funcs
 
     K = K.tocsr()
-    n = K.shape[0]
+    rhs = np.asarray(rhs)
+    dtype = np.result_type(K.dtype, rhs.dtype, shift)
+    getrf, getrs, gecon = get_lapack_funcs(("getrf", "getrs", "gecon"),
+                                           dtype=dtype)
 
-    def dense(Kb, rows, cols):
-        """The system's rows x cols block from K's, Fortran-ordered."""
-        Kb = Kb.toarray(order="F")
-        if shift is None:
-            return Kb
-        eye = np.equal.outer(rows, cols)
-        out = np.empty((2 * len(rows), 2 * len(cols)), order="F")
-        out[:len(rows), :len(cols)] = eye
-        out[:len(rows), len(cols):] = Kb
-        out[len(rows):, :len(cols)] = Kb
-        out[len(rows):, len(cols):] = -shift * eye
+    def dense(Kb, diagonal=False):
+        """K's block, shifted when it is a diagonal block, Fortran-ordered."""
+        out = Kb.toarray(order="F").astype(dtype, copy=False)
+        if diagonal and shift:
+            out[np.diag_indices(out.shape[0])] += shift
         return out
 
-    def pos(idx):
-        return idx if shift is None else np.concatenate([idx, n + idx])
-
-    rhs = np.asarray(rhs, dtype=float)
     K_border = K[border]
-    S = dense(K_border[:, border], border, border)
+    S = dense(K_border[:, border], diagonal=True)
     S_scale = np.abs(S)
-    r_border = rhs[pos(border)]
+    r_border = rhs[border].astype(dtype)
     kappa = 1.0
     solved = []
     for idx in folds:
         K_fold = K[idx]
-        M = dense(K_fold[:, idx], idx, idx)
-        E = dense(K_fold[:, border], idx, border)
-        R = dense(K_border[:, idx], border, idx)
+        M = dense(K_fold[:, idx], diagonal=True)
+        E = dense(K_fold[:, border])
+        R = dense(K_border[:, idx])
         anorm = float(np.abs(M).sum(axis=0).max())
-        lu, piv, info = dgetrf(M, overwrite_a=True)
+        lu, piv, info = getrf(M, overwrite_a=True)
         if info > 0:
             raise SingularSystemError(f"zero pivot {info} in a fold factor")
-        rcond, _ = dgecon(lu, anorm)
+        rcond, _ = gecon(lu, anorm)
         kappa = max(kappa, 1.0 / rcond if rcond > 0 else np.inf)
-        YZ, _ = dgetrs(lu, piv, np.column_stack([rhs[pos(idx)], E]))
+        YZ, _ = getrs(lu, piv, np.column_stack([rhs[idx], E]))
         y, Z = YZ[:, 0], YZ[:, 1:]
         S -= R @ Z
         S_scale += np.abs(R) @ np.abs(Z)
@@ -219,10 +212,10 @@ def fold_solve(K, rhs, folds, border, shift=None):
             and np.linalg.svd(S, compute_uv=False)[-1] > tol):
         raise SingularSystemError("Schur complement zero to rounding")
     x_border = np.linalg.solve(S, r_border)
-    x = np.empty_like(rhs)
-    x[pos(border)] = x_border
+    x = np.empty(rhs.shape, dtype=dtype)
+    x[border] = x_border
     for idx, (y, Z) in zip(folds, solved):
-        x[pos(idx)] = y - Z @ x_border
+        x[idx] = y - Z @ x_border
     return x
 
 
@@ -243,8 +236,8 @@ def merit_grad(p, r):
     return op.kkt_apply(op.residual())
 
 
-def jjt_inverse(op):
-    """(J J^T)^{-1} for J = J_v Phi at op's weights, by exact fold solves.
+def constraint_fold_solves(op):
+    """Exact solves with the fold part of J = J_v Phi at op's weights.
 
     J = [c | J_f]: the column of C is c = w^H on the xi-pair rows, the only
     entries coupling two folds, and J_f is block diagonal over the folds.
@@ -255,10 +248,17 @@ def jjt_inverse(op):
     P_t = diag(w^G_3/w^H_3 + w^H_4/w^G_4) + B_t B_t^T, m2 x m2.  The weights
     lie in (0, 2) for eps > 0, so every block is nonsingular; a weight that
     rounds to 0 raises SingularSystemError instead.  Each P_t is
-    built from the fold's own rows of B and inverted once; a solve with J_f
-    or J_f^T then costs T products with the m2 x m2 inverses and one product
-    with A and B each.  (J J^T)^{-1} = (J_f J_f^T + c c^T)^{-1} follows from
-    J_f^{-T} J_f^{-1} by Sherman-Morrison, whose denominator is >= 1.
+    built from the fold's own rows of B, scaled symmetrically to a unit
+    diagonal and inverted once; a solve with J_f or J_f^T then costs T
+    products with the m2 x m2 inverses and a few products with A and B.
+    Returns (solve, solve_t, c) with solve(r) = J_f^{-1} r and
+    solve_t(r) = J_f^{-T} r.
+
+    Near a strictly complementary point one weight of each pair vanishes
+    like eps^2, and the diagonal of P_t spans some 25 orders of magnitude at
+    eps = 1e-6; without the scaling, or with xi always taken from the xi-pair
+    row (which divides by w^G_4), a solve at heart's final point keeps only
+    about 4 digits.
     """
     p = op.p
     T, m2, n = p.T, p.m2, p.n
@@ -268,23 +268,31 @@ def jjt_inverse(op):
     wH1, wH2, wH3, wH4 = p.split_m(op.weights.wH)
     det = wG1 * wG2 + wH1 * wH2
     diag = wG3 / wH3 + wH4 / wG4
+    # xi (in solve_t, its multiplier) follows from the alpha-pair or the
+    # xi-pair equation; take the one with the larger divisor
+    by_row4, by_col_xi = wG4 >= wH3, wG4 >= wH4
     P_inv = np.empty((T, m2, m2))
+    scale = np.empty(T * m2)
     for t in range(T):
         rows = slice(t * m2, (t + 1) * m2)
         Bt = p.B[rows, t * n:(t + 1) * n].toarray()
         P = Bt @ Bt.T
         P[np.diag_indices(m2)] += diag[rows]
-        P_inv[t] = np.linalg.inv(P)
+        scale[rows] = 1.0 / np.sqrt(np.diag(P))
+        P_inv[t] = np.linalg.inv(scale[rows, None] * P * scale[rows])
 
     def p_solve(x):
-        return np.matmul(P_inv, x.reshape(T, m2, 1)).ravel()
+        y = np.matmul(P_inv, (scale * x).reshape(T, m2, 1)).ravel()
+        return scale * y
 
     def solve(r):
         """J_f^{-1} r; r is indexed by the pairs, the result like G."""
         r1, r2, r3, r4 = p.split_m(r)
         x_alpha = p_solve(r3 / wH3 - r4 / wG4)
-        x_xi = (r4 + wH4 * x_alpha) / wG4
-        b1 = r1 - wH1 * (p.A @ (p.B.T @ x_alpha))
+        Bt_x = p.B.T @ x_alpha
+        x_xi = np.where(by_row4, (r4 + wH4 * x_alpha) / wG4,
+                        (r3 - wG3 * x_alpha) / wH3 - p.B @ Bt_x)
+        b1 = r1 - wH1 * (p.A @ Bt_x)
         return np.concatenate([(wG2 * b1 - wH1 * r2) / det,
                                (wH2 * b1 + wG1 * r2) / det, x_alpha, x_xi])
 
@@ -295,10 +303,23 @@ def jjt_inverse(op):
         x2 = (wG1 * r2 - wH1 * r1) / det
         b3 = r3 - p.B @ (p.A.T @ (wH1 * x1))
         x3 = p_solve(b3 + wH4 * r4 / wG4) / wH3
-        return np.concatenate([x1, x2, x3, (r4 - wH3 * x3) / wG4])
+        x4 = np.where(by_col_xi, (r4 - wH3 * x3) / wG4,
+                      (wG3 * x3 + p.B @ (p.B.T @ (wH3 * x3)) - b3) / wH4)
+        return np.concatenate([x1, x2, x3, x4])
 
     c = np.zeros(p.m)
     c[p.m - p.n2:] = wH4
+    return solve, solve_t, c
+
+
+def jjt_inverse(op):
+    """(J J^T)^{-1} for J = J_v Phi at op's weights, by exact fold solves.
+
+    With J = [c | J_f] as in constraint_fold_solves, (J J^T)^{-1} =
+    (J_f J_f^T + c c^T)^{-1} follows from J_f^{-T} J_f^{-1} by
+    Sherman-Morrison, whose denominator is >= 1.
+    """
+    solve, solve_t, c = constraint_fold_solves(op)
     g = solve_t(solve(c))
     gamma = 1.0 + float(np.dot(c, g))
 

@@ -11,14 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+BREAKDOWN_EPS = 1e-30
+STALL_ITERS = 150       # bail out if the best residual stops improving
+
 
 @dataclass(frozen=True)
 class KrylovConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_iters: int | None = None   # defaults to 10 * dimension
-    breakdown_eps: float = 1e-30
-    stall_iters: int = 150         # bail out if best residual stops improving
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol < 0:
@@ -35,13 +36,12 @@ class KrylovResult:
     status: str            # converged | max_iters | breakdown | stalled | degraded
 
 
-def bicgstab(apply, rhs, x0=None, cfg=None, precond=None):
-    """Solve apply(x) = rhs; `precond` (if given) applies M^{-1}."""
+def bicgstab(apply, rhs, x0=None, cfg=None):
+    """Solve apply(x) = rhs."""
     cfg = cfg or KrylovConfig()
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.shape[0]
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    M = precond if precond is not None else (lambda u: u)
     max_iters = cfg.max_iters if cfg.max_iters is not None else 10 * n
 
     norm_b = np.linalg.norm(rhs)
@@ -62,43 +62,41 @@ def bicgstab(apply, rhs, x0=None, cfg=None, precond=None):
     k = 0
     since_improved = 0
     for k in range(1, max_iters + 1):
-        if since_improved >= cfg.stall_iters:
+        if since_improved >= STALL_ITERS:
             status = "stalled"
             break
         rho_new = float(np.dot(r_hat, r))
-        if abs(rho_new) < cfg.breakdown_eps:
+        if abs(rho_new) < BREAKDOWN_EPS:
             status = "breakdown"
             break
         beta = (rho_new / rho) * (alpha / omega)
         rho = rho_new
         pp = r + beta * (pp - omega * vv)
-        phat = M(pp)
-        vv = apply(phat)
+        vv = apply(pp)
         denom = float(np.dot(r_hat, vv))
-        if abs(denom) < cfg.breakdown_eps:
+        if abs(denom) < BREAKDOWN_EPS:
             status = "breakdown"
             break
         alpha = rho / denom
         s = r - alpha * vv
         norm_s = np.linalg.norm(s)
         if norm_s <= target:
-            x = x + alpha * phat
+            x = x + alpha * pp
             norm_r = norm_s
             if norm_r < best_norm:
                 best_x, best_norm = x.copy(), norm_r
             status = "converged"
             break
-        shat = M(s)
-        t = apply(shat)
+        t = apply(s)
         tt = float(np.dot(t, t))
-        if tt < cfg.breakdown_eps:
+        if tt < BREAKDOWN_EPS:
             status = "breakdown"
             break
         omega = float(np.dot(t, s)) / tt
-        if abs(omega) < cfg.breakdown_eps:
+        if abs(omega) < BREAKDOWN_EPS:
             status = "breakdown"
             break
-        x = x + alpha * phat + omega * shat
+        x = x + alpha * pp + omega * s
         r = s - omega * t
         norm_r = np.linalg.norm(r)
         if norm_r < 0.999 * best_norm:

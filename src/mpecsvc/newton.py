@@ -4,21 +4,25 @@ Each step solves J_r F_eps(r) d = -F_eps(r).  BiCGStab on the assembled
 sparse matrix is tried first; when it misses its forcing target, the step is
 solved exactly by kkt.fold_solve, one dense factorization per fold closed by
 a Schur complement on C.  After a collapsed line search the subproblem
-switches to Levenberg-Marquardt directions, solved the same way on the
-augmented system.  Instances too large to assemble use restarted MINRES with
-a J + mu*I shift ladder.  When no route yields a descent direction for the
-merit g = 0.5*||F||^2, the step is steepest descent on g.  Each trace row
-records the route its step took.
+switches to Levenberg-Marquardt directions, the real part of the same fold
+solve with the complex shift -i*||F||.  Instances too large to assemble use
+restarted MINRES with a J + mu*I shift ladder.  When no route yields a
+descent direction for the merit g = 0.5*||F||^2, the step is steepest
+descent on g.  Each trace row records the route its step took.  The linear
+solvers' tolerances and budgets are the module constants below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kkt import KktOperator, KktPoint, SingularSystemError, fold_solve
 from .krylov import KrylovConfig, bicgstab
+
+LIN_RTOL = 1e-10   # floor of the BiCGStab forcing target
+REG_MU = 1e-8      # least LM damping sqrt(mu); first shift of the MINRES ladder
 
 
 @dataclass(frozen=True)
@@ -28,8 +32,6 @@ class NewtonConfig:
     f_tol: float = 1e-8        # absolute tolerance on ||F||
     max_iters: int = 200
     max_backtracks: int = 40
-    reg_mu: float = 1e-8       # initial shift for the regularized retry
-    krylov: KrylovConfig | None = None
 
     def __post_init__(self):
         if not (0.0 < self.sigma < 0.5):
@@ -83,12 +85,12 @@ def armijo_search(merit_fn, g0, grad_dot_d, cfg):
     raise LineSearchError("backtracking exhausted")
 
 
-def _direction(op, F, cfg, lm=False):
+def _direction(op, F, lm=False):
     """Newton direction with damped and steepest-descent fallbacks.
 
-    BiCGStab is tried first with a small iteration budget and the relative
-    forcing target min(1e-2, 0.3*sqrt(||F||)), floored at the Krylov
-    rel_tol.  A target that shrinks like sqrt(||F||) gives an inexact
+    BiCGStab is tried first, capped at min(2*dim, 400) iterations, with the
+    relative forcing target min(1e-2, 0.3*sqrt(||F||)), floored at LIN_RTOL.
+    A target that shrinks like sqrt(||F||) gives an inexact
     Newton tail of order 3/2, ||F_{k+1}|| <= c ||F_k||^{3/2} with a constant
     c that depends on the problem and on the units of F (Dembo, Eisenstat
     & Steihaug, 1982); the cap at 1e-2 holds the target fixed while
@@ -102,19 +104,21 @@ def _direction(op, F, cfg, lm=False):
     lambda = 0 where the Hessian vanishes) gives no direct step.  For
     instances too large to assemble, restarted MINRES with true-residual
     checks stands in (MINRES's recursive residual estimate drifts badly
-    here), backed by a J + mu*I ladder (mu = reg_mu, then x100 up to 1e-2)
+    here), backed by a J + mu*I ladder (mu = REG_MU, then x100 up to 1e-2)
     when the direction is not descent.
 
     With `lm=True` the exact solve is replaced by a Levenberg-Marquardt
-    direction (J^2 + mu*I) d = -J F with mu = ||F||^2.  The caller switches
-    this on when the line search collapses: near a flat valley the Jacobian
-    is nearly singular and the exact direction blows up along its null
-    space, while the mu = ||F||^2 damping is known to keep quadratic local
-    convergence under a local error bound without any nonsingularity.  The
-    solve runs through the augmented form [[I, J], [J, -mu*I]], which avoids
-    forming J^2, again fold by fold with a 2x2 Schur complement on the two
-    copies of C; mu grows by x100 (up to 1e4) while the direction is not
-    descent.  Every route falls back to steepest descent, d = -grad.
+    direction (J^2 + mu*I) d = -J F with mu = ||F||^2 (at least REG_MU^2).
+    The caller switches this on when the line search collapses: near a flat
+    valley the Jacobian is nearly singular and the exact direction blows up
+    along its null space, while the mu = ||F||^2 damping is known to keep
+    quadratic local convergence under a local error bound without any
+    nonsingularity (Yamashita & Fukushima, 2001).  J is real symmetric, so
+    Re (J - i sqrt(mu) I)^{-1} = J (J^2 + mu*I)^{-1} and the step is
+    d = Re fold_solve(J, -F, shift=-i sqrt(mu)): the same fold-by-fold
+    solve in complex arithmetic, without forming J^2.  The shifted system is
+    nonsingular for every mu > 0 and d is a descent direction in exact
+    arithmetic.  Every route falls back to steepest descent, d = -grad.
 
     Returns (d, grad, grad_dot_d, lin_iters, route) with route one of
     bicgstab, direct, lm, minres or steepest.
@@ -126,48 +130,32 @@ def _direction(op, F, cfg, lm=False):
     apply = op.kkt_apply if K is None else (lambda x: K @ x)
     grad = apply(F)                 # merit gradient (J symmetric)
     norm_grad = float(np.linalg.norm(grad))
-    kcfg = cfg.krylov or KrylovConfig()
     normF = float(np.linalg.norm(F))
-    target = max(kcfg.rel_tol, min(1e-2, 0.3 * np.sqrt(normF)))
-    budget = kcfg.max_iters if kcfg.max_iters is not None else 2 * F.shape[0]
+    target = max(LIN_RTOL, min(1e-2, 0.3 * np.sqrt(normF)))
+    dim = F.shape[0]
 
     def is_descent(d, gd):
         return gd < -1e-12 * np.linalg.norm(d) * norm_grad
 
-    dim = F.shape[0]
-    folds, border = op.p.fold_index
-
     lin_iters = 0
     if not lm:
-        res = bicgstab(apply, -F,
-                       cfg=replace(kcfg, rel_tol=target,
-                                   max_iters=min(budget, 400)))
+        res = bicgstab(apply, -F, cfg=KrylovConfig(
+            rel_tol=target, max_iters=min(2 * dim, 400)))
         lin_iters = res.iterations
         d = res.x
         gd = float(np.dot(grad, d))
         if res.residual_norm <= target * normF and is_descent(d, gd):
             return d, grad, gd, lin_iters, "bicgstab"
 
-    if K is not None and lm:
-        rhs = np.concatenate([-F, np.zeros(dim)])
-        mu = max(normF * normF, cfg.reg_mu * cfg.reg_mu)
-        while mu <= 1e4:
-            try:
-                d = fold_solve(K, rhs, folds, border, shift=mu)[dim:]
-                lin_iters += 1
-                gd = float(np.dot(grad, d))
-                if np.all(np.isfinite(d)) and is_descent(d, gd):
-                    return d, grad, gd, lin_iters, "lm"
-            except SingularSystemError:
-                pass
-            mu *= 100.0
-    elif K is not None:
+    if K is not None:
+        folds, border = op.p.fold_index
+        shift = -1j * max(normF, REG_MU) if lm else 0.0
         try:
-            d = fold_solve(K, -F, folds, border)
+            d = fold_solve(K, -F, folds, border, shift=shift).real
             lin_iters += 1
             gd = float(np.dot(grad, d))
             if np.all(np.isfinite(d)) and is_descent(d, gd):
-                return d, grad, gd, lin_iters, "direct"
+                return d, grad, gd, lin_iters, "lm" if lm else "direct"
         except SingularSystemError:
             pass
     else:
@@ -185,7 +173,7 @@ def _direction(op, F, cfg, lm=False):
                 rr = -F - matvec(d)
                 counter = [0]
                 dx, _ = spla.minres(
-                    lin_op, rr, rtol=1e-5, maxiter=budget,
+                    lin_op, rr, rtol=1e-5, maxiter=2 * dim,
                     callback=lambda _x: counter.__setitem__(0, counter[0] + 1))
                 lin_iters += counter[0]
                 d += dx
@@ -196,7 +184,7 @@ def _direction(op, F, cfg, lm=False):
             gd = float(np.dot(grad, d))
             if np.all(np.isfinite(d)) and is_descent(d, gd):
                 return d, grad, gd, lin_iters, "minres"
-            mu = cfg.reg_mu if mu == 0.0 else mu * 100.0
+            mu = REG_MU if mu == 0.0 else mu * 100.0
             if mu > 1e-2:
                 break
     d = -grad
@@ -231,7 +219,7 @@ def solve_subproblem(p, eps, r0, cfg=None):
         if stagnant >= 5:
             status = "line_search_failure"
             break
-        d, grad, gd, lin_iters, route = _direction(op, F, cfg, lm)
+        d, grad, gd, lin_iters, route = _direction(op, F, lm)
         nv = p.m + 1
         dv, dl = d[:nv], d[nv:]
         g0 = 0.5 * normF * normF

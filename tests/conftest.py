@@ -64,6 +64,21 @@ def heart_p(heart_ds, heart_plan):
     return M.assemble(heart_ds, heart_plan)
 
 
+@pytest.fixture(scope="session")
+def tiny_complementary_point(tiny_p):
+    """Solution at eps ~ 1e-6: strictly complementary pairs, weights ~ 1e-13."""
+    ocfg = M.OuterConfig(eps0=1.0, eps_min=1e-6, kappa=0.5)
+    _, report = M.run_smoothing(tiny_p, ocfg, M.NewtonConfig(max_iters=100))
+    return report.final_point
+
+
+@pytest.fixture(scope="session")
+def large_p():
+    """Generated m = 4014 instance, beyond materialize_LH's m <= 4000 guard."""
+    ds = make_tiny_dataset(n_points=700, n_features=5, seed=3)
+    return M.assemble(ds, M.make_split(ds, p1=669, T=3, seed=0))
+
+
 def random_kkt_point(p, eps, seed=0):
     rng = np.random.default_rng(seed)
     return M.KktPoint(v=rng.standard_normal(p.m + 1),

@@ -1,5 +1,6 @@
 """Outer smoothing loop, post-processing, and diagnostics."""
 
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -12,7 +13,6 @@ from mpecsvc.driver import (OuterConfig, classify_index_sets, cv_error,
                             postprocess, run_smoothing)
 from mpecsvc.driver import test_error as holdout_error
 from mpecsvc.kkt import KktOperator, KktPoint
-from mpecsvc.krylov import KrylovConfig
 from mpecsvc.newton import NewtonConfig
 
 
@@ -100,8 +100,7 @@ class TestSmoothingLoop:
     def test_every_newton_setting_reaches_the_subproblems(self, tiny_p,
                                                           monkeypatch):
         ncfg = NewtonConfig(sigma=1e-3, rho=0.4, f_tol=1e-7, max_iters=60,
-                            max_backtracks=30, reg_mu=1e-6,
-                            krylov=KrylovConfig(rel_tol=1e-9, max_iters=300))
+                            max_backtracks=30)
         default = NewtonConfig()
         unset = [f.name for f in fields(NewtonConfig)
                  if getattr(ncfg, f.name) == getattr(default, f.name)]
@@ -179,6 +178,25 @@ class TestDiagnostics:
         op = KktOperator(tiny_p, tiny_final_point)
         JU = op.jac_apply(diag["U"])
         assert np.linalg.norm(JU) <= 1e-6 * max(np.linalg.norm(diag["U"]), 1.0)
+
+    def test_cone_direction_near_complementarity(self, tiny_p,
+                                                 tiny_complementary_point):
+        diag = M.assumption2_value(tiny_p, tiny_complementary_point)
+        op = KktOperator(tiny_p, tiny_complementary_point)
+        U = diag["U"]
+        assert U[0] == 1.0
+        assert np.linalg.norm(op.jac_apply(U)) <= 1e-12 * np.linalg.norm(U)
+
+    def test_weight_rounding_to_zero_gives_nan_cone_values(self, tiny_p):
+        v = initial_point(tiny_p, 1.0).v
+        v[1 + 2 * tiny_p.n1 + tiny_p.n2:] = 1e10     # G = xi swamps H and eps
+        r = KktPoint(v=v, lam=np.full(tiny_p.m, 0.1), eps=1e-3)
+        assert KktOperator(tiny_p, r).weights.wG.min() == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diag = M.assumption2_value(tiny_p, r)
+        assert np.isnan(diag["A2_cone"]) and np.isnan(diag["A2_cone_alt"])
+        assert np.isfinite(diag["A2_paper"])
 
     def test_assumption2_cone_is_curvature_along_feasible_curve(
             self, tiny_p, tiny_final_point):

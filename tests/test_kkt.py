@@ -1,6 +1,7 @@
 """KKT residual, Jacobian/Hessian applies, merit calculus, LICQ probe."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ import scipy.sparse.linalg as spla
 import mpecsvc as M
 from mpecsvc import problem as pb
 from mpecsvc.kkt import (KktOperator, KktPoint, SingularSystemError,
-                         fold_solve, jjt_inverse, licq_probe)
+                         constraint_fold_solves, fold_solve, jjt_inverse,
+                         licq_probe)
 from mpecsvc.smoothing import fb_value
 
-from conftest import make_tiny_dataset, random_kkt_point
+from conftest import random_kkt_point
 
 
 def fd_dir(fn, x, d, h):
@@ -152,6 +154,44 @@ class TestLicq:
         np.testing.assert_allclose(jjt_inverse(op)(y),
                                    np.linalg.solve(J @ J.T, y), rtol=1e-8)
 
+    def test_jjt_inverse_near_complementarity(self, tiny_p,
+                                              tiny_complementary_point):
+        # a weight of each pair is ~1e-13 here; dividing by it loses digits
+        op = KktOperator(tiny_p, tiny_complementary_point)
+        J = op.materialize_jacobian()
+        y = np.random.default_rng(14).standard_normal(tiny_p.m)
+        z = jjt_inverse(op)(y)
+        assert np.linalg.norm(J @ (J.T @ z) - y) <= 1e-10 * np.linalg.norm(y)
+
+    def test_fold_solves_at_strictly_complementary_weights(self, heart_p):
+        # the weights of a strictly complementary point: in each pair the
+        # weight of the positive side is ~1e-12, the other ~1; zeta in
+        # {0, 1}; alpha at 0, free (5 per fold) or at C with xi > 0
+        p, tiny = heart_p, 1e-12
+        rng = np.random.default_rng(15)
+        wG, wH = np.empty(p.m), np.empty(p.m)
+        G1, G2, G3, G4 = p.split_m(wG)
+        H1, H2, H3, H4 = p.split_m(wH)
+        zeta_zero = rng.random(p.n1) < 0.5
+        for G, H in ((G1, H1), (G2, H2)):
+            G[:] = np.where(zeta_zero, 1.0, tiny)
+            H[:] = np.where(zeta_zero, tiny, 1.0)
+        state = rng.choice([0, 2], size=p.n2)
+        for t in range(p.T):
+            state[t * p.m2 + rng.choice(p.m2, 5, replace=False)] = 1
+        G3[:] = np.where(state == 0, 1.0, tiny)
+        H3[:] = np.where(state == 0, tiny, 1.0)
+        G4[:] = np.where(state == 2, tiny, 1.0)
+        H4[:] = np.where(state == 2, 1.0, tiny)
+        op = KktOperator(p, random_kkt_point(p, 1e-6))
+        op.weights = replace(op.weights, wG=wG, wH=wH)
+        J_f = op.materialize_jacobian()[:, 1:]
+        assert np.linalg.cond(J_f) < 1e3
+        solve, solve_t, c = constraint_fold_solves(op)
+        for r in (c, rng.standard_normal(p.m)):
+            for A, x in ((J_f, solve(r)), (J_f.T, solve_t(r))):
+                assert np.linalg.norm(A @ x - r) <= 1e-12 * np.linalg.norm(r)
+
     def test_probe_positive_interior(self, tiny_p):
         rng = np.random.default_rng(9)
         v = np.abs(rng.standard_normal(tiny_p.m + 1)) + 0.1
@@ -174,9 +214,8 @@ class TestLicq:
             est, iters, converged = licq_probe(tiny_p, v, 1e-3)
         assert (iters, converged) == (0, False) and np.isnan(est)
 
-    def test_probe_beyond_the_materialize_guard(self):
-        ds = make_tiny_dataset(n_points=700, n_features=5, seed=3)
-        p = M.assemble(ds, M.make_split(ds, p1=669, T=3, seed=0))
+    def test_probe_beyond_the_materialize_guard(self, large_p):
+        p = large_p
         assert p.m > 4000
         with pytest.raises(ValueError):
             pb.materialize_LH(p)
@@ -255,14 +294,28 @@ class TestFoldSolve:
             x = fold_solve(K, rhs, *heart_p.fold_index)
             assert rel_err(x, ref) <= 1e-8
 
+    @pytest.mark.parametrize("shift", [0.5, 0.3 - 0.2j])
+    def test_shifted_system_matches_splu(self, heart_p, heart_kkts, shift):
+        rng = np.random.default_rng(32)
+        for K in heart_kkts:
+            rhs = rng.standard_normal(K.shape[0])
+            shifted = (K + shift * sp.identity(K.shape[0])).tocsc()
+            ref = spla.splu(shifted).solve(rhs.astype(shifted.dtype))
+            x = fold_solve(K, rhs, *heart_p.fold_index, shift=shift)
+            assert x.dtype == ref.dtype and rel_err(x, ref) <= 1e-8
+
     @pytest.mark.parametrize("mu", [1e-8, 1e-4, 1e-2, 1.0])
     def test_lm_system_matches_splu(self, heart_p, heart_kkts, mu):
+        # the LM step (K^2 + mu I) d = -K F is the x-half of the augmented
+        # system with right-hand side (-F, 0), and -Re (K - i sqrt(mu))^{-1} F
         rng = np.random.default_rng(31)
         for K in heart_kkts:
-            rhs = np.concatenate([rng.standard_normal(K.shape[0]),
-                                  np.zeros(K.shape[0])])
-            ref = spla.splu(lm_system(K, mu)).solve(rhs)
-            x = fold_solve(K, rhs, *heart_p.fold_index, shift=mu)
+            n = K.shape[0]
+            F = rng.standard_normal(n)
+            ref = spla.splu(lm_system(K, mu)).solve(
+                np.concatenate([-F, np.zeros(n)]))[n:]
+            shift = -1j * np.sqrt(mu)
+            x = -fold_solve(K, F, *heart_p.fold_index, shift=shift).real
             assert rel_err(x, ref) <= 1e-8
 
     @pytest.mark.parametrize("name", ["tiny_p", "heart_p"])
@@ -272,8 +325,8 @@ class TestFoldSolve:
             K = KktOperator(p, zero_multiplier_point(p, eps, seed=i)).materialize_kkt()
             with pytest.raises(SingularSystemError):
                 fold_solve(K, np.ones(K.shape[0]), *p.fold_index)
-            # the LM shift makes the augmented system nonsingular
-            x = fold_solve(K, np.ones(2 * K.shape[0]), *p.fold_index, shift=1e-2)
+            # an imaginary shift makes the system nonsingular
+            x = fold_solve(K, np.ones(K.shape[0]), *p.fold_index, shift=-0.1j)
             assert np.all(np.isfinite(x))
 
     def test_zero_fold_pivot_is_singular(self, tiny_p):

@@ -1,13 +1,15 @@
 """Damped Newton subproblem solver and Armijo line search."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mpecsvc import newton
 from mpecsvc.driver import initial_point
 from mpecsvc.kkt import KktOperator, KktPoint
-from mpecsvc.krylov import KrylovConfig
+from mpecsvc.krylov import bicgstab
 from mpecsvc.newton import (LineSearchError, NewtonConfig, _direction,
                             armijo_search, solve_subproblem)
 
@@ -105,16 +107,19 @@ class TestSubproblem:
 
 class TestDirection:
     @pytest.fixture
-    def starved(self):
-        """A config whose one BiCGStab iteration misses any forcing target."""
-        return NewtonConfig(krylov=KrylovConfig(max_iters=1))
+    def starved(self, monkeypatch):
+        """Caps BiCGStab at one iteration, which misses any forcing target."""
+        def one_iteration(apply, rhs, cfg):
+            return bicgstab(apply, rhs, cfg=replace(cfg, max_iters=1))
+
+        monkeypatch.setattr(newton, "bicgstab", one_iteration)
 
     def test_direct_route_solves_the_newton_system(self, tiny_p, starved):
         v = initial_point(tiny_p, 1.0).v
         op = KktOperator(tiny_p, KktPoint(v=v, lam=np.full(tiny_p.m, 0.1),
                                           eps=0.5))
         F = op.residual()
-        d, grad, gd, lin_iters, route = _direction(op, F, starved)
+        d, grad, gd, lin_iters, route = _direction(op, F)
         assert route == "direct"
         assert np.linalg.norm(op.kkt_apply(d) + F) <= 1e-10 * np.linalg.norm(F)
         assert gd == pytest.approx(float(grad @ d)) and gd < 0
@@ -129,9 +134,36 @@ class TestDirection:
         F = op.residual()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d, grad, gd, _, route = _direction(op, F, starved)
-            d_lm, _, gd_lm, _, route_lm = _direction(op, F, starved, lm=True)
+            d, grad, gd, _, route = _direction(op, F)
+            d_lm, _, gd_lm, _, route_lm = _direction(op, F, lm=True)
         assert route == "steepest"
         np.testing.assert_array_equal(d, -grad)
         assert route_lm == "lm" and gd_lm < 0
         assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("lam", [0.1, 0.0])
+    def test_lm_route_solves_the_damped_normal_equations(self, tiny_p, lam):
+        # (K^2 + mu I) d = -K F with mu = ||F||^2, against a dense solve;
+        # at lambda = 0 K itself is singular
+        v = initial_point(tiny_p, 1.0).v
+        op = KktOperator(tiny_p, KktPoint(v=v, lam=np.full(tiny_p.m, lam),
+                                          eps=0.5))
+        F = op.residual()
+        K = op.materialize_kkt().toarray()
+        mu = float(F @ F)
+        ref = np.linalg.solve(K @ K + mu * np.eye(K.shape[0]), -K @ F)
+        d, grad, gd, lin_iters, route = _direction(op, F, lm=True)
+        assert (route, lin_iters) == ("lm", 1)
+        assert np.linalg.norm(d - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert gd == pytest.approx(float(grad @ d)) and gd < 0
+
+
+class TestLargeInstance:
+    def test_minres_route_beyond_the_materialize_guard(self, large_p):
+        # m > 4000: the KKT matrix is not assembled, so the steps that
+        # BiCGStab does not finish go to restarted MINRES
+        r, trace, status = solve_subproblem(
+            large_p, 1.0, initial_point(large_p, 1.0), NewtonConfig(f_tol=1e-2))
+        assert status == "converged"
+        routes = {row.route for row in trace.rows}
+        assert "minres" in routes and routes <= {"bicgstab", "minres"}
