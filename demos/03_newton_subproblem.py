@@ -4,11 +4,13 @@ At a fixed smoothing level eps the first-order conditions form a square
 nonlinear system F_eps(v, lambda) = 0 of dimension 2m+1.  A damped Newton
 method drives ||F_eps|| to zero.  Each linear system is tried first by
 BiCGStab on the assembled sparse Jacobian; when that misses its forcing
-target it is solved directly, fold by fold, with a Schur complement on C
-(route "direct").  After a collapsed line search the step is the
-Levenberg-Marquardt direction (route "lm"), the real part of the same fold
-solve with the imaginary shift -i*||F||.  This script runs one subproblem on the bundled dataset
-and prints the per-iteration trace, with the route each step took.
+target it is solved directly from the fold structure (route "direct"): one
+4x4 block per data point, a rank-2n coupling per fold and a Schur
+complement on C, with no matrix assembled.  After a collapsed line search
+the step is the Levenberg-Marquardt direction (route "lm"), the real part of
+the same fold solve with the imaginary shift -i*||F||.  This script runs one
+subproblem on the bundled dataset and prints the per-iteration trace, with
+the route each step took and the relative residual of its linear solve.
 """
 
 import time
@@ -34,10 +36,11 @@ r, trace, status = M.solve_subproblem(p, eps, r0, cfg)
 wall = time.perf_counter() - t0
 
 print(f"\n{'k':>3} {'||F||':>12} {'step':>8} {'lin iters':>9} "
-      f"{'backtracks':>10} {'route':>9}")
+      f"{'backtracks':>10} {'route':>9} {'lin resid':>10}")
 for row in trace.rows:
     print(f"{row.k:3d} {row.normF:12.4e} {row.step:8.4f} "
-          f"{row.lin_iters:9d} {row.backtracks:10d} {row.route:>9}")
+          f"{row.lin_iters:9d} {row.backtracks:10d} {row.route:>9} "
+          f"{row.lin_resid:10.2e}")
 print(f"\nstatus = {status} in {len(trace.rows)} iterations, "
       f"{trace.total_lin_iters} linear iterations, {wall:.1f}s")
 

@@ -94,12 +94,13 @@ def _write_trace(outdir, records):
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["outer_t", "eps", "k", "normF", "step",
-                     "lin_iters", "backtracks", "route"])
+                     "lin_iters", "backtracks", "route", "lin_resid",
+                     "shift"])
         for rec in records:
             for row in rec.trace.rows:
                 wr.writerow([rec.t, repr(rec.eps), row.k, repr(row.normF),
                              repr(row.step), row.lin_iters, row.backtracks,
-                             row.route])
+                             row.route, repr(row.lin_resid), repr(row.shift)])
     return path
 
 

@@ -11,15 +11,20 @@ and its Jacobian
                 [ -J_v Phi              0      ]
 
 is symmetric, so the merit gradient of g = 0.5*||F||^2 is J_r F applied to F.
-All applications are matrix-free through the L^G/L^H maps of the problem
-module; nothing denser than the data matrices is ever formed.
+The applications are matrix-free through the L^G/L^H maps of the problem
+module, and the direct solves (fold_solve, constraint_fold_solves) work from
+the smoothing weights, the curvatures and the data rows.  The assembled
+J_r F_eps (materialize_kkt, 245,701 nonzeros on heart) exists only as the
+operator of BiCGStab in newton._direction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import problem as pb
 # bicgstab stays importable here: the benchmark's tracer wraps kkt.bicgstab.
@@ -65,6 +70,16 @@ class KktOperator:
         self.weights = fb_weights(self.G, self.H, self.eps)
         self._curv = None
 
+    @cached_property
+    def stacked(self):
+        """(N, N^T, B^T) as CSR matrices with N = [A; B], for kkt_apply.
+
+        Built on first use (about 0.2 ms and 0.2 MB on heart) and held by
+        the operator rather than by the problem, which outlives it.
+        """
+        N = sp.vstack([self.p.A, self.p.B], format="csr")
+        return N, N.T.tocsr(), self.p.B.T.tocsr()
+
     @property
     def curvature(self):
         if self._curv is None:
@@ -104,25 +119,43 @@ class KktOperator:
                 + pb.apply_LH_T(self.p, c.mH * w + c.mGH * u))
 
     def kkt_apply(self, d):
-        """J_r F_eps applied to d of length 2m+1 (symmetric indefinite)."""
+        """J_r F_eps applied to d of length 2m+1 (symmetric indefinite).
+
+        With u = L^G dv and w = L^H dv, the product is
+        [(L^G)^T g + (L^H)^T h ; -(W^G u + W^H w)] for
+        g = M^G u + M^GH w - W^G dl and h = M^GH u + M^H w - W^H dl.
+        L^H dv is formed once for the Hessian and the Jacobian, (L^H)^T is
+        applied once to h, and A and B are stacked: four sparse products.
+        """
         d = np.asarray(d, dtype=float)
-        nv = self.p.m + 1
-        if d.shape != (nv + self.p.m,):
-            raise ValueError(f"expected length {nv + self.p.m}, got {d.shape}")
+        p = self.p
+        nv, n1 = p.m + 1, p.n1
+        if d.shape != (nv + p.m,):
+            raise ValueError(f"expected length {nv + p.m}, got {d.shape}")
+        N, N_T, B_T = self.stacked
         dv, dl = d[:nv], d[nv:]
-        return np.concatenate([
-            self.hess_apply(dv) - self.jac_t_apply(dl),
-            -self.jac_apply(dv),
-        ])
+        dC, dzeta, dz, dalpha, dxi = p.split_v(dv)
+        u = dv[1:]
+        Nw = N @ (B_T @ dalpha)
+        w = np.concatenate([Nw[:n1] + dz, -dzeta, Nw[n1:] + dxi, dC - dalpha])
+        wt, c = self.weights, self.curvature
+        g1, g2, g3, g4 = p.split_m(c.mG * u + c.mGH * w - wt.wG * dl)
+        h1, h2, h3, h4 = p.split_m(c.mGH * u + c.mH * w - wt.wH * dl)
+        q = N_T @ np.concatenate([h1, h3])
+        return np.concatenate([[h4.sum()], g1 - h2, g2 + h1,
+                               g3 + p.B @ q - h4, g4 + h3,
+                               -(wt.wG * u + wt.wH * w)])
 
     def materialize_kkt(self, max_m=4000):
         """Assembled sparse J_r F_eps (same operator as kkt_apply).
 
-        One CSR matvec replaces the ~10 structured products of kkt_apply,
-        which pays off inside Krylov loops; the assembly itself is a few
-        sparse products per Newton iterate.  Guarded by max_m like L^H.
+        In the solver its only user is BiCGStab in newton._direction.  The
+        iterates of BiCGStab there depend on the rounding of each product:
+        with the entries of each CSR row reversed, or with kkt_apply in
+        place of this matrix, the heart solve takes other steps and ends
+        elsewhere, so the pinned heart results rest on these products.
+        Guarded by max_m like L^H.
         """
-        import scipy.sparse as sp
         LG = pb.materialize_LG(self.p)
         LH = pb.materialize_LH(self.p, max_m=max_m)
         w, c = self.weights, self.curvature
@@ -136,7 +169,6 @@ class KktOperator:
         """Explicit sparse-backed dense J_v Phi (small-instance diagnostics)."""
         if self.p.m > max_m:
             raise ValueError(f"refusing to materialize for m={self.p.m} > {max_m}")
-        import scipy.sparse as sp
         w = self.weights
         LG = pb.materialize_LG(self.p)
         LH = pb.materialize_LH(self.p)
@@ -147,75 +179,132 @@ class SingularSystemError(RuntimeError):
     """A direct solve met a singular system (see fold_solve)."""
 
 
-def fold_solve(K, rhs, folds, border, shift=0.0):
-    """Solve (K + shift*I) x = rhs by per-fold dense factors.
+FREE_DET = 1e-2   # |det| of a point's constraint block below which it is free
 
-    K is J_r F_eps as assembled by materialize_kkt; its entries couple two
-    folds only through the border (MpecProblem.fold_index gives the sets).
-    The scalar shift may be real or complex; a complex shift makes the whole
-    solve complex (LAPACK zgetrf in place of dgetrf).  With the real
-    symmetric K and shift = -i*sigma, Re x = K (K^2 + sigma^2 I)^{-1} rhs,
-    the Levenberg-Marquardt solve, with no matrix larger than K's folds.
 
-    Each fold's dense diagonal block M_t is LU-factored (LAPACK getrf) and
-    solved for the fold's right-hand side together with its border columns
-    E_t.  With R_t the border rows of fold t, the border is closed by the
-    dense Schur complement S = M_bb - sum_t R_t M_t^{-1} E_t and the folds
-    are back-substituted.  One fold block is held at a time.
+def fold_solve(op, rhs, shift=0.0):
+    """Solve (K + shift*I) x = rhs for K = J_r F_eps at op's point.
 
-    Raises SingularSystemError when a fold factor has an exactly zero pivot
+    K is never assembled.  Its folds couple through C alone (see
+    MpecProblem.fold_index), and fold t's block is K_t = D_t + U_t Cm U_t^T:
+    - D_t is block diagonal with one 4x4 block per data point, on the
+      point's unknowns (MpecProblem.point_index).  With the point's pairs a
+      and b it is [[Hm, Bm], [Bm^T, 0]] with the constraint block
+      Bm = [[-w^G_a, w^H_b], [-w^H_a, -w^G_b]] (columns: multipliers).  So
+      det D_p = (w^G_a w^G_b + w^H_a w^H_b)^2 > 0 for positive weights;
+    - U_t = [U1, U2] has 2n columns.  U2^T x = w_t = B_t^T dalpha_t: the
+      H-values of fold t's pairs 1 and 3 see the alphas only through
+      N_t w_t, with N_t = [A_t; B_t].  U1^T x = q_t = N_t^T h_a collects the
+      pair-a terms of (L^H)^T h, which reach the alpha rows as B_t q_t;
+    - Cm = [[0, I], [I, Q_t]] with Q_t = N_t^T diag(M^H_a) N_t.
+    The shift goes on D_t and on the diagonal entry of C.  K_t is solved
+    through the lifted system [[D_t, U_t], [U_t^T, -Cm^{-1}]] by block
+    elimination: every 4x4 block is solved at once (np.linalg.solve, whose
+    partial pivoting takes each unknown from the equation with the larger
+    divisor), and what remains of fold t is a dense system of size 2n plus
+    four per free point.  A point is free when |w^G_a w^G_b + w^H_a w^H_b|
+    < FREE_DET, as for an alpha strictly between 0 and C near a
+    complementary point; its block is then nearly singular (at weights of
+    1e-12 it amplifies rounding by 1e24), so its unknowns stay in the dense
+    system instead of being eliminated.  At most 2n points of a fold are
+    free, those with the smallest determinants: a nearly singular block has
+    two small eigenvalues, and the rank-2n term moves at most 2n
+    eigenvalues, so with more than n such blocks K_t is itself nearly
+    singular and eliminating the others costs no more than its own
+    conditioning.  (Early iterates at m = 6.4e4 had 7,136 points of a fold
+    below FREE_DET.)  The dense system is scaled symmetrically to a unit
+    row maximum before it is solved.  Finally the 1x1 Schur complement S on
+    C closes the solve.
+
+    The shift may be real or complex.  With shift = -i*sigma the blocks stay
+    nonsingular (each is real symmetric, so its eigenvalues theta move to
+    theta - i*sigma) and Re x = K (K^2 + sigma^2 I)^{-1} rhs, the
+    Levenberg-Marquardt solve.  Per fold the cost is O((m1+m2) n^2 + n^3).
+
+    Raises SingularSystemError when a dense system has an exactly zero pivot
     or S is zero to within the rounding error of its own computation,
-    sigma_min(S) <= eps_mach * kappa * ||M_bb| + sum_t |R_t| |M_t^{-1} E_t||
-    (Frobenius norm) with kappa the largest condition number of the fold
-    blocks as LAPACK gecon estimates it, or is not finite.
+    |S| <= eps_mach * kappa * (|K_CC + shift| + sum |c_t|^T |K_t^{-1} c_t|)
+    with c_t fold t's part of the column of C and kappa the largest 1-norm
+    condition number of the scaled dense systems, or is not finite.  At
+    lambda = 0, where the Hessian vanishes and K is singular, S is zero.
     """
-    from scipy.linalg.lapack import get_lapack_funcs
-
-    K = K.tocsr()
+    p = op.p
+    pos, rows = p.point_index
     rhs = np.asarray(rhs)
-    dtype = np.result_type(K.dtype, rhs.dtype, shift)
-    getrf, getrs, gecon = get_lapack_funcs(("getrf", "getrs", "gecon"),
-                                           dtype=dtype)
-
-    def dense(Kb, diagonal=False):
-        """K's block, shifted when it is a diagonal block, Fortran-ordered."""
-        out = Kb.toarray(order="F").astype(dtype, copy=False)
-        if diagonal and shift:
-            out[np.diag_indices(out.shape[0])] += shift
-        return out
-
-    K_border = K[border]
-    S = dense(K_border[:, border], diagonal=True)
-    S_scale = np.abs(S)
-    r_border = rhs[border].astype(dtype)
+    dtype = np.result_type(rhs.dtype, shift, float)
+    T, P, n = rows.shape
+    train = np.arange(P) >= p.m1
+    a, b = pos[..., 0] - 1, pos[..., 1] - 1        # the pairs, positions in G
+    wt, cv = op.weights, op.curvature
+    wGa, wGb, wHa, wHb = wt.wG[a], wt.wG[b], wt.wH[a], wt.wH[b]
+    mHa, mHb, mXa, mXb = cv.mH[a], cv.mH[b], cv.mGH[a], cv.mGH[b]
+    zero = np.zeros_like(wGa)
+    D = np.zeros((T, P, 4, 4), dtype=dtype)
+    D[..., 0, 0] = cv.mG[a] + mHb
+    D[..., 1, 1] = mHa + cv.mG[b]
+    D[..., 0, 1] = D[..., 1, 0] = mXa - mXb
+    D[..., 0, 2] = D[..., 2, 0] = -wGa
+    D[..., 1, 2] = D[..., 2, 1] = -wHa
+    D[..., 0, 3] = D[..., 3, 0] = wHb
+    D[..., 1, 3] = D[..., 3, 1] = -wGb
+    D[..., range(4), range(4)] += shift
+    # each point's rows of U1 and U2 are factor (4,) times its data row (n,)
+    factors = np.stack([np.stack([mXa, mHa, -wHa, zero], axis=-1),
+                        np.stack([train + zero, zero, zero, zero], axis=-1)],
+                       axis=2)                                 # (T, P, 2, 4)
+    c_col = np.stack([-mHb, mXb, zero, -wHb], axis=-1) * train[:, None]
+    det = np.abs(wGa * wGb + wHa * wHb)
+    free = np.zeros(det.shape, dtype=bool)
+    np.put_along_axis(free, np.argsort(det, axis=1)[:, :2 * n], True, axis=1)
+    free &= det < FREE_DET
+    rhs_c = np.stack([rhs[pos], c_col], axis=-1)               # (T, P, 4, 2)
+    try:
+        X = np.linalg.solve(np.where(free[..., None, None], np.eye(4), D),
+                            np.concatenate([factors.swapaxes(2, 3), rhs_c],
+                                           axis=-1))
+    except np.linalg.LinAlgError:
+        raise SingularSystemError("zero pivot in a point block") from None
+    Q = np.einsum("tpi,tp,tpj->tij", rows, mHa, rows)
+    eye = np.eye(n)
+    y = np.empty((T, P, 4, 2), dtype=dtype)       # K_t^{-1} [rhs_t, c_t]
     kappa = 1.0
-    solved = []
-    for idx in folds:
-        K_fold = K[idx]
-        M = dense(K_fold[:, idx], diagonal=True)
-        E = dense(K_fold[:, border])
-        R = dense(K_border[:, idx])
-        anorm = float(np.abs(M).sum(axis=0).max())
-        lu, piv, info = getrf(M, overwrite_a=True)
-        if info > 0:
-            raise SingularSystemError(f"zero pivot {info} in a fold factor")
-        rcond, _ = gecon(lu, anorm)
-        kappa = max(kappa, 1.0 / rcond if rcond > 0 else np.inf)
-        YZ, _ = getrs(lu, piv, np.column_stack([rhs[idx], E]))
-        y, Z = YZ[:, 0], YZ[:, 1:]
-        S -= R @ Z
-        S_scale += np.abs(R) @ np.abs(Z)
-        r_border -= R @ y
-        solved.append((y, Z))
-    tol = np.finfo(float).eps * kappa * np.linalg.norm(S_scale)
-    if not (np.all(np.isfinite(S))
-            and np.linalg.svd(S, compute_uv=False)[-1] > tol):
+    for t in range(T):
+        g, f = ~free[t], free[t]
+        k = int(f.sum())
+        Ng, Xg, Fg = rows[t, g], X[t, g], factors[t, g]
+        # U_g^T D_g^{-1} [U_g, rhs_c] on the 2n lifted unknowns
+        coef = np.einsum("pai,pic->pac", Fg, Xg)              # (g, 2, 4)
+        low = np.einsum("pi,pac,pj->aicj", Ng, coef[..., :2], Ng)
+        low_r = np.einsum("pi,pac->aic", Ng, coef[..., 2:])
+        U_f = np.einsum("pai,pj->piaj", factors[t, f], rows[t, f])
+        M = np.zeros((4 * k + 2 * n,) * 2, dtype=dtype)
+        for i, Dp in enumerate(D[t, f]):
+            M[4 * i:4 * i + 4, 4 * i:4 * i + 4] = Dp
+        M[:4 * k, 4 * k:] = U_f.reshape(4 * k, 2 * n)
+        M[4 * k:, :4 * k] = M[:4 * k, 4 * k:].T
+        M[4 * k:, 4 * k:] = (np.block([[Q[t], -eye], [-eye, np.zeros((n, n))]])
+                             - low.reshape(2 * n, 2 * n))
+        r = np.concatenate([rhs_c[t, f].reshape(4 * k, 2),
+                            -low_r.reshape(2 * n, 2)])
+        scale = 1.0 / np.sqrt(np.abs(M).max(axis=1))
+        M *= scale[:, None] * scale
+        try:
+            sol = scale[:, None] * np.linalg.solve(M, scale[:, None] * r)
+        except np.linalg.LinAlgError:
+            raise SingularSystemError("zero pivot in a fold system") from None
+        kappa = max(kappa, float(np.linalg.cond(M, 1)))
+        lifted = np.einsum("pj,ajc->pac", Ng, sol[4 * k:].reshape(2, n, 2))
+        y[t, g] = Xg[..., 2:] - np.einsum("pia,pac->pic", Xg[..., :2], lifted)
+        y[t, f] = sol[:4 * k].reshape(k, 4, 2)
+    K_CC = np.sum(mHb[:, train]) + shift
+    S = K_CC - np.sum(c_col * y[..., 1])
+    S_scale = abs(K_CC) + np.sum(np.abs(c_col) * np.abs(y[..., 1]))
+    if not (np.isfinite(S)
+            and abs(S) > np.finfo(float).eps * kappa * S_scale):
         raise SingularSystemError("Schur complement zero to rounding")
-    x_border = np.linalg.solve(S, r_border)
     x = np.empty(rhs.shape, dtype=dtype)
-    x[border] = x_border
-    for idx, (y, Z) in zip(folds, solved):
-        x[idx] = y - Z @ x_border
+    x[0] = (rhs[0] - np.sum(c_col * y[..., 0])) / S
+    x[pos] = y[..., 0] - y[..., 1] * x[0]
     return x
 
 

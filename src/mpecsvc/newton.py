@@ -1,15 +1,16 @@
 """Damped Newton iteration on F_eps(r) = 0 with Armijo backtracking.
 
-Each step solves J_r F_eps(r) d = -F_eps(r).  BiCGStab on the assembled
-sparse matrix is tried first; when it misses its forcing target, the step is
-solved exactly by kkt.fold_solve, one dense factorization per fold closed by
-a Schur complement on C.  After a collapsed line search the subproblem
-switches to Levenberg-Marquardt directions, the real part of the same fold
-solve with the complex shift -i*||F||.  Instances too large to assemble use
-restarted MINRES with a J + mu*I shift ladder.  When no route yields a
+Each step solves J_r F_eps(r) d = -F_eps(r).  BiCGStab is tried first, on
+the assembled sparse matrix where it can be assembled; when it misses its
+forcing target, the step is solved exactly by kkt.fold_solve, which works
+from the fold structure: one 4x4 block per data point, a rank-2n coupling
+per fold and a Schur complement on C.  After a collapsed line search the
+subproblem switches to Levenberg-Marquardt directions, the real part of the
+same fold solve with the complex shift -i*||F||.  When no route yields a
 descent direction for the merit g = 0.5*||F||^2, the step is steepest
-descent on g.  Each trace row records the route its step took.  The linear
-solvers' tolerances and budgets are the module constants below.
+descent on g.  Each trace row records the route its step took, the
+relative residual of the step in the Newton system and the shift used.
+The linear solvers' tolerances and budgets are the module constants below.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .kkt import KktOperator, KktPoint, SingularSystemError, fold_solve
 from .krylov import KrylovConfig, bicgstab
 
 LIN_RTOL = 1e-10   # floor of the BiCGStab forcing target
-REG_MU = 1e-8      # least LM damping sqrt(mu); first shift of the MINRES ladder
+REG_MU = 1e-8      # least LM damping sqrt(mu)
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,9 @@ class TraceRow:
     step: float
     lin_iters: int
     backtracks: int
-    route: str           # bicgstab | direct | lm | minres | steepest
+    route: str           # bicgstab | direct | lm | steepest
+    lin_resid: float     # ||J d + F|| / ||F|| of the step d
+    shift: float         # LM damping sigma on lm steps, else 0
 
 
 @dataclass
@@ -85,6 +88,11 @@ def armijo_search(merit_fn, g0, grad_dot_d, cfg):
     raise LineSearchError("backtracking exhausted")
 
 
+def lm_sigma(normF):
+    """The LM damping sigma = sqrt(mu) for mu = ||F||^2, at least REG_MU."""
+    return max(normF, REG_MU)
+
+
 def _direction(op, F, lm=False):
     """Newton direction with damped and steepest-descent fallbacks.
 
@@ -94,39 +102,41 @@ def _direction(op, F, lm=False):
     Newton tail of order 3/2, ||F_{k+1}|| <= c ||F_k||^{3/2} with a constant
     c that depends on the problem and on the units of F (Dembo, Eisenstat
     & Steihaug, 1982); the cap at 1e-2 holds the target fixed while
-    ||F|| > 1.1e-3.  If its (true, recomputed) residual misses the target,
-    the step is recomputed from the assembled sparse system by a direct
-    solve, an exact Newton step (order 2, again up to a constant).  The
-    direct solve is kkt.fold_solve: the system is block diagonal over the
-    folds apart from the border {C}, so it takes one dense LU factorization
-    per fold and a 1x1 Schur complement on C.  A singular system (an exactly
-    zero fold pivot, or a Schur complement that is zero to rounding, as at
-    lambda = 0 where the Hessian vanishes) gives no direct step.  For
-    instances too large to assemble, restarted MINRES with true-residual
-    checks stands in (MINRES's recursive residual estimate drifts badly
-    here), backed by a J + mu*I ladder (mu = REG_MU, then x100 up to 1e-2)
-    when the direction is not descent.
+    ||F|| > 1.1e-3.  Its operator is the assembled K = J_r F_eps
+    (materialize_kkt) where m is within that method's guard, and kkt_apply
+    beyond it.  The choice is not free: BiCGStab's iterates depend on the
+    rounding of every product, and the heart results are those of K's
+    products.  If its (true, recomputed) residual misses the target, the
+    step is recomputed by kkt.fold_solve, an exact Newton step (order 2,
+    again up to a constant) built from the fold structure: one 4x4 block
+    per data point, a rank-2n Woodbury term per fold and a 1x1 Schur
+    complement on C.  A singular system (a Schur complement that is zero to
+    rounding, as at lambda = 0 where the Hessian vanishes) gives no direct
+    step.
 
     With `lm=True` the exact solve is replaced by a Levenberg-Marquardt
-    direction (J^2 + mu*I) d = -J F with mu = ||F||^2 (at least REG_MU^2).
-    The caller switches this on when the line search collapses: near a flat
-    valley the Jacobian is nearly singular and the exact direction blows up
-    along its null space, while the mu = ||F||^2 damping is known to keep
+    direction (J^2 + mu*I) d = -J F with mu = ||F||^2 (at least REG_MU^2),
+    and neither BiCGStab nor K is used.  The caller switches this on when
+    the line search collapses: near a flat valley the Jacobian is nearly
+    singular and the exact direction blows up along its null space, while
+    the mu = ||F||^2 damping is known to keep
     quadratic local convergence under a local error bound without any
     nonsingularity (Yamashita & Fukushima, 2001).  J is real symmetric, so
     Re (J - i sqrt(mu) I)^{-1} = J (J^2 + mu*I)^{-1} and the step is
-    d = Re fold_solve(J, -F, shift=-i sqrt(mu)): the same fold-by-fold
-    solve in complex arithmetic, without forming J^2.  The shifted system is
+    d = Re fold_solve(op, -F, shift=-i sqrt(mu)): the same fold solve in
+    complex arithmetic, without forming J^2.  The shifted system is
     nonsingular for every mu > 0 and d is a descent direction in exact
     arithmetic.  Every route falls back to steepest descent, d = -grad.
 
     Returns (d, grad, grad_dot_d, lin_iters, route) with route one of
-    bicgstab, direct, lm, minres or steepest.
+    bicgstab, direct, lm or steepest.
     """
-    try:
-        K = op.materialize_kkt()
-    except ValueError:
-        K = None
+    K = None
+    if not lm:
+        try:
+            K = op.materialize_kkt()
+        except ValueError:          # beyond its m guard
+            pass
     apply = op.kkt_apply if K is None else (lambda x: K @ x)
     grad = apply(F)                 # merit gradient (J symmetric)
     norm_grad = float(np.linalg.norm(grad))
@@ -147,46 +157,15 @@ def _direction(op, F, lm=False):
         if res.residual_norm <= target * normF and is_descent(d, gd):
             return d, grad, gd, lin_iters, "bicgstab"
 
-    if K is not None:
-        folds, border = op.p.fold_index
-        shift = -1j * max(normF, REG_MU) if lm else 0.0
-        try:
-            d = fold_solve(K, -F, folds, border, shift=shift).real
-            lin_iters += 1
-            gd = float(np.dot(grad, d))
-            if np.all(np.isfinite(d)) and is_descent(d, gd):
-                return d, grad, gd, lin_iters, "lm" if lm else "direct"
-        except SingularSystemError:
-            pass
-    else:
-        import scipy.sparse.linalg as spla
-        mu = 0.0
-        while True:
-            def matvec(x, _m=mu):
-                y = op.kkt_apply(x)
-                return y if _m == 0.0 else y + _m * x
-
-            lin_op = spla.LinearOperator((dim, dim), matvec=matvec)
-            d = np.zeros(dim)
-            rel = prev_rel = np.inf
-            for _ in range(4):
-                rr = -F - matvec(d)
-                counter = [0]
-                dx, _ = spla.minres(
-                    lin_op, rr, rtol=1e-5, maxiter=2 * dim,
-                    callback=lambda _x: counter.__setitem__(0, counter[0] + 1))
-                lin_iters += counter[0]
-                d += dx
-                rel = float(np.linalg.norm(matvec(d) + F)) / normF
-                if rel <= target or rel > 0.5 * prev_rel:
-                    break
-                prev_rel = rel
-            gd = float(np.dot(grad, d))
-            if np.all(np.isfinite(d)) and is_descent(d, gd):
-                return d, grad, gd, lin_iters, "minres"
-            mu = REG_MU if mu == 0.0 else mu * 100.0
-            if mu > 1e-2:
-                break
+    shift = -1j * lm_sigma(normF) if lm else 0.0
+    try:
+        d = fold_solve(op, -F, shift=shift).real
+        lin_iters += 1
+        gd = float(np.dot(grad, d))
+        if np.all(np.isfinite(d)) and is_descent(d, gd):
+            return d, grad, gd, lin_iters, "lm" if lm else "direct"
+    except SingularSystemError:
+        pass
     d = -grad
     return d, grad, float(np.dot(grad, d)), lin_iters, "steepest"
 
@@ -220,6 +199,10 @@ def solve_subproblem(p, eps, r0, cfg=None):
             status = "line_search_failure"
             break
         d, grad, gd, lin_iters, route = _direction(op, F, lm)
+        step_info = dict(
+            lin_iters=lin_iters, route=route,
+            lin_resid=float(np.linalg.norm(op.kkt_apply(d) + F)) / normF,
+            shift=lm_sigma(normF) if route == "lm" else 0.0)
         nv = p.m + 1
         dv, dl = d[:nv], d[nv:]
         g0 = 0.5 * normF * normF
@@ -238,8 +221,7 @@ def solve_subproblem(p, eps, r0, cfg=None):
         except LineSearchError:
             status = "line_search_failure"
             trace.append(k=k, normF=normF, step=0.0,
-                         lin_iters=lin_iters, backtracks=cfg.max_backtracks,
-                         route=route)
+                         backtracks=cfg.max_backtracks, **step_info)
             break
         backtracks = int(round(np.log(s) / np.log(cfg.rho))) if s < 1.0 else 0
         r, op, F = cache[s]
@@ -251,8 +233,8 @@ def solve_subproblem(p, eps, r0, cfg=None):
         # for the rest of this subproblem (it self-tunes as mu = ||F||^2)
         if backtracks >= 4:
             lm = True
-        trace.append(k=k, normF=normF, step=s,
-                     lin_iters=lin_iters, backtracks=backtracks, route=route)
+        trace.append(k=k, normF=normF, step=s, backtracks=backtracks,
+                     **step_info)
     else:
         if normF <= cfg.f_tol:
             status = "converged"

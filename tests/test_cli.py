@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mpecsvc as M
@@ -42,10 +43,17 @@ class TestSolve:
         assert 0.0 <= report["E_cv"] <= 100.0
         trace = list(csv.reader((out / "trace.csv").open()))
         assert trace[0] == ["outer_t", "eps", "k", "normF", "step",
-                            "lin_iters", "backtracks", "route"]
+                            "lin_iters", "backtracks", "route", "lin_resid",
+                            "shift"]
         assert len(trace) > 1
-        assert {row[-1] for row in trace[1:]} <= {
-            "bicgstab", "direct", "lm", "minres", "steepest"}
+        rows = [dict(zip(trace[0], row)) for row in trace[1:]]
+        assert {row["route"] for row in rows} <= {
+            "bicgstab", "direct", "lm", "steepest"}
+        for row in rows:
+            resid, shift = float(row["lin_resid"]), float(row["shift"])
+            assert resid <= {"direct": 1e-10, "bicgstab": 1e-2}.get(
+                row["route"], np.inf)
+            assert (shift > 0) if row["route"] == "lm" else shift == 0.0
         problem = json.loads((out / "problem.json").read_text())
         assert problem["m"] == 36
 

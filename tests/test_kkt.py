@@ -9,10 +9,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import mpecsvc as M
+from mpecsvc import kkt
 from mpecsvc import problem as pb
 from mpecsvc.kkt import (KktOperator, KktPoint, SingularSystemError,
                          constraint_fold_solves, fold_solve, jjt_inverse,
                          licq_probe)
+from scipy.linalg.lapack import get_lapack_funcs
 from mpecsvc.smoothing import fb_value
 
 from conftest import random_kkt_point
@@ -109,6 +111,23 @@ class TestDerivatives:
         assert abs(lhs - rhs) <= 1e-10 * max(
             np.linalg.norm(d) * np.linalg.norm(e), 1.0)
 
+    @pytest.mark.parametrize("name", ["tiny_p", "heart_p", "complementary"])
+    def test_kkt_apply_matches_assembled(self, name, request):
+        if name == "complementary":
+            p = request.getfixturevalue("tiny_p")
+            op = KktOperator(p, request.getfixturevalue(
+                "tiny_complementary_point"))
+        else:
+            p = request.getfixturevalue(name)
+            op = KktOperator(p, random_kkt_point(p, eps=0.05, seed=8))
+        K = op.materialize_kkt()
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            d = rng.standard_normal(2 * p.m + 1)
+            ref = K @ d
+            assert np.linalg.norm(op.kkt_apply(d) - ref) <= (
+                1e-14 * np.linalg.norm(ref))
+
     def test_merit_grad_matches_fd(self, tiny_p):
         r = random_kkt_point(tiny_p, eps=0.3, seed=7)
         rng = np.random.default_rng(7)
@@ -124,6 +143,31 @@ class TestDerivatives:
 def dense_sigma_min(p, v, eps):
     op = KktOperator(p, KktPoint(v=v, lam=np.zeros(p.m), eps=eps))
     return np.linalg.svd(op.materialize_jacobian(), compute_uv=False)[-1]
+
+
+def complementary_weights_operator(p, rng):
+    """Operator at a random point with the weights of a strictly
+    complementary point: in each pair the weight of the positive side is
+    ~1e-12, the other ~1; zeta in {0, 1}; alpha at 0, free (5 per fold) or
+    at C with xi > 0."""
+    tiny = 1e-12
+    wG, wH = np.empty(p.m), np.empty(p.m)
+    G1, G2, G3, G4 = p.split_m(wG)
+    H1, H2, H3, H4 = p.split_m(wH)
+    zeta_zero = rng.random(p.n1) < 0.5
+    for G, H in ((G1, H1), (G2, H2)):
+        G[:] = np.where(zeta_zero, 1.0, tiny)
+        H[:] = np.where(zeta_zero, tiny, 1.0)
+    state = rng.choice([0, 2], size=p.n2)
+    for t in range(p.T):
+        state[t * p.m2 + rng.choice(p.m2, 5, replace=False)] = 1
+    G3[:] = np.where(state == 0, 1.0, tiny)
+    H3[:] = np.where(state == 0, tiny, 1.0)
+    G4[:] = np.where(state == 2, tiny, 1.0)
+    H4[:] = np.where(state == 2, 1.0, tiny)
+    op = KktOperator(p, random_kkt_point(p, 1e-6))
+    op.weights = replace(op.weights, wG=wG, wH=wH)
+    return op
 
 
 class TestLicq:
@@ -164,27 +208,9 @@ class TestLicq:
         assert np.linalg.norm(J @ (J.T @ z) - y) <= 1e-10 * np.linalg.norm(y)
 
     def test_fold_solves_at_strictly_complementary_weights(self, heart_p):
-        # the weights of a strictly complementary point: in each pair the
-        # weight of the positive side is ~1e-12, the other ~1; zeta in
-        # {0, 1}; alpha at 0, free (5 per fold) or at C with xi > 0
-        p, tiny = heart_p, 1e-12
+        p = heart_p
         rng = np.random.default_rng(15)
-        wG, wH = np.empty(p.m), np.empty(p.m)
-        G1, G2, G3, G4 = p.split_m(wG)
-        H1, H2, H3, H4 = p.split_m(wH)
-        zeta_zero = rng.random(p.n1) < 0.5
-        for G, H in ((G1, H1), (G2, H2)):
-            G[:] = np.where(zeta_zero, 1.0, tiny)
-            H[:] = np.where(zeta_zero, tiny, 1.0)
-        state = rng.choice([0, 2], size=p.n2)
-        for t in range(p.T):
-            state[t * p.m2 + rng.choice(p.m2, 5, replace=False)] = 1
-        G3[:] = np.where(state == 0, 1.0, tiny)
-        H3[:] = np.where(state == 0, tiny, 1.0)
-        G4[:] = np.where(state == 2, tiny, 1.0)
-        H4[:] = np.where(state == 2, 1.0, tiny)
-        op = KktOperator(p, random_kkt_point(p, 1e-6))
-        op.weights = replace(op.weights, wG=wG, wH=wH)
+        op = complementary_weights_operator(p, rng)
         J_f = op.materialize_jacobian()[:, 1:]
         assert np.linalg.cond(J_f) < 1e3
         solve, solve_t, c = constraint_fold_solves(op)
@@ -258,11 +284,82 @@ def rel_err(x, ref):
     return float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
 
 
+def dense_fold_solve(K, rhs, folds, border, shift=0.0):
+    """Oracle: (K + shift*I) x = rhs by dense LU of K's fold blocks.
+
+    Each fold's diagonal block M_t of the assembled K is LU-factored (LAPACK
+    getrf) and solved for the fold's right-hand side together with its
+    border columns E_t; the border is closed by the dense Schur complement
+    S = M_bb - sum_t R_t M_t^{-1} E_t.  Raises SingularSystemError on an
+    exactly zero fold pivot, or when S is zero to within
+    eps_mach * kappa * ||M_bb| + sum_t |R_t| |M_t^{-1} E_t|| with kappa the
+    largest condition number of the fold blocks (LAPACK gecon).
+    """
+    K = K.tocsr()
+    rhs = np.asarray(rhs)
+    dtype = np.result_type(K.dtype, rhs.dtype, shift)
+    getrf, getrs, gecon = get_lapack_funcs(("getrf", "getrs", "gecon"),
+                                           dtype=dtype)
+
+    def dense(Kb, diagonal=False):
+        out = Kb.toarray(order="F").astype(dtype, copy=False)
+        if diagonal and shift:
+            out[np.diag_indices(out.shape[0])] += shift
+        return out
+
+    K_border = K[border]
+    S = dense(K_border[:, border], diagonal=True)
+    S_scale = np.abs(S)
+    r_border = rhs[border].astype(dtype)
+    kappa = 1.0
+    solved = []
+    for idx in folds:
+        K_fold = K[idx]
+        M = dense(K_fold[:, idx], diagonal=True)
+        E = dense(K_fold[:, border])
+        R = dense(K_border[:, idx])
+        anorm = float(np.abs(M).sum(axis=0).max())
+        lu, piv, info = getrf(M, overwrite_a=True)
+        if info > 0:
+            raise SingularSystemError(f"zero pivot {info} in a fold factor")
+        rcond, _ = gecon(lu, anorm)
+        kappa = max(kappa, 1.0 / rcond if rcond > 0 else np.inf)
+        YZ, _ = getrs(lu, piv, np.column_stack([rhs[idx], E]))
+        y, Z = YZ[:, 0], YZ[:, 1:]
+        S -= R @ Z
+        S_scale += np.abs(R) @ np.abs(Z)
+        r_border -= R @ y
+        solved.append((y, Z))
+    tol = np.finfo(float).eps * kappa * np.linalg.norm(S_scale)
+    if not (np.all(np.isfinite(S))
+            and np.linalg.svd(S, compute_uv=False)[-1] > tol):
+        raise SingularSystemError("Schur complement zero to rounding")
+    x_border = np.linalg.solve(S, r_border)
+    x = np.empty(rhs.shape, dtype=dtype)
+    x[border] = x_border
+    for idx, (y, Z) in zip(folds, solved):
+        x[idx] = y - Z @ x_border
+    return x
+
+
+def check_against_oracles(op, rhs, shift=0.0, rtol=1e-10):
+    """fold_solve matches SuperLU and the dense fold oracle on K + shift*I."""
+    K = op.materialize_kkt()
+    x = fold_solve(op, rhs, shift=shift)
+    shifted = (K + shift * sp.identity(K.shape[0])).tocsc()
+    ref = spla.splu(shifted).solve(rhs.astype(shifted.dtype))
+    assert x.dtype == ref.dtype
+    assert rel_err(x, ref) <= rtol
+    assert rel_err(x, dense_fold_solve(K, rhs, *op.p.fold_index,
+                                       shift=shift)) <= rtol
+    return x
+
+
 @pytest.fixture(scope="module")
-def heart_kkts(heart_p):
-    """Assembled KKT matrices at random points on heart, one per eps."""
+def heart_ops(heart_p):
+    """Operators at random points on heart, one per eps."""
     return [KktOperator(heart_p, random_kkt_point(heart_p, eps, seed=20 + i))
-            .materialize_kkt() for i, eps in enumerate((1.0, 1e-2, 1e-4))]
+            for i, eps in enumerate((1.0, 1e-2, 1e-4))]
 
 
 class TestFoldSolve:
@@ -275,6 +372,21 @@ class TestFoldSolve:
             assert all(len(idx) == 2 * p.m // p.T for idx in folds)
             np.testing.assert_array_equal(border, [0])
 
+    def test_point_index_orders_each_fold(self, tiny_p, heart_p):
+        for p in (tiny_p, heart_p):
+            folds, _ = p.fold_index
+            pos, rows = p.point_index
+            N = sp.vstack([p.A, p.B]).toarray()
+            for t, idx in enumerate(folds):
+                np.testing.assert_array_equal(np.sort(pos[t].ravel()),
+                                              np.sort(idx))
+                # a point's data row is its row of A or B, in its fold's block
+                data_rows = np.concatenate(
+                    [np.arange(t * p.m1, (t + 1) * p.m1),
+                     p.n1 + np.arange(t * p.m2, (t + 1) * p.m2)])
+                np.testing.assert_array_equal(
+                    rows[t], N[data_rows, t * p.n:(t + 1) * p.n])
+
     @pytest.mark.parametrize("name", ["tiny_p", "heart_p"])
     def test_no_entry_couples_two_folds(self, name, request):
         p = request.getfixturevalue(name)
@@ -286,63 +398,91 @@ class TestFoldSolve:
             assert not np.any((a >= 0) & (b >= 0) & (a != b))
             assert np.any(a == -1)          # the border does couple to folds
 
-    def test_newton_system_matches_splu(self, heart_p, heart_kkts):
+    def test_newton_system_matches_splu(self, heart_ops):
         rng = np.random.default_rng(30)
-        for K in heart_kkts:
-            rhs = rng.standard_normal(K.shape[0])
-            ref = spla.splu(K.tocsc()).solve(rhs)
-            x = fold_solve(K, rhs, *heart_p.fold_index)
-            assert rel_err(x, ref) <= 1e-8
+        for op in heart_ops:
+            check_against_oracles(op, rng.standard_normal(2 * op.p.m + 1))
 
     @pytest.mark.parametrize("shift", [0.5, 0.3 - 0.2j])
-    def test_shifted_system_matches_splu(self, heart_p, heart_kkts, shift):
+    def test_shifted_system_matches_splu(self, heart_ops, shift):
         rng = np.random.default_rng(32)
-        for K in heart_kkts:
-            rhs = rng.standard_normal(K.shape[0])
-            shifted = (K + shift * sp.identity(K.shape[0])).tocsc()
-            ref = spla.splu(shifted).solve(rhs.astype(shifted.dtype))
-            x = fold_solve(K, rhs, *heart_p.fold_index, shift=shift)
-            assert x.dtype == ref.dtype and rel_err(x, ref) <= 1e-8
+        for op in heart_ops:
+            check_against_oracles(op, rng.standard_normal(2 * op.p.m + 1),
+                                  shift=shift)
 
     @pytest.mark.parametrize("mu", [1e-8, 1e-4, 1e-2, 1.0])
-    def test_lm_system_matches_splu(self, heart_p, heart_kkts, mu):
+    def test_lm_system_matches_splu(self, heart_ops, mu):
         # the LM step (K^2 + mu I) d = -K F is the x-half of the augmented
         # system with right-hand side (-F, 0), and -Re (K - i sqrt(mu))^{-1} F
         rng = np.random.default_rng(31)
-        for K in heart_kkts:
+        for op in heart_ops:
+            K = op.materialize_kkt()
             n = K.shape[0]
             F = rng.standard_normal(n)
             ref = spla.splu(lm_system(K, mu)).solve(
                 np.concatenate([-F, np.zeros(n)]))[n:]
-            shift = -1j * np.sqrt(mu)
-            x = -fold_solve(K, F, *heart_p.fold_index, shift=shift).real
-            assert rel_err(x, ref) <= 1e-8
+            x = -fold_solve(op, F, shift=-1j * np.sqrt(mu)).real
+            assert rel_err(x, ref) <= 1e-10
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5, 0.3 - 0.2j, -1e-4j])
+    @pytest.mark.parametrize("case", ["tiny", "tiny_complementary",
+                                      "heart_complementary_weights"])
+    def test_matches_oracles(self, case, shift, request):
+        if case == "tiny":
+            p = request.getfixturevalue("tiny_p")
+            ops = [KktOperator(p, random_kkt_point(p, eps, seed=40 + i))
+                   for i, eps in enumerate((1.0, 1e-2, 1e-4))]
+        elif case == "tiny_complementary":
+            p = request.getfixturevalue("tiny_p")
+            ops = [KktOperator(p, request.getfixturevalue(
+                "tiny_complementary_point"))]
+        else:
+            p = request.getfixturevalue("heart_p")
+            ops = [complementary_weights_operator(
+                p, np.random.default_rng(15))]
+        rng = np.random.default_rng(33)
+        for op in ops:
+            check_against_oracles(op, rng.standard_normal(2 * p.m + 1),
+                                  shift=shift)
+
+    def test_free_points_are_not_eliminated(self, heart_p, monkeypatch):
+        # at complementary weights the blocks of the 15 free alphas have
+        # determinants near 1e-24; eliminating them as well buries the
+        # Schur complement on C in rounding error
+        op = complementary_weights_operator(heart_p, np.random.default_rng(15))
+        rhs = np.random.default_rng(34).standard_normal(2 * heart_p.m + 1)
+        check_against_oracles(op, rhs)
+        monkeypatch.setattr(kkt, "FREE_DET", 0.0)
+        with pytest.raises(SingularSystemError):
+            fold_solve(op, rhs)
 
     @pytest.mark.parametrize("name", ["tiny_p", "heart_p"])
     def test_zero_multipliers_are_singular(self, name, request):
         p = request.getfixturevalue(name)
         for i, eps in enumerate((1.0, 1e-2)):
-            K = KktOperator(p, zero_multiplier_point(p, eps, seed=i)).materialize_kkt()
-            with pytest.raises(SingularSystemError):
-                fold_solve(K, np.ones(K.shape[0]), *p.fold_index)
+            op = KktOperator(p, zero_multiplier_point(p, eps, seed=i))
+            with pytest.raises(SingularSystemError, match="Schur"):
+                fold_solve(op, np.ones(2 * p.m + 1))
             # an imaginary shift makes the system nonsingular
-            x = fold_solve(K, np.ones(K.shape[0]), *p.fold_index, shift=-0.1j)
+            x = check_against_oracles(op, np.ones(2 * p.m + 1), shift=-0.1j)
             assert np.all(np.isfinite(x))
 
     def test_zero_fold_pivot_is_singular(self, tiny_p):
+        # the dense oracle's own singularity check
         K = KktOperator(tiny_p, random_kkt_point(tiny_p, 0.5)).materialize_kkt()
         folds, border = tiny_p.fold_index
         keep = np.ones(K.shape[0])
         keep[folds[1]] = 0.0       # zero fold 1's rows and columns
         K = sp.diags(keep) @ K @ sp.diags(keep)
         with pytest.raises(SingularSystemError, match="zero pivot"):
-            fold_solve(K, np.ones(K.shape[0]), folds, border)
+            dense_fold_solve(K, np.ones(K.shape[0]), folds, border)
 
     @pytest.mark.parametrize("ulps, singular", [(0, True), (1, True),
                                                 (2.0**32, False)])
     def test_schur_complement_zero_to_rounding_is_singular(self, ulps, singular):
-        # three 1x1 folds (identity) bordered by e = (0.5, 0.25, 0.75):
-        # every product is exact, so S = K_bb - 0.875 exactly
+        # the dense oracle's own singularity check: three 1x1 folds
+        # (identity) bordered by e = (0.5, 0.25, 0.75); every product is
+        # exact, so S = K_bb - 0.875 exactly
         e = np.array([0.5, 0.25, 0.75])
         K = np.eye(4)
         K[0, 1:] = K[1:, 0] = e
@@ -351,7 +491,7 @@ class TestFoldSolve:
         rhs = np.arange(1.0, 5.0)
         if singular:
             with pytest.raises(SingularSystemError, match="Schur"):
-                fold_solve(sp.csr_matrix(K), rhs, folds, border)
+                dense_fold_solve(sp.csr_matrix(K), rhs, folds, border)
         else:
-            x = fold_solve(sp.csr_matrix(K), rhs, folds, border)
+            x = dense_fold_solve(sp.csr_matrix(K), rhs, folds, border)
             assert np.linalg.norm(K @ x - rhs) <= 1e-12 * np.linalg.norm(x)
