@@ -21,7 +21,6 @@ operator of BiCGStab in newton._direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,16 +69,6 @@ class KktOperator:
         self.weights = fb_weights(self.G, self.H, self.eps)
         self._curv = None
 
-    @cached_property
-    def stacked(self):
-        """(N, N^T, B^T) as CSR matrices with N = [A; B], for kkt_apply.
-
-        Built on first use (about 0.2 ms and 0.2 MB on heart) and held by
-        the operator rather than by the problem, which outlives it.
-        """
-        N = sp.vstack([self.p.A, self.p.B], format="csr")
-        return N, N.T.tocsr(), self.p.B.T.tocsr()
-
     @property
     def curvature(self):
         if self._curv is None:
@@ -123,38 +112,35 @@ class KktOperator:
 
         With u = L^G dv and w = L^H dv, the product is
         [(L^G)^T g + (L^H)^T h ; -(W^G u + W^H w)] for
-        g = M^G u + M^GH w - W^G dl and h = M^GH u + M^H w - W^H dl.
-        L^H dv is formed once for the Hessian and the Jacobian, (L^H)^T is
-        applied once to h, and A and B are stacked: four sparse products.
+        g = M^G u + M^GH w - W^G dl and h = M^GH u + M^H w - W^H dl, so the
+        Hessian and the Jacobian share one product with L^H and one with
+        (L^H)^T.
         """
         d = np.asarray(d, dtype=float)
-        p = self.p
-        nv, n1 = p.m + 1, p.n1
-        if d.shape != (nv + p.m,):
-            raise ValueError(f"expected length {nv + p.m}, got {d.shape}")
-        N, N_T, B_T = self.stacked
+        nv = self.p.m + 1
+        if d.shape != (nv + self.p.m,):
+            raise ValueError(f"expected length {nv + self.p.m}, got {d.shape}")
         dv, dl = d[:nv], d[nv:]
-        dC, dzeta, dz, dalpha, dxi = p.split_v(dv)
-        u = dv[1:]
-        Nw = N @ (B_T @ dalpha)
-        w = np.concatenate([Nw[:n1] + dz, -dzeta, Nw[n1:] + dxi, dC - dalpha])
         wt, c = self.weights, self.curvature
-        g1, g2, g3, g4 = p.split_m(c.mG * u + c.mGH * w - wt.wG * dl)
-        h1, h2, h3, h4 = p.split_m(c.mGH * u + c.mH * w - wt.wH * dl)
-        q = N_T @ np.concatenate([h1, h3])
-        return np.concatenate([[h4.sum()], g1 - h2, g2 + h1,
-                               g3 + p.B @ q - h4, g4 + h3,
-                               -(wt.wG * u + wt.wH * w)])
+        u = pb.apply_LG(self.p, dv)
+        w = pb.apply_LH(self.p, dv)
+        return np.concatenate([
+            pb.apply_LG_T(self.p, c.mG * u + c.mGH * w - wt.wG * dl)
+            + pb.apply_LH_T(self.p, c.mGH * u + c.mH * w - wt.wH * dl),
+            -(wt.wG * u + wt.wH * w),
+        ])
 
     def materialize_kkt(self, max_m=4000):
         """Assembled sparse J_r F_eps (same operator as kkt_apply).
 
         In the solver its only user is BiCGStab in newton._direction.  The
         iterates of BiCGStab there depend on the rounding of each product:
-        with the entries of each CSR row reversed, or with kkt_apply in
-        place of this matrix, the heart solve takes other steps and ends
-        elsewhere, so the pinned heart results rest on these products.
-        Guarded by max_m like L^H.
+        with the entries of each CSR row reversed the first heart step takes
+        95 iterations instead of 93, and with kkt_apply in place of this
+        matrix the heart solve takes 127 Newton steps instead of 125 (an
+        earlier kkt_apply, with A and B stacked, ended at another C), so
+        the pinned heart trajectory rests on these products.  Guarded by
+        max_m like L^H.
         """
         LG = pb.materialize_LG(self.p)
         LH = pb.materialize_LH(self.p, max_m=max_m)
@@ -197,32 +183,40 @@ def fold_solve(op, rhs, shift=0.0):
       N_t w_t, with N_t = [A_t; B_t].  U1^T x = q_t = N_t^T h_a collects the
       pair-a terms of (L^H)^T h, which reach the alpha rows as B_t q_t;
     - Cm = [[0, I], [I, Q_t]] with Q_t = N_t^T diag(M^H_a) N_t.
-    The shift goes on D_t and on the diagonal entry of C.  K_t is solved
-    through the lifted system [[D_t, U_t], [U_t^T, -Cm^{-1}]] by block
-    elimination: every 4x4 block is solved at once (np.linalg.solve, whose
-    partial pivoting takes each unknown from the equation with the larger
-    divisor), and what remains of fold t is a dense system of size 2n plus
-    four per free point.  A point is free when |w^G_a w^G_b + w^H_a w^H_b|
-    < FREE_DET, as for an alpha strictly between 0 and C near a
-    complementary point; its block is then nearly singular (at weights of
-    1e-12 it amplifies rounding by 1e24), so its unknowns stay in the dense
-    system instead of being eliminated.  At most 2n points of a fold are
-    free, those with the smallest determinants: a nearly singular block has
-    two small eigenvalues, and the rank-2n term moves at most 2n
-    eigenvalues, so with more than n such blocks K_t is itself nearly
-    singular and eliminating the others costs no more than its own
-    conditioning.  (Early iterates at m = 6.4e4 had 7,136 points of a fold
-    below FREE_DET.)  The dense system is scaled symmetrically to a unit
-    row maximum before it is solved.  Finally the 1x1 Schur complement S on
-    C closes the solve.
+    The shift goes on D_t and on the diagonal entry of C.  Each fold is
+    solved by the smaller of two dense systems, both scaled symmetrically
+    to unit row maxima:
+    - lifted, of size 2n + 4k: the lifted system [[D_t, U_t],
+      [U_t^T, -Cm^{-1}]] by block elimination.  Every 4x4 block is solved
+      at once (np.linalg.solve, whose partial pivoting takes each unknown
+      from the equation with the larger divisor), and the 2n lifted
+      unknowns remain with the k free points.  A point is free when
+      |w^G_a w^G_b + w^H_a w^H_b| < FREE_DET, as for an alpha strictly
+      between 0 and C near a complementary point; its block is then nearly
+      singular (at weights of 1e-12 it amplifies rounding by 1e24), so its
+      unknowns stay in the dense system instead of being eliminated.  At
+      most 2n points of a fold are free, those with the smallest
+      determinants: a nearly singular block has two small eigenvalues, and
+      the rank-2n term moves at most 2n eigenvalues, so with more than n
+      such blocks K_t is itself nearly singular and eliminating the others
+      costs no more than its own conditioning.  (Early iterates at
+      m = 6.4e4 had 7,136 points of a fold below FREE_DET.)  Per fold this
+      costs O((m1+m2) n^2 + n^3);
+    - dense, of size 4(m1+m2), when 2n + 4k is not smaller (many features,
+      few points): K_t itself, formed from the point blocks and the Gram
+      matrix N_t N_t^T, since U_t Cm U_t^T only involves the data through
+      products of data rows.  Per fold this costs O((m1+m2)^3), and no
+      array of size n is formed, so wide data costs no more than its points.
+    Finally the 1x1 Schur complement S on C closes the solve.
 
     The shift may be real or complex.  With shift = -i*sigma the blocks stay
     nonsingular (each is real symmetric, so its eigenvalues theta move to
     theta - i*sigma) and Re x = K (K^2 + sigma^2 I)^{-1} rhs, the
-    Levenberg-Marquardt solve.  Per fold the cost is O((m1+m2) n^2 + n^3).
+    Levenberg-Marquardt solve.
 
-    Raises SingularSystemError when a dense system has an exactly zero pivot
-    or S is zero to within the rounding error of its own computation,
+    Raises SingularSystemError when a point block or a dense system has an
+    exactly zero pivot, or S is zero to within the rounding error of its own
+    computation,
     |S| <= eps_mach * kappa * (|K_CC + shift| + sum |c_t|^T |K_t^{-1} c_t|)
     with c_t fold t's part of the column of C and kappa the largest 1-norm
     condition number of the scaled dense systems, or is not finite.  At
@@ -232,7 +226,8 @@ def fold_solve(op, rhs, shift=0.0):
     pos, rows = p.point_index
     rhs = np.asarray(rhs)
     dtype = np.result_type(rhs.dtype, shift, float)
-    T, P, n = rows.shape
+    T, P = pos.shape[:2]
+    n = p.n
     train = np.arange(P) >= p.m1
     a, b = pos[..., 0] - 1, pos[..., 1] - 1        # the pairs, positions in G
     wt, cv = op.weights, op.curvature
@@ -258,44 +253,26 @@ def fold_solve(op, rhs, shift=0.0):
     np.put_along_axis(free, np.argsort(det, axis=1)[:, :2 * n], True, axis=1)
     free &= det < FREE_DET
     rhs_c = np.stack([rhs[pos], c_col], axis=-1)               # (T, P, 4, 2)
-    try:
-        X = np.linalg.solve(np.where(free[..., None, None], np.eye(4), D),
-                            np.concatenate([factors.swapaxes(2, 3), rhs_c],
-                                           axis=-1))
-    except np.linalg.LinAlgError:
-        raise SingularSystemError("zero pivot in a point block") from None
-    Q = np.einsum("tpi,tp,tpj->tij", rows, mHa, rows)
-    eye = np.eye(n)
+    lifted = 2 * n + 4 * free.sum(axis=1) < 4 * P
     y = np.empty((T, P, 4, 2), dtype=dtype)       # K_t^{-1} [rhs_t, c_t]
     kappa = 1.0
-    for t in range(T):
-        g, f = ~free[t], free[t]
-        k = int(f.sum())
-        Ng, Xg, Fg = rows[t, g], X[t, g], factors[t, g]
-        # U_g^T D_g^{-1} [U_g, rhs_c] on the 2n lifted unknowns
-        coef = np.einsum("pai,pic->pac", Fg, Xg)              # (g, 2, 4)
-        low = np.einsum("pi,pac,pj->aicj", Ng, coef[..., :2], Ng)
-        low_r = np.einsum("pi,pac->aic", Ng, coef[..., 2:])
-        U_f = np.einsum("pai,pj->piaj", factors[t, f], rows[t, f])
-        M = np.zeros((4 * k + 2 * n,) * 2, dtype=dtype)
-        for i, Dp in enumerate(D[t, f]):
-            M[4 * i:4 * i + 4, 4 * i:4 * i + 4] = Dp
-        M[:4 * k, 4 * k:] = U_f.reshape(4 * k, 2 * n)
-        M[4 * k:, :4 * k] = M[:4 * k, 4 * k:].T
-        M[4 * k:, 4 * k:] = (np.block([[Q[t], -eye], [-eye, np.zeros((n, n))]])
-                             - low.reshape(2 * n, 2 * n))
-        r = np.concatenate([rhs_c[t, f].reshape(4 * k, 2),
-                            -low_r.reshape(2 * n, 2)])
-        scale = 1.0 / np.sqrt(np.abs(M).max(axis=1))
-        M *= scale[:, None] * scale
+    if lifted.any():
         try:
-            sol = scale[:, None] * np.linalg.solve(M, scale[:, None] * r)
+            X = np.linalg.solve(
+                np.where(free[lifted][..., None, None], np.eye(4), D[lifted]),
+                np.concatenate([factors[lifted].swapaxes(2, 3),
+                                rhs_c[lifted]], axis=-1))
         except np.linalg.LinAlgError:
-            raise SingularSystemError("zero pivot in a fold system") from None
-        kappa = max(kappa, float(np.linalg.cond(M, 1)))
-        lifted = np.einsum("pj,ajc->pac", Ng, sol[4 * k:].reshape(2, n, 2))
-        y[t, g] = Xg[..., 2:] - np.einsum("pia,pac->pic", Xg[..., :2], lifted)
-        y[t, f] = sol[:4 * k].reshape(k, 4, 2)
+            raise SingularSystemError("zero pivot in a point block") from None
+        for t, Xt in zip(np.flatnonzero(lifted), X):
+            y[t], kappa_t = _lifted_fold_solve(D[t], free[t], Xt, factors[t],
+                                               rows[t].toarray(), mHa[t],
+                                               rhs_c[t])
+            kappa = max(kappa, kappa_t)
+    for t in np.flatnonzero(~lifted):
+        y[t], kappa_t = _dense_fold_solve(D[t], factors[t], rows[t], mHa[t],
+                                          rhs_c[t])
+        kappa = max(kappa, kappa_t)
     K_CC = np.sum(mHb[:, train]) + shift
     S = K_CC - np.sum(c_col * y[..., 1])
     S_scale = abs(K_CC) + np.sum(np.abs(c_col) * np.abs(y[..., 1]))
@@ -306,6 +283,81 @@ def fold_solve(op, rhs, shift=0.0):
     x[0] = (rhs[0] - np.sum(c_col * y[..., 0])) / S
     x[pos] = y[..., 0] - y[..., 1] * x[0]
     return x
+
+
+def _lifted_fold_solve(D, free, X, factors, N, mHa, rhs_c):
+    """K_t^{-1} rhs_c for one fold through its lifted system (fold_solve).
+
+    X holds D_p^{-1} [U_p, rhs_c] for the points that are not free; N is
+    the fold's dense data rows.  Returns the solution, shaped like rhs_c,
+    and the condition number of the scaled dense system.
+    """
+    n = N.shape[1]
+    g, f = ~free, free
+    k = int(f.sum())
+    Ng, Xg, Fg = N[g], X[g], factors[g]
+    # U_g^T D_g^{-1} [U_g, rhs_c] on the 2n lifted unknowns
+    coef = np.einsum("pai,pic->pac", Fg, Xg)                  # (g, 2, 4)
+    low = np.einsum("pi,pac,pj->aicj", Ng, coef[..., :2], Ng)
+    low_r = np.einsum("pi,pac->aic", Ng, coef[..., 2:])
+    U_f = np.einsum("pai,pj->piaj", factors[f], N[f])
+    Q = np.einsum("pi,p,pj->ij", N, mHa, N)
+    eye = np.eye(n)
+    M = np.zeros((4 * k + 2 * n,) * 2, dtype=D.dtype)
+    for i, Dp in enumerate(D[f]):
+        M[4 * i:4 * i + 4, 4 * i:4 * i + 4] = Dp
+    M[:4 * k, 4 * k:] = U_f.reshape(4 * k, 2 * n)
+    M[4 * k:, :4 * k] = M[:4 * k, 4 * k:].T
+    M[4 * k:, 4 * k:] = (np.block([[Q, -eye], [-eye, np.zeros((n, n))]])
+                         - low.reshape(2 * n, 2 * n))
+    r = np.concatenate([rhs_c[f].reshape(4 * k, 2),
+                        -low_r.reshape(2 * n, 2)])
+    sol, kappa = _scaled_solve(M, r)
+    back = np.einsum("pj,ajc->pac", Ng, sol[4 * k:].reshape(2, n, 2))
+    y = np.empty(rhs_c.shape, dtype=D.dtype)
+    y[g] = Xg[..., 2:] - np.einsum("pia,pac->pic", Xg[..., :2], back)
+    y[f] = sol[:4 * k].reshape(k, 4, 2)
+    return y, kappa
+
+
+def _dense_fold_solve(D, factors, N, mHa, rhs_c):
+    """K_t^{-1} rhs_c for one fold with K_t formed densely (fold_solve).
+
+    With G = N N^T, U_t Cm U_t^T couples points p and q by
+    f1_p G_pq f2_q^T + f2_p G_pq f1_q^T + f2_p (G diag(M^H_a) G)_pq f2_q^T,
+    f1 and f2 being the point factors of U1 and U2; N stays sparse.
+    Returns the solution, shaped like rhs_c, and the condition number of
+    the scaled K_t.
+    """
+    P = D.shape[0]
+    gram = (N @ N.T).toarray()
+    f1, f2 = factors[:, 0], factors[:, 1]
+    cross = np.einsum("pi,pq,qj->piqj", f1, gram, f2)
+    K = (cross + cross.transpose(2, 3, 0, 1)
+         + np.einsum("pi,pq,qj->piqj", f2, gram @ (mHa[:, None] * gram), f2)
+         ).astype(D.dtype)
+    at = np.arange(P)
+    K[at, :, at, :] += D
+    sol, kappa = _scaled_solve(K.reshape(4 * P, 4 * P),
+                               rhs_c.reshape(4 * P, 2))
+    return sol.reshape(rhs_c.shape), kappa
+
+
+def _scaled_solve(M, r):
+    """Solve M x = r with M scaled symmetrically to unit row maxima.
+
+    Returns x and the 1-norm condition number of the scaled M.  A zero row
+    (a point whose weights are all 0) is left as it is and gives an exactly
+    zero pivot.
+    """
+    rmax = np.abs(M).max(axis=1)
+    scale = 1.0 / np.sqrt(np.where(rmax > 0, rmax, 1.0))
+    M = M * (scale[:, None] * scale)
+    try:
+        x = scale[:, None] * np.linalg.solve(M, scale[:, None] * r)
+    except np.linalg.LinAlgError:
+        raise SingularSystemError("zero pivot in a fold system") from None
+    return x, float(np.linalg.cond(M, 1))
 
 
 def residual(p, r):

@@ -104,8 +104,9 @@ class MpecProblem:
         (G = alpha and xi) for a training point.  Its unknowns are the G-sides
         of a and b and their two multipliers.  Returns (pos, rows): pos[t, i]
         holds the positions of these four unknowns in r, shape (T, m1+m2, 4),
-        and rows[t, i] is the point's row of A_t or B_t, dense, shape
-        (T, m1+m2, n).  Computed on first use.
+        and rows[t] is fold t's N_t = [A_t; B_t], the points' rows of A and B
+        in the fold's column block, as a sparse (m1+m2) x n CSR matrix.
+        Computed on first use.
         """
         T, m1, m2, n, n1, n2 = self.T, self.m1, self.m2, self.n, self.n1, self.n2
         a = np.concatenate([np.arange(n1).reshape(T, m1),
@@ -113,11 +114,11 @@ class MpecProblem:
         b = np.concatenate([n1 + np.arange(n1).reshape(T, m1),
                             2 * n1 + n2 + np.arange(n2).reshape(T, m2)], axis=1)
         pos = np.stack([1 + a, 1 + b, self.m + 1 + a, self.m + 1 + b], axis=-1)
-        rows = np.empty((T, m1 + m2, n))
-        for t in range(T):
-            cols = slice(t * n, (t + 1) * n)
-            rows[t, :m1] = self.A[t * m1:(t + 1) * m1, cols].toarray()
-            rows[t, m1:] = self.B[t * m2:(t + 1) * m2, cols].toarray()
+        rows = tuple(
+            sp.vstack([self.A[t * m1:(t + 1) * m1, t * n:(t + 1) * n],
+                       self.B[t * m2:(t + 1) * m2, t * n:(t + 1) * n]],
+                      format="csr")
+            for t in range(T))
         return pos, rows
 
 

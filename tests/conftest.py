@@ -79,6 +79,15 @@ def large_p():
     return M.assemble(ds, M.make_split(ds, p1=669, T=3, seed=0))
 
 
+@pytest.fixture(scope="session")
+def wide_p():
+    """Generated instance with more features than points (n = 300, m1 + m2
+    = 60 per fold): 2n = 600 > 4(m1 + m2) = 240, so fold_solve forms each
+    fold's K_t densely instead of lifting it."""
+    ds = make_tiny_dataset(n_points=100, n_features=300, seed=5)
+    return M.assemble(ds, M.make_split(ds, p1=60, T=3, seed=0))
+
+
 def random_kkt_point(p, eps, seed=0):
     rng = np.random.default_rng(seed)
     return M.KktPoint(v=rng.standard_normal(p.m + 1),

@@ -1,5 +1,6 @@
 """KKT residual, Jacobian/Hessian applies, merit calculus, LICQ probe."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -17,7 +18,7 @@ from mpecsvc.kkt import (KktOperator, KktPoint, SingularSystemError,
 from scipy.linalg.lapack import get_lapack_funcs
 from mpecsvc.smoothing import fb_value
 
-from conftest import random_kkt_point
+from conftest import make_tiny_dataset, random_kkt_point
 
 
 def fd_dir(fn, x, d, h):
@@ -384,8 +385,9 @@ class TestFoldSolve:
                 data_rows = np.concatenate(
                     [np.arange(t * p.m1, (t + 1) * p.m1),
                      p.n1 + np.arange(t * p.m2, (t + 1) * p.m2)])
+                assert sp.issparse(rows[t])
                 np.testing.assert_array_equal(
-                    rows[t], N[data_rows, t * p.n:(t + 1) * p.n])
+                    rows[t].toarray(), N[data_rows, t * p.n:(t + 1) * p.n])
 
     @pytest.mark.parametrize("name", ["tiny_p", "heart_p"])
     def test_no_entry_couples_two_folds(self, name, request):
@@ -466,6 +468,75 @@ class TestFoldSolve:
             # an imaginary shift makes the system nonsingular
             x = check_against_oracles(op, np.ones(2 * p.m + 1), shift=-0.1j)
             assert np.all(np.isfinite(x))
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5, 0.3 - 0.2j, -1e-4j])
+    def test_wide_data_matches_oracles(self, wide_p, shift):
+        # every fold is solved through its dense K_t (2n >= 4(m1 + m2))
+        rng = np.random.default_rng(35)
+        for i, eps in enumerate((1.0, 1e-2, 1e-4)):
+            op = KktOperator(wide_p, random_kkt_point(wide_p, eps, seed=50 + i))
+            check_against_oracles(op, rng.standard_normal(2 * wide_p.m + 1),
+                                  shift=shift)
+
+    def test_wide_data_forms_no_array_of_size_n(self):
+        # n = 2000 features, 6 points per fold: an n x n array of floats
+        # takes 32 MB, the fold systems 24 x 24
+        ds = make_tiny_dataset(n_points=12, n_features=2000, seed=6)
+        p = M.assemble(ds, M.make_split(ds, p1=6, T=3, seed=0))
+        op = KktOperator(p, random_kkt_point(p, 1e-2, seed=7))
+        rhs = np.random.default_rng(7).standard_normal(2 * p.m + 1)
+        p.point_index
+        op.curvature
+        tracemalloc.start()
+        try:
+            x = fold_solve(op, rhs, shift=-0.1j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        check_against_oracles(op, rhs, shift=-0.1j)
+        assert np.all(np.isfinite(x))
+
+    @pytest.mark.parametrize("name", ["tiny_p", "wide_p"])
+    def test_zero_weights_at_a_point_are_singular(self, name, request):
+        # the point's multiplier rows vanish, in the lifted system (tiny_p)
+        # and in the dense K_t (wide_p) alike
+        p = request.getfixturevalue(name)
+        op = KktOperator(p, random_kkt_point(p, 0.5, seed=9))
+        pos, _ = p.point_index
+        wG, wH = op.weights.wG.copy(), op.weights.wH.copy()
+        wG[pos[1, 0, :2] - 1] = wH[pos[1, 0, :2] - 1] = 0.0
+        op.weights = replace(op.weights, wG=wG, wH=wH)
+        with pytest.raises(SingularSystemError, match="zero pivot in a fold"):
+            fold_solve(op, np.ones(2 * p.m + 1))
+
+    def test_singular_point_block(self, tiny_p):
+        # only a real shift can make a block that is not free singular: with
+        # no curvature, w^G = 1 and w^H = 0 at a point, its block plus I is
+        # [[I, -I], [-I, I]]
+        op = KktOperator(tiny_p, random_kkt_point(tiny_p, 0.5, seed=9))
+        pos, _ = tiny_p.point_index
+        pairs = pos[1, 0, :2] - 1
+        wG, wH = op.weights.wG.copy(), op.weights.wH.copy()
+        wG[pairs], wH[pairs] = 1.0, 0.0
+        op.weights = replace(op.weights, wG=wG, wH=wH)
+        c = op.curvature
+        mG, mH, mGH = c.mG.copy(), c.mH.copy(), c.mGH.copy()
+        mG[pairs] = mH[pairs] = mGH[pairs] = 0.0
+        op._curv = replace(c, mG=mG, mH=mH, mGH=mGH)
+        with pytest.raises(SingularSystemError, match="point block"):
+            fold_solve(op, np.ones(2 * tiny_p.m + 1), shift=1.0)
+        check_against_oracles(op, np.ones(2 * tiny_p.m + 1), shift=0.5)
+
+    @pytest.mark.parametrize("name", ["tiny_p", "heart_p", "wide_p"])
+    @pytest.mark.parametrize("shift", [1e-6, 1e-10])
+    def test_small_schur_complement_is_solved(self, name, shift, request):
+        # at lambda = 0 the Schur complement on C is zero; a small real
+        # shift leaves it of the order of the shift, far above rounding
+        p = request.getfixturevalue(name)
+        op = KktOperator(p, zero_multiplier_point(p, 1e-2, seed=0))
+        x = check_against_oracles(op, np.ones(2 * p.m + 1), shift=shift)
+        assert np.linalg.norm(x) > 1e-2 / shift
 
     def test_zero_fold_pivot_is_singular(self, tiny_p):
         # the dense oracle's own singularity check
