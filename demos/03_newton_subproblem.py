@@ -2,11 +2,11 @@
 
 At a fixed smoothing level eps the first-order conditions form a square
 nonlinear system F_eps(v, lambda) = 0 of dimension 2m+1.  A damped Newton
-method drives ||F_eps|| to zero.  Each linear system is tried first by
-BiCGStab on the assembled sparse Jacobian; when that misses its forcing
-target it is solved directly from the fold structure (route "direct"): one
-4x4 block per data point, a rank-2n coupling per fold and a Schur
-complement on C, with no matrix assembled.  After a collapsed line search
+method drives ||F_eps|| to zero, and no matrix is assembled.  Each linear
+system is tried first by BiCGStab on the matrix-free Jacobian product; when
+that misses its forcing target it is solved directly from the fold
+structure (route "direct"): one 4x4 block per data point, a rank-2n
+coupling per fold and a Schur complement on C.  After a collapsed line search
 the step is the Levenberg-Marquardt direction (route "lm"), the real part of
 the same fold solve with the imaginary shift -i*||F||.  This script runs one
 subproblem on the bundled dataset and prints the per-iteration trace, with

@@ -41,7 +41,6 @@ class OuterRecord:
     f_tol: float
     status: str
     normF: float
-    warm_normF: float
     inner_iters: int
     max_comp_gap: float     # max_i |G_i H_i - eps^2/2| at the solution
     min_G: float
@@ -126,17 +125,14 @@ def run_smoothing(p, ocfg=None, ncfg=None, r0=None):
         f_tol = max(ncfg.f_tol, 1e-2 * eps * eps)
         sub_cfg = replace(ncfg, f_tol=f_tol)
         r.eps = eps
-        op0 = KktOperator(p, r)
-        warm_normF = float(np.linalg.norm(op0.residual()))
         r, trace, status = solve_subproblem(p, eps, r, sub_cfg)
         op = KktOperator(p, r)
         normF = float(np.linalg.norm(op.residual()))
         gap = float(np.max(np.abs(op.G * op.H - 0.5 * eps * eps)))
         report.outer_records.append(OuterRecord(
             t=t, eps=eps, f_tol=f_tol, status=status, normF=normF,
-            warm_normF=warm_normF, inner_iters=len(trace.rows),
-            max_comp_gap=gap, min_G=float(op.G.min()), min_H=float(op.H.min()),
-            trace=trace,
+            inner_iters=len(trace.rows), max_comp_gap=gap,
+            min_G=float(op.G.min()), min_H=float(op.H.min()), trace=trace,
         ))
     report.outer_iters = len(report.outer_records)
     report.inner_iters_total = sum(rec.inner_iters for rec in report.outer_records)

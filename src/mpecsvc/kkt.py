@@ -13,9 +13,10 @@ and its Jacobian
 is symmetric, so the merit gradient of g = 0.5*||F||^2 is J_r F applied to F.
 The applications are matrix-free through the L^G/L^H maps of the problem
 module, and the direct solves (fold_solve, constraint_fold_solves) work from
-the smoothing weights, the curvatures and the data rows.  The assembled
-J_r F_eps (materialize_kkt, 245,701 nonzeros on heart) exists only as the
-operator of BiCGStab in newton._direction.
+the smoothing weights, the curvatures and the data rows.  The solver
+assembles no matrix; the assembled J_r F_eps (materialize_kkt, 245,701
+nonzeros on heart) is only the tests' reference for these products and
+solves.
 """
 
 from __future__ import annotations
@@ -130,20 +131,15 @@ class KktOperator:
             -(wt.wG * u + wt.wH * w),
         ])
 
-    def materialize_kkt(self, max_m=4000):
-        """Assembled sparse J_r F_eps (same operator as kkt_apply).
+    def materialize_kkt(self):
+        """Assembled sparse J_r F_eps, the same operator as kkt_apply.
 
-        In the solver its only user is BiCGStab in newton._direction.  The
-        iterates of BiCGStab there depend on the rounding of each product:
-        with the entries of each CSR row reversed the first heart step takes
-        95 iterations instead of 93, and with kkt_apply in place of this
-        matrix the heart solve takes 127 Newton steps instead of 125 (an
-        earlier kkt_apply, with A and B stacked, ended at another C), so
-        the pinned heart trajectory rests on these products.  Guarded by
-        max_m like L^H.
+        The solver never calls it: it is the tests' reference for
+        kkt_apply, fold_solve and the LM step.  materialize_LH's m guard
+        applies.
         """
         LG = pb.materialize_LG(self.p)
-        LH = pb.materialize_LH(self.p, max_m=max_m)
+        LH = pb.materialize_LH(self.p)
         w, c = self.weights, self.curvature
         J = sp.diags(w.wG) @ LG + sp.diags(w.wH) @ LH
         cross = LG.T @ sp.diags(c.mGH) @ LH

@@ -1,15 +1,16 @@
 """Damped Newton iteration on F_eps(r) = 0 with Armijo backtracking.
 
-Each step solves J_r F_eps(r) d = -F_eps(r).  BiCGStab is tried first, on
-the assembled sparse matrix where it can be assembled; when it misses its
-forcing target, the step is solved exactly by kkt.fold_solve, which works
-from the fold structure: one 4x4 block per data point, a rank-2n coupling
-per fold and a Schur complement on C.  After a collapsed line search the
-subproblem switches to Levenberg-Marquardt directions, the real part of the
-same fold solve with the complex shift -i*||F||.  When no route yields a
-descent direction for the merit g = 0.5*||F||^2, the step is steepest
-descent on g.  Each trace row records the route its step took, the
-relative residual of the step in the Newton system and the shift used.
+Each step solves J_r F_eps(r) d = -F_eps(r), and no matrix is assembled.
+BiCGStab is tried first on the matrix-free product KktOperator.kkt_apply;
+when it misses its forcing target, the step is solved exactly by
+kkt.fold_solve, which works from the fold structure: one 4x4 block per data
+point, a rank-2n coupling per fold and a Schur complement on C.  After a
+collapsed line search the subproblem switches to Levenberg-Marquardt
+directions, the real part of the same fold solve with the complex shift
+-i*||F||.  When no route yields a descent direction for the merit
+g = 0.5*||F||^2, the step is steepest descent on g.  Each trace row
+records the route its step took, the relative residual of the step in the
+Newton system and the shift used.
 The linear solvers' tolerances and budgets are the module constants below.
 """
 
@@ -102,26 +103,25 @@ def _direction(op, F, lm=False):
     Newton tail of order 3/2, ||F_{k+1}|| <= c ||F_k||^{3/2} with a constant
     c that depends on the problem and on the units of F (Dembo, Eisenstat
     & Steihaug, 1982); the cap at 1e-2 holds the target fixed while
-    ||F|| > 1.1e-3.  Its operator is the assembled K = J_r F_eps
-    (materialize_kkt) where m is within that method's guard, and kkt_apply
-    beyond it.  The choice is not free: BiCGStab's iterates depend on the
-    rounding of every product, and the heart results are those of K's
-    products.  If its (true, recomputed) residual misses the target, the
-    step is recomputed by kkt.fold_solve, an exact Newton step (order 2,
-    again up to a constant) built from the fold structure: one 4x4 block
-    per data point, a rank-2n Woodbury term per fold and a 1x1 Schur
-    complement on C.  A singular system (a Schur complement that is zero to
-    rounding, as at lambda = 0 where the Hessian vanishes) gives no direct
-    step.
+    ||F|| > 1.1e-3.  Its operator is kkt_apply, the product that also gives
+    the merit gradient, at every m.  BiCGStab's iterates depend on the
+    rounding of every product, so the heart results are those of
+    kkt_apply's products.  If its (true, recomputed) residual misses the
+    target, the step is recomputed by kkt.fold_solve, an exact Newton step
+    (order 2, again up to a constant) built from the fold structure: one
+    4x4 block per data point, a rank-2n Woodbury term per fold and a 1x1
+    Schur complement on C.  A singular system (a Schur complement that is
+    zero to rounding, as at lambda = 0 where the Hessian vanishes) gives no
+    direct step.
 
     With `lm=True` the exact solve is replaced by a Levenberg-Marquardt
     direction (J^2 + mu*I) d = -J F with mu = ||F||^2 (at least REG_MU^2),
-    and neither BiCGStab nor K is used.  The caller switches this on when
-    the line search collapses: near a flat valley the Jacobian is nearly
-    singular and the exact direction blows up along its null space, while
-    the mu = ||F||^2 damping is known to keep
-    quadratic local convergence under a local error bound without any
-    nonsingularity (Yamashita & Fukushima, 2001).  J is real symmetric, so
+    and BiCGStab is not tried.  The caller switches this on when the line
+    search collapses: near a flat valley the Jacobian is nearly singular
+    and the exact direction blows up along its null space, while the
+    mu = ||F||^2 damping is known to keep quadratic local convergence
+    under a local error bound without any nonsingularity (Yamashita &
+    Fukushima, 2001).  J is real symmetric, so
     Re (J - i sqrt(mu) I)^{-1} = J (J^2 + mu*I)^{-1} and the step is
     d = Re fold_solve(op, -F, shift=-i sqrt(mu)): the same fold solve in
     complex arithmetic, without forming J^2.  The shifted system is
@@ -131,14 +131,7 @@ def _direction(op, F, lm=False):
     Returns (d, grad, grad_dot_d, lin_iters, route) with route one of
     bicgstab, direct, lm or steepest.
     """
-    K = None
-    if not lm:
-        try:
-            K = op.materialize_kkt()
-        except ValueError:          # beyond its m guard
-            pass
-    apply = op.kkt_apply if K is None else (lambda x: K @ x)
-    grad = apply(F)                 # merit gradient (J symmetric)
+    grad = op.kkt_apply(F)          # merit gradient (J symmetric)
     norm_grad = float(np.linalg.norm(grad))
     normF = float(np.linalg.norm(F))
     target = max(LIN_RTOL, min(1e-2, 0.3 * np.sqrt(normF)))
@@ -149,7 +142,7 @@ def _direction(op, F, lm=False):
 
     lin_iters = 0
     if not lm:
-        res = bicgstab(apply, -F, cfg=KrylovConfig(
+        res = bicgstab(op.kkt_apply, -F, cfg=KrylovConfig(
             rel_tol=target, max_iters=min(2 * dim, 400)))
         lin_iters = res.iterations
         d = res.x

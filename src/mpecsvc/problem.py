@@ -231,23 +231,15 @@ def apply_LH_T(p, s):
 
 def materialize_LG(p):
     """Explicit sparse L^G."""
-    cached = getattr(p, "_LG_cache", None)
-    if cached is not None:
-        return cached
-    out = sp.hstack(
+    return sp.hstack(
         [sp.csr_matrix((p.m, 1)), sp.identity(p.m, format="csr")], format="csr"
     )
-    object.__setattr__(p, "_LG_cache", out)
-    return out
 
 
 def materialize_LH(p, max_m=4000):
     """Explicit sparse L^H (contains dense B B^T blocks; guarded by max_m)."""
     if p.m > max_m:
         raise ValueError(f"refusing to materialize L^H for m={p.m} > {max_m}")
-    cached = getattr(p, "_LH_cache", None)
-    if cached is not None:
-        return cached
     n1, n2 = p.n1, p.n2
     I1 = sp.identity(n1)
     I2 = sp.identity(n2)
@@ -261,9 +253,7 @@ def materialize_LH(p, max_m=4000):
         [Z((n2, 1)), Z((n2, n1)), Z((n2, n1)), BBt, I2],
         [sp.csr_matrix(ones), Z((n2, n1)), Z((n2, n1)), -I2, Z((n2, n2))],
     ]
-    out = sp.bmat(rows, format="csr")
-    object.__setattr__(p, "_LH_cache", out)
-    return out
+    return sp.bmat(rows, format="csr")
 
 
 def sparsity_stats(p):

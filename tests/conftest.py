@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mpecsvc as M
+from mpecsvc import problem as pb
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "heart_synth.libsvm"
 
@@ -74,7 +75,8 @@ def tiny_complementary_point(tiny_p):
 
 @pytest.fixture(scope="session")
 def large_p():
-    """Generated m = 4014 instance, beyond materialize_LH's m <= 4000 guard."""
+    """Generated m = 4014 instance, beyond materialize_LH's m <= 4000 guard,
+    so the structured solves there have no assembled reference."""
     ds = make_tiny_dataset(n_points=700, n_features=5, seed=3)
     return M.assemble(ds, M.make_split(ds, p1=669, T=3, seed=0))
 
@@ -86,6 +88,17 @@ def wide_p():
     fold's K_t densely instead of lifting it."""
     ds = make_tiny_dataset(n_points=100, n_features=300, seed=5)
     return M.assemble(ds, M.make_split(ds, p1=60, T=3, seed=0))
+
+
+@pytest.fixture
+def forbid_assembly(monkeypatch):
+    """Makes every builder of an explicit matrix (K, L^H, L^G) raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solver assembled a matrix")
+
+    monkeypatch.setattr(M.KktOperator, "materialize_kkt", refuse)
+    monkeypatch.setattr(pb, "materialize_LH", refuse)
+    monkeypatch.setattr(pb, "materialize_LG", refuse)
 
 
 def random_kkt_point(p, eps, seed=0):

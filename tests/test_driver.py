@@ -96,6 +96,18 @@ class TestSmoothingLoop:
         np.testing.assert_array_equal(v_a.to_vector(), v_b.to_vector())
         assert rep_a.E_cv == rep_b.E_cv
 
+    def test_full_solve_assembles_nothing(self, tiny_p,
+                                          tiny_complementary_point,
+                                          forbid_assembly):
+        # every route runs, and the solve is the one without the patches
+        _, report = run_smoothing(tiny_p, OuterConfig(),
+                                  NewtonConfig(max_iters=100))
+        routes = {row.route for rec in report.outer_records
+                  for row in rec.trace.rows}
+        assert {"bicgstab", "direct", "lm"} <= routes
+        np.testing.assert_array_equal(report.final_point.to_vector(),
+                                      tiny_complementary_point.to_vector())
+
 
     def test_every_newton_setting_reaches_the_subproblems(self, tiny_p,
                                                           monkeypatch):

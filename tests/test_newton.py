@@ -157,10 +157,11 @@ class TestDirection:
         assert np.linalg.norm(d - ref) <= 1e-10 * np.linalg.norm(ref)
         assert gd == pytest.approx(float(grad @ d)) and gd < 0
 
-    def test_bicgstab_runs_on_the_assembled_matrix(self, heart_p,
-                                                   monkeypatch):
+    def test_bicgstab_runs_on_kkt_apply(self, heart_p, monkeypatch):
         # BiCGStab's iterates depend on the rounding of each product, and
-        # the pinned heart results are those of the assembled matrix's
+        # the pinned heart results are those of kkt_apply's, also where
+        # m is small enough to assemble K
+        assert heart_p.m <= 4000
         captured = []
 
         def capture(apply, rhs, cfg):
@@ -172,28 +173,24 @@ class TestDirection:
         op = KktOperator(heart_p, KktPoint(
             v=v, lam=np.full(heart_p.m, 0.1), eps=0.5))
         _direction(op, op.residual())
-        K = op.materialize_kkt()
         x = np.random.default_rng(0).standard_normal(2 * heart_p.m + 1)
         (apply,) = captured
-        assert np.array_equal(apply(x), K @ x)
+        assert np.array_equal(apply(x), op.kkt_apply(x))
 
-    def test_lm_step_assembles_nothing(self, tiny_p, monkeypatch):
-        def refuse(self, max_m=4000):
-            raise AssertionError("K assembled on an LM step")
-
-        monkeypatch.setattr(KktOperator, "materialize_kkt", refuse)
+    @pytest.mark.parametrize("lm", [False, True])
+    def test_step_assembles_nothing(self, tiny_p, lm, forbid_assembly):
         op = KktOperator(tiny_p, KktPoint(v=initial_point(tiny_p, 1.0).v,
                                           lam=np.full(tiny_p.m, 0.1), eps=0.5))
         F = op.residual()
-        d, grad, gd, lin_iters, route = _direction(op, F, lm=True)
-        assert route == "lm" and gd < 0
+        d, grad, gd, lin_iters, route = _direction(op, F, lm=lm)
+        assert route == ("lm" if lm else "bicgstab") and gd < 0
         assert np.array_equal(grad, op.kkt_apply(F))
 
 
 class TestLargeInstance:
     def test_direct_route_beyond_the_materialize_guard(self, large_p):
-        # m > 4000: BiCGStab runs on kkt_apply, and the steps it does not
-        # finish are solved exactly from the fold structure
+        # m > 4000, where no reference matrix can be assembled: the steps
+        # BiCGStab does not finish are solved exactly from the fold structure
         assert large_p.m > 4000
         r, trace, status = solve_subproblem(
             large_p, 1.0, initial_point(large_p, 1.0), NewtonConfig(f_tol=1e-2))
