@@ -426,7 +426,7 @@ def constraint_fold_solves(op):
         """J_f^{-1} r; r is indexed by the pairs, the result like G."""
         r1, r2, r3, r4 = p.split_m(r)
         x_alpha = p_solve(r3 / wH3 - r4 / wG4)
-        Bt_x = p.B.T @ x_alpha
+        Bt_x = p.Bt @ x_alpha
         x_xi = np.where(by_row4, (r4 + wH4 * x_alpha) / wG4,
                         (r3 - wG3 * x_alpha) / wH3 - p.B @ Bt_x)
         b1 = r1 - wH1 * (p.A @ Bt_x)
@@ -438,10 +438,10 @@ def constraint_fold_solves(op):
         r1, r2, r3, r4 = p.split_m(r)
         x1 = (wG2 * r1 + wH2 * r2) / det
         x2 = (wG1 * r2 - wH1 * r1) / det
-        b3 = r3 - p.B @ (p.A.T @ (wH1 * x1))
+        b3 = r3 - p.B @ (p.At @ (wH1 * x1))
         x3 = p_solve(b3 + wH4 * r4 / wG4) / wH3
         x4 = np.where(by_col_xi, (r4 - wH3 * x3) / wG4,
-                      (wG3 * x3 + p.B @ (p.B.T @ (wH3 * x3)) - b3) / wH4)
+                      (wG3 * x3 + p.B @ (p.Bt @ (wH3 * x3)) - b3) / wH4)
         return np.concatenate([x1, x2, x3, x4])
 
     c = np.zeros(p.m)

@@ -6,6 +6,13 @@ and H(v) = (A B^T alpha + z; 1 - zeta; B B^T alpha - 1 + xi; C*1 - alpha),
 where A and B stack the signed validation/training rows y_i x_i^T fold by
 fold.  A B^T and B B^T are never formed densely: H and the linear maps below
 cost O(nnz(A) + nnz(B)) per application.
+
+The transposed products use the problem's A^T and B^T (MpecProblem.At and
+Bt), CSC views of A's and B's own arrays built once per problem.  Writing
+A.T at each product would build a new CSC object, with its format checks,
+every time, at several times the cost of the product kernel it feeds, and
+a KKT product takes three of them.  A prebuilt CSC matrix runs the same
+kernel on the same arrays, so every result is bit for bit that of A.T.
 """
 
 from __future__ import annotations
@@ -19,6 +26,13 @@ import scipy.sparse as sp
 
 @dataclass(frozen=True)
 class MpecProblem:
+    """The CV-MPEC's dimensions and its stacked data rows A and B.
+
+    A^T and B^T (At, Bt) are built on first use and kept, as CSC matrices
+    that share A's and B's arrays: every transposed product reuses them
+    instead of building a transpose per call (see the module docstring).
+    """
+
     T: int
     m1: int
     m2: int
@@ -73,6 +87,16 @@ class MpecProblem:
         """Split a length-m vector into the four G/H blocks."""
         n1, n2 = self.n1, self.n2
         return s[:n1], s[n1:2 * n1], s[2 * n1:2 * n1 + n2], s[2 * n1 + n2:]
+
+    @cached_property
+    def At(self):
+        """A^T, a CSC view of A's arrays built once, on first use."""
+        return self.A.T
+
+    @cached_property
+    def Bt(self):
+        """B^T, a CSC view of B's arrays built once, on first use."""
+        return self.B.T
 
     @cached_property
     def fold_index(self):
@@ -182,7 +206,7 @@ def eval_H(p, v):
     """H(v) = L^H v + b^H, computed matrix-free."""
     v = _as_vector(p, v)
     C, zeta, z, alpha, xi = p.split_v(v)
-    Bt_alpha = p.B.T @ alpha
+    Bt_alpha = p.Bt @ alpha
     return np.concatenate([
         p.A @ Bt_alpha + z,
         1.0 - zeta,
@@ -207,11 +231,11 @@ def apply_LG_T(p, s):
 def apply_LH(p, d):
     """L^H d (the linear part of H) for d of length m+1."""
     dC, dzeta, dz, dalpha, dxi = p.split_v(d)
-    Bt = p.B.T @ dalpha
+    Bt_dalpha = p.Bt @ dalpha
     return np.concatenate([
-        p.A @ Bt + dz,
+        p.A @ Bt_dalpha + dz,
         -dzeta,
-        p.B @ Bt + dxi,
+        p.B @ Bt_dalpha + dxi,
         dC - dalpha,
     ])
 
@@ -224,7 +248,7 @@ def apply_LH_T(p, s):
     n1, n2 = p.n1, p.n2
     out[1:1 + n1] = -s2
     out[1 + n1:1 + 2 * n1] = s1
-    out[1 + 2 * n1:1 + 2 * n1 + n2] = p.B @ (p.A.T @ s1) + p.B @ (p.B.T @ s3) - s4
+    out[1 + 2 * n1:1 + 2 * n1 + n2] = p.B @ (p.At @ s1) + p.B @ (p.Bt @ s3) - s4
     out[1 + 2 * n1 + n2:] = s3
     return out
 
@@ -244,8 +268,8 @@ def materialize_LH(p, max_m=4000):
     I1 = sp.identity(n1)
     I2 = sp.identity(n2)
     Z = sp.csr_matrix
-    ABt = p.A @ p.B.T
-    BBt = p.B @ p.B.T
+    ABt = p.A @ p.Bt
+    BBt = p.B @ p.Bt
     ones = np.ones((n2, 1))
     rows = [
         [Z((n1, 1)), Z((n1, n1)), I1, ABt, Z((n1, n2))],

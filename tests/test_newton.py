@@ -5,7 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import mpecsvc as M
 from mpecsvc import newton
 from mpecsvc.driver import initial_point
 from mpecsvc.kkt import KktOperator, KktPoint
@@ -89,6 +91,24 @@ class TestSubproblem:
         _, trace, status = solve_subproblem(tiny_p, 0.5, r0, cfg)
         assert status in ("max_iters", "line_search_failure")
         assert len(trace.rows) <= 2
+
+    def test_products_build_no_transpose(self, tiny_ds, tiny_plan,
+                                         monkeypatch):
+        # every transposed product reuses the problem's At and Bt, so a whole
+        # subproblem builds the two of them once, on a fresh problem
+        p = M.assemble(tiny_ds, tiny_plan)
+        builds = []
+        transpose = sp.csr_matrix.transpose
+
+        def counted(self, *args, **kwargs):
+            builds.append(self.shape)
+            return transpose(self, *args, **kwargs)
+
+        monkeypatch.setattr(sp.csr_matrix, "transpose", counted)
+        _, trace, _ = solve_subproblem(p, 0.01, initial_point(p, 1.0),
+                                       NewtonConfig(f_tol=1e-3))
+        assert {"bicgstab", "direct"} <= {row.route for row in trace.rows}
+        assert len(builds) <= 2
 
     def test_warm_start_continuation(self, tiny_p):
         # solve at eps=0.5, then warm-start eps=0.25: few iterations needed
