@@ -176,14 +176,15 @@ def _cone_direction(op):
     """Direction U spanning the critical cone null(J_v Phi), unit C component.
 
     With J_v Phi = [c | J_f] split as in kkt.constraint_fold_solves,
-    U = (1, -J_f^{-1} c), by the exact fold solves of the rank probe.  U is
-    NaN when a smoothing weight rounds to 0 and those solves do not exist.
+    U = (1, -J_f^{-1} c), J_f^{-1} by fold_solve's elimination at lambda = 0,
+    where fold t's block of J_r F_eps is [[0, -J_f^T], [-J_f, 0]].  U is NaN
+    when a fold system is singular, as when a smoothing weight rounds to 0.
     """
+    solve, _, c = constraint_fold_solves(op)
     try:
-        solve, _, c = constraint_fold_solves(op)
+        return np.concatenate([[1.0], -solve(c)])
     except SingularSystemError:
         return np.full(op.p.m + 1, np.nan)
-    return np.concatenate([[1.0], -solve(c)])
 
 
 def assumption2_value(p, r_star):

@@ -12,11 +12,11 @@ and its Jacobian
 
 is symmetric, so the merit gradient of g = 0.5*||F||^2 is J_r F applied to F.
 The applications are matrix-free through the L^G/L^H maps of the problem
-module, and the direct solves (fold_solve, constraint_fold_solves) work from
-the smoothing weights, the curvatures and the data rows.  The solver
-assembles no matrix; the assembled J_r F_eps (materialize_kkt, 245,701
-nonzeros on heart) is only the tests' reference for these products and
-solves.
+module.  Every direct solve is one elimination of the fold structure from
+the weights, the curvatures and the data rows: fold_solve, and at lambda = 0
+constraint_fold_solves.  The solver assembles no matrix; the assembled
+J_r F_eps (materialize_kkt, 245,701 nonzeros on heart) is only the tests'
+reference for these products and solves.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ import scipy.sparse as sp
 from . import problem as pb
 # bicgstab stays importable here: the benchmark's tracer wraps kkt.bicgstab.
 from .krylov import bicgstab  # noqa: F401
-from .smoothing import fb_curvature, fb_value, fb_weights
+from .smoothing import (CurvatureCoeffs, fb_curvature, fb_value,
+                        fb_weights)
 
 
 @dataclass
@@ -164,11 +165,11 @@ class SingularSystemError(RuntimeError):
 FREE_DET = 1e-2   # |det| of a point's constraint block below which it is free
 
 
-def fold_solve(op, rhs, shift=0.0):
-    """Solve (K + shift*I) x = rhs for K = J_r F_eps at op's point.
+def _fold_solves(p, wt, cv, rhs_c, shift=0.0):
+    """K_t^{-1} rhs_c for every fold t, the per-fold part of fold_solve.
 
-    K is never assembled.  Its folds couple through C alone (see
-    MpecProblem.fold_index), and fold t's block is K_t = D_t + U_t Cm U_t^T:
+    Fold t's block of K = J_r F_eps + shift*I, with the weights wt and the
+    curvatures cv, is K_t = D_t + U_t Cm U_t^T:
     - D_t is block diagonal with one 4x4 block per data point, on the
       point's unknowns (MpecProblem.point_index).  With the point's pairs a
       and b it is [[Hm, Bm], [Bm^T, 0]] with the constraint block
@@ -179,9 +180,8 @@ def fold_solve(op, rhs, shift=0.0):
       N_t w_t, with N_t = [A_t; B_t].  U1^T x = q_t = N_t^T h_a collects the
       pair-a terms of (L^H)^T h, which reach the alpha rows as B_t q_t;
     - Cm = [[0, I], [I, Q_t]] with Q_t = N_t^T diag(M^H_a) N_t.
-    The shift goes on D_t and on the diagonal entry of C.  Each fold is
-    solved by the smaller of two dense systems, both scaled symmetrically
-    to unit row maxima:
+    The shift goes on D_t.  Each fold is solved by the smaller of two dense
+    systems, both scaled symmetrically to unit row maxima:
     - lifted, of size 2n + 4k: the lifted system [[D_t, U_t],
       [U_t^T, -Cm^{-1}]] by block elimination.  Every 4x4 block is solved
       at once (np.linalg.solve, whose partial pivoting takes each unknown
@@ -200,33 +200,20 @@ def fold_solve(op, rhs, shift=0.0):
       costs O((m1+m2) n^2 + n^3);
     - dense, of size 4(m1+m2), when 2n + 4k is not smaller (many features,
       few points): K_t itself, formed from the point blocks and the Gram
-      matrix N_t N_t^T, since U_t Cm U_t^T only involves the data through
-      products of data rows.  Per fold this costs O((m1+m2)^3), and no
-      array of size n is formed, so wide data costs no more than its points.
-    Finally the 1x1 Schur complement S on C closes the solve.
-
-    The shift may be real or complex.  With shift = -i*sigma the blocks stay
-    nonsingular (each is real symmetric, so its eigenvalues theta move to
-    theta - i*sigma) and Re x = K (K^2 + sigma^2 I)^{-1} rhs, the
-    Levenberg-Marquardt solve.
-
-    Raises SingularSystemError when a point block or a dense system has an
-    exactly zero pivot, or S is zero to within the rounding error of its own
-    computation,
-    |S| <= eps_mach * kappa * (|K_CC + shift| + sum |c_t|^T |K_t^{-1} c_t|)
-    with c_t fold t's part of the column of C and kappa the largest 1-norm
-    condition number of the scaled dense systems, or is not finite.  At
-    lambda = 0, where the Hessian vanishes and K is singular, S is zero.
+      matrix N_t N_t^T (built once per problem), since U_t Cm U_t^T only
+      involves the data through products of data rows.  Per fold this
+      costs O((m1+m2)^3), and no array of size n is formed, so wide data
+      costs no more than its points.
+    rhs_c holds k right-hand sides on each point's four unknowns, shape
+    (T, m1+m2, 4, k).  Returns the solutions, shaped like rhs_c, and the
+    largest 1-norm condition number of the scaled dense systems.
     """
-    p = op.p
     pos, rows = p.point_index
-    rhs = np.asarray(rhs)
-    dtype = np.result_type(rhs.dtype, shift, float)
+    dtype = np.result_type(rhs_c.dtype, shift, float)
     T, P = pos.shape[:2]
     n = p.n
     train = np.arange(P) >= p.m1
     a, b = pos[..., 0] - 1, pos[..., 1] - 1        # the pairs, positions in G
-    wt, cv = op.weights, op.curvature
     wGa, wGb, wHa, wHb = wt.wG[a], wt.wG[b], wt.wH[a], wt.wH[b]
     mHa, mHb, mXa, mXb = cv.mH[a], cv.mH[b], cv.mGH[a], cv.mGH[b]
     zero = np.zeros_like(wGa)
@@ -243,14 +230,12 @@ def fold_solve(op, rhs, shift=0.0):
     factors = np.stack([np.stack([mXa, mHa, -wHa, zero], axis=-1),
                         np.stack([train + zero, zero, zero, zero], axis=-1)],
                        axis=2)                                 # (T, P, 2, 4)
-    c_col = np.stack([-mHb, mXb, zero, -wHb], axis=-1) * train[:, None]
     det = np.abs(wGa * wGb + wHa * wHb)
     free = np.zeros(det.shape, dtype=bool)
     np.put_along_axis(free, np.argsort(det, axis=1)[:, :2 * n], True, axis=1)
     free &= det < FREE_DET
-    rhs_c = np.stack([rhs[pos], c_col], axis=-1)               # (T, P, 4, 2)
     lifted = 2 * n + 4 * free.sum(axis=1) < 4 * P
-    y = np.empty((T, P, 4, 2), dtype=dtype)       # K_t^{-1} [rhs_t, c_t]
+    y = np.empty(rhs_c.shape, dtype=dtype)
     kappa = 1.0
     if lifted.any():
         try:
@@ -266,16 +251,51 @@ def fold_solve(op, rhs, shift=0.0):
                                                rhs_c[t])
             kappa = max(kappa, kappa_t)
     for t in np.flatnonzero(~lifted):
-        y[t], kappa_t = _dense_fold_solve(D[t], factors[t], rows[t], mHa[t],
-                                          rhs_c[t])
+        y[t], kappa_t = _dense_fold_solve(D[t], factors[t], p.fold_gram(t),
+                                          mHa[t], rhs_c[t])
         kappa = max(kappa, kappa_t)
+    return y, kappa
+
+
+def fold_solve(op, rhs, shift=0.0):
+    """Solve (K + shift*I) x = rhs for K = J_r F_eps at op's point.
+
+    K is never assembled.  Its folds couple through C alone (see
+    MpecProblem.fold_index): _fold_solves applies each fold block's inverse
+    and the 1x1 Schur complement S on C closes the solve.
+
+    The shift goes on the diagonal, C's entry included, and may be real or
+    complex.  With shift = -i*sigma the blocks stay
+    nonsingular (each is real symmetric, so its eigenvalues theta move to
+    theta - i*sigma) and Re x = K (K^2 + sigma^2 I)^{-1} rhs, the
+    Levenberg-Marquardt solve.
+
+    Raises SingularSystemError when a point block or a dense system has an
+    exactly zero pivot, or S is zero to within the rounding error of its own
+    computation,
+    |S| <= eps_mach * kappa * (|K_CC + shift| + sum |c_t|^T |K_t^{-1} c_t|)
+    with c_t fold t's part of the column of C and kappa the largest 1-norm
+    condition number of the scaled dense systems, or is not finite.  At
+    lambda = 0, where the Hessian vanishes and K is singular, S is zero.
+    """
+    p = op.p
+    pos, _ = p.point_index
+    rhs = np.asarray(rhs)
+    train = np.arange(pos.shape[1]) >= p.m1
+    b = pos[..., 1] - 1                          # pair b, its position in G
+    wHb, mHb, mXb = op.weights.wH[b], op.curvature.mH[b], op.curvature.mGH[b]
+    c_col = np.stack([-mHb, mXb, np.zeros_like(mHb), -wHb],
+                     axis=-1) * train[:, None]
+    # K_t^{-1} [rhs_t, c_t]
+    y, kappa = _fold_solves(p, op.weights, op.curvature,
+                            np.stack([rhs[pos], c_col], axis=-1), shift)
     K_CC = np.sum(mHb[:, train]) + shift
     S = K_CC - np.sum(c_col * y[..., 1])
     S_scale = abs(K_CC) + np.sum(np.abs(c_col) * np.abs(y[..., 1]))
     if not (np.isfinite(S)
             and abs(S) > np.finfo(float).eps * kappa * S_scale):
         raise SingularSystemError("Schur complement zero to rounding")
-    x = np.empty(rhs.shape, dtype=dtype)
+    x = np.empty(rhs.shape, dtype=y.dtype)
     x[0] = (rhs[0] - np.sum(c_col * y[..., 0])) / S
     x[pos] = y[..., 0] - y[..., 1] * x[0]
     return x
@@ -288,7 +308,7 @@ def _lifted_fold_solve(D, free, X, factors, N, mHa, rhs_c):
     the fold's dense data rows.  Returns the solution, shaped like rhs_c,
     and the condition number of the scaled dense system.
     """
-    n = N.shape[1]
+    n, ncol = N.shape[1], rhs_c.shape[-1]
     g, f = ~free, free
     k = int(f.sum())
     Ng, Xg, Fg = N[g], X[g], factors[g]
@@ -306,27 +326,26 @@ def _lifted_fold_solve(D, free, X, factors, N, mHa, rhs_c):
     M[4 * k:, :4 * k] = M[:4 * k, 4 * k:].T
     M[4 * k:, 4 * k:] = (np.block([[Q, -eye], [-eye, np.zeros((n, n))]])
                          - low.reshape(2 * n, 2 * n))
-    r = np.concatenate([rhs_c[f].reshape(4 * k, 2),
-                        -low_r.reshape(2 * n, 2)])
+    r = np.concatenate([rhs_c[f].reshape(4 * k, ncol),
+                        -low_r.reshape(2 * n, ncol)])
     sol, kappa = _scaled_solve(M, r)
-    back = np.einsum("pj,ajc->pac", Ng, sol[4 * k:].reshape(2, n, 2))
+    back = np.einsum("pj,ajc->pac", Ng, sol[4 * k:].reshape(2, n, ncol))
     y = np.empty(rhs_c.shape, dtype=D.dtype)
     y[g] = Xg[..., 2:] - np.einsum("pia,pac->pic", Xg[..., :2], back)
-    y[f] = sol[:4 * k].reshape(k, 4, 2)
+    y[f] = sol[:4 * k].reshape(k, 4, ncol)
     return y, kappa
 
 
-def _dense_fold_solve(D, factors, N, mHa, rhs_c):
+def _dense_fold_solve(D, factors, gram, mHa, rhs_c):
     """K_t^{-1} rhs_c for one fold with K_t formed densely (fold_solve).
 
-    With G = N N^T, U_t Cm U_t^T couples points p and q by
+    With the fold's Gram matrix G = N_t N_t^T (MpecProblem.fold_gram),
+    U_t Cm U_t^T couples points p and q by
     f1_p G_pq f2_q^T + f2_p G_pq f1_q^T + f2_p (G diag(M^H_a) G)_pq f2_q^T,
-    f1 and f2 being the point factors of U1 and U2; N stays sparse.
-    Returns the solution, shaped like rhs_c, and the condition number of
-    the scaled K_t.
+    f1 and f2 being the point factors of U1 and U2.  Returns the solution,
+    shaped like rhs_c, and the condition number of the scaled K_t.
     """
     P = D.shape[0]
-    gram = (N @ N.T).toarray()
     f1, f2 = factors[:, 0], factors[:, 1]
     cross = np.einsum("pi,pq,qj->piqj", f1, gram, f2)
     K = (cross + cross.transpose(2, 3, 0, 1)
@@ -335,7 +354,7 @@ def _dense_fold_solve(D, factors, N, mHa, rhs_c):
     at = np.arange(P)
     K[at, :, at, :] += D
     sol, kappa = _scaled_solve(K.reshape(4 * P, 4 * P),
-                               rhs_c.reshape(4 * P, 2))
+                               rhs_c.reshape(4 * P, -1))
     return sol.reshape(rhs_c.shape), kappa
 
 
@@ -378,74 +397,39 @@ def constraint_fold_solves(op):
 
     J = [c | J_f]: the column of C is c = w^H on the xi-pair rows, the only
     entries coupling two folds, and J_f is block diagonal over the folds.
-    With fold t's rows and columns ordered (zeta, z, alpha, xi), its block is
-    block upper triangular: m1 independent 2x2 (zeta_i, z_i) blocks with
-    determinant w^G_1 w^G_2 + w^H_1 w^H_2 > 0, over an (alpha, xi) block
-    whose diagonal xi part eliminates to S_t = diag(w^H_3) P_t with the SPD
-    P_t = diag(w^G_3/w^H_3 + w^H_4/w^G_4) + B_t B_t^T, m2 x m2.  The weights
-    lie in (0, 2) for eps > 0, so every block is nonsingular; a weight that
-    rounds to 0 raises SingularSystemError instead.  Each P_t is
-    built from the fold's own rows of B, scaled symmetrically to a unit
-    diagonal and inverted once; a solve with J_f or J_f^T then costs T
-    products with the m2 x m2 inverses and a few products with A and B.
-    Returns (solve, solve_t, c) with solve(r) = J_f^{-1} r and
-    solve_t(r) = J_f^{-T} r.
-
-    Near a strictly complementary point one weight of each pair vanishes
-    like eps^2, and the diagonal of P_t spans some 25 orders of magnitude at
-    eps = 1e-6; without the scaling, or with xi always taken from the xi-pair
-    row (which divides by w^G_4), a solve at heart's final point keeps only
-    about 4 digits.
+    At lambda = 0 the Hessian vanishes and fold t's block of J_r F_eps is
+    [[0, -J_f^T], [-J_f, 0]], so fold_solve's per-fold elimination
+    (_fold_solves, without the closure on C that is singular there) with
+    op's weights and zero curvature applies J_f^{-1} and J_f^{-T} exactly,
+    at the O(m) cost of a Newton step.  Returns (solve, solve_t, c) with
+    solve(r) = J_f^{-1} r and solve_t(r) = J_f^{-T} r.  A solve raises
+    SingularSystemError when a fold system has an exactly zero pivot, as
+    when the weights of a point round to 0.
     """
-    p = op.p
-    T, m2, n = p.T, p.m2, p.n
-    if not (np.all(op.weights.wG > 0) and np.all(op.weights.wH > 0)):
-        raise SingularSystemError("a smoothing weight rounds to 0")
-    wG1, wG2, wG3, wG4 = p.split_m(op.weights.wG)
-    wH1, wH2, wH3, wH4 = p.split_m(op.weights.wH)
-    det = wG1 * wG2 + wH1 * wH2
-    diag = wG3 / wH3 + wH4 / wG4
-    # xi (in solve_t, its multiplier) follows from the alpha-pair or the
-    # xi-pair equation; take the one with the larger divisor
-    by_row4, by_col_xi = wG4 >= wH3, wG4 >= wH4
-    P_inv = np.empty((T, m2, m2))
-    scale = np.empty(T * m2)
-    for t in range(T):
-        rows = slice(t * m2, (t + 1) * m2)
-        Bt = p.B[rows, t * n:(t + 1) * n].toarray()
-        P = Bt @ Bt.T
-        P[np.diag_indices(m2)] += diag[rows]
-        scale[rows] = 1.0 / np.sqrt(np.diag(P))
-        P_inv[t] = np.linalg.inv(scale[rows, None] * P * scale[rows])
+    p, wt = op.p, op.weights
+    pos, _ = p.point_index
+    nv = p.m + 1
+    zero = np.zeros(p.m)
+    no_curvature = CurvatureCoeffs(mG=zero, mH=zero, mGH=zero)
 
-    def p_solve(x):
-        y = np.matmul(P_inv, (scale * x).reshape(T, m2, 1)).ravel()
-        return scale * y
+    def fold_solution(r, at):
+        # the fold blocks map (y_v; y_l) to (-J_f^T y_l; -J_f y_v)
+        x = np.zeros(nv + p.m)
+        x[at] = r
+        y, _ = _fold_solves(p, wt, no_curvature, x[pos][..., None])
+        x[pos] = y[..., 0]
+        return x
 
     def solve(r):
         """J_f^{-1} r; r is indexed by the pairs, the result like G."""
-        r1, r2, r3, r4 = p.split_m(r)
-        x_alpha = p_solve(r3 / wH3 - r4 / wG4)
-        Bt_x = p.Bt @ x_alpha
-        x_xi = np.where(by_row4, (r4 + wH4 * x_alpha) / wG4,
-                        (r3 - wG3 * x_alpha) / wH3 - p.B @ Bt_x)
-        b1 = r1 - wH1 * (p.A @ Bt_x)
-        return np.concatenate([(wG2 * b1 - wH1 * r2) / det,
-                               (wH2 * b1 + wG1 * r2) / det, x_alpha, x_xi])
+        return -fold_solution(r, slice(nv, None))[1:nv]
 
     def solve_t(r):
         """J_f^{-T} r; r is indexed like G, the result by the pairs."""
-        r1, r2, r3, r4 = p.split_m(r)
-        x1 = (wG2 * r1 + wH2 * r2) / det
-        x2 = (wG1 * r2 - wH1 * r1) / det
-        b3 = r3 - p.B @ (p.At @ (wH1 * x1))
-        x3 = p_solve(b3 + wH4 * r4 / wG4) / wH3
-        x4 = np.where(by_col_xi, (r4 - wH3 * x3) / wG4,
-                      (wG3 * x3 + p.B @ (p.Bt @ (wH3 * x3)) - b3) / wH4)
-        return np.concatenate([x1, x2, x3, x4])
+        return -fold_solution(r, slice(1, nv))[nv:]
 
     c = np.zeros(p.m)
-    c[p.m - p.n2:] = wH4
+    c[p.m - p.n2:] = wt.wH[p.m - p.n2:]
     return solve, solve_t, c
 
 
@@ -454,7 +438,8 @@ def jjt_inverse(op):
 
     With J = [c | J_f] as in constraint_fold_solves, (J J^T)^{-1} =
     (J_f J_f^T + c c^T)^{-1} follows from J_f^{-T} J_f^{-1} by
-    Sherman-Morrison, whose denominator is >= 1.
+    Sherman-Morrison, whose denominator is >= 1.  An application costs two
+    fold eliminations at lambda = 0; a singular fold system raises.
     """
     solve, solve_t, c = constraint_fold_solves(op)
     g = solve_t(solve(c))
@@ -482,9 +467,10 @@ def licq_probe(p, v, eps, max_iters=50, tol=1e-10, seed=0):
     tol * theta, or the Krylov space is invariant (at the latest when it
     is the whole space, after m steps).  Returns (sigma,
     iterations, converged); without convergence within min(max_iters, m)
-    steps sigma is the last estimate and converged is False.  When
-    jjt_inverse cannot be built, or a solve is not finite, sigma is the last
-    estimate (NaN before the first) and converged is False.
+    steps sigma is the last estimate and converged is False.  When a fold
+    system is singular (jjt_inverse raises), or a solve is not finite,
+    sigma is the last estimate (NaN before the first) and converged is
+    False.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")

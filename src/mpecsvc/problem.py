@@ -145,6 +145,18 @@ class MpecProblem:
             for t in range(T))
         return pos, rows
 
+    @cached_property
+    def _fold_grams(self):
+        return {}
+
+    def fold_gram(self, t):
+        """Dense N_t N_t^T of fold t's rows (point_index), built on first
+        use: only folds that fold_solve forms densely need it."""
+        if t not in self._fold_grams:
+            N = self.point_index[1][t]
+            self._fold_grams[t] = (N @ N.T).toarray()
+        return self._fold_grams[t]
+
 
 @dataclass(frozen=True)
 class PrimalPoint:

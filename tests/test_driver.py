@@ -1,5 +1,6 @@
 """Outer smoothing loop, post-processing, and diagnostics."""
 
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -12,8 +13,10 @@ from mpecsvc.driver import (OuterConfig, classify_index_sets, cv_error,
                             eps_schedule, initial_point, near_zero_margins,
                             postprocess, run_smoothing)
 from mpecsvc.driver import test_error as holdout_error
-from mpecsvc.kkt import KktOperator, KktPoint
+from mpecsvc.kkt import KktOperator, KktPoint, fold_solve
 from mpecsvc.newton import NewtonConfig
+
+from conftest import random_kkt_point
 
 
 class TestSchedule:
@@ -220,6 +223,31 @@ class TestDiagnostics:
         fd = (_curve_slope(tiny_p, r, r.v[0] + h)
               - _curve_slope(tiny_p, r, r.v[0] - h)) / (2 * h)
         assert fd == pytest.approx(diag["A2_cone"], rel=1e-4)
+
+    def test_assumption2_cone_is_inverse_schur_complement(
+            self, tiny_p, tiny_final_point):
+        # K x = e_C forces x_v = x_C U (the multiplier rows say J x_v = 0)
+        # and x_C U^T hess U = 1 (U^T times the v rows), so A2_cone = 1/x_C
+        diag = M.assumption2_value(tiny_p, tiny_final_point)
+        e_C = np.zeros(2 * tiny_p.m + 1)
+        e_C[0] = 1.0
+        x = fold_solve(KktOperator(tiny_p, tiny_final_point), e_C)
+        assert diag["A2_cone"] == pytest.approx(1.0 / x[0], rel=1e-10)
+
+    def test_assumption2_memory_is_bounded_by_the_points(self, large_p):
+        # the three 446 x 446 inverses of an m2 x m2 elimination alone took
+        # 4.8 MB on this instance (m = 4014)
+        p = large_p
+        r = random_kkt_point(p, 1e-2, seed=80)
+        p.point_index, p.At, p.Bt
+        tracemalloc.start()
+        try:
+            diag = M.assumption2_value(p, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(diag["A2_cone"])
+        assert peak < 4.8e6
 
     def test_near_zero_margins_flags(self, tiny_ds, tiny_plan, tiny_p):
         flagged = near_zero_margins(tiny_p, tiny_ds, tiny_plan, np.zeros(4),

@@ -171,6 +171,26 @@ def complementary_weights_operator(p, rng):
     return op
 
 
+def constraint_fold_systems(op, rng):
+    """(A, x, b) with A x = b for solve(r), solve_t(r) and solve(c)."""
+    solve, solve_t, c = constraint_fold_solves(op)
+    if op.p.m > 4000:
+        J_f = matrix_free_fold_jacobian(op)
+    else:
+        J_f = op.materialize_jacobian()[:, 1:]
+    r = rng.standard_normal(op.p.m)
+    return [(J_f, solve(r), r), (J_f.T, solve_t(r), r), (J_f, solve(c), c)]
+
+
+def matrix_free_fold_jacobian(op):
+    """J_f = (J_v Phi)[:, 1:] as a LinearOperator on jac_apply/jac_t_apply."""
+    m = op.p.m
+    return spla.LinearOperator(
+        (m, m), dtype=float,
+        matvec=lambda x: op.jac_apply(np.concatenate([[0.0], np.ravel(x)])),
+        rmatvec=lambda y: op.jac_t_apply(np.ravel(y))[1:])
+
+
 class TestLicq:
     def test_probe_matches_dense_svd(self, micro_p):
         rng = np.random.default_rng(8)
@@ -218,6 +238,38 @@ class TestLicq:
         for r in (c, rng.standard_normal(p.m)):
             for A, x in ((J_f, solve(r)), (J_f.T, solve_t(r))):
                 assert np.linalg.norm(A @ x - r) <= 1e-12 * np.linalg.norm(r)
+
+    @pytest.mark.parametrize("name", ["tiny_p", "heart_p", "wide_p"])
+    def test_constraint_fold_solves_have_small_residuals(self, name, request):
+        # J_f^{-1} and J_f^{-T} by fold_solve's per-fold elimination at
+        # lambda = 0; wide_p's folds take the dense path
+        p = request.getfixturevalue(name)
+        rng = np.random.default_rng(16)
+        for eps in (1.0, 1e-2, 1e-4):
+            v = np.abs(rng.standard_normal(p.m + 1)) + 0.1
+            op = KktOperator(p, KktPoint(v=v, lam=np.zeros(p.m), eps=eps))
+            for A, x, b in constraint_fold_systems(op, rng):
+                assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_constraint_fold_solves_are_backward_stable_beyond_the_guard(
+            self, large_p):
+        # m > 4000: J_f is applied matrix-free, through jac_apply and
+        # jac_t_apply.  At eps = 1e-4 the solutions are 1e4 times longer
+        # than the right-hand side and ||J_f|| is about 400, so rounding
+        # alone takes the relative residual past 1e-12 (to 8e-12 over seeds
+        # 16-18); the normwise backward error
+        # ||J_f x - b|| / (||J_f|| ||x|| + ||b||) stays below 1e-16
+        p = large_p
+        rng = np.random.default_rng(16)
+        for eps in (1.0, 1e-2, 1e-4):
+            v = np.abs(rng.standard_normal(p.m + 1)) + 0.1
+            op = KktOperator(p, KktPoint(v=v, lam=np.zeros(p.m), eps=eps))
+            norm_J = spla.svds(matrix_free_fold_jacobian(op), k=1,
+                               return_singular_vectors=False,
+                               random_state=0)[0]
+            for A, x, b in constraint_fold_systems(op, rng):
+                assert np.linalg.norm(A @ x - b) <= 1e-15 * (
+                    norm_J * np.linalg.norm(x) + np.linalg.norm(b))
 
     def test_probe_positive_interior(self, tiny_p):
         rng = np.random.default_rng(9)
@@ -496,6 +548,26 @@ class TestFoldSolve:
         assert peak < 2**20
         check_against_oracles(op, rhs, shift=-0.1j)
         assert np.all(np.isfinite(x))
+
+    def test_dense_folds_build_their_gram_once(self, monkeypatch):
+        # wide_p's generator: every fold takes the dense path, whose Gram
+        # matrix N_t N_t^T is built on the first solve and then reused
+        ds = make_tiny_dataset(n_points=100, n_features=300, seed=5)
+        p = M.assemble(ds, M.make_split(ds, p1=60, T=3, seed=0))
+        op = KktOperator(p, random_kkt_point(p, 1e-2, seed=60))
+        op.curvature
+        transpose = sp.csr_matrix.transpose
+        calls = []
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.shape)
+            return transpose(self, *args, **kwargs)
+
+        monkeypatch.setattr(sp.csr_matrix, "transpose", counting)
+        rhs = np.random.default_rng(61).standard_normal(2 * p.m + 1)
+        for shift in (0.0, 0.5, -0.1j, 0.0):
+            fold_solve(op, rhs, shift=shift)
+        assert len(calls) == p.T
 
     @pytest.mark.parametrize("name", ["tiny_p", "wide_p"])
     def test_zero_weights_at_a_point_are_singular(self, name, request):

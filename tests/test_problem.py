@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import mpecsvc as M
 from mpecsvc import problem as pb
-from mpecsvc.kkt import KktOperator, KktPoint, constraint_fold_solves
+from mpecsvc.kkt import KktOperator, KktPoint
 
 
 def dense_LG(p):
@@ -134,9 +134,9 @@ def spread(rng, k):
     return rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-8.0, 8.0, k)
 
 
-# The formulas of the maps and solves with a transpose built at each
-# product.  The prebuilt At and Bt must reproduce them bit for bit: heart's
-# trajectory rests on the rounding of these products.
+# The formulas of the maps with a transpose built at each product.  The
+# prebuilt At and Bt must reproduce them bit for bit: heart's trajectory
+# rests on the rounding of these products.
 
 def per_call_eval_H(p, v):
     C, zeta, z, alpha, xi = p.split_v(v)
@@ -170,50 +170,6 @@ def per_call_kkt_apply(op, d):
                            -(wt.wG * u + wt.wH * w)])
 
 
-def per_call_fold_solves(op):
-    p = op.p
-    T, m2, n = p.T, p.m2, p.n
-    wG1, wG2, wG3, wG4 = p.split_m(op.weights.wG)
-    wH1, wH2, wH3, wH4 = p.split_m(op.weights.wH)
-    det = wG1 * wG2 + wH1 * wH2
-    diag = wG3 / wH3 + wH4 / wG4
-    by_row4, by_col_xi = wG4 >= wH3, wG4 >= wH4
-    P_inv = np.empty((T, m2, m2))
-    scale = np.empty(T * m2)
-    for t in range(T):
-        rows = slice(t * m2, (t + 1) * m2)
-        B_t = p.B[rows, t * n:(t + 1) * n].toarray()
-        P = B_t @ B_t.T
-        P[np.diag_indices(m2)] += diag[rows]
-        scale[rows] = 1.0 / np.sqrt(np.diag(P))
-        P_inv[t] = np.linalg.inv(scale[rows, None] * P * scale[rows])
-
-    def p_solve(x):
-        return scale * np.matmul(P_inv, (scale * x).reshape(T, m2, 1)).ravel()
-
-    def solve(r):
-        r1, r2, r3, r4 = p.split_m(r)
-        x_alpha = p_solve(r3 / wH3 - r4 / wG4)
-        Bt_x = p.B.T @ x_alpha
-        x_xi = np.where(by_row4, (r4 + wH4 * x_alpha) / wG4,
-                        (r3 - wG3 * x_alpha) / wH3 - p.B @ Bt_x)
-        b1 = r1 - wH1 * (p.A @ Bt_x)
-        return np.concatenate([(wG2 * b1 - wH1 * r2) / det,
-                               (wH2 * b1 + wG1 * r2) / det, x_alpha, x_xi])
-
-    def solve_t(r):
-        r1, r2, r3, r4 = p.split_m(r)
-        x1 = (wG2 * r1 + wH2 * r2) / det
-        x2 = (wG1 * r2 - wH1 * r1) / det
-        b3 = r3 - p.B @ (p.A.T @ (wH1 * x1))
-        x3 = p_solve(b3 + wH4 * r4 / wG4) / wH3
-        x4 = np.where(by_col_xi, (r4 - wH3 * x3) / wG4,
-                      (wG3 * x3 + p.B @ (p.B.T @ (wH3 * x3)) - b3) / wH4)
-        return np.concatenate([x1, x2, x3, x4])
-
-    return solve, solve_t
-
-
 class TestPrebuiltTransposes:
     def test_built_once_on_the_arrays_of_A_and_B(self, tiny_p):
         p = tiny_p
@@ -235,21 +191,6 @@ class TestPrebuiltTransposes:
             op = KktOperator(p, KktPoint(v=v, lam=spread(rng, p.m), eps=0.5))
             d = spread(rng, 2 * p.m + 1)
             assert np.array_equal(op.kkt_apply(d), per_call_kkt_apply(op, d))
-
-    @pytest.mark.parametrize("name", ["tiny_p", "heart_p", "wide_p"])
-    def test_fold_solves_match_per_call_transposes_bit_for_bit(self, name,
-                                                               request):
-        # a point of moderate size keeps every smoothing weight positive
-        p = request.getfixturevalue(name)
-        rng = np.random.default_rng(9)
-        op = KktOperator(p, KktPoint(v=rng.standard_normal(p.m + 1),
-                                     lam=spread(rng, p.m), eps=0.5))
-        solve, solve_t, _ = constraint_fold_solves(op)
-        ref_solve, ref_solve_t = per_call_fold_solves(op)
-        for _ in range(3):
-            r = spread(rng, p.m)
-            assert np.array_equal(solve(r), ref_solve(r))
-            assert np.array_equal(solve_t(r), ref_solve_t(r))
 
 
 class TestPrimalPoint:
