@@ -12,11 +12,15 @@ and its Jacobian
 
 is symmetric, so the merit gradient of g = 0.5*||F||^2 is J_r F applied to F.
 The applications are matrix-free through the L^G/L^H maps of the problem
-module.  Every direct solve is one elimination of the fold structure from
-the weights, the curvatures and the data rows: fold_solve, and at lambda = 0
-constraint_fold_solves.  The solver assembles no matrix; the assembled
-J_r F_eps (materialize_kkt, 245,701 nonzeros on heart) is only the tests'
-reference for these products and solves.
+module.  KktOperator.kkt_apply, the product BiCGStab runs on, keeps its
+intermediate vectors in a work area of the operator, and its sparse
+products run on scipy's compiled kernels (problem._matvec); it rounds
+every operation as the plain formula does.  Every direct solve is one
+elimination of the fold structure from the weights, the curvatures and
+the data rows: fold_solve, and at lambda = 0 constraint_fold_solves.  The
+solver assembles no matrix; the assembled J_r F_eps (materialize_kkt,
+245,701 nonzeros on heart) is only the tests' reference for these
+products and solves.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ class KktOperator:
         self.H = pb.eval_H(p, self.v)
         self.weights = fb_weights(self.G, self.H, self.eps)
         self._curv = None
+        self._work = None     # kkt_apply's buffers, allocated on first use
 
     @property
     def curvature(self):
@@ -117,20 +122,42 @@ class KktOperator:
         g = M^G u + M^GH w - W^G dl and h = M^GH u + M^H w - W^H dl, so the
         Hessian and the Jacobian share one product with L^H and one with
         (L^H)^T.
+
+        w, g, h and a temporary live in a work area of four length-m
+        vectors, allocated at the first call and kept by the operator, so
+        kkt_apply is not re-entrant: a call must return before the next
+        starts on the same operator.  The result is written straight into
+        a new array, which shares no memory with the work area or with
+        earlier results.  Every operation is that of the formula above, in
+        its order, so the result is bit for bit the formula's.
         """
+        p = self.p
         d = np.asarray(d, dtype=float)
-        nv = self.p.m + 1
-        if d.shape != (nv + self.p.m,):
-            raise ValueError(f"expected length {nv + self.p.m}, got {d.shape}")
+        nv = p.m + 1
+        if d.shape != (nv + p.m,):
+            raise ValueError(f"expected length {nv + p.m}, got {d.shape}")
+        if self._work is None:
+            self._work = np.empty((4, p.m))
+        w, g, h, tmp = self._work
         dv, dl = d[:nv], d[nv:]
         wt, c = self.weights, self.curvature
-        u = pb.apply_LG(self.p, dv)
-        w = pb.apply_LH(self.p, dv)
-        return np.concatenate([
-            pb.apply_LG_T(self.p, c.mG * u + c.mGH * w - wt.wG * dl)
-            + pb.apply_LH_T(self.p, c.mGH * u + c.mH * w - wt.wH * dl),
-            -(wt.wG * u + wt.wH * w),
-        ])
+        u = pb.apply_LG(p, dv)
+        pb.apply_LH(p, dv, out=w)
+        np.multiply(c.mG, u, out=g)
+        g += np.multiply(c.mGH, w, out=tmp)
+        g -= np.multiply(wt.wG, dl, out=tmp)
+        np.multiply(c.mGH, u, out=h)
+        h += np.multiply(c.mH, w, out=tmp)
+        h -= np.multiply(wt.wH, dl, out=tmp)
+        out = np.empty(nv + p.m)
+        # (L^G)^T g + (L^H)^T h, where (L^G)^T g = (0; g)
+        out_v = pb.apply_LH_T(p, h, out=out[:nv])
+        out_v[0] = 0.0 + out_v[0]
+        np.add(g, out_v[1:], out=out_v[1:])
+        out_l = np.multiply(wt.wG, u, out=out[nv:])
+        out_l += np.multiply(wt.wH, w, out=tmp)
+        np.negative(out_l, out=out_l)
+        return out
 
     def materialize_kkt(self):
         """Assembled sparse J_r F_eps, the same operator as kkt_apply.

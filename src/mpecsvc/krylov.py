@@ -3,10 +3,17 @@
 Deterministic by construction: the shadow residual is fixed to the initial
 residual.  Breakdown never raises; the best iterate seen is returned with a
 status the caller can act on.
+
+The iterate, the residuals and the search direction are updated in place,
+in preallocated vectors, and the norms are np.linalg.norm's formula for a
+real vector, sqrt(x . x): every value is rounded as in the textbook
+expressions written in the comments, so the iterates are bit for bit
+theirs, with no temporary vector per update.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,20 +43,29 @@ class KrylovResult:
     status: str            # converged | max_iters | breakdown | stalled | degraded
 
 
+def _norm(x):
+    """||x||_2 by np.linalg.norm's formula for a real vector, sqrt(x . x)."""
+    return math.sqrt(np.dot(x, x))
+
+
 def bicgstab(apply, rhs, x0=None, cfg=None):
-    """Solve apply(x) = rhs."""
+    """Solve apply(x) = rhs.
+
+    apply may return its argument, but not an array that a later call
+    overwrites: the recursion keeps v across the call that gives t.
+    """
     cfg = cfg or KrylovConfig()
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.shape[0]
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     max_iters = cfg.max_iters if cfg.max_iters is not None else 10 * n
 
-    norm_b = np.linalg.norm(rhs)
+    norm_b = _norm(rhs)
     target = max(cfg.rel_tol * norm_b, cfg.abs_tol)
 
     r = rhs - apply(x)
     r_hat = r.copy()
-    norm_r = np.linalg.norm(r)
+    norm_r = _norm(r)
     best_x, best_norm = x.copy(), norm_r
     if norm_r <= target:
         return KrylovResult(x=x, residual_norm=norm_r, iterations=0,
@@ -58,6 +74,8 @@ def bicgstab(apply, rhs, x0=None, cfg=None):
     rho = alpha = omega = 1.0
     vv = np.zeros(n)
     pp = np.zeros(n)
+    s = np.empty(n)
+    tmp = np.empty(n)
     status = "max_iters"
     k = 0
     since_improved = 0
@@ -71,17 +89,19 @@ def bicgstab(apply, rhs, x0=None, cfg=None):
             break
         beta = (rho_new / rho) * (alpha / omega)
         rho = rho_new
-        pp = r + beta * (pp - omega * vv)
+        # pp = r + beta * (pp - omega * vv)
+        pp -= np.multiply(omega, vv, out=tmp)
+        np.add(r, np.multiply(beta, pp, out=pp), out=pp)
         vv = apply(pp)
         denom = float(np.dot(r_hat, vv))
         if abs(denom) < BREAKDOWN_EPS:
             status = "breakdown"
             break
         alpha = rho / denom
-        s = r - alpha * vv
-        norm_s = np.linalg.norm(s)
+        np.subtract(r, np.multiply(alpha, vv, out=s), out=s)
+        norm_s = _norm(s)
         if norm_s <= target:
-            x = x + alpha * pp
+            x += np.multiply(alpha, pp, out=tmp)
             norm_r = norm_s
             if norm_r < best_norm:
                 best_x, best_norm = x.copy(), norm_r
@@ -96,9 +116,11 @@ def bicgstab(apply, rhs, x0=None, cfg=None):
         if abs(omega) < BREAKDOWN_EPS:
             status = "breakdown"
             break
-        x = x + alpha * pp + omega * s
-        r = s - omega * t
-        norm_r = np.linalg.norm(r)
+        # x = x + alpha * pp + omega * s;  r = s - omega * t
+        x += np.multiply(alpha, pp, out=tmp)
+        x += np.multiply(omega, s, out=tmp)
+        np.subtract(s, np.multiply(omega, t, out=tmp), out=r)
+        norm_r = _norm(r)
         if norm_r < 0.999 * best_norm:
             since_improved = 0
         else:
@@ -111,7 +133,7 @@ def bicgstab(apply, rhs, x0=None, cfg=None):
 
     if status != "converged":
         x = best_x
-    true_res = float(np.linalg.norm(apply(x) - rhs))
+    true_res = _norm(apply(x) - rhs)
     if status == "converged" and true_res > max(target, 1e-8 * norm_b):
         # recursive residual drifted away from the true one
         status = "degraded"

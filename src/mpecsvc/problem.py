@@ -8,11 +8,13 @@ fold.  A B^T and B B^T are never formed densely: H and the linear maps below
 cost O(nnz(A) + nnz(B)) per application.
 
 The transposed products use the problem's A^T and B^T (MpecProblem.At and
-Bt), CSC views of A's and B's own arrays built once per problem.  Writing
-A.T at each product would build a new CSC object, with its format checks,
-every time, at several times the cost of the product kernel it feeds, and
-a KKT product takes three of them.  A prebuilt CSC matrix runs the same
-kernel on the same arrays, so every result is bit for bit that of A.T.
+Bt), CSC views of A's and B's own arrays built once per problem.  Every
+product with A, B, At or Bt calls scipy's compiled kernel, csr_matvec or
+csc_matvec, through _matvec, into a zeroed float64 output.  That kernel is
+what scipy's `@` runs after its dispatch, so the results are bit for bit
+those of `@`, without the dispatch and its temporaries, and apply_LH and
+apply_LH_T can write into a caller's buffer (out=).  A KKT product takes
+seven such products, thousands of times per subproblem.
 """
 
 from __future__ import annotations
@@ -22,6 +24,34 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
+
+_KERNELS = {"csr": _sparsetools.csr_matvec, "csc": _sparsetools.csc_matvec}
+
+
+def _matvec(M, x, out=None):
+    """M @ x by scipy's compiled kernel, into out (zeroed first) or a new
+    vector; returns the output.
+
+    M is a CSR or CSC matrix with float64 data, x a float64 vector of
+    length M.shape[1] and out a float64 vector of length M.shape[0] that
+    does not overlap x.  The kernel adds each entry's products to the
+    output in stored order, as `@` does into a new zero vector, so the
+    result is bit for bit M @ x.  Any other dtype or length raises
+    ValueError: the kernel would cast the data or read past x instead.
+    """
+    nrow, ncol = M.shape
+    if out is None:
+        out = np.empty(nrow)
+    if not (M.data.dtype == x.dtype == out.dtype == np.float64
+            and x.shape == (ncol,) and out.shape == (nrow,)):
+        raise ValueError(f"_matvec needs float64 data, x of length {ncol} "
+                         f"and out of length {nrow}, got {M.data.dtype} "
+                         f"data, x {x.dtype} {x.shape}, out {out.dtype} "
+                         f"{out.shape}")
+    out.fill(0.0)
+    _KERNELS[M.format](nrow, ncol, M.indptr, M.indices, M.data, x, out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -40,16 +70,16 @@ class MpecProblem:
     A: sp.csr_matrix  # (T*m1, T*n), block-diagonal over folds
     B: sp.csr_matrix  # (T*m2, T*n), block-diagonal over folds
 
-    @property
+    @cached_property
     def m(self):
         return 2 * self.T * (self.m1 + self.m2)
 
-    @property
+    @cached_property
     def n1(self):
         """Size of the zeta and z blocks."""
         return self.T * self.m1
 
-    @property
+    @cached_property
     def n2(self):
         """Size of the alpha and xi blocks."""
         return self.T * self.m2
@@ -197,9 +227,17 @@ def assemble(ds, plan):
         A_blocks.append(ds.signed_rows(plan.folds[t]))
         train = [i for s in range(T) if s != t for i in plan.folds[s]]
         B_blocks.append(ds.signed_rows(train))
-    A = sp.block_diag(A_blocks, format="csr")
-    B = sp.block_diag(B_blocks, format="csr")
+    A, B = (_canonical(sp.block_diag(blocks, format="csr"))
+            for blocks in (A_blocks, B_blocks))
     return MpecProblem(T=T, m1=m1, m2=m2, n=ds.n_features, A=A, B=B)
+
+
+def _canonical(M):
+    """M with float64 data and sorted, duplicate-free indices, as _matvec's
+    kernels need (already so for rows from Dataset.signed_rows)."""
+    M = M.astype(np.float64, copy=False)
+    M.sum_duplicates()
+    return M
 
 
 def _as_vector(p, v):
@@ -218,11 +256,11 @@ def eval_H(p, v):
     """H(v) = L^H v + b^H, computed matrix-free."""
     v = _as_vector(p, v)
     C, zeta, z, alpha, xi = p.split_v(v)
-    Bt_alpha = p.Bt @ alpha
+    Bt_alpha = _matvec(p.Bt, alpha)
     return np.concatenate([
-        p.A @ Bt_alpha + z,
+        _matvec(p.A, Bt_alpha) + z,
         1.0 - zeta,
-        p.B @ Bt_alpha - 1.0 + xi,
+        _matvec(p.B, Bt_alpha) - 1.0 + xi,
         C - alpha,
     ])
 
@@ -240,27 +278,41 @@ def apply_LG_T(p, s):
     return out
 
 
-def apply_LH(p, d):
-    """L^H d (the linear part of H) for d of length m+1."""
+def apply_LH(p, d, out=None):
+    """L^H d (the linear part of H) for d of length m+1.
+
+    Written into out, a float64 vector of length m that does not overlap
+    d, or into a new vector; returns it.
+    """
     dC, dzeta, dz, dalpha, dxi = p.split_v(d)
-    Bt_dalpha = p.Bt @ dalpha
-    return np.concatenate([
-        p.A @ Bt_dalpha + dz,
-        -dzeta,
-        p.B @ Bt_dalpha + dxi,
-        dC - dalpha,
-    ])
+    if out is None:
+        out = np.empty(p.m)
+    o1, o2, o3, o4 = p.split_m(out)
+    Bt_dalpha = _matvec(p.Bt, dalpha)
+    np.add(_matvec(p.A, Bt_dalpha, o1), dz, out=o1)
+    np.negative(dzeta, out=o2)
+    np.add(_matvec(p.B, Bt_dalpha, o3), dxi, out=o3)
+    np.subtract(dC, dalpha, out=o4)
+    return out
 
 
-def apply_LH_T(p, s):
-    """(L^H)^T s for s of length m."""
+def apply_LH_T(p, s, out=None):
+    """(L^H)^T s for s of length m.
+
+    Written into out, a float64 vector of length m+1 that does not overlap
+    s, or into a new vector; returns it.  The alpha block keeps its two B
+    products apart, B (A^T s1) + B (B^T s3) - s4, for their rounding.
+    """
     s1, s2, s3, s4 = p.split_m(s)
-    out = np.empty(p.m + 1)
-    out[0] = s4.sum()
+    if out is None:
+        out = np.empty(p.m + 1)
     n1, n2 = p.n1, p.n2
-    out[1:1 + n1] = -s2
+    out[0] = s4.sum()
+    np.negative(s2, out=out[1:1 + n1])
     out[1 + n1:1 + 2 * n1] = s1
-    out[1 + 2 * n1:1 + 2 * n1 + n2] = p.B @ (p.At @ s1) + p.B @ (p.Bt @ s3) - s4
+    o3 = _matvec(p.B, _matvec(p.At, s1), out[1 + 2 * n1:1 + 2 * n1 + n2])
+    o3 += _matvec(p.B, _matvec(p.Bt, s3))
+    o3 -= s4
     out[1 + 2 * n1 + n2:] = s3
     return out
 

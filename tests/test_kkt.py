@@ -638,3 +638,51 @@ class TestFoldSolve:
         else:
             x = dense_fold_solve(sp.csr_matrix(K), rhs, folds, border)
             assert np.linalg.norm(K @ x - rhs) <= 1e-12 * np.linalg.norm(x)
+
+
+class TestKktApplyWorkArea:
+    """kkt_apply keeps its intermediate vectors in a work area of the
+    operator.  BiCGStab holds v and t across products, so each result must
+    be a new array that later products leave alone."""
+
+    def test_results_share_no_memory(self, tiny_p):
+        op = KktOperator(tiny_p, random_kkt_point(tiny_p, 0.5, seed=30))
+        rng = np.random.default_rng(30)
+        d1, d2 = (rng.standard_normal(2 * tiny_p.m + 1) for _ in range(2))
+        y1 = op.kkt_apply(d1)
+        first = y1.tobytes()
+        y2 = op.kkt_apply(d2)
+        assert not np.shares_memory(y1, y2)
+        for y in (y1, y2):
+            assert not np.shares_memory(y, op._work)
+            assert not np.shares_memory(y, d1) and not np.shares_memory(y, d2)
+        assert y1.tobytes() == first
+        assert op.kkt_apply(d1).tobytes() == first
+
+    def test_interleaved_operators_match_separate_runs(self, heart_p):
+        # as the line search's trial operators beside the current one
+        rng = np.random.default_rng(31)
+        ds = [rng.standard_normal(2 * heart_p.m + 1) for _ in range(4)]
+
+        def operators():
+            return [KktOperator(heart_p, random_kkt_point(heart_p, eps,
+                                                          seed=31 + i))
+                    for i, eps in enumerate((1.0, 1e-3))]
+
+        separate = [[op.kkt_apply(d).tobytes() for d in ds]
+                    for op in operators()]
+        interleaved = [[], []]
+        ops = operators()
+        for d in ds:
+            for out, op in zip(interleaved, ops):
+                out.append(op.kkt_apply(d).tobytes())
+        assert interleaved == separate
+
+    def test_work_area_allocated_by_the_first_product(self, tiny_p):
+        op = KktOperator(tiny_p, random_kkt_point(tiny_p, 0.5, seed=32))
+        op.residual()        # all a rejected line-search trial computes
+        assert op._work is None
+        op.kkt_apply(np.ones(2 * tiny_p.m + 1))
+        work = op._work
+        op.kkt_apply(np.ones(2 * tiny_p.m + 1))
+        assert op._work is work and work.shape == (4, tiny_p.m)

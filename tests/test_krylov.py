@@ -1,10 +1,14 @@
 """BiCGStab solver tests against dense direct solves."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpecsvc.driver import initial_point
+from mpecsvc.kkt import KktOperator, KktPoint
 from mpecsvc.krylov import KrylovConfig, bicgstab
 
 
@@ -126,3 +130,18 @@ def test_diagonal_property(seed, n):
                    cfg=KrylovConfig(rel_tol=1e-12, abs_tol=0.0))
     assert res.status == "converged"
     np.testing.assert_allclose(res.x, b / d, rtol=1e-7, atol=1e-9)
+
+
+class TestPinnedRounding:
+    def test_heart_first_newton_system(self, heart_p):
+        # heart's trajectory rests on the rounding of every BiCGStab update
+        # and kkt_apply product: the first Newton system at eps = 1 must
+        # give the iterate the textbook updates and scipy's `@` gave
+        # (values recorded with numpy 2.4.6, scipy 1.17.1 and OpenBLAS)
+        r0 = initial_point(heart_p, 1.0)
+        op = KktOperator(heart_p, KktPoint(v=r0.v, lam=r0.lam, eps=1.0))
+        res = bicgstab(op.kkt_apply, -op.residual(),
+                       cfg=KrylovConfig(rel_tol=1e-2, max_iters=400))
+        assert (res.iterations, res.status) == (105, "converged")
+        assert hashlib.sha256(res.x.tobytes()).hexdigest() == (
+            "84d70c7ab6a5e2b7f1ff32e392b0769fbce3aa70ab3b90304847b9b331cb35c5")

@@ -110,6 +110,45 @@ class TestSubproblem:
         assert {"bicgstab", "direct"} <= {row.route for row in trace.rows}
         assert len(builds) <= 2
 
+    def test_products_dispatch_no_sparse_matmul(self, tiny_ds, tiny_plan,
+                                                monkeypatch):
+        # every product with A, B, At and Bt runs scipy's compiled kernel
+        # directly (problem._matvec), so a whole subproblem, bicgstab and
+        # direct steps included, goes through scipy's `@` dispatch not once
+        p = M.assemble(tiny_ds, tiny_plan)
+        dispatches = []
+        for cls in {type(p.A), type(p.B), type(p.At), type(p.Bt)}:
+            for name in ("__matmul__", "__rmatmul__"):
+                def counted(self, other, _orig=getattr(cls, name)):
+                    dispatches.append(self.shape)
+                    return _orig(self, other)
+
+                monkeypatch.setattr(cls, name, counted)
+        _, trace, _ = solve_subproblem(p, 0.01, initial_point(p, 1.0),
+                                       NewtonConfig(f_tol=1e-3))
+        assert {"bicgstab", "direct"} <= {row.route for row in trace.rows}
+        assert dispatches == []
+
+    def test_only_stepping_operators_allocate_a_work_area(self, tiny_p,
+                                                          monkeypatch):
+        # kkt_apply's work area comes with the first product: of the
+        # operators a subproblem builds, only the one each step starts from
+        # has it, and the line search's rejected trials do not
+        created = []
+
+        class Recorded(KktOperator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        monkeypatch.setattr(newton, "KktOperator", Recorded)
+        _, trace, _ = solve_subproblem(tiny_p, 0.01, initial_point(tiny_p, 1.0),
+                                       NewtonConfig(f_tol=1e-3))
+        backtracks = sum(row.backtracks for row in trace.rows)
+        assert backtracks > 0
+        assert len(created) == 1 + len(trace.rows) + backtracks
+        assert sum(op._work is not None for op in created) == len(trace.rows)
+
     def test_warm_start_continuation(self, tiny_p):
         # solve at eps=0.5, then warm-start eps=0.25: few iterations needed
         r0 = initial_point(tiny_p, 1.0)

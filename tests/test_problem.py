@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -191,6 +192,61 @@ class TestPrebuiltTransposes:
             op = KktOperator(p, KktPoint(v=v, lam=spread(rng, p.m), eps=0.5))
             d = spread(rng, 2 * p.m + 1)
             assert np.array_equal(op.kkt_apply(d), per_call_kkt_apply(op, d))
+
+
+def spread_with_zeros(rng, k):
+    """spread(rng, k) with about a tenth of the entries +0.0 or -0.0."""
+    x = spread(rng, k)
+    zeros = rng.random(k) < 0.1
+    x[zeros] = rng.choice([-0.0, 0.0], int(zeros.sum()))
+    return x
+
+
+class TestKernelProducts:
+    """_matvec calls scipy's private csr_matvec/csc_matvec; a scipy that
+    changes them must fail here, not shift heart's trajectory."""
+
+    @pytest.mark.parametrize("name", ["tiny_p", "heart_p", "wide_p",
+                                      "large_p"])
+    def test_matches_matmul_bit_for_bit(self, name, request):
+        p = request.getfixturevalue(name)
+        rng = np.random.default_rng(10)
+        for M in (p.A, p.B, p.At, p.Bt):
+            for _ in range(3):
+                x = spread_with_zeros(rng, M.shape[1])
+                ref = (M @ x).tobytes()
+                assert pb._matvec(M, x).tobytes() == ref
+                out = np.full(M.shape[0], np.nan)
+                assert pb._matvec(M, x, out) is out
+                assert out.tobytes() == ref
+
+    def test_rejects_other_dtypes_and_lengths(self, tiny_p):
+        A, x = tiny_p.A, np.ones(tiny_p.A.shape[1])
+        bad = [(A.astype(np.float32), x, None),
+               (A, x.astype(np.float32), None),
+               (A, x.astype(complex), None),
+               (A, x[:-1], None),
+               (A, x, np.zeros(A.shape[0], dtype=np.float32)),
+               (A, x, np.zeros(A.shape[0] + 1))]
+        for M, xb, out in bad:
+            with pytest.raises(ValueError):
+                pb._matvec(M, xb, out)
+
+    def test_assemble_gives_float64_canonical_rows(self, tiny_p, heart_p):
+        for p in (tiny_p, heart_p):
+            for M in (p.A, p.B, p.At, p.Bt):
+                assert M.data.dtype == np.float64
+                assert M.has_canonical_format
+
+    def test_canonical_sorts_sums_and_casts(self):
+        # a float32 CSR row with unsorted, duplicated column indices
+        M = sp.csr_matrix((np.array([1.0, 2.0, 4.0], dtype=np.float32),
+                           np.array([2, 0, 2]), np.array([0, 3])),
+                          shape=(1, 3))
+        C = pb._canonical(M)
+        assert C.data.dtype == np.float64 and C.has_canonical_format
+        np.testing.assert_array_equal(C.indices, [0, 2])
+        np.testing.assert_array_equal(C.toarray(), [[2.0, 0.0, 5.0]])
 
 
 class TestPrimalPoint:
