@@ -104,13 +104,7 @@ def _write_trace(outdir, records):
     return path
 
 
-def cmd_solve(args):
-    try:
-        ds, plan, p = _load(args)
-    except (OSError, dio.ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE if isinstance(exc, (OSError, dio.ParseError)) else EXIT_ASSEMBLY
-
+def cmd_solve(args, ds, plan, p):
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     if args.dump_problem:
@@ -151,12 +145,7 @@ def cmd_solve(args):
     return EXIT_SOLVER if failed else EXIT_OK
 
 
-def cmd_grid(args):
-    try:
-        ds, plan, p = _load(args)
-    except (OSError, dio.ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE if isinstance(exc, (OSError, dio.ParseError)) else EXIT_ASSEMBLY
+def cmd_grid(args, ds, plan, p):
     grid = np.logspace(np.log10(args.grid_min), np.log10(args.grid_max),
                        args.grid_points)
     result = svc.grid_search(ds, plan, grid)
@@ -174,13 +163,7 @@ def cmd_grid(args):
     return EXIT_OK
 
 
-def cmd_check(args):
-    try:
-        ds, plan, p = _load(args)
-    except (OSError, dio.ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE if isinstance(exc, (OSError, dio.ParseError)) else EXIT_ASSEMBLY
-
+def cmd_check(args, ds, plan, p):
     eps = args.eps
     rng = np.random.default_rng(args.check_seed)
     r = kkt.KktPoint(v=rng.standard_normal(p.m + 1),
@@ -230,7 +213,12 @@ def cmd_check(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     handler = {"solve": cmd_solve, "grid": cmd_grid, "check": cmd_check}[args.command]
-    return handler(args)
+    try:
+        inputs = _load(args)
+    except (OSError, dio.ParseError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE if isinstance(exc, (OSError, dio.ParseError)) else EXIT_ASSEMBLY
+    return handler(args, *inputs)
 
 
 if __name__ == "__main__":

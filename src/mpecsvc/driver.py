@@ -178,10 +178,10 @@ def _cone_direction(op):
     With J_v Phi = [c | J_f] split as in kkt.constraint_fold_solves,
     U = (1, -J_f^{-1} c), J_f^{-1} by fold_solve's elimination at lambda = 0,
     where fold t's block of J_r F_eps is [[0, -J_f^T], [-J_f, 0]].  U is NaN
-    when a fold system is singular, as when a smoothing weight rounds to 0.
+    when a point block or fold system is singular (a weight rounds to 0).
     """
-    solve, _, c = constraint_fold_solves(op)
     try:
+        solve, _, c = constraint_fold_solves(op)
         return np.concatenate([[1.0], -solve(c)])
     except SingularSystemError:
         return np.full(op.p.m + 1, np.nan)
@@ -240,13 +240,3 @@ def classify_index_sets(p, v, tol_active=1e-6):
     sizes = {k: int(len(idx)) for k, idx in listing.items()}
     return sizes, listing
 
-
-def near_zero_margins(p, ds, plan, w, tol=1e-10):
-    """Validation points with |x_i^T w| <= tol (recorded, not enforced)."""
-    flagged = []
-    for t in range(plan.T):
-        X = ds.to_csr(plan.folds[t])
-        margins = X @ w
-        for j in np.flatnonzero(np.abs(margins) <= tol):
-            flagged.append((t, int(j)))
-    return flagged

@@ -17,8 +17,10 @@ intermediate vectors in a work area of the operator, and its sparse
 products run on scipy's compiled kernels (problem._matvec); it rounds
 every operation as the plain formula does.  Every direct solve is one
 elimination of the fold structure from the weights, the curvatures and
-the data rows: fold_solve, and at lambda = 0 constraint_fold_solves.  The
-solver assembles no matrix; the assembled J_r F_eps (materialize_kkt,
+the data rows (FoldFactorization, built once for any number of
+right-hand sides, its condition number computed only when read):
+fold_solve, and at lambda = 0 constraint_fold_solves.  The solver
+assembles no matrix; the assembled J_r F_eps (materialize_kkt,
 245,701 nonzeros on heart) is only the tests' reference for these
 products and solves.
 """
@@ -26,6 +28,7 @@ products and solves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -192,11 +195,11 @@ class SingularSystemError(RuntimeError):
 FREE_DET = 1e-2   # |det| of a point's constraint block below which it is free
 
 
-def _fold_solves(p, wt, cv, rhs_c, shift=0.0):
-    """K_t^{-1} rhs_c for every fold t, the per-fold part of fold_solve.
+class FoldFactorization:
+    """The elimination of every fold block of K = J_r F_eps + shift*I.
 
-    Fold t's block of K = J_r F_eps + shift*I, with the weights wt and the
-    curvatures cv, is K_t = D_t + U_t Cm U_t^T:
+    Fold t's block of K, with the weights wt and the curvatures cv, is
+    K_t = D_t + U_t Cm U_t^T:
     - D_t is block diagonal with one 4x4 block per data point, on the
       point's unknowns (MpecProblem.point_index).  With the point's pairs a
       and b it is [[Hm, Bm], [Bm^T, 0]] with the constraint block
@@ -231,65 +234,109 @@ def _fold_solves(p, wt, cv, rhs_c, shift=0.0):
       involves the data through products of data rows.  Per fold this
       costs O((m1+m2)^3), and no array of size n is formed, so wide data
       costs no more than its points.
-    rhs_c holds k right-hand sides on each point's four unknowns, shape
-    (T, m1+m2, 4, k).  Returns the solutions, shaped like rhs_c, and the
-    largest 1-norm condition number of the scaled dense systems.
+    Built once, it keeps per fold D_p^{-1} U_p of the eliminated points, the
+    kept points (the free ones of a lifted fold, all of a dense one) and the
+    scaled dense system; numpy keeps no LU factors, so each solve factors
+    that system again.  A point block with an exactly zero pivot raises
+    SingularSystemError here.
     """
-    pos, rows = p.point_index
-    dtype = np.result_type(rhs_c.dtype, shift, float)
-    T, P = pos.shape[:2]
-    n = p.n
-    train = np.arange(P) >= p.m1
-    a, b = pos[..., 0] - 1, pos[..., 1] - 1        # the pairs, positions in G
-    wGa, wGb, wHa, wHb = wt.wG[a], wt.wG[b], wt.wH[a], wt.wH[b]
-    mHa, mHb, mXa, mXb = cv.mH[a], cv.mH[b], cv.mGH[a], cv.mGH[b]
-    zero = np.zeros_like(wGa)
-    D = np.zeros((T, P, 4, 4), dtype=dtype)
-    D[..., 0, 0] = cv.mG[a] + mHb
-    D[..., 1, 1] = mHa + cv.mG[b]
-    D[..., 0, 1] = D[..., 1, 0] = mXa - mXb
-    D[..., 0, 2] = D[..., 2, 0] = -wGa
-    D[..., 1, 2] = D[..., 2, 1] = -wHa
-    D[..., 0, 3] = D[..., 3, 0] = wHb
-    D[..., 1, 3] = D[..., 3, 1] = -wGb
-    D[..., range(4), range(4)] += shift
-    # each point's rows of U1 and U2 are factor (4,) times its data row (n,)
-    factors = np.stack([np.stack([mXa, mHa, -wHa, zero], axis=-1),
-                        np.stack([train + zero, zero, zero, zero], axis=-1)],
-                       axis=2)                                 # (T, P, 2, 4)
-    det = np.abs(wGa * wGb + wHa * wHb)
-    free = np.zeros(det.shape, dtype=bool)
-    np.put_along_axis(free, np.argsort(det, axis=1)[:, :2 * n], True, axis=1)
-    free &= det < FREE_DET
-    lifted = 2 * n + 4 * free.sum(axis=1) < 4 * P
-    y = np.empty(rhs_c.shape, dtype=dtype)
-    kappa = 1.0
-    if lifted.any():
+
+    def __init__(self, p, wt, cv, shift=0.0):
+        pos, rows = p.point_index
+        dtype = np.result_type(shift, float)
+        T, P = pos.shape[:2]
+        n = p.n
+        train = np.arange(P) >= p.m1
+        a, b = pos[..., 0] - 1, pos[..., 1] - 1    # the pairs, positions in G
+        wGa, wGb, wHa, wHb = wt.wG[a], wt.wG[b], wt.wH[a], wt.wH[b]
+        mHa, mHb, mXa, mXb = cv.mH[a], cv.mH[b], cv.mGH[a], cv.mGH[b]
+        zero = np.zeros_like(wGa)
+        D = np.zeros((T, P, 4, 4), dtype=dtype)
+        D[..., 0, 0] = cv.mG[a] + mHb
+        D[..., 1, 1] = mHa + cv.mG[b]
+        D[..., 0, 1] = D[..., 1, 0] = mXa - mXb
+        D[..., 0, 2] = D[..., 2, 0] = -wGa
+        D[..., 1, 2] = D[..., 2, 1] = -wHa
+        D[..., 0, 3] = D[..., 3, 0] = wHb
+        D[..., 1, 3] = D[..., 3, 1] = -wGb
+        D[..., range(4), range(4)] += shift
+        # each point's rows of U1 and U2 are factor (4,) times its data row
+        factors = np.stack([np.stack([mXa, mHa, -wHa, zero], axis=-1),
+                            np.stack([train + zero, zero, zero, zero],
+                                     axis=-1)],
+                           axis=2)                             # (T, P, 2, 4)
+        det = np.abs(wGa * wGb + wHa * wHb)
+        kept = np.zeros(det.shape, dtype=bool)
+        np.put_along_axis(kept, np.argsort(det, axis=1)[:, :2 * n], True,
+                          axis=1)
+        kept &= det < FREE_DET
+        lifted = 2 * n + 4 * kept.sum(axis=1) < 4 * P
+        kept[~lifted] = True
+        # the point blocks, identity for the kept points
+        self.blocks = np.where(kept[..., None, None], np.eye(4), D)
         try:
-            X = np.linalg.solve(
-                np.where(free[lifted][..., None, None], np.eye(4), D[lifted]),
-                np.concatenate([factors[lifted].swapaxes(2, 3),
-                                rhs_c[lifted]], axis=-1))
+            XU = np.linalg.solve(self.blocks, factors.swapaxes(2, 3))
         except np.linalg.LinAlgError:
             raise SingularSystemError("zero pivot in a point block") from None
-        for t, Xt in zip(np.flatnonzero(lifted), X):
-            y[t], kappa_t = _lifted_fold_solve(D[t], free[t], Xt, factors[t],
-                                               rows[t].toarray(), mHa[t],
-                                               rhs_c[t])
-            kappa = max(kappa, kappa_t)
-    for t in np.flatnonzero(~lifted):
-        y[t], kappa_t = _dense_fold_solve(D[t], factors[t], p.fold_gram(t),
-                                          mHa[t], rhs_c[t])
-        kappa = max(kappa, kappa_t)
-    return y, kappa
+        # per fold: the scaled system, its scale, the kept points, and the
+        # data rows, U factors and D_p^{-1} U_p of the eliminated points
+        self.folds = []
+        for t, keep in enumerate(kept):
+            if lifted[t]:
+                N = rows[t].toarray()
+                M = _lifted_fold_system(D[t], keep, XU[t], factors[t], N,
+                                        mHa[t])
+            else:
+                M = _dense_fold_system(D[t], factors[t], p.fold_gram(t),
+                                       mHa[t])
+                N = np.zeros((P, 0))          # no lifted unknowns
+            rmax = np.abs(M).max(axis=1)
+            scale = 1.0 / np.sqrt(np.where(rmax > 0, rmax, 1.0))
+            self.folds.append((M * (scale[:, None] * scale), scale, keep,
+                               N[~keep], factors[t, ~keep], XU[t, ~keep]))
+
+    @cached_property
+    def kappa(self):
+        """Largest 1-norm condition number of the scaled dense systems, at
+        least 1; computed on first read, as only fold_solve reads it."""
+        return max([1.0] + [np.linalg.cond(M, 1) for M, *_ in self.folds])
+
+    def solve(self, rhs_c):
+        """K_t^{-1} rhs_c for every fold t, by one batched 4x4 solve,
+        O((m1+m2) n k) products and one dense solve per fold.
+
+        rhs_c holds k right-hand sides on each point's four unknowns, shape
+        (T, m1+m2, 4, k), and the solutions are shaped like it.  A dense
+        system with an exactly zero pivot, as from a zero row (a point whose
+        weights are all 0), raises SingularSystemError.
+        """
+        X = np.linalg.solve(self.blocks, rhs_c)
+        y = np.empty_like(X)
+        ncol = rhs_c.shape[-1]
+        for t, (M, scale, keep, Ng, Fg, XUg) in enumerate(self.folds):
+            Xg, nk = X[t, ~keep], 4 * int(keep.sum())
+            # U_g^T D_g^{-1} rhs_c on the lifted unknowns
+            low_r = np.einsum("pi,pac->aic", Ng,
+                              np.einsum("pai,pic->pac", Fg, Xg))
+            r = np.concatenate([rhs_c[t, keep].reshape(nk, ncol),
+                                -low_r.reshape(-1, ncol)])
+            try:
+                sol = scale[:, None] * np.linalg.solve(M, scale[:, None] * r)
+            except np.linalg.LinAlgError:
+                raise SingularSystemError("zero pivot in a fold system") from None
+            back = np.einsum("pj,ajc->pac", Ng, sol[nk:].reshape(2, -1, ncol))
+            y[t, ~keep] = Xg - np.einsum("pia,pac->pic", XUg, back)
+            y[t, keep] = sol[:nk].reshape(-1, 4, ncol)
+        return y
 
 
 def fold_solve(op, rhs, shift=0.0):
     """Solve (K + shift*I) x = rhs for K = J_r F_eps at op's point.
 
     K is never assembled.  Its folds couple through C alone (see
-    MpecProblem.fold_index): _fold_solves applies each fold block's inverse
-    and the 1x1 Schur complement S on C closes the solve.
+    MpecProblem.fold_index): a FoldFactorization, built once, applies each
+    fold block's inverse to rhs and to the column of C in one solve, and
+    the 1x1 Schur complement S on C closes the solve.
 
     The shift goes on the diagonal, C's entry included, and may be real or
     complex.  With shift = -i*sigma the blocks stay
@@ -302,8 +349,9 @@ def fold_solve(op, rhs, shift=0.0):
     computation,
     |S| <= eps_mach * kappa * (|K_CC + shift| + sum |c_t|^T |K_t^{-1} c_t|)
     with c_t fold t's part of the column of C and kappa the largest 1-norm
-    condition number of the scaled dense systems, or is not finite.  At
-    lambda = 0, where the Hessian vanishes and K is singular, S is zero.
+    condition number of the scaled dense systems (FoldFactorization.kappa),
+    or is not finite.  At lambda = 0, where the Hessian vanishes and K is
+    singular, S is zero.
     """
     p = op.p
     pos, _ = p.point_index
@@ -314,13 +362,13 @@ def fold_solve(op, rhs, shift=0.0):
     c_col = np.stack([-mHb, mXb, np.zeros_like(mHb), -wHb],
                      axis=-1) * train[:, None]
     # K_t^{-1} [rhs_t, c_t]
-    y, kappa = _fold_solves(p, op.weights, op.curvature,
-                            np.stack([rhs[pos], c_col], axis=-1), shift)
+    folds = FoldFactorization(p, op.weights, op.curvature, shift)
+    y = folds.solve(np.stack([rhs[pos], c_col], axis=-1))
     K_CC = np.sum(mHb[:, train]) + shift
     S = K_CC - np.sum(c_col * y[..., 1])
     S_scale = abs(K_CC) + np.sum(np.abs(c_col) * np.abs(y[..., 1]))
     if not (np.isfinite(S)
-            and abs(S) > np.finfo(float).eps * kappa * S_scale):
+            and abs(S) > np.finfo(float).eps * folds.kappa * S_scale):
         raise SingularSystemError("Schur complement zero to rounding")
     x = np.empty(rhs.shape, dtype=y.dtype)
     x[0] = (rhs[0] - np.sum(c_col * y[..., 0])) / S
@@ -328,21 +376,19 @@ def fold_solve(op, rhs, shift=0.0):
     return x
 
 
-def _lifted_fold_solve(D, free, X, factors, N, mHa, rhs_c):
-    """K_t^{-1} rhs_c for one fold through its lifted system (fold_solve).
+def _lifted_fold_system(D, free, XU, factors, N, mHa):
+    """Fold t's lifted system of size 2n + 4k for FoldFactorization.
 
-    X holds D_p^{-1} [U_p, rhs_c] for the points that are not free; N is
-    the fold's dense data rows.  Returns the solution, shaped like rhs_c,
-    and the condition number of the scaled dense system.
+    XU holds D_p^{-1} U_p for the points that are not free; N is the fold's
+    dense data rows.  The system is not yet scaled.
     """
-    n, ncol = N.shape[1], rhs_c.shape[-1]
+    n = N.shape[1]
     g, f = ~free, free
     k = int(f.sum())
-    Ng, Xg, Fg = N[g], X[g], factors[g]
-    # U_g^T D_g^{-1} [U_g, rhs_c] on the 2n lifted unknowns
-    coef = np.einsum("pai,pic->pac", Fg, Xg)                  # (g, 2, 4)
-    low = np.einsum("pi,pac,pj->aicj", Ng, coef[..., :2], Ng)
-    low_r = np.einsum("pi,pac->aic", Ng, coef[..., 2:])
+    Ng, XUg, Fg = N[g], XU[g], factors[g]
+    # U_g^T D_g^{-1} U_g on the 2n lifted unknowns
+    coef = np.einsum("pai,pic->pac", Fg, XUg)                  # (g, 2, 2)
+    low = np.einsum("pi,pac,pj->aicj", Ng, coef, Ng)
     U_f = np.einsum("pai,pj->piaj", factors[f], N[f])
     Q = np.einsum("pi,p,pj->ij", N, mHa, N)
     eye = np.eye(n)
@@ -353,24 +399,17 @@ def _lifted_fold_solve(D, free, X, factors, N, mHa, rhs_c):
     M[4 * k:, :4 * k] = M[:4 * k, 4 * k:].T
     M[4 * k:, 4 * k:] = (np.block([[Q, -eye], [-eye, np.zeros((n, n))]])
                          - low.reshape(2 * n, 2 * n))
-    r = np.concatenate([rhs_c[f].reshape(4 * k, ncol),
-                        -low_r.reshape(2 * n, ncol)])
-    sol, kappa = _scaled_solve(M, r)
-    back = np.einsum("pj,ajc->pac", Ng, sol[4 * k:].reshape(2, n, ncol))
-    y = np.empty(rhs_c.shape, dtype=D.dtype)
-    y[g] = Xg[..., 2:] - np.einsum("pia,pac->pic", Xg[..., :2], back)
-    y[f] = sol[:4 * k].reshape(k, 4, ncol)
-    return y, kappa
+    return M
 
 
-def _dense_fold_solve(D, factors, gram, mHa, rhs_c):
-    """K_t^{-1} rhs_c for one fold with K_t formed densely (fold_solve).
+def _dense_fold_system(D, factors, gram, mHa):
+    """Fold t's K_t formed densely for FoldFactorization.
 
     With the fold's Gram matrix G = N_t N_t^T (MpecProblem.fold_gram),
     U_t Cm U_t^T couples points p and q by
     f1_p G_pq f2_q^T + f2_p G_pq f1_q^T + f2_p (G diag(M^H_a) G)_pq f2_q^T,
-    f1 and f2 being the point factors of U1 and U2.  Returns the solution,
-    shaped like rhs_c, and the condition number of the scaled K_t.
+    f1 and f2 being the point factors of U1 and U2.  Returns K_t of size
+    4(m1+m2), its unknowns ordered point by point, not yet scaled.
     """
     P = D.shape[0]
     f1, f2 = factors[:, 0], factors[:, 1]
@@ -380,26 +419,7 @@ def _dense_fold_solve(D, factors, gram, mHa, rhs_c):
          ).astype(D.dtype)
     at = np.arange(P)
     K[at, :, at, :] += D
-    sol, kappa = _scaled_solve(K.reshape(4 * P, 4 * P),
-                               rhs_c.reshape(4 * P, -1))
-    return sol.reshape(rhs_c.shape), kappa
-
-
-def _scaled_solve(M, r):
-    """Solve M x = r with M scaled symmetrically to unit row maxima.
-
-    Returns x and the 1-norm condition number of the scaled M.  A zero row
-    (a point whose weights are all 0) is left as it is and gives an exactly
-    zero pivot.
-    """
-    rmax = np.abs(M).max(axis=1)
-    scale = 1.0 / np.sqrt(np.where(rmax > 0, rmax, 1.0))
-    M = M * (scale[:, None] * scale)
-    try:
-        x = scale[:, None] * np.linalg.solve(M, scale[:, None] * r)
-    except np.linalg.LinAlgError:
-        raise SingularSystemError("zero pivot in a fold system") from None
-    return x, float(np.linalg.cond(M, 1))
+    return K.reshape(4 * P, 4 * P)
 
 
 def residual(p, r):
@@ -426,25 +446,26 @@ def constraint_fold_solves(op):
     entries coupling two folds, and J_f is block diagonal over the folds.
     At lambda = 0 the Hessian vanishes and fold t's block of J_r F_eps is
     [[0, -J_f^T], [-J_f, 0]], so fold_solve's per-fold elimination
-    (_fold_solves, without the closure on C that is singular there) with
-    op's weights and zero curvature applies J_f^{-1} and J_f^{-T} exactly,
-    at the O(m) cost of a Newton step.  Returns (solve, solve_t, c) with
-    solve(r) = J_f^{-1} r and solve_t(r) = J_f^{-T} r.  A solve raises
-    SingularSystemError when a fold system has an exactly zero pivot, as
-    when the weights of a point round to 0.
+    (FoldFactorization, without the closure on C that is singular there)
+    with op's weights and zero curvature applies J_f^{-1} and J_f^{-T}
+    exactly, at the O(m) cost of a Newton step; solve and solve_t share the
+    one elimination built here.  Returns (solve, solve_t, c) with solve(r) =
+    J_f^{-1} r and solve_t(r) = J_f^{-T} r.  An exactly zero pivot raises
+    SingularSystemError, here in a point block and in a solve in a fold
+    system, as when the weights of a point round to 0.
     """
     p, wt = op.p, op.weights
     pos, _ = p.point_index
     nv = p.m + 1
     zero = np.zeros(p.m)
-    no_curvature = CurvatureCoeffs(mG=zero, mH=zero, mGH=zero)
+    folds = FoldFactorization(p, wt, CurvatureCoeffs(mG=zero, mH=zero,
+                                                     mGH=zero))
 
     def fold_solution(r, at):
         # the fold blocks map (y_v; y_l) to (-J_f^T y_l; -J_f y_v)
         x = np.zeros(nv + p.m)
         x[at] = r
-        y, _ = _fold_solves(p, wt, no_curvature, x[pos][..., None])
-        x[pos] = y[..., 0]
+        x[pos] = folds.solve(x[pos][..., None])[..., 0]
         return x
 
     def solve(r):
@@ -466,7 +487,7 @@ def jjt_inverse(op):
     With J = [c | J_f] as in constraint_fold_solves, (J J^T)^{-1} =
     (J_f J_f^T + c c^T)^{-1} follows from J_f^{-T} J_f^{-1} by
     Sherman-Morrison, whose denominator is >= 1.  An application costs two
-    fold eliminations at lambda = 0; a singular fold system raises.
+    solves with the fold elimination at lambda = 0; a singular one raises.
     """
     solve, solve_t, c = constraint_fold_solves(op)
     g = solve_t(solve(c))

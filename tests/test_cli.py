@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import mpecsvc as M
-from mpecsvc.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARSE, EXIT_SOLVER,
-                         main)
+from mpecsvc.cli import (EXIT_ASSEMBLY, EXIT_CHECK_FAILED, EXIT_OK,
+                         EXIT_PARSE, EXIT_SOLVER, main)
 
-from conftest import make_tiny_dataset
+from conftest import DATA, make_tiny_dataset
 
 
 @pytest.fixture(scope="module")
@@ -85,11 +85,6 @@ class TestSolve:
         assert code == (EXIT_SOLVER if failed else EXIT_OK)
         assert bool(failed) == (maxit == 1)
 
-    def test_missing_file(self, tmp_path):
-        code = run(["solve", "--data", tmp_path / "nope.libsvm",
-                    "--p1", 6, "--out", tmp_path, "--quiet"])
-        assert code == EXIT_PARSE
-
 
 class TestGrid:
     def test_writes_grid_csv(self, data_file, tmp_path):
@@ -101,11 +96,6 @@ class TestGrid:
         assert len(rows) == 6
         Cs = [float(r[0]) for r in rows[1:]]
         assert Cs == sorted(Cs)
-
-    def test_bad_split(self, data_file, tmp_path):
-        code = run(["grid", "--data", data_file, "--p1", 5,
-                    "--out", tmp_path, "--quiet"])
-        assert code != EXIT_OK
 
 
 class TestCheck:
@@ -130,11 +120,43 @@ class TestCheck:
         assert "FAIL  licq_probe_positive" in lines
         assert code == EXIT_CHECK_FAILED
 
-    def test_parse_error_exit(self, tmp_path):
-        bad = tmp_path / "bad.libsvm"
-        bad.write_text("+1 2:1 1:2\n")
-        code = run(["check", "--data", bad, "--p1", 2, "--out", tmp_path])
-        assert code == EXIT_PARSE
+    @pytest.mark.parametrize("eps, sigma, iters", [
+        (1.0, 0.03540723381350121, 11), (0.1, 0.001002696642289914, 9)])
+    def test_heart_probe_is_pinned(self, tmp_path, monkeypatch, eps, sigma,
+                                   iters):
+        # any change to the probe's path shows here: the fold elimination,
+        # jjt_inverse and the Lanczos steps at the command's probe point
+        probe = M.kkt.licq_probe
+        results = []
+
+        def recording(*args):
+            results.append(probe(*args))
+            return results[-1]
+
+        monkeypatch.setattr(M.kkt, "licq_probe", recording)
+        run(["check", "--data", DATA, "--p1", 150, "--eps", eps,
+             "--out", tmp_path])
+        [(est, steps, converged)] = results
+        assert converged and steps == iters
+        assert est == pytest.approx(sigma, rel=1e-12)
+
+
+@pytest.mark.parametrize("command", ["solve", "grid", "check"])
+@pytest.mark.parametrize("case, code", [
+    ("missing", EXIT_PARSE), ("malformed", EXIT_PARSE),
+    ("bad_split", EXIT_ASSEMBLY)], ids=["missing", "malformed", "bad_split"])
+def test_load_errors_exit(data_file, tmp_path, capsys, command, case, code):
+    path, p1 = data_file, 6
+    if case == "missing":
+        path = tmp_path / "nope.libsvm"
+    elif case == "malformed":
+        path = tmp_path / "bad.libsvm"
+        path.write_text("+1 2:1 1:2\n")
+    else:
+        p1 = 5                                   # 3 folds do not divide 5
+    assert run([command, "--data", path, "--p1", p1, "--out", tmp_path,
+                "--quiet"]) == code
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_check_and_grid_leave_heavy_scipy_modules_unloaded(data_file,

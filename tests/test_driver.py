@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 import mpecsvc as M
+from mpecsvc import kkt
 from mpecsvc import problem as pb
 from mpecsvc.driver import (OuterConfig, classify_index_sets, cv_error,
-                            eps_schedule, initial_point, near_zero_margins,
-                            postprocess, run_smoothing)
+                            eps_schedule, initial_point, postprocess,
+                            run_smoothing)
 from mpecsvc.driver import test_error as holdout_error
-from mpecsvc.kkt import KktOperator, KktPoint, fold_solve
+from mpecsvc.kkt import (KktOperator, KktPoint, SingularSystemError,
+                         fold_solve)
 from mpecsvc.newton import NewtonConfig
 
 from conftest import random_kkt_point
@@ -213,6 +215,20 @@ class TestDiagnostics:
         assert np.isnan(diag["A2_cone"]) and np.isnan(diag["A2_cone_alt"])
         assert np.isfinite(diag["A2_paper"])
 
+    def test_singular_point_block_gives_nan_cone_values(self, tiny_p,
+                                                         monkeypatch):
+        # with no point free, the blocks whose weights round to 0 are
+        # eliminated, and their zero pivots raise when the elimination is
+        # built, before any solve
+        v = initial_point(tiny_p, 1.0).v
+        v[1 + 2 * tiny_p.n1 + tiny_p.n2:] = 1e10
+        r = KktPoint(v=v, lam=np.full(tiny_p.m, 0.1), eps=1e-3)
+        monkeypatch.setattr(kkt, "FREE_DET", 0.0)
+        with pytest.raises(SingularSystemError, match="point block"):
+            kkt.constraint_fold_solves(KktOperator(tiny_p, r))
+        diag = M.assumption2_value(tiny_p, r)
+        assert np.isnan(diag["A2_cone"]) and np.isfinite(diag["A2_paper"])
+
     def test_assumption2_cone_is_curvature_along_feasible_curve(
             self, tiny_p, tiny_final_point):
         # A2_cone is d^2 f(v(C)) / dC^2 on the curve Phi_eps(C, y(C)) = 0;
@@ -249,8 +265,3 @@ class TestDiagnostics:
         assert np.isfinite(diag["A2_cone"])
         assert peak < 4.8e6
 
-    def test_near_zero_margins_flags(self, tiny_ds, tiny_plan, tiny_p):
-        flagged = near_zero_margins(tiny_p, tiny_ds, tiny_plan, np.zeros(4),
-                                    tol=1e-10)
-        # zero weights give zero margins everywhere
-        assert len(flagged) == tiny_plan.T * tiny_plan.m1

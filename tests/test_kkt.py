@@ -12,9 +12,9 @@ import scipy.sparse.linalg as spla
 import mpecsvc as M
 from mpecsvc import kkt
 from mpecsvc import problem as pb
-from mpecsvc.kkt import (KktOperator, KktPoint, SingularSystemError,
-                         constraint_fold_solves, fold_solve, jjt_inverse,
-                         licq_probe)
+from mpecsvc.kkt import (FoldFactorization, KktOperator, KktPoint,
+                         SingularSystemError, constraint_fold_solves,
+                         fold_solve, jjt_inverse, licq_probe)
 from scipy.linalg.lapack import get_lapack_funcs
 from mpecsvc.smoothing import fb_value
 
@@ -271,6 +271,39 @@ class TestLicq:
                 assert np.linalg.norm(A @ x - b) <= 1e-15 * (
                     norm_J * np.linalg.norm(x) + np.linalg.norm(b))
 
+    @pytest.mark.parametrize("diagnostic", ["licq_probe", "assumption2_value"])
+    def test_diagnostics_factor_once_without_condition_numbers(
+            self, heart_p, monkeypatch, diagnostic):
+        # every solve of the probe and the cone direction reuses one
+        # elimination, and only fold_solve reads its condition number
+        p = heart_p
+        built, conds = [], []
+        init, cond = FoldFactorization.__init__, np.linalg.cond
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        def counting_cond(*args):
+            conds.append(args)
+            return cond(*args)
+
+        monkeypatch.setattr(FoldFactorization, "__init__", counting_init)
+        monkeypatch.setattr(np.linalg, "cond", counting_cond)
+        rng = np.random.default_rng(17)
+        v = np.abs(rng.standard_normal(p.m + 1)) + 0.1
+        if diagnostic == "licq_probe":
+            _, iters, converged = licq_probe(p, v, 0.1)
+            assert converged and iters > 1
+        else:
+            r = KktPoint(v=v, lam=rng.standard_normal(p.m), eps=0.1)
+            assert np.isfinite(M.assumption2_value(p, r)["A2_cone"])
+        assert (len(built), len(conds)) == (1, 0)
+        # the counters see fold_solve's elimination and its kappa
+        op = KktOperator(p, random_kkt_point(p, 0.1, seed=17))
+        fold_solve(op, np.ones(2 * p.m + 1))
+        assert (len(built), len(conds)) == (2, p.T)
+
     def test_probe_positive_interior(self, tiny_p):
         rng = np.random.default_rng(9)
         v = np.abs(rng.standard_normal(tiny_p.m + 1)) + 0.1
@@ -498,6 +531,21 @@ class TestFoldSolve:
         for op in ops:
             check_against_oracles(op, rng.standard_normal(2 * p.m + 1),
                                   shift=shift)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5, -0.1j])
+    @pytest.mark.parametrize("name", ["tiny_p", "heart_p", "wide_p"])
+    def test_one_factorization_solves_many_right_hand_sides(self, name, shift,
+                                                            request):
+        # a kept elimination gives the bits of one built for each solve
+        p = request.getfixturevalue(name)
+        op = KktOperator(p, random_kkt_point(p, 1e-2, seed=70))
+        pos, _ = p.point_index
+        rng = np.random.default_rng(70)
+        folds = FoldFactorization(p, op.weights, op.curvature, shift)
+        for k in (1, 2, 1):
+            rhs_c = rng.standard_normal(pos.shape + (k,))
+            fresh = FoldFactorization(p, op.weights, op.curvature, shift)
+            assert np.array_equal(folds.solve(rhs_c), fresh.solve(rhs_c))
 
     def test_free_points_are_not_eliminated(self, heart_p, monkeypatch):
         # at complementary weights the blocks of the 15 free alphas have
