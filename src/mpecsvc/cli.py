@@ -104,6 +104,23 @@ def _write_trace(outdir, records):
     return path
 
 
+def _write_timings(outdir, records):
+    """timings.json: each subproblem's wall time and each step's direction
+    and line-search times, in ms.  Timings differ from run to run, so they
+    stay out of report.json and trace.csv, which identical runs write
+    byte for byte."""
+    path = Path(outdir) / "timings.json"
+    with open(path, "w") as fh:
+        json.dump({"subproblems": [
+            {"t": rec.t, "eps": rec.eps, "wall_ms": rec.wall_ms,
+             "steps": [{"k": row.k, "direction_ms": row.direction_ms,
+                        "line_search_ms": row.line_search_ms}
+                       for row in rec.trace.rows]}
+            for rec in records]}, fh, indent=2)
+        fh.write("\n")
+    return path
+
+
 def cmd_solve(args, ds, plan, p):
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -134,6 +151,7 @@ def cmd_solve(args, ds, plan, p):
                         dims=problem.sparsity_stats(p), config=config_echo)
     _write_report(outdir, rd)
     _write_trace(outdir, report.outer_records)
+    _write_timings(outdir, report.outer_records)
     if args.json:
         json.dump(rd, sys.stdout, indent=2, sort_keys=True, default=float)
         print()

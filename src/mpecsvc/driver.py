@@ -46,6 +46,7 @@ class OuterRecord:
     min_G: float
     min_H: float
     trace: object           # NewtonTrace
+    wall_ms: float = 0.0    # wall time of the subproblem's Newton solve
 
 
 @dataclass
@@ -125,7 +126,9 @@ def run_smoothing(p, ocfg=None, ncfg=None, r0=None):
         f_tol = max(ncfg.f_tol, 1e-2 * eps * eps)
         sub_cfg = replace(ncfg, f_tol=f_tol)
         r.eps = eps
+        t1 = time.perf_counter()
         r, trace, status = solve_subproblem(p, eps, r, sub_cfg)
+        wall_ms = 1000.0 * (time.perf_counter() - t1)
         op = KktOperator(p, r)
         normF = float(np.linalg.norm(op.residual()))
         gap = float(np.max(np.abs(op.G * op.H - 0.5 * eps * eps)))
@@ -133,6 +136,7 @@ def run_smoothing(p, ocfg=None, ncfg=None, r0=None):
             t=t, eps=eps, f_tol=f_tol, status=status, normF=normF,
             inner_iters=len(trace.rows), max_comp_gap=gap,
             min_G=float(op.G.min()), min_H=float(op.H.min()), trace=trace,
+            wall_ms=wall_ms,
         ))
     report.outer_iters = len(report.outer_records)
     report.inner_iters_total = sum(rec.inner_iters for rec in report.outer_records)

@@ -12,11 +12,12 @@ and its Jacobian
 
 is symmetric, so the merit gradient of g = 0.5*||F||^2 is J_r F applied to F.
 The applications are matrix-free through the L^G/L^H maps of the problem
-module.  KktOperator.kkt_apply, the product BiCGStab runs on, keeps its
-intermediate vectors in a work area of the operator, and its sparse
-products run on scipy's compiled kernels (problem._matvec); it rounds
-every operation as the plain formula does.  Every direct solve is one
-elimination of the fold structure from the weights, the curvatures and
+module, whose products with the data rows are compiled kernel calls on
+matrices stacked and bound once per problem (MpecProblem.lh_kernels),
+four per KKT product.  KktOperator.kkt_apply, the product BiCGStab runs
+on, keeps its intermediate vectors in a work area of the operator; it
+rounds every operation as the plain formula does.  Every direct solve is
+one elimination of the fold structure from the weights, the curvatures and
 the data rows (FoldFactorization, built once for any number of
 right-hand sides, its condition number computed only when read):
 fold_solve, and at lambda = 0 constraint_fold_solves.  The solver

@@ -5,10 +5,11 @@ residual.  Breakdown never raises; the best iterate seen is returned with a
 status the caller can act on.
 
 The iterate, the residuals and the search direction are updated in place,
-in preallocated vectors, and the norms are np.linalg.norm's formula for a
-real vector, sqrt(x . x): every value is rounded as in the textbook
-expressions written in the comments, so the iterates are bit for bit
-theirs, with no temporary vector per update.
+in preallocated vectors, the best iterate seen is copied into one, and the
+norms are np.linalg.norm's formula for a real vector, sqrt(x . x): every
+value is rounded as in the textbook expressions written in the comments,
+so the iterates are bit for bit theirs, with no temporary vector per
+update.
 """
 
 from __future__ import annotations
@@ -104,7 +105,8 @@ def bicgstab(apply, rhs, x0=None, cfg=None):
             x += np.multiply(alpha, pp, out=tmp)
             norm_r = norm_s
             if norm_r < best_norm:
-                best_x, best_norm = x.copy(), norm_r
+                np.copyto(best_x, x)
+                best_norm = norm_r
             status = "converged"
             break
         t = apply(s)
@@ -126,7 +128,8 @@ def bicgstab(apply, rhs, x0=None, cfg=None):
         else:
             since_improved += 1
         if norm_r < best_norm:
-            best_x, best_norm = x.copy(), norm_r
+            np.copyto(best_x, x)
+            best_norm = norm_r
         if norm_r <= target:
             status = "converged"
             break

@@ -10,12 +10,14 @@ directions, the real part of the same fold solve with the complex shift
 -i*||F||.  When no route yields a descent direction for the merit
 g = 0.5*||F||^2, the step is steepest descent on g.  Each trace row
 records the route its step took, the relative residual of the step in the
-Newton system and the shift used.
+Newton system and the shift used, and the wall time of the step's two
+phases, which rows ignore when compared.
 The linear solvers' tolerances and budgets are the module constants below.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +54,9 @@ class TraceRow:
     route: str           # bicgstab | direct | lm | steepest
     lin_resid: float     # ||J d + F|| / ||F|| of the step d
     shift: float         # LM damping sigma on lm steps, else 0
+    # wall time of the direction (with lin_resid) and of the line search
+    direction_ms: float = field(default=0.0, compare=False)
+    line_search_ms: float = field(default=0.0, compare=False)
 
 
 @dataclass
@@ -191,11 +196,14 @@ def solve_subproblem(p, eps, r0, cfg=None):
         if stagnant >= 5:
             status = "line_search_failure"
             break
+        t0 = time.perf_counter()
         d, grad, gd, lin_iters, route = _direction(op, F, lm)
         step_info = dict(
             lin_iters=lin_iters, route=route,
             lin_resid=float(np.linalg.norm(op.kkt_apply(d) + F)) / normF,
             shift=lm_sigma(normF) if route == "lm" else 0.0)
+        t1 = time.perf_counter()
+        step_info["direction_ms"] = 1000.0 * (t1 - t0)
         nv = p.m + 1
         dv, dl = d[:nv], d[nv:]
         g0 = 0.5 * normF * normF
@@ -212,6 +220,9 @@ def solve_subproblem(p, eps, r0, cfg=None):
         try:
             s = armijo_search(merit_at, g0, gd, cfg)
         except LineSearchError:
+            s = None
+        step_info["line_search_ms"] = 1000.0 * (time.perf_counter() - t1)
+        if s is None:
             status = "line_search_failure"
             trace.append(k=k, normF=normF, step=0.0,
                          backtracks=cfg.max_backtracks, **step_info)

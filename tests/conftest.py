@@ -105,3 +105,84 @@ def random_kkt_point(p, eps, seed=0):
     rng = np.random.default_rng(seed)
     return M.KktPoint(v=rng.standard_normal(p.m + 1),
                       lam=rng.standard_normal(p.m), eps=eps)
+
+
+def spread(rng, k):
+    """k random values of random sign with magnitudes from 1e-8 to 1e8,
+    about a tenth of them +0.0 or -0.0."""
+    x = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-8.0, 8.0, k)
+    zeros = rng.random(k) < 0.1
+    x[zeros] = rng.choice([-0.0, 0.0], int(zeros.sum()))
+    return x
+
+
+# The plain formulas of the maps, one scipy `@` per product with A, B or a
+# transpose built at the call.  The compiled products must reproduce them
+# bit for bit: heart's trajectory rests on the rounding of these products.
+
+def plain_eval_H(p, v):
+    C, zeta, z, alpha, xi = p.split_v(v)
+    Bt_alpha = p.B.T @ alpha
+    return np.concatenate([p.A @ Bt_alpha + z, 1.0 - zeta,
+                           p.B @ Bt_alpha - 1.0 + xi, C - alpha])
+
+
+def plain_apply_LH(p, d):
+    dC, dzeta, dz, dalpha, dxi = p.split_v(d)
+    Bt_dalpha = p.B.T @ dalpha
+    return np.concatenate([p.A @ Bt_dalpha + dz, -dzeta,
+                           p.B @ Bt_dalpha + dxi, dC - dalpha])
+
+
+def plain_apply_LH_T(p, s):
+    s1, s2, s3, s4 = p.split_m(s)
+    return np.concatenate([[s4.sum()], -s2, s1,
+                           p.B @ (p.A.T @ s1) + p.B @ (p.B.T @ s3) - s4, s3])
+
+
+def plain_jac_t_apply(op, y):
+    wt = op.weights
+    return (np.concatenate([[0.0], wt.wG * y])
+            + plain_apply_LH_T(op.p, wt.wH * y))
+
+
+def plain_hess_apply(op, d):
+    c = op.curvature
+    u, w = d[1:], plain_apply_LH(op.p, d)
+    return (np.concatenate([[0.0], c.mG * u + c.mGH * w])
+            + plain_apply_LH_T(op.p, c.mH * w + c.mGH * u))
+
+
+def plain_kkt_apply(op, d):
+    p, nv = op.p, op.p.m + 1
+    dv, dl = d[:nv], d[nv:]
+    wt, c = op.weights, op.curvature
+    u, w = dv[1:], plain_apply_LH(p, dv)
+    g = c.mG * u + c.mGH * w - wt.wG * dl
+    h = c.mGH * u + c.mH * w - wt.wH * dl
+    return np.concatenate([np.concatenate([[0.0], g])
+                           + plain_apply_LH_T(p, h),
+                           -(wt.wG * u + wt.wH * w)])
+
+
+@pytest.fixture
+def plain_products(monkeypatch):
+    """Runs the package on the plain formulas instead of its compiled
+    products: eval_H, apply_LH, apply_LH_T and kkt_apply."""
+    from mpecsvc.kkt import KktOperator
+
+    monkeypatch.setattr(pb, "eval_H",
+                        lambda p, v: plain_eval_H(p, pb._as_vector(p, v)))
+    monkeypatch.setattr(pb, "apply_LH", lambda p, d, out=None: _into(
+        plain_apply_LH(p, d), out))
+    monkeypatch.setattr(pb, "apply_LH_T", lambda p, s, out=None: _into(
+        plain_apply_LH_T(p, s), out))
+    monkeypatch.setattr(KktOperator, "kkt_apply",
+                        lambda op, d: plain_kkt_apply(op, np.asarray(d)))
+
+
+def _into(x, out):
+    if out is None:
+        return x
+    out[:] = x
+    return out

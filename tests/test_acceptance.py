@@ -299,3 +299,16 @@ def test_10_determinism(tmp_path):
     ok = reports[0] == reports[1]
     report("determinism", ok,
            "identical report.json modulo timing" if ok else "reports differ")
+
+
+def test_heart_reference_results(solve_result):
+    # the benchmark's pinned heart results, at its tolerances
+    rep = solve_result["report"]
+    converged = sum(rec.status == "converged" for rec in rep.outer_records)
+    ok = (abs(rep.C_raw - 0.696) <= 5e-4 and abs(rep.E_cv - 19.33) <= 5e-3
+          and abs(solve_result["E_te"] - 17.50) <= 5e-3
+          and rep.outer_iters == converged == 21)
+    report("heart_reference", ok,
+           f"C_raw {rep.C_raw:.6f}, E_cv {rep.E_cv:.2f}%, "
+           f"E_te {solve_result['E_te']:.2f}%, {converged} of "
+           f"{rep.outer_iters} subproblems converged")

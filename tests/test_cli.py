@@ -68,6 +68,22 @@ class TestSolve:
             reports.append(rep)
         assert reports[0] == reports[1]
 
+    def test_timings_follow_the_trace(self, data_file, tmp_path):
+        run(["solve", "--data", data_file, "--p1", 6, "--out", tmp_path,
+             "--quiet"])
+        subs = json.loads((tmp_path / "timings.json").read_text())[
+            "subproblems"]
+        trace = list(csv.DictReader((tmp_path / "trace.csv").open()))
+        assert len(subs) == 21
+        assert [s["t"] for s in subs] == list(range(21))
+        for sub in subs:
+            rows = [row for row in trace if int(row["outer_t"]) == sub["t"]]
+            assert [step["k"] for step in sub["steps"]] == [
+                int(row["k"]) for row in rows]
+            assert sub["wall_ms"] >= sum(
+                step["direction_ms"] + step["line_search_ms"]
+                for step in sub["steps"]) >= 0.0
+
     @pytest.mark.parametrize("maxit", [200, 1])
     def test_exit_code_follows_listed_statuses(self, data_file, tmp_path,
                                                maxit):

@@ -255,7 +255,7 @@ class TestDiagnostics:
         # 4.8 MB on this instance (m = 4014)
         p = large_p
         r = random_kkt_point(p, 1e-2, seed=80)
-        p.point_index, p.At, p.Bt
+        p.point_index, p.lh_kernels
         tracemalloc.start()
         try:
             diag = M.assumption2_value(p, r)

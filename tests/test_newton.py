@@ -94,8 +94,8 @@ class TestSubproblem:
 
     def test_products_build_no_transpose(self, tiny_ds, tiny_plan,
                                          monkeypatch):
-        # every transposed product reuses the problem's At and Bt, so a whole
-        # subproblem builds the two of them once, on a fresh problem
+        # every transposed product reuses the problem's bound kernels, so a
+        # whole subproblem builds its two transposes once, on a fresh problem
         p = M.assemble(tiny_ds, tiny_plan)
         builds = []
         transpose = sp.csr_matrix.transpose
@@ -112,12 +112,12 @@ class TestSubproblem:
 
     def test_products_dispatch_no_sparse_matmul(self, tiny_ds, tiny_plan,
                                                 monkeypatch):
-        # every product with A, B, At and Bt runs scipy's compiled kernel
-        # directly (problem._matvec), so a whole subproblem, bicgstab and
+        # every product with A, B, A^T and B^T runs scipy's compiled kernel
+        # directly (problem.lh_kernels), so a whole subproblem, bicgstab and
         # direct steps included, goes through scipy's `@` dispatch not once
         p = M.assemble(tiny_ds, tiny_plan)
         dispatches = []
-        for cls in {type(p.A), type(p.B), type(p.At), type(p.Bt)}:
+        for cls in {type(p.A), type(p.B), type(p.A.T), type(p.B.T)}:
             for name in ("__matmul__", "__rmatmul__"):
                 def counted(self, other, _orig=getattr(cls, name)):
                     dispatches.append(self.shape)
@@ -128,6 +128,22 @@ class TestSubproblem:
                                        NewtonConfig(f_tol=1e-3))
         assert {"bicgstab", "direct"} <= {row.route for row in trace.rows}
         assert dispatches == []
+
+    def test_heart_trajectory_is_that_of_the_plain_formulas(self, heart_p,
+                                                            request):
+        # heart's first subproblem (eps = 1 from the start point) takes the
+        # same steps to the bit on the compiled products as on the plain
+        # formulas with `@`: the rounding of every product is the formula's
+        def first_subproblem():
+            return solve_subproblem(heart_p, 1.0, initial_point(heart_p, 1.0),
+                                    NewtonConfig(f_tol=1e-2))
+
+        r, trace, status = first_subproblem()
+        request.getfixturevalue("plain_products")
+        r_ref, trace_ref, status_ref = first_subproblem()
+        assert {"bicgstab", "lm"} <= {row.route for row in trace.rows}
+        assert (trace.rows, status) == (trace_ref.rows, status_ref)
+        assert r.to_vector().tobytes() == r_ref.to_vector().tobytes()
 
     def test_only_stepping_operators_allocate_a_work_area(self, tiny_p,
                                                           monkeypatch):

@@ -10,6 +10,10 @@ import mpecsvc as M
 from mpecsvc import problem as pb
 from mpecsvc.kkt import KktOperator, KktPoint
 
+from conftest import (plain_apply_LH, plain_apply_LH_T, plain_eval_H,
+                      plain_hess_apply, plain_jac_t_apply,
+                      plain_kkt_apply, spread)
+
 
 def dense_LG(p):
     return pb.materialize_LG(p).toarray()
@@ -130,111 +134,119 @@ def test_maps_match_dense_property(seed):
     np.testing.assert_allclose(pb.apply_LH_T(p, s), LH.T @ s, atol=1e-11)
 
 
-def spread(rng, k):
-    """k random values of random sign with magnitudes from 1e-8 to 1e8."""
-    return rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-8.0, 8.0, k)
-
-
-# The formulas of the maps with a transpose built at each product.  The
-# prebuilt At and Bt must reproduce them bit for bit: heart's trajectory
-# rests on the rounding of these products.
-
-def per_call_eval_H(p, v):
-    C, zeta, z, alpha, xi = p.split_v(v)
-    Bt_alpha = p.B.T @ alpha
-    return np.concatenate([p.A @ Bt_alpha + z, 1.0 - zeta,
-                           p.B @ Bt_alpha - 1.0 + xi, C - alpha])
-
-
-def per_call_apply_LH(p, d):
-    dC, dzeta, dz, dalpha, dxi = p.split_v(d)
-    Bt_dalpha = p.B.T @ dalpha
-    return np.concatenate([p.A @ Bt_dalpha + dz, -dzeta,
-                           p.B @ Bt_dalpha + dxi, dC - dalpha])
-
-
-def per_call_apply_LH_T(p, s):
-    s1, s2, s3, s4 = p.split_m(s)
-    return np.concatenate([[s4.sum()], -s2, s1,
-                           p.B @ (p.A.T @ s1) + p.B @ (p.B.T @ s3) - s4, s3])
-
-
-def per_call_kkt_apply(op, d):
-    p, nv = op.p, op.p.m + 1
-    dv, dl = d[:nv], d[nv:]
-    wt, c = op.weights, op.curvature
-    u, w = dv[1:], per_call_apply_LH(p, dv)
-    g = c.mG * u + c.mGH * w - wt.wG * dl
-    h = c.mGH * u + c.mH * w - wt.wH * dl
-    return np.concatenate([np.concatenate([[0.0], g])
-                           + per_call_apply_LH_T(p, h),
-                           -(wt.wG * u + wt.wH * w)])
-
-
 class TestPrebuiltTransposes:
-    def test_built_once_on_the_arrays_of_A_and_B(self, tiny_p):
-        p = tiny_p
-        assert p.At is p.At and p.Bt is p.Bt
-        assert np.shares_memory(p.At.data, p.A.data)
-        assert np.shares_memory(p.Bt.data, p.B.data)
-
-    @pytest.mark.parametrize("name", ["tiny_p", "heart_p", "wide_p"])
+    @pytest.mark.parametrize("name", ["tiny_p", "heart_p", "wide_p",
+                                      "large_p"])
     def test_products_match_per_call_transposes_bit_for_bit(self, name,
                                                             request):
+        # every map and operator product against its plain formula, on
+        # inputs from 1e-8 to 1e8 with zeros of both signs, byte for byte
+        # (np.array_equal takes -0.0 for 0.0)
         p = request.getfixturevalue(name)
         rng = np.random.default_rng(8)
         for _ in range(3):
             v, s = spread(rng, p.m + 1), spread(rng, p.m)
-            assert np.array_equal(pb.eval_H(p, v), per_call_eval_H(p, v))
-            assert np.array_equal(pb.apply_LH(p, v), per_call_apply_LH(p, v))
-            assert np.array_equal(pb.apply_LH_T(p, s),
-                                  per_call_apply_LH_T(p, s))
             op = KktOperator(p, KktPoint(v=v, lam=spread(rng, p.m), eps=0.5))
             d = spread(rng, 2 * p.m + 1)
-            assert np.array_equal(op.kkt_apply(d), per_call_kkt_apply(op, d))
+            for got, ref in [
+                    (pb.eval_H(p, v), plain_eval_H(p, v)),
+                    (pb.apply_LH(p, v), plain_apply_LH(p, v)),
+                    (pb.apply_LH_T(p, s), plain_apply_LH_T(p, s)),
+                    (op.jac_t_apply(s), plain_jac_t_apply(op, s)),
+                    (op.hess_apply(v), plain_hess_apply(op, v)),
+                    (op.kkt_apply(d), plain_kkt_apply(op, d))]:
+                assert got.tobytes() == ref.tobytes()
 
+    def test_stacked_matrices_built_once_per_problem(self, tiny_ds,
+                                                     tiny_plan, monkeypatch):
+        binds = []
+        bind = pb._bind
 
-def spread_with_zeros(rng, k):
-    """spread(rng, k) with about a tenth of the entries +0.0 or -0.0."""
-    x = spread(rng, k)
-    zeros = rng.random(k) < 0.1
-    x[zeros] = rng.choice([-0.0, 0.0], int(zeros.sum()))
-    return x
+        def counted(M):
+            binds.append(M.shape)
+            return bind(M)
+
+        monkeypatch.setattr(pb, "_bind", counted)
+        p = M.assemble(tiny_ds, tiny_plan)
+        assert "lh_kernels" not in vars(p) and binds == []
+        kernels = p.lh_kernels
+        assert len(binds) == len(kernels) == 4
+        rng = np.random.default_rng(9)
+        op = KktOperator(p, KktPoint(v=rng.standard_normal(p.m + 1),
+                                     lam=rng.standard_normal(p.m), eps=0.5))
+        for _ in range(3):
+            pb.eval_H(p, rng.standard_normal(p.m + 1))
+            pb.apply_LH(p, rng.standard_normal(p.m + 1))
+            pb.apply_LH_T(p, rng.standard_normal(p.m))
+            op.kkt_apply(rng.standard_normal(2 * p.m + 1))
+        assert len(binds) == 4 and p.lh_kernels is kernels
 
 
 class TestKernelProducts:
-    """_matvec calls scipy's private csr_matvec/csc_matvec; a scipy that
-    changes them must fail here, not shift heart's trajectory."""
+    """The bound products call scipy's private csr_matvec; a scipy that
+    changes it must fail here, not shift heart's trajectory."""
 
     @pytest.mark.parametrize("name", ["tiny_p", "heart_p", "wide_p",
                                       "large_p"])
     def test_matches_matmul_bit_for_bit(self, name, request):
         p = request.getfixturevalue(name)
         rng = np.random.default_rng(10)
-        for M in (p.A, p.B, p.At, p.Bt):
+        for M, ref_M in [(p.A, p.A), (p.B, p.B), (p.A.T.tocsr(), p.A.T),
+                         (p.B.T.tocsr(), p.B.T)]:
+            product = pb._bind(M)
             for _ in range(3):
-                x = spread_with_zeros(rng, M.shape[1])
-                ref = (M @ x).tobytes()
-                assert pb._matvec(M, x).tobytes() == ref
+                x = spread(rng, M.shape[1])
+                ref = (ref_M @ x).tobytes()
+                assert product(x).tobytes() == ref
                 out = np.full(M.shape[0], np.nan)
-                assert pb._matvec(M, x, out) is out
+                assert product(x, out) is out
                 assert out.tobytes() == ref
+        # each stacked product against the products it stacks
+        k, A, B = p.lh_kernels, p.A, p.B
+        alpha, y = spread(rng, p.n2), spread(rng, A.shape[1])
+        s, y2 = spread(rng, p.m), spread(rng, 2 * A.shape[1])
+        s1, _, s3, _ = p.split_m(s)
+        y2a, y2b = np.split(y2, 2)
+        assert k.Bt(alpha).tobytes() == (B.T @ alpha).tobytes()
+        assert k.rows_H(y).tobytes() == np.concatenate(
+            [A @ y, np.zeros(p.n1), B @ y, np.zeros(p.n2)]).tobytes()
+        assert k.diag_t(s).tobytes() == np.concatenate(
+            [A.T @ s1, B.T @ s3]).tobytes()
+        assert k.diag_B(y2).tobytes() == np.concatenate(
+            [B @ y2a, B @ y2b]).tobytes()
 
     def test_rejects_other_dtypes_and_lengths(self, tiny_p):
-        A, x = tiny_p.A, np.ones(tiny_p.A.shape[1])
-        bad = [(A.astype(np.float32), x, None),
-               (A, x.astype(np.float32), None),
-               (A, x.astype(complex), None),
-               (A, x[:-1], None),
-               (A, x, np.zeros(A.shape[0], dtype=np.float32)),
-               (A, x, np.zeros(A.shape[0] + 1))]
-        for M, xb, out in bad:
+        # a matrix when it is bound, a vector when a map is called
+        A = tiny_p.A
+        unsorted = sp.csr_matrix((np.array([1.0, 2.0]), np.array([1, 0]),
+                                  np.array([0, 2])), shape=(1, 2))
+        for bad_M in (A.astype(np.float32), A.astype(complex), A.tocoo(),
+                      A.tocsc(), unsorted):
             with pytest.raises(ValueError):
-                pb._matvec(M, xb, out)
+                pb._bind(bad_M)
+        p, m = tiny_p, tiny_p.m
+        d, s = np.ones(m + 1), np.ones(m)
+        bad = [(pb.apply_LH, d.astype(np.float32), None),
+               (pb.apply_LH, d.astype(complex), None),
+               (pb.apply_LH, d[:-1], None),
+               (pb.apply_LH, d, np.zeros(m, dtype=np.float32)),
+               (pb.apply_LH, d, np.zeros(m + 1)),
+               (pb.apply_LH, d, np.zeros(2 * m)[::2]),
+               (pb.apply_LH_T, s.astype(np.float32), None),
+               (pb.apply_LH_T, s.astype(complex), None),
+               (pb.apply_LH_T, np.ones(m + 1), None),
+               (pb.apply_LH_T, s, np.zeros(m + 1, dtype=np.float32)),
+               (pb.apply_LH_T, s, np.zeros(m)),
+               (pb.apply_LH_T, s, np.zeros(2 * m + 2)[::2])]
+        for fn, x, out in bad:
+            with pytest.raises(ValueError):
+                fn(p, x, out)
+        with pytest.raises(ValueError):
+            pb.eval_H(p, d[:-1])
 
     def test_assemble_gives_float64_canonical_rows(self, tiny_p, heart_p):
         for p in (tiny_p, heart_p):
-            for M in (p.A, p.B, p.At, p.Bt):
+            for M in (p.A, p.B):
                 assert M.data.dtype == np.float64
                 assert M.has_canonical_format
 
