@@ -19,7 +19,7 @@ plan = M.make_split(ds, p1=150, T=3, seed=0)
 p = M.assemble(ds, plan)
 
 t0 = time.perf_counter()
-pt, report = run_smoothing(p, M.OuterConfig(), M.NewtonConfig(max_iters=100))
+v, report = run_smoothing(p, M.OuterConfig(), M.NewtonConfig(max_iters=100))
 wall = time.perf_counter() - t0
 
 print(f"{'t':>3} {'eps':>10} {'status':>20} {'inner':>5} {'||F||':>10}")
@@ -31,7 +31,7 @@ print(f"\n{report.outer_iters} subproblems, "
 
 # the solver works on T-1 of T folds at a time; scale C up accordingly,
 # retrain on the whole cv set, and score the untouched hold-out points
-C_hat, w = postprocess(p, pt, ds, plan)
+C_hat, w = postprocess(p, v, ds, plan)
 E_te = test_error(ds, plan.test_indices, w)
 print(f"\nselected C = {report.C_raw:.4f} (rescaled: {C_hat:.4f})")
 print(f"cross-validation error = {report.E_cv:.2f}%")

@@ -13,7 +13,7 @@ from .kkt import (KktOperator, KktPoint, licq_probe, merit, merit_grad,
                   residual)
 from .krylov import KrylovConfig, KrylovResult, bicgstab
 from .newton import NewtonConfig, NewtonTrace, armijo_search, solve_subproblem
-from .problem import MpecProblem, PrimalPoint, assemble, eval_G, eval_H
+from .problem import MpecProblem, assemble, eval_G, eval_H
 from .smoothing import (CurvatureCoeffs, SmoothingWeights, fb_curvature,
                         fb_value, fb_weights)
 from .svc import DualSvcConfig, grid_search, solve_l1svc_dual

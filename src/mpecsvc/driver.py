@@ -111,9 +111,10 @@ def initial_point(p, C0):
 def run_smoothing(p, ocfg=None, ncfg=None, r0=None):
     """Algorithm: solve the eps-schedule of subproblems with warm starts.
 
-    Returns (PrimalPoint, SolveReport); the report carries the final KktPoint
-    and the per-eps trace.  A failed subproblem is recorded and the loop
-    continues from its best iterate.
+    Returns (v, SolveReport) with v a float64 copy of the final point's v;
+    the report carries the final KktPoint and the per-eps trace.  A failed
+    subproblem is recorded and the loop continues from its last accepted
+    iterate.
     """
     ocfg = ocfg or OuterConfig()
     ncfg = ncfg or NewtonConfig()
@@ -144,7 +145,7 @@ def run_smoothing(p, ocfg=None, ncfg=None, r0=None):
     report.C_raw = float(r.v[0])
     report.E_cv = cv_error(p, r.v)
     report.wall_ms = 1000.0 * (time.perf_counter() - t0)
-    return pb.PrimalPoint.from_vector(p, r.v), report
+    return np.array(r.v, dtype=float), report
 
 
 def postprocess(p, v_star, ds, plan, svc_cfg=None):
@@ -152,7 +153,7 @@ def postprocess(p, v_star, ds, plan, svc_cfg=None):
 
     Returns (C_hat, w) with w = sum_i alpha_i y_i x_i over the cv points.
     """
-    C_raw = float(v_star.C if isinstance(v_star, pb.PrimalPoint) else v_star[0])
+    C_raw = float(v_star[0])
     C_hat = C_raw * p.T / (p.T - 1)
     rows = ds.signed_rows(plan.cv_indices)
     res = solve_l1svc_dual(rows, C_hat, svc_cfg or DualSvcConfig())
@@ -165,8 +166,7 @@ def postprocess(p, v_star, ds, plan, svc_cfg=None):
 
 def cv_error(p, v):
     """E_cv percent = 100 * f(v) = 100 * mean(zeta)."""
-    v = v.to_vector() if isinstance(v, pb.PrimalPoint) else np.asarray(v)
-    return 100.0 * p.objective(v)
+    return 100.0 * p.objective(np.asarray(v))
 
 
 def test_error(ds, test_indices, w):
@@ -228,7 +228,6 @@ def assumption2_value(p, r_star):
 
 def classify_index_sets(p, v, tol_active=1e-6):
     """Count I_{0+}, I_{+0}, I_{00} with relative activity tolerance."""
-    v = v.to_vector() if isinstance(v, pb.PrimalPoint) else np.asarray(v)
     G = pb.eval_G(p, v)
     H = pb.eval_H(p, v)
     g_zero = np.abs(G) <= tol_active * (1.0 + np.abs(G))

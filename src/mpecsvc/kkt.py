@@ -65,6 +65,9 @@ class KktOperator:
     """Linearization of F_eps at a fixed point; caches weights and curvature.
 
     The point is copied at construction, so the caches cannot go stale.
+    kkt_apply is the one formula for the products with J_r F_eps:
+    hess_apply and jac_apply are its two blocks on (d; 0).  jac_t_apply,
+    which every residual evaluation calls, is a product of its own.
     """
 
     def __init__(self, p, point):
@@ -95,12 +98,9 @@ class KktOperator:
         return np.concatenate([grad_v, -self.phi()])
 
     def jac_apply(self, d):
-        """J_v Phi applied to d: W^G (L^G d) + W^H (L^H d)."""
-        d = np.asarray(d, dtype=float)
-        if d.shape != (self.p.m + 1,):
-            raise ValueError(f"expected length {self.p.m + 1}, got {d.shape}")
-        w = self.weights
-        return w.wG * pb.apply_LG(self.p, d) + w.wH * pb.apply_LH(self.p, d)
+        """J_v Phi applied to d of length m+1: W^G (L^G d) + W^H (L^H d),
+        the negated lower block of kkt_apply((d; 0)), bit for bit."""
+        return -self.kkt_apply(self._lift(d))[self.p.m + 1:]
 
     def jac_t_apply(self, y):
         """(J_v Phi)^T applied to y of length m."""
@@ -110,13 +110,16 @@ class KktOperator:
                 + pb.apply_LH_T(self.p, w.wH * y))
 
     def hess_apply(self, d):
-        """hess_vv L_eps applied to d (four structured products, symmetric)."""
+        """hess_vv L_eps applied to d of length m+1 (symmetric): the upper
+        block of kkt_apply((d; 0)), bit for bit."""
+        return self.kkt_apply(self._lift(d))[:self.p.m + 1]
+
+    def _lift(self, d):
+        """(d; 0) for d of length m+1."""
         d = np.asarray(d, dtype=float)
-        c = self.curvature
-        u = pb.apply_LG(self.p, d)
-        w = pb.apply_LH(self.p, d)
-        return (pb.apply_LG_T(self.p, c.mG * u + c.mGH * w)
-                + pb.apply_LH_T(self.p, c.mH * w + c.mGH * u))
+        if d.shape != (self.p.m + 1,):
+            raise ValueError(f"expected length {self.p.m + 1}, got {d.shape}")
+        return np.concatenate([d, np.zeros(self.p.m)])
 
     def kkt_apply(self, d):
         """J_r F_eps applied to d of length 2m+1 (symmetric indefinite).

@@ -7,11 +7,12 @@ kkt.fold_solve, which works from the fold structure: one 4x4 block per data
 point, a rank-2n coupling per fold and a Schur complement on C.  After a
 collapsed line search the subproblem switches to Levenberg-Marquardt
 directions, the real part of the same fold solve with the complex shift
--i*||F||.  When no route yields a descent direction for the merit
-g = 0.5*||F||^2, the step is steepest descent on g.  Each trace row
-records the route its step took, the relative residual of the step in the
-Newton system and the shift used, and the wall time of the step's two
-phases, which rows ignore when compared.
+-i*||F||.  When the fold solve is singular or gives no descent direction
+for the merit g = 0.5*||F||^2, no step is taken and the subproblem ends
+with the status no_descent.  Each trace row records the route its step
+took, the relative residual of the step in the Newton system and the shift
+used, and the wall time of the step's two phases, which rows ignore when
+compared.
 The linear solvers' tolerances and budgets are the module constants below.
 """
 
@@ -51,7 +52,7 @@ class TraceRow:
     step: float
     lin_iters: int
     backtracks: int
-    route: str           # bicgstab | direct | lm | steepest
+    route: str           # bicgstab | direct | lm
     lin_resid: float     # ||J d + F|| / ||F|| of the step d
     shift: float         # LM damping sigma on lm steps, else 0
     # wall time of the direction (with lin_resid) and of the line search
@@ -79,6 +80,10 @@ class LineSearchError(RuntimeError):
     pass
 
 
+class NoDescentError(RuntimeError):
+    """The fold solve gave no finite descent direction for the merit."""
+
+
 def armijo_search(merit_fn, g0, grad_dot_d, cfg):
     """Smallest i with g(rho^i) <= g0 + sigma*rho^i*grad_dot_d; returns rho^i.
 
@@ -100,7 +105,7 @@ def lm_sigma(normF):
 
 
 def _direction(op, F, lm=False):
-    """Newton direction with damped and steepest-descent fallbacks.
+    """Newton direction: BiCGStab, else the exact or damped fold solve.
 
     BiCGStab is tried first, capped at min(2*dim, 400) iterations, with the
     relative forcing target min(1e-2, 0.3*sqrt(||F||)), floored at LIN_RTOL.
@@ -131,10 +136,11 @@ def _direction(op, F, lm=False):
     d = Re fold_solve(op, -F, shift=-i sqrt(mu)): the same fold solve in
     complex arithmetic, without forming J^2.  The shifted system is
     nonsingular for every mu > 0 and d is a descent direction in exact
-    arithmetic.  Every route falls back to steepest descent, d = -grad.
+    arithmetic.
 
     Returns (d, grad, grad_dot_d, lin_iters, route) with route one of
-    bicgstab, direct, lm or steepest.
+    bicgstab, direct or lm.  Raises NoDescentError when the fold solve is
+    singular or its d is not finite or not a descent direction.
     """
     grad = op.kkt_apply(F)          # merit gradient (J symmetric)
     norm_grad = float(np.linalg.norm(grad))
@@ -158,21 +164,27 @@ def _direction(op, F, lm=False):
     shift = -1j * lm_sigma(normF) if lm else 0.0
     try:
         d = fold_solve(op, -F, shift=shift).real
-        lin_iters += 1
-        gd = float(np.dot(grad, d))
-        if np.all(np.isfinite(d)) and is_descent(d, gd):
-            return d, grad, gd, lin_iters, "lm" if lm else "direct"
-    except SingularSystemError:
-        pass
-    d = -grad
-    return d, grad, float(np.dot(grad, d)), lin_iters, "steepest"
+    except SingularSystemError as exc:
+        raise NoDescentError(str(exc)) from exc
+    gd = float(np.dot(grad, d))
+    if not (np.all(np.isfinite(d)) and is_descent(d, gd)):
+        raise NoDescentError("the fold solve gave no descent direction")
+    return d, grad, gd, lin_iters + 1, "lm" if lm else "direct"
 
 
 def solve_subproblem(p, eps, r0, cfg=None):
     """Run the damped Newton method on F_eps = 0 from r0.
 
-    Returns (KktPoint, NewtonTrace, status) with status in
-    {converged, max_iters, line_search_failure}.
+    Returns (KktPoint, NewtonTrace, status) with status one of
+      converged            ||F|| <= cfg.f_tol;
+      max_iters            cfg.max_iters steps taken;
+      line_search_failure  the Armijo search exhausted its backtracks (the
+                           failed step is the last trace row);
+      stagnated            five accepted steps in a row each cut ||F|| by
+                           less than 0.1%;
+      no_descent           _direction found no descent direction (no row
+                           is written, as no step was taken).
+    The point returned is the last accepted iterate.
     """
     cfg = cfg or NewtonConfig()
     r = KktPoint(v=np.asarray(r0.v, dtype=float).copy(),
@@ -194,10 +206,14 @@ def solve_subproblem(p, eps, r0, cfg=None):
         # outside the Jacobian range, e.g. on a flat stretch of the smoothed
         # problem); no line search can progress from there, so stop early
         if stagnant >= 5:
-            status = "line_search_failure"
+            status = "stagnated"
             break
         t0 = time.perf_counter()
-        d, grad, gd, lin_iters, route = _direction(op, F, lm)
+        try:
+            d, grad, gd, lin_iters, route = _direction(op, F, lm)
+        except NoDescentError:
+            status = "no_descent"
+            break
         step_info = dict(
             lin_iters=lin_iters, route=route,
             lin_resid=float(np.linalg.norm(op.kkt_apply(d) + F)) / normF,

@@ -231,25 +231,6 @@ class MpecProblem:
         return self._fold_grams[t]
 
 
-@dataclass(frozen=True)
-class PrimalPoint:
-    """Structured view of v = (C, zeta, z, alpha, xi)."""
-
-    C: float
-    zeta: np.ndarray
-    z: np.ndarray
-    alpha: np.ndarray
-    xi: np.ndarray
-
-    def to_vector(self):
-        return np.concatenate([[self.C], self.zeta, self.z, self.alpha, self.xi])
-
-    @classmethod
-    def from_vector(cls, p, v):
-        C, zeta, z, alpha, xi = p.split_v(np.asarray(v, dtype=float))
-        return cls(C=C, zeta=zeta.copy(), z=z.copy(), alpha=alpha.copy(), xi=xi.copy())
-
-
 def assemble(ds, plan):
     """Build the MpecProblem for a dataset and split plan.
 
@@ -284,7 +265,7 @@ def _canonical(M):
 
 
 def _as_vector(p, v):
-    v = v.to_vector() if isinstance(v, PrimalPoint) else np.asarray(v, dtype=float)
+    v = np.asarray(v, dtype=float)
     if v.shape != (p.m + 1,):
         raise ValueError(f"expected v of length {p.m + 1}, got {v.shape}")
     return v

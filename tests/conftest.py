@@ -146,6 +146,11 @@ def plain_jac_t_apply(op, y):
             + plain_apply_LH_T(op.p, wt.wH * y))
 
 
+def plain_jac_apply(op, d):
+    wt = op.weights
+    return wt.wG * d[1:] + wt.wH * plain_apply_LH(op.p, d)
+
+
 def plain_hess_apply(op, d):
     c = op.curvature
     u, w = d[1:], plain_apply_LH(op.p, d)

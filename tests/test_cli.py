@@ -47,8 +47,7 @@ class TestSolve:
                             "shift"]
         assert len(trace) > 1
         rows = [dict(zip(trace[0], row)) for row in trace[1:]]
-        assert {row["route"] for row in rows} <= {
-            "bicgstab", "direct", "lm", "steepest"}
+        assert {row["route"] for row in rows} <= {"bicgstab", "direct", "lm"}
         for row in rows:
             resid, shift = float(row["lin_resid"]), float(row["shift"])
             assert resid <= {"direct": 1e-10, "bicgstab": 1e-2}.get(

@@ -9,14 +9,13 @@ import pytest
 
 import mpecsvc as M
 from mpecsvc import kkt
-from mpecsvc import problem as pb
 from mpecsvc.driver import (OuterConfig, classify_index_sets, cv_error,
                             eps_schedule, initial_point, postprocess,
                             run_smoothing)
 from mpecsvc.driver import test_error as holdout_error
 from mpecsvc.kkt import (KktOperator, KktPoint, SingularSystemError,
                          fold_solve)
-from mpecsvc.newton import NewtonConfig
+from mpecsvc.newton import NewtonConfig, NoDescentError
 
 from conftest import random_kkt_point
 
@@ -87,7 +86,7 @@ class TestSmoothingLoop:
 
     def test_report_consistency(self, tiny_p, tiny_solution):
         v_star, report = tiny_solution
-        assert report.C_raw == pytest.approx(v_star.C)
+        assert report.C_raw == v_star[0]
         assert report.E_cv == pytest.approx(cv_error(tiny_p, v_star))
         assert report.final_point is not None
         d = report.to_dict(dataset="x", dims={"m": tiny_p.m})
@@ -98,7 +97,7 @@ class TestSmoothingLoop:
         v_a, rep_a = tiny_solution
         ocfg = OuterConfig(eps0=1.0, eps_min=1e-4, kappa=0.5)
         v_b, rep_b = run_smoothing(tiny_p, ocfg, NewtonConfig(max_iters=100))
-        np.testing.assert_array_equal(v_a.to_vector(), v_b.to_vector())
+        np.testing.assert_array_equal(v_a, v_b)
         assert rep_a.E_cv == rep_b.E_cv
 
     def test_full_solve_assembles_nothing(self, tiny_p,
@@ -112,6 +111,20 @@ class TestSmoothingLoop:
         assert {"bicgstab", "direct", "lm"} <= routes
         np.testing.assert_array_equal(report.final_point.to_vector(),
                                       tiny_complementary_point.to_vector())
+
+    def test_no_descent_is_recorded_and_the_loop_goes_on(self, tiny_p,
+                                                         monkeypatch):
+        # a subproblem without a descent direction takes no step, and the
+        # next one starts from the same point
+        def no_descent(op, F, lm=False):
+            raise NoDescentError("no descent direction")
+
+        monkeypatch.setattr(M.newton, "_direction", no_descent)
+        v, report = run_smoothing(tiny_p, OuterConfig(eps_min=0.25))
+        assert [rec.status for rec in report.outer_records] == [
+            "no_descent"] * 3
+        assert report.inner_iters_total == 0
+        np.testing.assert_array_equal(v, initial_point(tiny_p, 1.0).v)
 
 
     def test_every_newton_setting_reaches_the_subproblems(self, tiny_p,
@@ -141,8 +154,7 @@ class TestSmoothingLoop:
 class TestPostprocess:
     def test_rescales_C(self, tiny_ds, tiny_plan, tiny_p):
         v = initial_point(tiny_p, 1.2).v
-        pt = pb.PrimalPoint.from_vector(tiny_p, v)
-        C_hat, w = postprocess(tiny_p, pt, tiny_ds, tiny_plan)
+        C_hat, w = postprocess(tiny_p, v, tiny_ds, tiny_plan)
         assert C_hat == pytest.approx(1.2 * 3 / 2)
         assert w.shape == (tiny_ds.n_features,)
 

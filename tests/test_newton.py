@@ -12,10 +12,10 @@ from mpecsvc import newton
 from mpecsvc.driver import initial_point
 from mpecsvc.kkt import KktOperator, KktPoint
 from mpecsvc.krylov import bicgstab
-from mpecsvc.newton import (LineSearchError, NewtonConfig, _direction,
-                            armijo_search, solve_subproblem)
+from mpecsvc.newton import (LineSearchError, NewtonConfig, NoDescentError,
+                            _direction, armijo_search, solve_subproblem)
 
-ROUTES = {"bicgstab", "direct", "lm", "steepest"}
+ROUTES = {"bicgstab", "direct", "lm"}
 
 
 class TestConfig:
@@ -91,6 +91,24 @@ class TestSubproblem:
         _, trace, status = solve_subproblem(tiny_p, 0.5, r0, cfg)
         assert status in ("max_iters", "line_search_failure")
         assert len(trace.rows) <= 2
+
+    def test_stagnation_has_its_own_status(self, tiny_p, monkeypatch):
+        # every line search succeeds, with a step so short that each cuts
+        # ||F|| by less than 0.1%: the fifth such step ends the subproblem
+        def slight(merit_fn, g0, grad_dot_d, cfg):
+            merit_fn(1e-4)
+            return 1e-4
+
+        monkeypatch.setattr(newton, "armijo_search", slight)
+        r0 = initial_point(tiny_p, 1.0)
+        normF0 = np.linalg.norm(KktOperator(
+            tiny_p, KktPoint(v=r0.v, lam=r0.lam, eps=0.5)).residual())
+        _, trace, status = solve_subproblem(tiny_p, 0.5, r0,
+                                            NewtonConfig(f_tol=1e-3))
+        assert status == "stagnated"
+        assert len(trace.rows) == 5
+        norms = [normF0] + trace.norms
+        assert all(b > (1.0 - 1e-3) * a for a, b in zip(norms, norms[1:]))
 
     def test_products_build_no_transpose(self, tiny_ds, tiny_plan,
                                          monkeypatch):
@@ -200,8 +218,8 @@ class TestDirection:
         assert gd == pytest.approx(float(grad @ d)) and gd < 0
 
     @pytest.mark.parametrize("name", ["tiny_p", "heart_p"])
-    def test_singular_direct_solve_falls_back_silently(self, name, request,
-                                                       starved, capfd):
+    def test_singular_direct_solve_raises_no_descent(self, name, request,
+                                                     starved, capfd):
         # lambda = 0: the Hessian vanishes and J_r F_eps has rank <= 2m
         p = request.getfixturevalue(name)
         v = initial_point(p, 1.0).v
@@ -209,12 +227,20 @@ class TestDirection:
         F = op.residual()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d, grad, gd, _, route = _direction(op, F)
-            d_lm, _, gd_lm, _, route_lm = _direction(op, F, lm=True)
-        assert route == "steepest"
-        np.testing.assert_array_equal(d, -grad)
+            with pytest.raises(NoDescentError):
+                _direction(op, F)
+            _, _, gd_lm, _, route_lm = _direction(op, F, lm=True)
         assert route_lm == "lm" and gd_lm < 0
         assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("name", ["tiny_p", "heart_p"])
+    def test_no_descent_ends_the_subproblem_without_a_step(self, name,
+                                                           request, starved):
+        p = request.getfixturevalue(name)
+        r0 = KktPoint(v=initial_point(p, 1.0).v, lam=np.zeros(p.m), eps=0.5)
+        r, trace, status = solve_subproblem(p, 0.5, r0)
+        assert (status, trace.rows) == ("no_descent", [])
+        np.testing.assert_array_equal(r.to_vector(), r0.to_vector())
 
     @pytest.mark.parametrize("lam", [0.1, 0.0])
     def test_lm_route_solves_the_damped_normal_equations(self, tiny_p, lam):

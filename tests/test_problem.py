@@ -11,7 +11,7 @@ from mpecsvc import problem as pb
 from mpecsvc.kkt import KktOperator, KktPoint
 
 from conftest import (plain_apply_LH, plain_apply_LH_T, plain_eval_H,
-                      plain_hess_apply, plain_jac_t_apply,
+                      plain_hess_apply, plain_jac_apply, plain_jac_t_apply,
                       plain_kkt_apply, spread)
 
 
@@ -153,6 +153,7 @@ class TestPrebuiltTransposes:
                     (pb.apply_LH(p, v), plain_apply_LH(p, v)),
                     (pb.apply_LH_T(p, s), plain_apply_LH_T(p, s)),
                     (op.jac_t_apply(s), plain_jac_t_apply(op, s)),
+                    (op.jac_apply(v), plain_jac_apply(op, v)),
                     (op.hess_apply(v), plain_hess_apply(op, v)),
                     (op.kkt_apply(d), plain_kkt_apply(op, d))]:
                 assert got.tobytes() == ref.tobytes()
@@ -259,13 +260,3 @@ class TestKernelProducts:
         assert C.data.dtype == np.float64 and C.has_canonical_format
         np.testing.assert_array_equal(C.indices, [0, 2])
         np.testing.assert_array_equal(C.toarray(), [[2.0, 0.0, 5.0]])
-
-
-class TestPrimalPoint:
-    def test_round_trip(self, tiny_p):
-        v = np.random.default_rng(4).standard_normal(tiny_p.m + 1)
-        pt = pb.PrimalPoint.from_vector(tiny_p, v)
-        np.testing.assert_allclose(pt.to_vector(), v)
-        assert pt.C == v[0]
-        assert pt.zeta.shape == (tiny_p.n1,)
-        assert pt.alpha.shape == (tiny_p.n2,)
