@@ -37,12 +37,12 @@ wall = time.perf_counter() - t0
 
 print(f"\n{'k':>3} {'||F||':>12} {'step':>8} {'lin iters':>9} "
       f"{'backtracks':>10} {'route':>9} {'lin resid':>10}")
-for row in trace.rows:
+for row in trace:
     print(f"{row.k:3d} {row.normF:12.4e} {row.step:8.4f} "
           f"{row.lin_iters:9d} {row.backtracks:10d} {row.route:>9} "
           f"{row.lin_resid:10.2e}")
-print(f"\nstatus = {status} in {len(trace.rows)} iterations, "
-      f"{trace.total_lin_iters} linear iterations, {wall:.1f}s")
+print(f"\nstatus = {status} in {len(trace)} iterations, "
+      f"{sum(row.lin_iters for row in trace)} linear iterations, {wall:.1f}s")
 
 # at the solution the complementarity products sit on the smoothed zero set
 G, H = M.eval_G(p, r.v), M.eval_H(p, r.v)
@@ -52,5 +52,5 @@ print(f"max |G_i H_i - eps^2/2| = {gap.max():.2e}  "
       f"(both factors positive: min G = {G.min():.3f}, min H = {H.min():.3f})")
 
 # the norms in the trace decrease monotonically; the line search guarantees it
-norms = trace.norms
+norms = [row.normF for row in trace]
 print(f"monotone decrease: {all(b < a for a, b in zip(norms, norms[1:]))}")

@@ -12,7 +12,7 @@ from .driver import (OuterConfig, SolveReport, assumption2_value,
 from .kkt import (KktOperator, KktPoint, licq_probe, merit, merit_grad,
                   residual)
 from .krylov import KrylovConfig, KrylovResult, bicgstab
-from .newton import NewtonConfig, NewtonTrace, armijo_search, solve_subproblem
+from .newton import NewtonConfig, armijo_search, solve_subproblem
 from .problem import MpecProblem, assemble, eval_G, eval_H
 from .smoothing import (CurvatureCoeffs, SmoothingWeights, fb_curvature,
                         fb_value, fb_weights)

@@ -1,7 +1,7 @@
 """Command-line entry point: solve | grid | check.
 
-Exit codes: 0 ok, 1 failed check, 2 parse error, 3 assembly/dimension error,
-4 solver failure (report still written).
+Exit codes: 0 ok, 1 failed check, 2 parse error or option value out of
+range, 3 assembly/dimension error, 4 solver failure (report still written).
 """
 
 from __future__ import annotations
@@ -72,6 +72,28 @@ def build_parser():
     return ap
 
 
+def _settings(args):
+    """The command's configs, or its grid, checked before any data is read.
+
+    A value out of range raises ValueError.
+    """
+    if args.command == "solve":
+        return (driver.OuterConfig(eps0=args.eps0, eps_min=args.eps_min,
+                                   kappa=args.kappa, initial_C=args.initial_C),
+                NewtonConfig(sigma=args.sigma, rho=args.rho, f_tol=args.ftol,
+                             max_iters=args.newton_maxit))
+    if args.command == "grid":
+        if args.grid_points < 1:
+            raise ValueError("--grid-points must be at least 1")
+        if not (args.grid_min > 0 and args.grid_max > 0):
+            raise ValueError("--grid-min and --grid-max must be positive")
+        return (np.logspace(np.log10(args.grid_min), np.log10(args.grid_max),
+                            args.grid_points),)
+    if not args.eps > 0:
+        raise ValueError("--eps must be positive")
+    return ()
+
+
 def _load(args):
     ds = dio.parse_libsvm(args.data)
     if args.scale:
@@ -97,31 +119,31 @@ def _write_trace(outdir, records):
                      "lin_iters", "backtracks", "route", "lin_resid",
                      "shift"])
         for rec in records:
-            for row in rec.trace.rows:
+            for row in rec.trace:
                 wr.writerow([rec.t, repr(rec.eps), row.k, repr(row.normF),
                              repr(row.step), row.lin_iters, row.backtracks,
                              row.route, repr(row.lin_resid), repr(row.shift)])
     return path
 
 
-def _write_timings(outdir, records):
-    """timings.json: each subproblem's wall time and each step's direction
-    and line-search times, in ms.  Timings differ from run to run, so they
-    stay out of report.json and trace.csv, which identical runs write
-    byte for byte."""
+def _write_timings(outdir, report):
+    """timings.json: the solve's wall time, each subproblem's wall time and
+    each step's direction and line-search times, in ms.  Timings differ from
+    run to run, so they stay out of report.json and trace.csv, which
+    identical runs write byte for byte."""
     path = Path(outdir) / "timings.json"
     with open(path, "w") as fh:
-        json.dump({"subproblems": [
+        json.dump({"wall_ms": report.wall_ms, "subproblems": [
             {"t": rec.t, "eps": rec.eps, "wall_ms": rec.wall_ms,
              "steps": [{"k": row.k, "direction_ms": row.direction_ms,
                         "line_search_ms": row.line_search_ms}
-                       for row in rec.trace.rows]}
-            for rec in records]}, fh, indent=2)
+                       for row in rec.trace]}
+            for rec in report.outer_records]}, fh, indent=2)
         fh.write("\n")
     return path
 
 
-def cmd_solve(args, ds, plan, p):
+def cmd_solve(args, ds, plan, p, ocfg, ncfg):
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     if args.dump_problem:
@@ -129,10 +151,6 @@ def cmd_solve(args, ds, plan, p):
             json.dump(problem.sparsity_stats(p), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    ocfg = driver.OuterConfig(eps0=args.eps0, eps_min=args.eps_min,
-                              kappa=args.kappa, initial_C=args.initial_C)
-    ncfg = NewtonConfig(sigma=args.sigma, rho=args.rho, f_tol=args.ftol,
-                        max_iters=args.newton_maxit)
     v_star, report = driver.run_smoothing(p, ocfg, ncfg)
     report.C_hat, w_hat = driver.postprocess(p, v_star, ds, plan)
     report.E_te = driver.test_error(ds, plan.test_indices, w_hat)
@@ -151,7 +169,7 @@ def cmd_solve(args, ds, plan, p):
                         dims=problem.sparsity_stats(p), config=config_echo)
     _write_report(outdir, rd)
     _write_trace(outdir, report.outer_records)
-    _write_timings(outdir, report.outer_records)
+    _write_timings(outdir, report)
     if args.json:
         json.dump(rd, sys.stdout, indent=2, sort_keys=True, default=float)
         print()
@@ -163,9 +181,7 @@ def cmd_solve(args, ds, plan, p):
     return EXIT_SOLVER if failed else EXIT_OK
 
 
-def cmd_grid(args, ds, plan, p):
-    grid = np.logspace(np.log10(args.grid_min), np.log10(args.grid_max),
-                       args.grid_points)
+def cmd_grid(args, ds, plan, p, grid):
     result = svc.grid_search(ds, plan, grid)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -232,11 +248,16 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     handler = {"solve": cmd_solve, "grid": cmd_grid, "check": cmd_check}[args.command]
     try:
+        settings = _settings(args)
+    except ValueError as exc:        # an option value out of range
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    try:
         inputs = _load(args)
     except (OSError, dio.ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE if isinstance(exc, (OSError, dio.ParseError)) else EXIT_ASSEMBLY
-    return handler(args, *inputs)
+    return handler(args, *inputs, *settings)
 
 
 if __name__ == "__main__":

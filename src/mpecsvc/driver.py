@@ -32,6 +32,8 @@ class OuterConfig:
             raise ValueError("require eps0 >= eps_min > 0")
         if not (0.0 < self.kappa < 1.0):
             raise ValueError("kappa must lie in (0, 1)")
+        if not self.initial_C > 0:
+            raise ValueError("initial_C must be positive")
 
 
 @dataclass
@@ -45,7 +47,7 @@ class OuterRecord:
     max_comp_gap: float     # max_i |G_i H_i - eps^2/2| at the solution
     min_G: float
     min_H: float
-    trace: object           # NewtonTrace
+    trace: list             # one newton.TraceRow per Newton step
     wall_ms: float = 0.0    # wall time of the subproblem's Newton solve
 
 
@@ -62,7 +64,7 @@ class SolveReport:
     inner_iters_total: int = 0
     outer_records: list = field(default_factory=list)
     final_point: KktPoint | None = None
-    wall_ms: float = 0.0
+    wall_ms: float = 0.0    # run_smoothing wall time, kept out of to_dict
 
     def to_dict(self, dataset="", dims=None, config=None):
         return {
@@ -82,7 +84,6 @@ class SolveReport:
                 {"t": rec.t, "eps": rec.eps, "status": rec.status,
                  "inner_iters": rec.inner_iters, "normF": rec.normF}
                 for rec in self.outer_records],
-            "wall_ms": self.wall_ms,
         }
 
 
@@ -119,14 +120,13 @@ def run_smoothing(p, ocfg=None, ncfg=None, r0=None):
     ocfg = ocfg or OuterConfig()
     ncfg = ncfg or NewtonConfig()
     t0 = time.perf_counter()
-    r = r0.copy() if r0 is not None else initial_point(p, ocfg.initial_C)
+    r = r0 if r0 is not None else initial_point(p, ocfg.initial_C)
     report = SolveReport()
     for t, eps in enumerate(eps_schedule(ocfg)):
         # solving much below the eps^2/2 complementarity scale wastes work,
         # so the tolerance is relaxed while eps is large and floors at f_tol
         f_tol = max(ncfg.f_tol, 1e-2 * eps * eps)
         sub_cfg = replace(ncfg, f_tol=f_tol)
-        r.eps = eps
         t1 = time.perf_counter()
         r, trace, status = solve_subproblem(p, eps, r, sub_cfg)
         wall_ms = 1000.0 * (time.perf_counter() - t1)
@@ -135,7 +135,7 @@ def run_smoothing(p, ocfg=None, ncfg=None, r0=None):
         gap = float(np.max(np.abs(op.G * op.H - 0.5 * eps * eps)))
         report.outer_records.append(OuterRecord(
             t=t, eps=eps, f_tol=f_tol, status=status, normF=normF,
-            inner_iters=len(trace.rows), max_comp_gap=gap,
+            inner_iters=len(trace), max_comp_gap=gap,
             min_G=float(op.G.min()), min_H=float(op.H.min()), trace=trace,
             wall_ms=wall_ms,
         ))

@@ -9,11 +9,11 @@ collapsed line search the subproblem switches to Levenberg-Marquardt
 directions, the real part of the same fold solve with the complex shift
 -i*||F||.  When the fold solve is singular or gives no descent direction
 for the merit g = 0.5*||F||^2, no step is taken and the subproblem ends
-with the status no_descent.  Each trace row records the route its step
-took, the relative residual of the step in the Newton system and the shift
-used, and the wall time of the step's two phases, which rows ignore when
+with the status no_descent.  A subproblem's trace is a list with one
+TraceRow per step: the route the step took, the relative residual of the
+step in the Newton system, the shift used, the backtracks of its line
+search, and the wall time of the step's two phases, which rows ignore when
 compared.
-The linear solvers' tolerances and budgets are the module constants below.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ import numpy as np
 
 from .kkt import KktOperator, KktPoint, SingularSystemError, fold_solve
 from .krylov import KrylovConfig, bicgstab
-
-LIN_RTOL = 1e-10   # floor of the BiCGStab forcing target
-REG_MU = 1e-8      # least LM damping sqrt(mu)
 
 
 @dataclass(frozen=True)
@@ -43,6 +40,8 @@ class NewtonConfig:
             raise ValueError("sigma must lie in (0, 1/2)")
         if not (0.0 < self.rho < 1.0):
             raise ValueError("rho must lie in (0, 1)")
+        if self.max_iters < 0 or self.max_backtracks < 0:
+            raise ValueError("max_iters and max_backtracks must be >= 0")
 
 
 @dataclass
@@ -54,26 +53,10 @@ class TraceRow:
     backtracks: int
     route: str           # bicgstab | direct | lm
     lin_resid: float     # ||J d + F|| / ||F|| of the step d
-    shift: float         # LM damping sigma on lm steps, else 0
+    shift: float         # LM damping sigma = ||F|| on lm steps, else 0
     # wall time of the direction (with lin_resid) and of the line search
     direction_ms: float = field(default=0.0, compare=False)
     line_search_ms: float = field(default=0.0, compare=False)
-
-
-@dataclass
-class NewtonTrace:
-    rows: list = field(default_factory=list)
-
-    def append(self, **kw):
-        self.rows.append(TraceRow(**kw))
-
-    @property
-    def norms(self):
-        return [row.normF for row in self.rows]
-
-    @property
-    def total_lin_iters(self):
-        return sum(row.lin_iters for row in self.rows)
 
 
 class LineSearchError(RuntimeError):
@@ -99,18 +82,12 @@ def armijo_search(merit_fn, g0, grad_dot_d, cfg):
     raise LineSearchError("backtracking exhausted")
 
 
-def lm_sigma(normF):
-    """The LM damping sigma = sqrt(mu) for mu = ||F||^2, at least REG_MU."""
-    return max(normF, REG_MU)
-
-
 def _direction(op, F, lm=False):
     """Newton direction: BiCGStab, else the exact or damped fold solve.
 
     BiCGStab is tried first, capped at min(2*dim, 400) iterations, with the
-    relative forcing target min(1e-2, 0.3*sqrt(||F||)), floored at LIN_RTOL.
-    A target that shrinks like sqrt(||F||) gives an inexact
-    Newton tail of order 3/2, ||F_{k+1}|| <= c ||F_k||^{3/2} with a constant
+    relative forcing target min(1e-2, 0.3*sqrt(||F||)).  A target that
+    shrinks like sqrt(||F||) gives an inexact Newton tail of order 3/2, ||F_{k+1}|| <= c ||F_k||^{3/2} with a constant
     c that depends on the problem and on the units of F (Dembo, Eisenstat
     & Steihaug, 1982); the cap at 1e-2 holds the target fixed while
     ||F|| > 1.1e-3.  Its operator is kkt_apply, the product that also gives
@@ -125,18 +102,17 @@ def _direction(op, F, lm=False):
     direct step.
 
     With `lm=True` the exact solve is replaced by a Levenberg-Marquardt
-    direction (J^2 + mu*I) d = -J F with mu = ||F||^2 (at least REG_MU^2),
-    and BiCGStab is not tried.  The caller switches this on when the line
-    search collapses: near a flat valley the Jacobian is nearly singular
-    and the exact direction blows up along its null space, while the
-    mu = ||F||^2 damping is known to keep quadratic local convergence
-    under a local error bound without any nonsingularity (Yamashita &
-    Fukushima, 2001).  J is real symmetric, so
+    direction (J^2 + mu*I) d = -J F with mu = ||F||^2, and BiCGStab is not
+    tried.  The caller switches this on when the line search collapses:
+    near a flat valley the Jacobian is nearly singular and the exact
+    direction blows up along its null space, while the mu = ||F||^2
+    damping is known to keep quadratic local convergence under a local
+    error bound without any nonsingularity (Yamashita & Fukushima, 2001).  J is real symmetric, so
     Re (J - i sqrt(mu) I)^{-1} = J (J^2 + mu*I)^{-1} and the step is
-    d = Re fold_solve(op, -F, shift=-i sqrt(mu)): the same fold solve in
+    d = Re fold_solve(op, -F, shift=-i ||F||): the same fold solve in
     complex arithmetic, without forming J^2.  The shifted system is
-    nonsingular for every mu > 0 and d is a descent direction in exact
-    arithmetic.
+    nonsingular whenever F != 0 (the driver steps only while
+    ||F|| > f_tol > 0), and d is a descent direction in exact arithmetic.
 
     Returns (d, grad, grad_dot_d, lin_iters, route) with route one of
     bicgstab, direct or lm.  Raises NoDescentError when the fold solve is
@@ -145,7 +121,7 @@ def _direction(op, F, lm=False):
     grad = op.kkt_apply(F)          # merit gradient (J symmetric)
     norm_grad = float(np.linalg.norm(grad))
     normF = float(np.linalg.norm(F))
-    target = max(LIN_RTOL, min(1e-2, 0.3 * np.sqrt(normF)))
+    target = min(1e-2, 0.3 * np.sqrt(normF))
     dim = F.shape[0]
 
     def is_descent(d, gd):
@@ -161,7 +137,7 @@ def _direction(op, F, lm=False):
         if res.residual_norm <= target * normF and is_descent(d, gd):
             return d, grad, gd, lin_iters, "bicgstab"
 
-    shift = -1j * lm_sigma(normF) if lm else 0.0
+    shift = -1j * normF if lm else 0.0
     try:
         d = fold_solve(op, -F, shift=shift).real
     except SingularSystemError as exc:
@@ -175,7 +151,8 @@ def _direction(op, F, lm=False):
 def solve_subproblem(p, eps, r0, cfg=None):
     """Run the damped Newton method on F_eps = 0 from r0.
 
-    Returns (KktPoint, NewtonTrace, status) with status one of
+    Returns (KktPoint, trace, status): trace is a list with one TraceRow per
+    step, and status is one of
       converged            ||F|| <= cfg.f_tol;
       max_iters            cfg.max_iters steps taken;
       line_search_failure  the Armijo search exhausted its backtracks (the
@@ -189,17 +166,19 @@ def solve_subproblem(p, eps, r0, cfg=None):
     cfg = cfg or NewtonConfig()
     r = KktPoint(v=np.asarray(r0.v, dtype=float).copy(),
                  lam=np.asarray(r0.lam, dtype=float).copy(), eps=eps)
-    trace = NewtonTrace()
+    trace = []
 
     op = KktOperator(p, r)
     F = op.residual()
     normF = float(np.linalg.norm(F))
-    status = "max_iters"
     lm = False
     stagnant = 0
-    for k in range(cfg.max_iters):
+    for k in range(cfg.max_iters + 1):
         if normF <= cfg.f_tol:
             status = "converged"
+            break
+        if k == cfg.max_iters:
+            status = "max_iters"
             break
         # a string of accepted steps with vanishing merit decrease means the
         # iterate is numerically merit-stationary (the residual has a component
@@ -214,48 +193,42 @@ def solve_subproblem(p, eps, r0, cfg=None):
         except NoDescentError:
             status = "no_descent"
             break
-        step_info = dict(
-            lin_iters=lin_iters, route=route,
-            lin_resid=float(np.linalg.norm(op.kkt_apply(d) + F)) / normF,
-            shift=lm_sigma(normF) if route == "lm" else 0.0)
+        lin_resid = float(np.linalg.norm(op.kkt_apply(d) + F)) / normF
         t1 = time.perf_counter()
-        step_info["direction_ms"] = 1000.0 * (t1 - t0)
         nv = p.m + 1
         dv, dl = d[:nv], d[nv:]
-        g0 = 0.5 * normF * normF
-
-        cache = {}
+        trials = []
 
         def merit_at(s):
             trial = KktPoint(v=r.v + s * dv, lam=r.lam + s * dl, eps=eps)
             trial_op = KktOperator(p, trial)
             Ft = trial_op.residual()
-            cache[s] = (trial, trial_op, Ft)
+            trials.append((trial, trial_op, Ft))
             return 0.5 * float(np.dot(Ft, Ft))
 
         try:
-            s = armijo_search(merit_at, g0, gd, cfg)
+            s = armijo_search(merit_at, 0.5 * normF * normF, gd, cfg)
         except LineSearchError:
             s = None
-        step_info["line_search_ms"] = 1000.0 * (time.perf_counter() - t1)
+        t2 = time.perf_counter()
+        backtracks = len(trials) - 1
+        prev_normF = normF
+        if s is not None:
+            r, op, F = trials[-1]     # armijo_search accepts its last trial
+            normF = float(np.linalg.norm(F))
+        trace.append(TraceRow(
+            k=k, normF=normF, step=0.0 if s is None else s,
+            lin_iters=lin_iters, backtracks=backtracks, route=route,
+            lin_resid=lin_resid, shift=prev_normF if route == "lm" else 0.0,
+            direction_ms=1000.0 * (t1 - t0),
+            line_search_ms=1000.0 * (t2 - t1)))
         if s is None:
             status = "line_search_failure"
-            trace.append(k=k, normF=normF, step=0.0,
-                         backtracks=cfg.max_backtracks, **step_info)
             break
-        backtracks = int(round(np.log(s) / np.log(cfg.rho))) if s < 1.0 else 0
-        r, op, F = cache[s]
-        prev_normF = normF
-        normF = float(np.linalg.norm(F))
         stagnant = stagnant + 1 if normF > (1.0 - 1e-3) * prev_normF else 0
         # a collapsed step means the exact direction is exploding along a
         # near-null space of the Jacobian; switch to the damped direction
         # for the rest of this subproblem (it self-tunes as mu = ||F||^2)
         if backtracks >= 4:
             lm = True
-        trace.append(k=k, normF=normF, step=s, backtracks=backtracks,
-                     **step_info)
-    else:
-        if normF <= cfg.f_tol:
-            status = "converged"
     return r, trace, status

@@ -6,7 +6,6 @@ once.  Each test prints a single PASS/FAIL line naming the check, then
 asserts.
 """
 
-import json
 import math
 import time
 
@@ -180,10 +179,10 @@ def test_04_quadratic_tail(heart_p, tail_trace):
     warm = KktPoint(v=rep.final_point.v, lam=rep.final_point.lam, eps=1e-2)
     # norms[0] is the warm-start residual; step k takes norms[k] to norms[k+1]
     norms = [float(np.linalg.norm(KktOperator(heart_p, warm).residual()))]
-    norms += [row.normF for row in trace.rows]
+    norms += [row.normF for row in trace]
     tail = convergence_orders(norms)
     first = next((k for k, n in enumerate(norms) if n < 1e-2), len(norms))
-    full_steps = all(row.step == 1.0 for row in trace.rows[first:])
+    full_steps = all(row.step == 1.0 for row in trace[first:])
     # the measure rejects a linearly convergent tail (order 1)
     assert convergence_orders([1e-3, 1e-4, 1e-5])[0][3] == pytest.approx(1.0)
     ok = (status == "converged" and len(tail) >= 1 and full_steps
@@ -287,18 +286,18 @@ def test_10_determinism(tmp_path):
     ds = make_tiny_dataset(n_points=12, n_features=4, seed=0)
     path = tmp_path / "tiny.libsvm"
     M.write_libsvm(ds, path)
-    reports = []
+    runs = []
     for name in ("a", "b"):
         out = tmp_path / name
         code = main(["solve", "--data", str(path), "--p1", "6",
                      "--eps-min", "1e-3", "--out", str(out), "--quiet"])
         assert code == EXIT_OK
-        rep = json.loads((out / "report.json").read_text())
-        rep.pop("wall_ms")
-        reports.append(rep)
-    ok = reports[0] == reports[1]
+        runs.append([(out / f).read_bytes()
+                     for f in ("report.json", "trace.csv")])
+    ok = runs[0] == runs[1]
     report("determinism", ok,
-           "identical report.json modulo timing" if ok else "reports differ")
+           "identical report.json and trace.csv bytes" if ok
+           else "reports differ")
 
 
 def test_heart_reference_results(solve_result):

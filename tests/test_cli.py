@@ -57,21 +57,20 @@ class TestSolve:
         assert problem["m"] == 36
 
     def test_deterministic_reports(self, data_file, tmp_path):
-        reports = []
+        runs = []
         for name in ("a", "b"):
             out = tmp_path / name
             run(["solve", "--data", data_file, "--p1", 6, "--eps-min", "1e-3",
                  "--out", out, "--quiet"])
-            rep = json.loads((out / "report.json").read_text())
-            rep.pop("wall_ms")
-            reports.append(rep)
-        assert reports[0] == reports[1]
+            runs.append([(out / f).read_bytes()
+                         for f in ("report.json", "trace.csv")])
+        assert runs[0] == runs[1]
 
     def test_timings_follow_the_trace(self, data_file, tmp_path):
         run(["solve", "--data", data_file, "--p1", 6, "--out", tmp_path,
              "--quiet"])
-        subs = json.loads((tmp_path / "timings.json").read_text())[
-            "subproblems"]
+        timings = json.loads((tmp_path / "timings.json").read_text())
+        subs = timings["subproblems"]
         trace = list(csv.DictReader((tmp_path / "trace.csv").open()))
         assert len(subs) == 21
         assert [s["t"] for s in subs] == list(range(21))
@@ -82,6 +81,7 @@ class TestSolve:
             assert sub["wall_ms"] >= sum(
                 step["direction_ms"] + step["line_search_ms"]
                 for step in sub["steps"]) >= 0.0
+        assert timings["wall_ms"] >= sum(sub["wall_ms"] for sub in subs)
 
     @pytest.mark.parametrize("maxit", [200, 1])
     def test_exit_code_follows_listed_statuses(self, data_file, tmp_path,
@@ -172,6 +172,24 @@ def test_load_errors_exit(data_file, tmp_path, capsys, command, case, code):
     assert run([command, "--data", path, "--p1", p1, "--out", tmp_path,
                 "--quiet"]) == code
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--kappa", "2"], ["solve", "--rho", "1.5"],
+    ["solve", "--eps-min", "0"], ["solve", "--newton-maxit", "-1"],
+    ["solve", "--initial-C", "0"], ["grid", "--grid-points", "0"],
+    ["grid", "--grid-min", "0"], ["check", "--eps", "0"]],
+    ids=["kappa", "rho", "eps_min", "newton_maxit", "initial_C",
+         "grid_points", "grid_min", "check_eps"])
+def test_bad_option_values_exit_as_parse_errors(data_file, tmp_path, capsys,
+                                                argv):
+    # an out-of-range value is rejected before the data is read, with one
+    # line on stderr and argparse's exit code, and writes nothing
+    assert run([*argv, "--data", data_file, "--p1", 6, "--out", tmp_path,
+                "--quiet"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_check_and_grid_leave_heavy_scipy_modules_unloaded(data_file,

@@ -107,7 +107,7 @@ class TestSmoothingLoop:
         _, report = run_smoothing(tiny_p, OuterConfig(),
                                   NewtonConfig(max_iters=100))
         routes = {row.route for rec in report.outer_records
-                  for row in rec.trace.rows}
+                  for row in rec.trace}
         assert {"bicgstab", "direct", "lm"} <= routes
         np.testing.assert_array_equal(report.final_point.to_vector(),
                                       tiny_complementary_point.to_vector())
@@ -138,8 +138,9 @@ class TestSmoothingLoop:
         seen = []
 
         def spy(p, eps, r0, cfg):
+            # returns its start point at eps, as solve_subproblem does
             seen.append((eps, cfg))
-            return r0, M.NewtonTrace(), "converged"
+            return KktPoint(v=r0.v, lam=r0.lam, eps=eps), [], "converged"
 
         monkeypatch.setattr(M.driver, "solve_subproblem", spy)
         run_smoothing(tiny_p, OuterConfig(eps_min=0.25), ncfg)

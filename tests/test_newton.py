@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 import mpecsvc as M
 from mpecsvc import newton
-from mpecsvc.driver import initial_point
+from mpecsvc.driver import OuterConfig, initial_point, run_smoothing
 from mpecsvc.kkt import KktOperator, KktPoint
 from mpecsvc.krylov import bicgstab
 from mpecsvc.newton import (LineSearchError, NewtonConfig, NoDescentError,
@@ -26,6 +26,10 @@ class TestConfig:
             NewtonConfig(sigma=0.0)
         with pytest.raises(ValueError):
             NewtonConfig(rho=1.0)
+        with pytest.raises(ValueError):
+            NewtonConfig(max_iters=-1)
+        with pytest.raises(ValueError):
+            NewtonConfig(max_backtracks=-1)
 
 
 class TestArmijo:
@@ -58,7 +62,7 @@ class TestSubproblem:
         cfg = NewtonConfig(f_tol=1e9)
         r, trace, status = solve_subproblem(tiny_p, 1.0, r0, cfg)
         assert status == "converged"
-        assert len(trace.rows) == 0
+        assert len(trace) == 0
         np.testing.assert_allclose(r.v, r0.v)
 
     def test_converges_on_tiny_instance(self, tiny_p):
@@ -79,18 +83,18 @@ class TestSubproblem:
         r0 = initial_point(tiny_p, 1.0)
         cfg = NewtonConfig(f_tol=1e-3, max_iters=50)
         _, trace, _ = solve_subproblem(tiny_p, 0.5, r0, cfg)
-        norms = trace.norms
+        norms = [row.normF for row in trace]
         assert len(norms) >= 1
         assert all(b < a for a, b in zip(norms, norms[1:]))
-        assert trace.total_lin_iters > 0
-        assert {row.route for row in trace.rows} <= ROUTES
+        assert sum(row.lin_iters for row in trace) > 0
+        assert {row.route for row in trace} <= ROUTES
 
     def test_max_iters_status(self, tiny_p):
         r0 = initial_point(tiny_p, 1.0)
         cfg = NewtonConfig(f_tol=1e-14, max_iters=1)
         _, trace, status = solve_subproblem(tiny_p, 0.5, r0, cfg)
         assert status in ("max_iters", "line_search_failure")
-        assert len(trace.rows) <= 2
+        assert len(trace) <= 2
 
     def test_stagnation_has_its_own_status(self, tiny_p, monkeypatch):
         # every line search succeeds, with a step so short that each cuts
@@ -106,8 +110,8 @@ class TestSubproblem:
         _, trace, status = solve_subproblem(tiny_p, 0.5, r0,
                                             NewtonConfig(f_tol=1e-3))
         assert status == "stagnated"
-        assert len(trace.rows) == 5
-        norms = [normF0] + trace.norms
+        assert len(trace) == 5
+        norms = [normF0] + [row.normF for row in trace]
         assert all(b > (1.0 - 1e-3) * a for a, b in zip(norms, norms[1:]))
 
     def test_products_build_no_transpose(self, tiny_ds, tiny_plan,
@@ -125,7 +129,7 @@ class TestSubproblem:
         monkeypatch.setattr(sp.csr_matrix, "transpose", counted)
         _, trace, _ = solve_subproblem(p, 0.01, initial_point(p, 1.0),
                                        NewtonConfig(f_tol=1e-3))
-        assert {"bicgstab", "direct"} <= {row.route for row in trace.rows}
+        assert {"bicgstab", "direct"} <= {row.route for row in trace}
         assert len(builds) <= 2
 
     def test_products_dispatch_no_sparse_matmul(self, tiny_ds, tiny_plan,
@@ -144,7 +148,7 @@ class TestSubproblem:
                 monkeypatch.setattr(cls, name, counted)
         _, trace, _ = solve_subproblem(p, 0.01, initial_point(p, 1.0),
                                        NewtonConfig(f_tol=1e-3))
-        assert {"bicgstab", "direct"} <= {row.route for row in trace.rows}
+        assert {"bicgstab", "direct"} <= {row.route for row in trace}
         assert dispatches == []
 
     def test_heart_trajectory_is_that_of_the_plain_formulas(self, heart_p,
@@ -159,8 +163,8 @@ class TestSubproblem:
         r, trace, status = first_subproblem()
         request.getfixturevalue("plain_products")
         r_ref, trace_ref, status_ref = first_subproblem()
-        assert {"bicgstab", "lm"} <= {row.route for row in trace.rows}
-        assert (trace.rows, status) == (trace_ref.rows, status_ref)
+        assert {"bicgstab", "lm"} <= {row.route for row in trace}
+        assert (trace, status) == (trace_ref, status_ref)
         assert r.to_vector().tobytes() == r_ref.to_vector().tobytes()
 
     def test_only_stepping_operators_allocate_a_work_area(self, tiny_p,
@@ -178,10 +182,37 @@ class TestSubproblem:
         monkeypatch.setattr(newton, "KktOperator", Recorded)
         _, trace, _ = solve_subproblem(tiny_p, 0.01, initial_point(tiny_p, 1.0),
                                        NewtonConfig(f_tol=1e-3))
-        backtracks = sum(row.backtracks for row in trace.rows)
+        backtracks = sum(row.backtracks for row in trace)
         assert backtracks > 0
-        assert len(created) == 1 + len(trace.rows) + backtracks
-        assert sum(op._work is not None for op in created) == len(trace.rows)
+        assert len(created) == 1 + len(trace) + backtracks
+        assert sum(op._work is not None for op in created) == len(trace)
+
+    def test_rows_record_each_line_search_and_lm_shift(self, tiny_p,
+                                                       monkeypatch):
+        # the default schedule on tiny_p takes mostly lm steps: each row's
+        # backtracks is its line search's merit evaluations less the
+        # accepted one, and an lm step's shift is ||F|| at its start
+        evaluations = []
+
+        def counted(merit_fn, g0, grad_dot_d, cfg):
+            evaluations.append(0)
+
+            def merit(s):
+                evaluations[-1] += 1
+                return merit_fn(s)
+
+            return armijo_search(merit, g0, grad_dot_d, cfg)
+
+        monkeypatch.setattr(newton, "armijo_search", counted)
+        _, report = run_smoothing(tiny_p, OuterConfig(), NewtonConfig())
+        traces = [rec.trace for rec in report.outer_records]
+        rows = [row for trace in traces for row in trace]
+        assert [row.backtracks for row in rows] == [n - 1 for n in evaluations]
+        assert any(row.backtracks > 0 for row in rows)
+        lm_rows = [(trace[k - 1], row) for trace in traces
+                   for k, row in enumerate(trace) if k and row.route == "lm"]
+        assert len(lm_rows) > 100
+        assert all(row.shift == prev.normF for prev, row in lm_rows)
 
     def test_warm_start_continuation(self, tiny_p):
         # solve at eps=0.5, then warm-start eps=0.25: few iterations needed
@@ -195,7 +226,7 @@ class TestSubproblem:
         cold_cfg = NewtonConfig(f_tol=1e-3 / 4, max_iters=100)
         _, trace_cold, _ = solve_subproblem(tiny_p, 0.25,
                                             initial_point(tiny_p, 1.0), cold_cfg)
-        assert len(trace2.rows) <= len(trace_cold.rows)
+        assert len(trace2) <= len(trace_cold)
 
 
 class TestDirection:
@@ -239,7 +270,7 @@ class TestDirection:
         p = request.getfixturevalue(name)
         r0 = KktPoint(v=initial_point(p, 1.0).v, lam=np.zeros(p.m), eps=0.5)
         r, trace, status = solve_subproblem(p, 0.5, r0)
-        assert (status, trace.rows) == ("no_descent", [])
+        assert (status, trace) == ("no_descent", [])
         np.testing.assert_array_equal(r.to_vector(), r0.to_vector())
 
     @pytest.mark.parametrize("lam", [0.1, 0.0])
@@ -296,8 +327,8 @@ class TestLargeInstance:
         r, trace, status = solve_subproblem(
             large_p, 1.0, initial_point(large_p, 1.0), NewtonConfig(f_tol=1e-2))
         assert status == "converged"
-        routes = [row.route for row in trace.rows]
+        routes = [row.route for row in trace]
         assert "direct" in routes and set(routes) <= {"bicgstab", "direct",
                                                        "lm"}
-        assert all(row.lin_resid <= 1e-10 for row in trace.rows
+        assert all(row.lin_resid <= 1e-10 for row in trace
                    if row.route == "direct")
