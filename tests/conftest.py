@@ -4,9 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import mpecsvc as M
 from mpecsvc import problem as pb
+from mpecsvc.svc import DualSvcConfig, DualSvcResult
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "heart_synth.libsvm"
 
@@ -191,3 +193,47 @@ def _into(x, out):
         return x
     out[:] = x
     return out
+
+
+# The plain numpy loop of the dual coordinate descent, on numpy scalars.
+# `svc.solve_l1svc_dual` runs the same steps on Python floats and must
+# reproduce it bit for bit: alpha, w, epochs, status and violation.
+
+def plain_l1svc_dual(rows, C, cfg=None):
+    cfg = cfg or DualSvcConfig()
+    R = rows.toarray() if sp.issparse(rows) else np.asarray(rows, dtype=float)
+    N, n = R.shape
+    qdiag = np.einsum("ij,ij->i", R, R)
+    alpha = np.zeros(N)
+    w = np.zeros(n)
+    if C == 0.0 or N == 0:
+        return DualSvcResult(alpha=alpha, w=w, epochs=0, max_violation=0.0,
+                             status="converged")
+    rng = np.random.default_rng(cfg.seed)
+    status = "max_epochs"
+    epoch = 0
+    violation = np.inf
+    for epoch in range(1, cfg.max_epochs + 1):
+        violation = 0.0
+        for i in rng.permutation(N):
+            if qdiag[i] == 0.0:
+                continue
+            g = float(R[i] @ w) - 1.0     # (Q alpha - 1)_i
+            a = alpha[i]
+            if a <= 0.0:
+                pg = min(g, 0.0)
+            elif a >= C:
+                pg = max(g, 0.0)
+            else:
+                pg = g
+            violation = max(violation, abs(pg))
+            if pg != 0.0:
+                a_new = min(max(a - g / qdiag[i], 0.0), C)
+                if a_new != a:
+                    w += (a_new - a) * R[i]
+                    alpha[i] = a_new
+        if violation <= cfg.tol:
+            status = "converged"
+            break
+    return DualSvcResult(alpha=alpha, w=w, epochs=epoch,
+                         max_violation=violation, status=status)

@@ -4,12 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import mpecsvc as M
 from mpecsvc.svc import (DualSvcConfig, dual_objective, grid_search,
                          primal_objective, solve_l1svc_dual, validation_error)
 
-from conftest import make_tiny_dataset
+from conftest import make_tiny_dataset, plain_l1svc_dual
 
 
 def brute_force_box_qp(Q, C, tol=1e-10):
@@ -78,6 +79,18 @@ class TestDualSolver:
         with pytest.raises(ValueError):
             solve_l1svc_dual(np.ones((1, 1)), C=-1.0)
 
+    def test_nan_C_rejected(self):
+        # NaN fails every comparison: unchecked, it "converged" with
+        # alpha = (0, 0, 1) on this example
+        with pytest.raises(ValueError):
+            solve_l1svc_dual(np.ones((3, 1)), C=np.nan)
+
+    @pytest.mark.parametrize("kw", [{"max_epochs": 0}, {"max_epochs": -1},
+                                    {"tol": 0.0}, {"tol": np.nan}])
+    def test_bad_config_rejected(self, kw):
+        with pytest.raises(ValueError):
+            DualSvcConfig(**kw)
+
     def test_zero_row_skipped(self):
         rows = np.array([[0.0, 0.0], [1.0, 0.0]])
         res = solve_l1svc_dual(rows, C=5.0)
@@ -129,6 +142,56 @@ class TestDualSolver:
         a = solve_l1svc_dual(rows, 1.0)
         b = solve_l1svc_dual(rows, 1.0)
         np.testing.assert_array_equal(a.alpha, b.alpha)
+
+
+def assert_matches_plain(rows, C, cfg=None):
+    """The solver against the plain numpy loop, bit for bit."""
+    got, ref = solve_l1svc_dual(rows, C, cfg), plain_l1svc_dual(rows, C, cfg)
+    assert got.alpha.dtype == ref.alpha.dtype == np.float64
+    assert got.alpha.tobytes() == ref.alpha.tobytes()
+    assert got.w.tobytes() == ref.w.tobytes()
+    assert (got.epochs, got.status) == (ref.epochs, ref.status)
+    assert (np.float64(got.max_violation).tobytes()
+            == np.float64(ref.max_violation).tobytes())
+    return got
+
+
+@pytest.fixture(scope="module")
+def heart_fold_rows(heart_ds, heart_plan):
+    """Signed rows of heart's three training folds, as CSR."""
+    T = heart_plan.T
+    return [heart_ds.signed_rows([i for s in range(T) if s != t
+                                  for i in heart_plan.folds[s]])
+            for t in range(T)]
+
+
+class TestMatchesPlainLoop:
+    # 1e-3 converges in 2 epochs, 1.778 (the grid's best cell) in 156 to
+    # 734, and 1000 never does: it runs 50 epochs here
+    @pytest.mark.parametrize("C, cfg", [
+        (1e-3, None),
+        (np.logspace(-3, 3, 25)[13], None),
+        (1000.0, DualSvcConfig(max_epochs=50))])
+    @pytest.mark.parametrize("form", ["csr", "dense"])
+    def test_heart_folds(self, heart_fold_rows, C, cfg, form):
+        for rows in heart_fold_rows:
+            assert_matches_plain(rows if form == "csr" else rows.toarray(),
+                                 C, cfg)
+
+    @pytest.mark.parametrize("layout", ["csr", "C", "F"])
+    def test_zero_row_and_layouts(self, layout):
+        rng = np.random.default_rng(4)
+        R = rng.standard_normal((20, 6))
+        R[3] = 0.0
+        rows = (sp.csr_matrix(R) if layout == "csr"
+                else np.asarray(R, order=layout))
+        for C in (0.05, 1.0, 30.0):
+            res = assert_matches_plain(rows, C)
+            assert res.alpha[3] == 0.0
+
+    def test_C_zero_and_no_rows(self):
+        assert_matches_plain(np.ones((4, 2)), 0.0)
+        assert_matches_plain(np.zeros((0, 3)), 1.0)
 
 
 class TestValidationError:
