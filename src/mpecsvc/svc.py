@@ -16,12 +16,14 @@ the epoch count, the status and the violation match it bit for bit:
 - g_i = R_i . w - 1 is one BLAS ddot on R's row, as ``R[i] @ w`` is.  A
   Python sum, einsum or a batched product rounds differently;
 - w is updated by a multiply and then an add, never axpy or FMA;
-- each epoch visits a fresh seeded permutation, and every ``min``/``max``
-  keeps its argument order (which decides the sign of a zero).
+- each epoch visits a fresh seeded permutation;
+- each min/max of the plain loop is written out as the comparison the
+  builtin makes, with its operands in the same order, so ties resolve as
+  before.  The builtin calls took a third of a step.
 
 A coordinate step costs one ddot and, when alpha_i moves, one multiply and
-one add on length-n vectors: about 3 us on heart (n = 13; 2-core Xeon,
-single-threaded BLAS), against about 5 us for the numpy-scalar loop.
+one add on length-n vectors: about 2 us on heart (n = 13; 2-core Xeon,
+single-threaded BLAS), against about 5 us for the plain numpy loop.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ def solve_l1svc_dual(rows, C, cfg=None):
     alpha = [0.0] * N
     row = list(R)
     tmp = np.empty(n)
-    dot, multiply = np.dot, np.multiply
     rng = np.random.default_rng(cfg.seed)
     status = "max_epochs"
     for epoch in range(1, cfg.max_epochs + 1):
@@ -83,19 +84,26 @@ def solve_l1svc_dual(rows, C, cfg=None):
             q = qdiag[i]
             if q == 0.0:
                 continue
-            g = float(dot(row[i], w)) - 1.0     # (Q alpha - 1)_i
+            r = row[i]
+            g = float(r.dot(w)) - 1.0     # (Q alpha - 1)_i
             a = alpha[i]
+            # min(x, y) is y only if y < x, and max(x, y) only if y > x
             if a <= 0.0:
-                pg = min(g, 0.0)
+                pg = 0.0 if g > 0.0 else g        # min(g, 0.0)
             elif a >= C:
-                pg = max(g, 0.0)
+                pg = 0.0 if g < 0.0 else g        # max(g, 0.0)
             else:
                 pg = g
-            violation = max(violation, abs(pg))
+            if abs(pg) > violation:               # max(violation, abs(pg))
+                violation = abs(pg)
             if pg != 0.0:
-                a_new = min(max(a - g / q, 0.0), C)
+                a_new = a - g / q                 # min(max(., 0.0), C)
+                if a_new < 0.0:
+                    a_new = 0.0
+                if a_new > C:
+                    a_new = C
                 if a_new != a:
-                    w += multiply(a_new - a, row[i], out=tmp)
+                    w += np.multiply(a_new - a, r, out=tmp)
                     alpha[i] = a_new
         if violation <= cfg.tol:
             status = "converged"
