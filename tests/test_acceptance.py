@@ -319,7 +319,8 @@ def test_heart_reference_results(solve_result):
 # cell, re-pins both.
 HEART_GRID_ERRORS = (31, 31, 31, 31, 31, 31, 31, 29, 30, 32, 30, 29, 30, 27,
                      28, 28, 29, 33, 33, 33, 33, 32, 32, 33, 35)
-HEART_GRID_STATUSES = ("ccc",) * 14 + ("ccm", "ccc", "mmc", "cmc") + ("mmm",) * 7
+HEART_GRID_STATUSES = (("ccc",) * 14 + ("ccm", "ccc", "mmc", "cmc")
+                       + ("mmm",) * 7)
 
 
 def test_heart_grid_reference(grid_result):
@@ -331,7 +332,7 @@ def test_heart_grid_reference(grid_result):
     statuses = tuple("".join(s[0] for s in cell)
                      for cell in grid_result.statuses)
     stuck = sum(s.count("m") for s in statuses)
-    ok = rows_ok and statuses == HEART_GRID_STATUSES and stuck == 25
+    ok = rows_ok and statuses == HEART_GRID_STATUSES
     report("heart_grid_reference", ok,
-           f"best C {grid_result.best_C:.4g} at {grid_result.best_error:.2f}%, "
-           f"{stuck} of 75 cells at max_epochs")
+           f"best C {grid_result.best_C:.4g} at "
+           f"{grid_result.best_error:.2f}%, {stuck} of 75 cells at max_epochs")
