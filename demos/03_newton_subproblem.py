@@ -2,15 +2,18 @@
 
 At a fixed smoothing level eps the first-order conditions form a square
 nonlinear system F_eps(v, lambda) = 0 of dimension 2m+1.  A damped Newton
-method drives ||F_eps|| to zero, and no matrix is assembled.  Each linear
-system is tried first by BiCGStab on the matrix-free Jacobian product; when
-that misses its forcing target it is solved directly from the fold
-structure (route "direct"): one 4x4 block per data point, a rank-2n
-coupling per fold and a Schur complement on C.  After a collapsed line search
-the step is the Levenberg-Marquardt direction (route "lm"), the real part of
-the same fold solve with the imaginary shift -i*||F||.  This script runs one
-subproblem on the bundled dataset and prints the per-iteration trace, with
-the route each step took and the relative residual of its linear solve.
+method drives ||F_eps|| to zero, and no matrix is assembled.  The linear
+systems are tried first by BiCGStab on the matrix-free Jacobian product.
+The first time that misses its forcing target, the step and the rest of the
+subproblem are solved directly from the fold structure (route "direct"):
+one 4x4 block per data point, a rank-2n coupling per fold and a Schur
+complement on C.  After a collapsed line search the rest of the steps are
+Levenberg-Marquardt directions (route "lm"), the real part of the same fold
+solve with the imaginary shift -i*||F||.  The route never goes back within a
+subproblem.  This script runs one subproblem on the bundled dataset and
+prints the per-iteration trace, with the route each step took, its linear
+iterations (BiCGStab's, plus one for a fold solve) and the relative residual
+of its linear solve.
 """
 
 import time

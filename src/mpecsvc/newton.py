@@ -1,19 +1,21 @@
 """Damped Newton iteration on F_eps(r) = 0 with Armijo backtracking.
 
 Each step solves J_r F_eps(r) d = -F_eps(r), and no matrix is assembled.
-BiCGStab is tried first on the matrix-free product KktOperator.kkt_apply;
-when it misses its forcing target, the step is solved exactly by
+A subproblem's steps take one of three routes, and its route only moves
+forward.  It starts with BiCGStab on the matrix-free product
+KktOperator.kkt_apply.  The first time BiCGStab misses its forcing target,
+that step and the rest of the subproblem are solved exactly by
 kkt.fold_solve, which works from the fold structure: one 4x4 block per data
 point, a rank-2n coupling per fold and a Schur complement on C.  After a
-collapsed line search the subproblem switches to Levenberg-Marquardt
+collapsed line search the rest of the subproblem takes Levenberg-Marquardt
 directions, the real part of the same fold solve with the complex shift
--i*||F||.  When the fold solve is singular or gives no descent direction
-for the merit g = 0.5*||F||^2, no step is taken and the subproblem ends
-with the status no_descent.  A subproblem's trace is a list with one
-TraceRow per step: the route the step took, the relative residual of the
-step in the Newton system, the shift used, the backtracks of its line
-search, and the wall time of the step's two phases, which rows ignore when
-compared.
+-i*||F||.  The next subproblem starts again with BiCGStab.  When the fold
+solve is singular or gives no descent direction for the merit
+g = 0.5*||F||^2, no step is taken and the subproblem ends with the status
+no_descent.  A subproblem's trace is a list with one TraceRow per step: the
+route the step took, the relative residual of the step in the Newton
+system, the shift used, the backtracks of its line search, and the wall
+time of the step's two phases, which rows ignore when compared.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ class NewtonConfig:
             raise ValueError("sigma must lie in (0, 1/2)")
         if not (0.0 < self.rho < 1.0):
             raise ValueError("rho must lie in (0, 1)")
+        if not self.f_tol > 0.0:
+            raise ValueError("f_tol must be positive")
         if self.max_iters < 0 or self.max_backtracks < 0:
             raise ValueError("max_iters and max_backtracks must be >= 0")
 
@@ -82,41 +86,45 @@ def armijo_search(merit_fn, g0, grad_dot_d, cfg):
     raise LineSearchError("backtracking exhausted")
 
 
-def _direction(op, F, lm=False):
-    """Newton direction: BiCGStab, else the exact or damped fold solve.
+def _direction(op, F, route="bicgstab"):
+    """Newton direction by `route`: bicgstab, direct or lm.
 
-    BiCGStab is tried first, capped at min(2*dim, 400) iterations, with the
-    relative forcing target min(1e-2, 0.3*sqrt(||F||)).  A target that
-    shrinks like sqrt(||F||) gives an inexact Newton tail of order 3/2, ||F_{k+1}|| <= c ||F_k||^{3/2} with a constant
-    c that depends on the problem and on the units of F (Dembo, Eisenstat
-    & Steihaug, 1982); the cap at 1e-2 holds the target fixed while
-    ||F|| > 1.1e-3.  Its operator is kkt_apply, the product that also gives
-    the merit gradient, at every m.  BiCGStab's iterates depend on the
-    rounding of every product, so the heart results are those of
+    On the bicgstab route BiCGStab is tried first, capped at
+    min(2*dim, 400) iterations, with the relative forcing target
+    min(1e-2, 0.3*sqrt(||F||)).  A target that shrinks like sqrt(||F||)
+    gives an inexact Newton tail of order 3/2, ||F_{k+1}|| <= c ||F_k||^{3/2}
+    with a constant c that depends on the problem and on the units of F
+    (Dembo, Eisenstat & Steihaug, 1982); the cap at 1e-2 holds the target
+    fixed while ||F|| > 1.1e-3.  Its operator is kkt_apply, the product that
+    also gives the merit gradient, at every m.  BiCGStab's iterates depend on
+    the rounding of every product, so the heart results are those of
     kkt_apply's products.  If its (true, recomputed) residual misses the
-    target, the step is recomputed by kkt.fold_solve, an exact Newton step
-    (order 2, again up to a constant) built from the fold structure: one
-    4x4 block per data point, a rank-2n Woodbury term per fold and a 1x1
-    Schur complement on C.  A singular system (a Schur complement that is
-    zero to rounding, as at lambda = 0 where the Hessian vanishes) gives no
-    direct step.
+    target, or its step is no descent direction, the step is recomputed as
+    on the direct route.
 
-    With `lm=True` the exact solve is replaced by a Levenberg-Marquardt
-    direction (J^2 + mu*I) d = -J F with mu = ||F||^2, and BiCGStab is not
-    tried.  The caller switches this on when the line search collapses:
+    The direct route is kkt.fold_solve, an exact Newton step (order 2,
+    again up to a constant) built from the fold structure: one 4x4 block per
+    data point, a rank-2n Woodbury term per fold and a 1x1 Schur complement
+    on C.  A singular system (a Schur complement that is zero to rounding,
+    as at lambda = 0 where the Hessian vanishes) gives no direct step.
+
+    The lm route is a Levenberg-Marquardt direction (J^2 + mu*I) d = -J F
+    with mu = ||F||^2.  The caller takes it after a collapsed line search:
     near a flat valley the Jacobian is nearly singular and the exact
-    direction blows up along its null space, while the mu = ||F||^2
-    damping is known to keep quadratic local convergence under a local
-    error bound without any nonsingularity (Yamashita & Fukushima, 2001).  J is real symmetric, so
-    Re (J - i sqrt(mu) I)^{-1} = J (J^2 + mu*I)^{-1} and the step is
-    d = Re fold_solve(op, -F, shift=-i ||F||): the same fold solve in
-    complex arithmetic, without forming J^2.  The shifted system is
+    direction blows up along its null space, while the mu = ||F||^2 damping
+    is known to keep quadratic local convergence under a local error bound
+    without any nonsingularity (Yamashita & Fukushima, 2001).  J is real
+    symmetric, so Re (J - i sqrt(mu) I)^{-1} = J (J^2 + mu*I)^{-1} and the
+    step is d = Re fold_solve(op, -F, shift=-i ||F||): the same fold solve
+    in complex arithmetic, without forming J^2.  The shifted system is
     nonsingular whenever F != 0 (the driver steps only while
     ||F|| > f_tol > 0), and d is a descent direction in exact arithmetic.
 
-    Returns (d, grad, grad_dot_d, lin_iters, route) with route one of
-    bicgstab, direct or lm.  Raises NoDescentError when the fold solve is
-    singular or its d is not finite or not a descent direction.
+    Returns (d, grad, grad_dot_d, lin_iters, route), where route is the one
+    the step took: direct when BiCGStab missed, else the route asked for.
+    lin_iters counts BiCGStab's iterations plus one for a fold solve.
+    Raises NoDescentError when the fold solve is singular or its d is not
+    finite or not a descent direction.
     """
     grad = op.kkt_apply(F)          # merit gradient (J symmetric)
     norm_grad = float(np.linalg.norm(grad))
@@ -128,7 +136,7 @@ def _direction(op, F, lm=False):
         return gd < -1e-12 * np.linalg.norm(d) * norm_grad
 
     lin_iters = 0
-    if not lm:
+    if route == "bicgstab":
         res = bicgstab(op.kkt_apply, -F, cfg=KrylovConfig(
             rel_tol=target, max_iters=min(2 * dim, 400)))
         lin_iters = res.iterations
@@ -136,8 +144,9 @@ def _direction(op, F, lm=False):
         gd = float(np.dot(grad, d))
         if res.residual_norm <= target * normF and is_descent(d, gd):
             return d, grad, gd, lin_iters, "bicgstab"
+        route = "direct"
 
-    shift = -1j * normF if lm else 0.0
+    shift = -1j * normF if route == "lm" else 0.0
     try:
         d = fold_solve(op, -F, shift=shift).real
     except SingularSystemError as exc:
@@ -145,7 +154,7 @@ def _direction(op, F, lm=False):
     gd = float(np.dot(grad, d))
     if not (np.all(np.isfinite(d)) and is_descent(d, gd)):
         raise NoDescentError("the fold solve gave no descent direction")
-    return d, grad, gd, lin_iters + 1, "lm" if lm else "direct"
+    return d, grad, gd, lin_iters + 1, route
 
 
 def solve_subproblem(p, eps, r0, cfg=None):
@@ -171,7 +180,7 @@ def solve_subproblem(p, eps, r0, cfg=None):
     op = KktOperator(p, r)
     F = op.residual()
     normF = float(np.linalg.norm(F))
-    lm = False
+    route = "bicgstab"
     stagnant = 0
     for k in range(cfg.max_iters + 1):
         if normF <= cfg.f_tol:
@@ -189,7 +198,7 @@ def solve_subproblem(p, eps, r0, cfg=None):
             break
         t0 = time.perf_counter()
         try:
-            d, grad, gd, lin_iters, route = _direction(op, F, lm)
+            d, grad, gd, lin_iters, route = _direction(op, F, route)
         except NoDescentError:
             status = "no_descent"
             break
@@ -226,9 +235,12 @@ def solve_subproblem(p, eps, r0, cfg=None):
             status = "line_search_failure"
             break
         stagnant = stagnant + 1 if normF > (1.0 - 1e-3) * prev_normF else 0
-        # a collapsed step means the exact direction is exploding along a
-        # near-null space of the Jacobian; switch to the damped direction
-        # for the rest of this subproblem (it self-tunes as mu = ||F||^2)
+        # the route only moves forward within a subproblem: a BiCGStab miss
+        # shows the system too ill-conditioned for the inexact solve, so the
+        # step above came back direct and the rest stay direct; a collapsed
+        # step means the exact direction is exploding along a near-null
+        # space of the Jacobian, so the rest take the damped direction (it
+        # self-tunes as mu = ||F||^2)
         if backtracks >= 4:
-            lm = True
+            route = "lm"
     return r, trace, status

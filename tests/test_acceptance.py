@@ -313,6 +313,18 @@ def test_heart_reference_results(solve_result):
            f"{rep.outer_iters} subproblems converged")
 
 
+def test_heart_routes_only_move_forward(solve_result):
+    # within a subproblem the route goes bicgstab -> direct -> lm and never
+    # back: a BiCGStab miss and a collapsed line search each hold for the
+    # rest of the subproblem
+    order = {"bicgstab": 0, "direct": 1, "lm": 2}
+    ranks = [[order[row.route] for row in rec.trace]
+             for rec in solve_result["report"].outer_records]
+    backwards = [t for t, rank in enumerate(ranks) if rank != sorted(rank)]
+    report("heart_route_order", backwards == [],
+           f"subproblems with a route going back: {backwards}")
+
+
 # Heart's grid as the dual coordinate descent gives it today: misclassified
 # points of the 150 cv points per C, and the three fold statuses per C
 # (c converged, m max_epochs).  ROADMAP item 4, a grid that converges every

@@ -178,9 +178,12 @@ def test_load_errors_exit(data_file, tmp_path, capsys, command, case, code):
     ["solve", "--kappa", "2"], ["solve", "--rho", "1.5"],
     ["solve", "--eps-min", "0"], ["solve", "--newton-maxit", "-1"],
     ["solve", "--initial-C", "0"], ["grid", "--grid-points", "0"],
-    ["grid", "--grid-min", "0"], ["check", "--eps", "0"]],
+    ["grid", "--grid-min", "0"], ["check", "--eps", "0"],
+    ["solve", "--ftol", "nan"], ["solve", "--ftol", "0"],
+    ["solve", "--ftol", "-1"]],
     ids=["kappa", "rho", "eps_min", "newton_maxit", "initial_C",
-         "grid_points", "grid_min", "check_eps"])
+         "grid_points", "grid_min", "check_eps", "ftol_nan", "ftol_zero",
+         "ftol_negative"])
 def test_bad_option_values_exit_as_parse_errors(data_file, tmp_path, capsys,
                                                 argv):
     # an out-of-range value is rejected before the data is read, with one

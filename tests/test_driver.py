@@ -116,7 +116,7 @@ class TestSmoothingLoop:
                                                          monkeypatch):
         # a subproblem without a descent direction takes no step, and the
         # next one starts from the same point
-        def no_descent(op, F, lm=False):
+        def no_descent(op, F, route="bicgstab"):
             raise NoDescentError("no descent direction")
 
         monkeypatch.setattr(M.newton, "_direction", no_descent)

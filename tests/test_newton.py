@@ -30,6 +30,9 @@ class TestConfig:
             NewtonConfig(max_iters=-1)
         with pytest.raises(ValueError):
             NewtonConfig(max_backtracks=-1)
+        for f_tol in (float("nan"), 0.0, -1.0):
+            with pytest.raises(ValueError):
+                NewtonConfig(f_tol=f_tol)
 
 
 class TestArmijo:
@@ -232,11 +235,16 @@ class TestSubproblem:
 class TestDirection:
     @pytest.fixture
     def starved(self, monkeypatch):
-        """Caps BiCGStab at one iteration, which misses any forcing target."""
+        """Caps BiCGStab at one iteration, which misses any forcing target;
+        the returned list gets one entry per call."""
+        calls = []
+
         def one_iteration(apply, rhs, cfg):
+            calls.append(0)
             return bicgstab(apply, rhs, cfg=replace(cfg, max_iters=1))
 
         monkeypatch.setattr(newton, "bicgstab", one_iteration)
+        return calls
 
     def test_direct_route_solves_the_newton_system(self, tiny_p, starved):
         v = initial_point(tiny_p, 1.0).v
@@ -260,7 +268,7 @@ class TestDirection:
             warnings.simplefilter("error")
             with pytest.raises(NoDescentError):
                 _direction(op, F)
-            _, _, gd_lm, _, route_lm = _direction(op, F, lm=True)
+            _, _, gd_lm, _, route_lm = _direction(op, F, "lm")
         assert route_lm == "lm" and gd_lm < 0
         assert capfd.readouterr().err == ""
 
@@ -273,6 +281,23 @@ class TestDirection:
         assert (status, trace) == ("no_descent", [])
         np.testing.assert_array_equal(r.to_vector(), r0.to_vector())
 
+    def test_a_miss_latches_the_subproblem_onto_the_fold_solve(self, tiny_p,
+                                                               starved):
+        # BiCGStab's first miss sends that step and the rest of its
+        # subproblem to the fold solve; the next subproblem tries BiCGStab
+        # again.  A latched direct row's lin_iters is the fold solve alone.
+        r = KktPoint(v=initial_point(tiny_p, 1.0).v,
+                     lam=np.full(tiny_p.m, 0.1), eps=0.5)
+        for eps in (0.5, 0.25):
+            starved.clear()
+            r, trace, status = solve_subproblem(tiny_p, eps, r,
+                                                NewtonConfig(f_tol=1e-3))
+            assert status == "converged" and len(trace) > 1
+            assert len(starved) == 1
+            assert (trace[0].route, trace[0].lin_iters) == ("direct", 2)
+            assert {row.route for row in trace[1:]} <= {"direct", "lm"}
+            assert all(row.lin_iters == 1 for row in trace[1:])
+
     @pytest.mark.parametrize("lam", [0.1, 0.0])
     def test_lm_route_solves_the_damped_normal_equations(self, tiny_p, lam):
         # (K^2 + mu I) d = -K F with mu = ||F||^2, against a dense solve;
@@ -284,7 +309,7 @@ class TestDirection:
         K = op.materialize_kkt().toarray()
         mu = float(F @ F)
         ref = np.linalg.solve(K @ K + mu * np.eye(K.shape[0]), -K @ F)
-        d, grad, gd, lin_iters, route = _direction(op, F, lm=True)
+        d, grad, gd, lin_iters, route = _direction(op, F, "lm")
         assert (route, lin_iters) == ("lm", 1)
         assert np.linalg.norm(d - ref) <= 1e-10 * np.linalg.norm(ref)
         assert gd == pytest.approx(float(grad @ d)) and gd < 0
@@ -314,8 +339,9 @@ class TestDirection:
         op = KktOperator(tiny_p, KktPoint(v=initial_point(tiny_p, 1.0).v,
                                           lam=np.full(tiny_p.m, 0.1), eps=0.5))
         F = op.residual()
-        d, grad, gd, lin_iters, route = _direction(op, F, lm=lm)
-        assert route == ("lm" if lm else "bicgstab") and gd < 0
+        asked = "lm" if lm else "bicgstab"
+        d, grad, gd, lin_iters, route = _direction(op, F, asked)
+        assert route == asked and gd < 0
         assert np.array_equal(grad, op.kkt_apply(F))
 
 
