@@ -3,8 +3,11 @@
 At a fixed smoothing level eps the first-order conditions form a square
 nonlinear system F_eps(v, lambda) = 0 of dimension 2m+1.  A damped Newton
 method drives ||F_eps|| to zero, and no matrix is assembled.  The linear
-systems are tried first by BiCGStab on the matrix-free Jacobian product.
-The first time that misses its forcing target, the step and the rest of the
+systems are tried first by BiCGStab on the matrix-free Jacobian product
+(solve_subproblem's default route="bicgstab"; in the full schedule,
+run_smoothing starts a subproblem on "direct" instead when the one before
+it converged after a first step that was not a BiCGStab step).  The first
+time BiCGStab misses its forcing target, the step and the rest of the
 subproblem are solved directly from the fold structure (route "direct"):
 one 4x4 block per data point, a rank-2n coupling per fold and a Schur
 complement on C.  After a collapsed line search the rest of the steps are

@@ -109,6 +109,22 @@ def initial_point(p, C0):
     return KktPoint(v=v, lam=np.zeros(p.m), eps=0.0)
 
 
+def next_route(trace, status):
+    """The route the next subproblem's first step starts on, given this
+    subproblem's trace and status: direct when it converged and its first
+    step was not a BiCGStab step (BiCGStab missed there, or the subproblem
+    started direct), else bicgstab.
+
+    A converged subproblem hands on a point on the path at a smaller eps,
+    where the system is worse conditioned and the forcing target tighter,
+    so a BiCGStab that missed here would miss again.  A failed subproblem
+    hands on a point off the path, so the next one tries BiCGStab again.
+    """
+    if status == "converged" and trace and trace[0].route != "bicgstab":
+        return "direct"
+    return "bicgstab"
+
+
 def run_smoothing(p, ocfg=None, ncfg=None, r0=None):
     """Algorithm: solve the eps-schedule of subproblems with warm starts.
 
@@ -116,20 +132,25 @@ def run_smoothing(p, ocfg=None, ncfg=None, r0=None):
     the report carries the final KktPoint and the per-eps trace.  A failed
     subproblem is recorded and the loop continues from its last accepted
     iterate.
+
+    Each subproblem's first step starts on the route that next_route picks
+    from the subproblem before it; the first subproblem starts on bicgstab.
     """
     ocfg = ocfg or OuterConfig()
     ncfg = ncfg or NewtonConfig()
     t0 = time.perf_counter()
     r = r0 if r0 is not None else initial_point(p, ocfg.initial_C)
     report = SolveReport()
+    route = "bicgstab"
     for t, eps in enumerate(eps_schedule(ocfg)):
         # solving much below the eps^2/2 complementarity scale wastes work,
         # so the tolerance is relaxed while eps is large and floors at f_tol
         f_tol = max(ncfg.f_tol, 1e-2 * eps * eps)
         sub_cfg = replace(ncfg, f_tol=f_tol)
         t1 = time.perf_counter()
-        r, trace, status = solve_subproblem(p, eps, r, sub_cfg)
+        r, trace, status = solve_subproblem(p, eps, r, sub_cfg, route=route)
         wall_ms = 1000.0 * (time.perf_counter() - t1)
+        route = next_route(trace, status)
         op = KktOperator(p, r)
         normF = float(np.linalg.norm(op.residual()))
         gap = float(np.max(np.abs(op.G * op.H - 0.5 * eps * eps)))

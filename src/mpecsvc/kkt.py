@@ -13,8 +13,8 @@ and its Jacobian
 is symmetric, so the merit gradient of g = 0.5*||F||^2 is J_r F applied to F.
 The applications are matrix-free through the L^G/L^H maps of the problem
 module, whose products with the data rows are compiled kernel calls on
-matrices stacked and bound once per problem (MpecProblem.lh_kernels),
-four per KKT product.  KktOperator.kkt_apply, the product BiCGStab runs
+A, B, A^T and B^T, bound once per problem (MpecProblem.lh_kernels), seven
+per KKT product.  KktOperator.kkt_apply, the product BiCGStab runs
 on, keeps its intermediate vectors in a work area of the operator; it
 rounds every operation as the plain formula does.  Every direct solve is
 one elimination of the fold structure from the weights, the curvatures and

@@ -2,20 +2,21 @@
 
 Each step solves J_r F_eps(r) d = -F_eps(r), and no matrix is assembled.
 A subproblem's steps take one of three routes, and its route only moves
-forward.  It starts with BiCGStab on the matrix-free product
+forward from the one its caller starts it on (driver.run_smoothing picks
+it).  On BiCGStab, each step runs on the matrix-free product
 KktOperator.kkt_apply.  The first time BiCGStab misses its forcing target,
 that step and the rest of the subproblem are solved exactly by
 kkt.fold_solve, which works from the fold structure: one 4x4 block per data
 point, a rank-2n coupling per fold and a Schur complement on C.  After a
 collapsed line search the rest of the subproblem takes Levenberg-Marquardt
 directions, the real part of the same fold solve with the complex shift
--i*||F||.  The next subproblem starts again with BiCGStab.  When the fold
-solve is singular or gives no descent direction for the merit
-g = 0.5*||F||^2, no step is taken and the subproblem ends with the status
-no_descent.  A subproblem's trace is a list with one TraceRow per step: the
-route the step took, the relative residual of the step in the Newton
-system, the shift used, the backtracks of its line search, and the wall
-time of the step's two phases, which rows ignore when compared.
+-i*||F||.  When the fold solve is singular or gives no descent direction
+for the merit g = 0.5*||F||^2, no step is taken and the subproblem ends
+with the status no_descent.  A subproblem's trace is a list with one
+TraceRow per step: the route the step took, the relative residual of the
+step in the Newton system, the shift used, the backtracks of its line
+search, and the wall time of the step's two phases, which rows ignore when
+compared.
 """
 
 from __future__ import annotations
@@ -100,7 +101,10 @@ def _direction(op, F, route="bicgstab"):
     the rounding of every product, so the heart results are those of
     kkt_apply's products.  If its (true, recomputed) residual misses the
     target, or its step is no descent direction, the step is recomputed as
-    on the direct route.
+    on the direct route.  The caller asks for BiCGStab only until it has
+    missed once: solve_subproblem goes direct for the rest of the
+    subproblem, and driver.run_smoothing starts the next subproblem direct
+    too when this one converges (driver.next_route).
 
     The direct route is kkt.fold_solve, an exact Newton step (order 2,
     again up to a constant) built from the fold structure: one 4x4 block per
@@ -157,9 +161,11 @@ def _direction(op, F, route="bicgstab"):
     return d, grad, gd, lin_iters + 1, route
 
 
-def solve_subproblem(p, eps, r0, cfg=None):
+def solve_subproblem(p, eps, r0, cfg=None, route="bicgstab"):
     """Run the damped Newton method on F_eps = 0 from r0.
 
+    The first step starts on `route` (bicgstab, direct or lm; anything
+    else raises ValueError), and the route only moves forward from there.
     Returns (KktPoint, trace, status): trace is a list with one TraceRow per
     step, and status is one of
       converged            ||F|| <= cfg.f_tol;
@@ -172,6 +178,8 @@ def solve_subproblem(p, eps, r0, cfg=None):
                            is written, as no step was taken).
     The point returned is the last accepted iterate.
     """
+    if route not in ("bicgstab", "direct", "lm"):
+        raise ValueError(f"unknown route {route!r}")
     cfg = cfg or NewtonConfig()
     r = KktPoint(v=np.asarray(r0.v, dtype=float).copy(),
                  lam=np.asarray(r0.lam, dtype=float).copy(), eps=eps)
@@ -180,7 +188,6 @@ def solve_subproblem(p, eps, r0, cfg=None):
     op = KktOperator(p, r)
     F = op.residual()
     normF = float(np.linalg.norm(F))
-    route = "bicgstab"
     stagnant = 0
     for k in range(cfg.max_iters + 1):
         if normF <= cfg.f_tol:

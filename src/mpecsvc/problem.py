@@ -8,28 +8,25 @@ fold.  A B^T and B B^T are never formed densely: H and the linear maps below
 cost O(nnz(A) + nnz(B)) per application.
 
 Every product with the data rows runs scipy's compiled kernel csr_matvec
-on a CSR matrix built once per problem, on first use, with its arguments
-(shape, indptr, indices, data) bound and its float64 data and canonical
-form checked then (_bind), not at each product.  The matrices
-(MpecProblem.lh_kernels) stack A and B in the row layout of H, so one
-kernel call does the work of two:
-- B^T alpha, then [A; 0; B; 0] (B^T alpha), give the A B^T and B B^T
-  blocks of L^H together, straight in the positions of H;
-- diag(A, B)^T s, its columns laid out on s's blocks, gives
-  (A^T s1; B^T s3), and diag(B, B) of that gives B A^T s1 and B B^T s3
-  apart, whose sum is the alpha block of (L^H)^T s.
-csr_matvec adds a row's entries in stored order to a zeroed output, as
-`@` does into a new zero vector.  Stacking moves no entry within a row,
-and a row of a transpose stored as CSR lists its entries in the order in
-which the CSC transpose's columns add them, so each output entry is
-rounded as in the product with A, B, A^T or B^T alone.  (The row form is
-also faster than the CSC scatter: 5.8 against 8.8 us for diag(A, B)^T s
-on heart.)  So apply_LH, apply_LH_T and eval_H round every entry as their
-plain formulas with `@` do, in four kernel calls per KKT product, and
-apply_LH and apply_LH_T can write into a caller's buffer (out=).  The maps
-check their vector arguments once on entry: the kernel would cast a
-vector of another dtype, read past a short one, or write into a copy of a
-strided output, instead of raising.
+on a CSR matrix whose arguments (shape, indptr, indices, data) are bound
+once per problem, on first use, and whose float64 data and canonical form
+are checked then (_bind), not at each product.  The kernels
+(MpecProblem.lh_kernels) bind A and B in place, sharing their arrays, and
+A^T and B^T, each stored once as CSR; these two are the only copies of the
+data rows that the maps add.  L^H takes three kernel calls: B^T alpha, then
+A and B of it, straight into the A B^T and B B^T blocks of H.  (L^H)^T
+takes four: A^T s1 and B^T s3, then B of each, kept apart and summed into
+the alpha block.  csr_matvec adds a row's entries in stored order to a
+zeroed output, as `@` does into a new zero vector, and a row of a transpose
+stored as CSR lists its entries in the order in which the CSC transpose's
+columns add them, so each output entry is rounded as in the product with
+A, B, A^T or B^T by `@`.  (The row form is also faster than the CSC
+scatter: 5.8 against 8.8 us for (A^T s1; B^T s3) on heart.)  So apply_LH,
+apply_LH_T and eval_H round every entry as their plain formulas with `@`
+do, and apply_LH and apply_LH_T can write into a caller's buffer (out=).
+The maps check their vector arguments once on entry: the kernel would cast
+a vector of another dtype, read past a short one, or write into a copy of
+a strided output, instead of raising.
 """
 
 from __future__ import annotations
@@ -75,10 +72,10 @@ def _bind(M):
 class LHKernels(NamedTuple):
     """The bound products that apply L^H and (L^H)^T (module docstring)."""
 
+    A: object        # y (T*n) -> A y (n1), on p.A's own arrays
+    B: object        # y (T*n) -> B y (n2), on p.B's own arrays
+    At: object       # s1 (n1) -> A^T s1 (T*n)
     Bt: object       # alpha (n2) -> B^T alpha (T*n)
-    rows_H: object   # y (T*n) -> (A y; 0; B y; 0), laid out like H (m)
-    diag_t: object   # s (m) -> (A^T s1; B^T s3) (2*T*n)
-    diag_B: object   # (y1; y2) (2*T*n) -> (B y1; B y2) (2*n2)
 
 
 def _check_vector(x, n, name):
@@ -98,8 +95,9 @@ def _check_vector(x, n, name):
 class MpecProblem:
     """The CV-MPEC's dimensions and its stacked data rows A and B.
 
-    The stacked matrices of the maps' products (lh_kernels; see the module
-    docstring) are built on first use and kept; assemble builds none.
+    The maps' bound products and the transposes A^T and B^T (lh_kernels;
+    see the module docstring) are built on first use and kept; assemble
+    builds none.
     """
 
     T: int
@@ -159,17 +157,11 @@ class MpecProblem:
 
     @cached_property
     def lh_kernels(self):
-        """The maps' four products (LHKernels), their matrices stacked from
-        A and B and bound once, on first use."""
-        n1, n2, Tn = self.n1, self.n2, self.T * self.n
+        """The maps' four products (LHKernels), bound once, on first use:
+        A and B on their own arrays, A^T and B^T stored as CSR."""
         A, B = self.A, self.B
-        rows_H = sp.vstack([A, sp.csr_matrix((n1, Tn)), B,
-                            sp.csr_matrix((n2, Tn))], format="csr")
-        diag = sp.block_diag([A, sp.csr_matrix((n1, 0)), B,
-                              sp.csr_matrix((n2, 0))], format="csr")
-        return LHKernels(Bt=_bind(B.T.tocsr()), rows_H=_bind(rows_H),
-                         diag_t=_bind(diag.T.tocsr()),
-                         diag_B=_bind(sp.block_diag([B, B], format="csr")))
+        return LHKernels(A=_bind(A), B=_bind(B), At=_bind(A.T.tocsr()),
+                         Bt=_bind(B.T.tocsr()))
 
     @cached_property
     def fold_index(self):
@@ -281,8 +273,11 @@ def eval_H(p, v):
     v = _as_vector(p, v)
     C, zeta, z, alpha, xi = p.split_v(v)
     k = p.lh_kernels
-    out = k.rows_H(k.Bt(alpha))
+    out = np.empty(p.m)
     h1, h2, h3, h4 = p.split_m(out)
+    y = k.Bt(alpha)
+    k.A(y, h1)
+    k.B(y, h3)
     h1 += z
     np.subtract(1.0, zeta, out=h2)
     h3 -= 1.0
@@ -308,8 +303,8 @@ def apply_LH(p, d, out=None):
     """L^H d (the linear part of H) for d, a float64 vector of length m+1.
 
     Written into out, a C-contiguous float64 vector of length m that does
-    not overlap d, or into a new vector; returns it.  Two kernel calls: B^T
-    dalpha, then the rows of H.
+    not overlap d, or into a new vector; returns it.  Three kernel calls:
+    B^T dalpha, then A and B of it.
     """
     _check_vector(d, p.m + 1, "d")
     if out is None:
@@ -318,8 +313,10 @@ def apply_LH(p, d, out=None):
         _check_vector(out, p.m, "out")
     dC, dzeta, dz, dalpha, dxi = p.split_v(d)
     k = p.lh_kernels
-    k.rows_H(k.Bt(dalpha), out)
     o1, o2, o3, o4 = p.split_m(out)
+    y = k.Bt(dalpha)
+    k.A(y, o1)
+    k.B(y, o3)
     o1 += dz
     np.negative(dzeta, out=o2)
     o3 += dxi
@@ -331,9 +328,9 @@ def apply_LH_T(p, s, out=None):
     """(L^H)^T s for s, a float64 vector of length m.
 
     Written into out, a C-contiguous float64 vector of length m+1 that
-    does not overlap s, or into a new vector; returns it.  Two kernel calls:
-    (A^T s1; B^T s3), then B of each.  The alpha block keeps its two B
-    products apart, B (A^T s1) + B (B^T s3) - s4, for their rounding.
+    does not overlap s, or into a new vector; returns it.  Four kernel
+    calls: A^T s1 and B^T s3, then B of each.  The alpha block keeps its
+    two B products apart, B (A^T s1) + B (B^T s3) - s4, for their rounding.
     """
     _check_vector(s, p.m, "s")
     if out is None:
@@ -346,9 +343,8 @@ def apply_LH_T(p, s, out=None):
     out[0] = s4.sum()
     np.negative(s2, out=out[1:1 + n1])
     out[1 + n1:1 + 2 * n1] = s1
-    BAs1_BBs3 = k.diag_B(k.diag_t(s))
-    o3 = np.add(BAs1_BBs3[:n2], BAs1_BBs3[n2:],
-                out=out[1 + 2 * n1:1 + 2 * n1 + n2])
+    o3 = k.B(k.At(s1), out[1 + 2 * n1:1 + 2 * n1 + n2])
+    o3 += k.B(k.Bt(s3))
     o3 -= s4
     out[1 + 2 * n1 + n2:] = s3
     return out

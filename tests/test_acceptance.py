@@ -325,6 +325,21 @@ def test_heart_routes_only_move_forward(solve_result):
            f"subproblems with a route going back: {backwards}")
 
 
+def test_heart_bicgstab_only_until_its_first_miss(solve_result):
+    # a converged subproblem whose first BiCGStab step missed starts the
+    # next one on the fold solve; BiCGStab ran in a step if the step is a
+    # bicgstab row or a direct row whose lin_iters counts its iterations
+    traces = [rec.trace for rec in solve_result["report"].outer_records]
+    ran = [t for t, trace in enumerate(traces)
+           if any(row.route == "bicgstab" or row.lin_iters > 1
+                  for row in trace)]
+    firsts = [(trace[0].route, trace[0].lin_iters) if trace else None
+              for trace in traces[4:]]
+    ok = ran == [0, 1, 2, 3] and firsts == [("direct", 1)] * 17
+    report("heart_bicgstab_latch", ok,
+           f"BiCGStab ran in subproblems {ran}; first rows of 4-20 {firsts}")
+
+
 # Heart's grid as the dual coordinate descent gives it today: misclassified
 # points of the 150 cv points per C, and the three fold statuses per C
 # (c converged, m max_epochs).  ROADMAP item 4, a grid that converges every

@@ -15,7 +15,7 @@ from mpecsvc.driver import (OuterConfig, classify_index_sets, cv_error,
 from mpecsvc.driver import test_error as holdout_error
 from mpecsvc.kkt import (KktOperator, KktPoint, SingularSystemError,
                          fold_solve)
-from mpecsvc.newton import NewtonConfig, NoDescentError
+from mpecsvc.newton import NewtonConfig, NoDescentError, TraceRow
 
 from conftest import random_kkt_point
 
@@ -137,7 +137,7 @@ class TestSmoothingLoop:
         assert not unset, f"give these a non-default value: {unset}"
         seen = []
 
-        def spy(p, eps, r0, cfg):
+        def spy(p, eps, r0, cfg, route):
             # returns its start point at eps, as solve_subproblem does
             seen.append((eps, cfg))
             return KktPoint(v=r0.v, lam=r0.lam, eps=eps), [], "converged"
@@ -150,6 +150,29 @@ class TestSmoothingLoop:
             for f in fields(NewtonConfig):
                 if f.name != "f_tol":
                     assert getattr(cfg, f.name) == getattr(ncfg, f.name), f.name
+
+    def test_each_subproblem_starts_on_the_route_its_predecessor_left(
+            self, tiny_p, monkeypatch):
+        # (status, first row's route or None for no rows) per subproblem;
+        # the next one starts direct only after a converged subproblem
+        # whose first step was not a BiCGStab step
+        script = [("converged", "direct"), ("converged", "bicgstab"),
+                  ("converged", "direct"), ("max_iters", "direct"),
+                  ("converged", None), ("converged", "bicgstab")]
+        starts = []
+
+        def fake(p, eps, r0, cfg, route):
+            status, first = script[len(starts)]
+            starts.append(route)
+            trace = [] if first is None else [TraceRow(
+                k=0, normF=1.0, step=1.0, lin_iters=1, backtracks=0,
+                route=first, lin_resid=0.0, shift=0.0)]
+            return KktPoint(v=r0.v, lam=r0.lam, eps=eps), trace, status
+
+        monkeypatch.setattr(M.driver, "solve_subproblem", fake)
+        run_smoothing(tiny_p, OuterConfig(eps_min=2.0 ** -5))
+        assert starts == ["bicgstab", "direct", "bicgstab", "direct",
+                          "bicgstab", "bicgstab"]
 
 
 class TestPostprocess:

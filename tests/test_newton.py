@@ -284,8 +284,9 @@ class TestDirection:
     def test_a_miss_latches_the_subproblem_onto_the_fold_solve(self, tiny_p,
                                                                starved):
         # BiCGStab's first miss sends that step and the rest of its
-        # subproblem to the fold solve; the next subproblem tries BiCGStab
-        # again.  A latched direct row's lin_iters is the fold solve alone.
+        # subproblem to the fold solve; a new call started on bicgstab (the
+        # default) tries BiCGStab again.  A latched direct row's lin_iters
+        # is the fold solve alone.
         r = KktPoint(v=initial_point(tiny_p, 1.0).v,
                      lam=np.full(tiny_p.m, 0.1), eps=0.5)
         for eps in (0.5, 0.25):
@@ -297,6 +298,19 @@ class TestDirection:
             assert (trace[0].route, trace[0].lin_iters) == ("direct", 2)
             assert {row.route for row in trace[1:]} <= {"direct", "lm"}
             assert all(row.lin_iters == 1 for row in trace[1:])
+
+    def test_a_subproblem_started_direct_never_runs_bicgstab(self, tiny_p,
+                                                             starved):
+        r0 = KktPoint(v=initial_point(tiny_p, 1.0).v,
+                      lam=np.full(tiny_p.m, 0.1), eps=0.5)
+        r, trace, status = solve_subproblem(tiny_p, 0.5, r0,
+                                            NewtonConfig(f_tol=1e-3),
+                                            route="direct")
+        assert status == "converged" and len(trace) > 1 and starved == []
+        assert (trace[0].route, trace[0].lin_iters) == ("direct", 1)
+        assert {row.route for row in trace} <= {"direct", "lm"}
+        with pytest.raises(ValueError):
+            solve_subproblem(tiny_p, 0.5, r0, route="splu")
 
     @pytest.mark.parametrize("lam", [0.1, 0.0])
     def test_lm_route_solves_the_damped_normal_equations(self, tiny_p, lam):

@@ -1,5 +1,7 @@
 """MPEC assembly and affine-map tests against dense oracles."""
 
+import inspect
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -172,6 +174,8 @@ class TestPrebuiltTransposes:
         assert "lh_kernels" not in vars(p) and binds == []
         kernels = p.lh_kernels
         assert len(binds) == len(kernels) == 4
+        assert sorted(binds) == sorted([p.A.shape, p.B.shape, p.A.shape[::-1],
+                                        p.B.shape[::-1]])
         rng = np.random.default_rng(9)
         op = KktOperator(p, KktPoint(v=rng.standard_normal(p.m + 1),
                                      lam=rng.standard_normal(p.m), eps=0.5))
@@ -202,19 +206,27 @@ class TestKernelProducts:
                 out = np.full(M.shape[0], np.nan)
                 assert product(x, out) is out
                 assert out.tobytes() == ref
-        # each stacked product against the products it stacks
+        # each of the problem's kernels against its product with `@`
         k, A, B = p.lh_kernels, p.A, p.B
-        alpha, y = spread(rng, p.n2), spread(rng, A.shape[1])
-        s, y2 = spread(rng, p.m), spread(rng, 2 * A.shape[1])
-        s1, _, s3, _ = p.split_m(s)
-        y2a, y2b = np.split(y2, 2)
-        assert k.Bt(alpha).tobytes() == (B.T @ alpha).tobytes()
-        assert k.rows_H(y).tobytes() == np.concatenate(
-            [A @ y, np.zeros(p.n1), B @ y, np.zeros(p.n2)]).tobytes()
-        assert k.diag_t(s).tobytes() == np.concatenate(
-            [A.T @ s1, B.T @ s3]).tobytes()
-        assert k.diag_B(y2).tobytes() == np.concatenate(
-            [B @ y2a, B @ y2b]).tobytes()
+        y, s1, s3 = (spread(rng, n) for n in (A.shape[1], p.n1, p.n2))
+        assert k.A(y).tobytes() == (A @ y).tobytes()
+        assert k.B(y).tobytes() == (B @ y).tobytes()
+        assert k.At(s1).tobytes() == (A.T @ s1).tobytes()
+        assert k.Bt(s3).tobytes() == (B.T @ s3).tobytes()
+
+    @pytest.mark.parametrize("name", ["tiny_p", "heart_p"])
+    def test_kernels_share_A_and_B_and_add_only_the_transposes(self, name,
+                                                               request):
+        p = request.getfixturevalue(name)
+        k = p.lh_kernels
+        data = {f: inspect.getclosurevars(getattr(k, f)).nonlocals["data"]
+                for f in k._fields}
+        assert np.shares_memory(data["A"], p.A.data)
+        assert np.shares_memory(data["B"], p.B.data)
+        added = sum(d.size for d in data.values()
+                    if not (np.shares_memory(d, p.A.data)
+                            or np.shares_memory(d, p.B.data)))
+        assert added <= p.A.nnz + p.B.nnz
 
     def test_rejects_other_dtypes_and_lengths(self, tiny_p):
         # a matrix when it is bound, a vector when a map is called
