@@ -20,8 +20,9 @@ rounds every operation as the plain formula does.  Every direct solve is
 one elimination of the fold structure from the weights, the curvatures and
 the data rows (FoldFactorization, built once for any number of
 right-hand sides, its condition number computed only when read):
-fold_solve, and at lambda = 0 constraint_fold_solves.  The solver
-assembles no matrix; the assembled J_r F_eps (materialize_kkt,
+fold_solve, and at lambda = 0 constraint_fold_solves.  Its sums over a
+fold's points are dense matrix products (BLAS) with the fold's data rows.
+The solver assembles no matrix; the assembled J_r F_eps (materialize_kkt,
 245,701 nonzeros on heart) is only the tests' reference for these
 products and solves.
 """
@@ -230,8 +231,12 @@ class FoldFactorization:
       the rank-2n term moves at most 2n eigenvalues, so with more than n
       such blocks K_t is itself nearly singular and eliminating the others
       costs no more than its own conditioning.  (Early iterates at
-      m = 6.4e4 had 7,136 points of a fold below FREE_DET.)  Per fold this
-      costs O((m1+m2) n^2 + n^3);
+      m = 6.4e4 had 7,136 points of a fold below FREE_DET.)  The sums over
+      the eliminated points are matrix products with their dense rows N_g:
+      U_g^T D_g^{-1} U_g is N_g^T (C_g N_g) with each point's 2x2
+      coefficients F_p D_p^{-1} F_p^T spread over its row, one product
+      of (n, g) by (g, 4n), and Q_t is N_t^T (diag(M^H_a) N_t).  Per fold
+      this costs O((m1+m2) n^2 + n^3);
     - dense, of size 4(m1+m2), when 2n + 4k is not smaller (many features,
       few points): K_t itself, formed from the point blocks and the Gram
       matrix N_t N_t^T (built once per problem), since U_t Cm U_t^T only
@@ -306,8 +311,10 @@ class FoldFactorization:
         return max([1.0] + [np.linalg.cond(M, 1) for M, *_ in self.folds])
 
     def solve(self, rhs_c):
-        """K_t^{-1} rhs_c for every fold t, by one batched 4x4 solve,
-        O((m1+m2) n k) products and one dense solve per fold.
+        """K_t^{-1} rhs_c for every fold t, by one batched 4x4 solve and,
+        per fold, two matrix products with the data rows of the eliminated
+        points (O((m1+m2) n k), one into the lifted unknowns and one back)
+        and one dense solve.
 
         rhs_c holds k right-hand sides on each point's four unknowns, shape
         (T, m1+m2, 4, k), and the solutions are shaped like it.  A dense
@@ -319,17 +326,19 @@ class FoldFactorization:
         ncol = rhs_c.shape[-1]
         for t, (M, scale, keep, Ng, Fg, XUg) in enumerate(self.folds):
             Xg, nk = X[t, ~keep], 4 * int(keep.sum())
-            # U_g^T D_g^{-1} rhs_c on the lifted unknowns
-            low_r = np.einsum("pi,pac->aic", Ng,
-                              np.einsum("pai,pic->pac", Fg, Xg))
+            # U_g^T D_g^{-1} rhs_c on the lifted unknowns, one product with
+            # the data rows: its rows are (i; a, c), the system's (a, i; c)
+            inner = np.einsum("pai,pic->pac", Fg, Xg)
+            low_r = Ng.T @ inner.reshape(len(Ng), 2 * ncol)
+            low_r = low_r.reshape(-1, 2, ncol).swapaxes(0, 1)
             r = np.concatenate([rhs_c[t, keep].reshape(nk, ncol),
                                 -low_r.reshape(-1, ncol)])
             try:
                 sol = scale[:, None] * np.linalg.solve(M, scale[:, None] * r)
             except np.linalg.LinAlgError:
                 raise SingularSystemError("zero pivot in a fold system") from None
-            back = np.einsum("pj,ajc->pac", Ng, sol[nk:].reshape(2, -1, ncol))
-            y[t, ~keep] = Xg - np.einsum("pia,pac->pic", XUg, back)
+            back = Ng @ sol[nk:].reshape(2, -1, ncol)        # (a, p, c)
+            y[t, ~keep] = Xg - np.einsum("pia,apc->pic", XUg, back)
             y[t, keep] = sol[:nk].reshape(-1, 4, ncol)
         return y
 
@@ -392,9 +401,12 @@ def _lifted_fold_system(D, free, XU, factors, N, mHa):
     Ng, XUg, Fg = N[g], XU[g], factors[g]
     # U_g^T D_g^{-1} U_g on the 2n lifted unknowns
     coef = np.einsum("pai,pic->pac", Fg, XUg)                  # (g, 2, 2)
-    low = np.einsum("pi,pac,pj->aicj", Ng, coef, Ng)
+    # one product with the data rows: its rows are (i; a, c, j), the
+    # system's (a, i; c, j)
+    weighted = coef.reshape(-1, 4)[:, :, None] * Ng[:, None, :]
+    low = (Ng.T @ weighted.reshape(len(Ng), 4 * n)).reshape(n, 2, 2, n)
     U_f = np.einsum("pai,pj->piaj", factors[f], N[f])
-    Q = np.einsum("pi,p,pj->ij", N, mHa, N)
+    Q = N.T @ (mHa[:, None] * N)
     eye = np.eye(n)
     M = np.zeros((4 * k + 2 * n,) * 2, dtype=D.dtype)
     for i, Dp in enumerate(D[f]):
@@ -402,7 +414,7 @@ def _lifted_fold_system(D, free, XU, factors, N, mHa):
     M[:4 * k, 4 * k:] = U_f.reshape(4 * k, 2 * n)
     M[4 * k:, :4 * k] = M[:4 * k, 4 * k:].T
     M[4 * k:, 4 * k:] = (np.block([[Q, -eye], [-eye, np.zeros((n, n))]])
-                         - low.reshape(2 * n, 2 * n))
+                         - low.transpose(1, 0, 2, 3).reshape(2 * n, 2 * n))
     return M
 
 

@@ -195,6 +195,48 @@ def _into(x, out):
     return out
 
 
+# The fold elimination's contractions over the points as plain einsum loops.
+# kkt's lifted fold systems and FoldFactorization.solve contract with BLAS
+# products on the data rows instead, and must agree with these to rounding.
+
+def plain_lifted_fold_system(D, free, XU, factors, N, mHa):
+    n = N.shape[1]
+    g, f = ~free, free
+    k = int(f.sum())
+    Ng, XUg, Fg = N[g], XU[g], factors[g]
+    coef = np.einsum("pai,pic->pac", Fg, XUg)
+    low = np.einsum("pi,pac,pj->aicj", Ng, coef, Ng)
+    U_f = np.einsum("pai,pj->piaj", factors[f], N[f])
+    Q = np.einsum("pi,p,pj->ij", N, mHa, N)
+    eye = np.eye(n)
+    M = np.zeros((4 * k + 2 * n,) * 2, dtype=D.dtype)
+    for i, Dp in enumerate(D[f]):
+        M[4 * i:4 * i + 4, 4 * i:4 * i + 4] = Dp
+    M[:4 * k, 4 * k:] = U_f.reshape(4 * k, 2 * n)
+    M[4 * k:, :4 * k] = M[:4 * k, 4 * k:].T
+    M[4 * k:, 4 * k:] = (np.block([[Q, -eye], [-eye, np.zeros((n, n))]])
+                         - low.reshape(2 * n, 2 * n))
+    return M
+
+
+def plain_fold_solve(folds, rhs_c):
+    """FoldFactorization.solve on a built elimination, by einsum loops."""
+    X = np.linalg.solve(folds.blocks, rhs_c)
+    y = np.empty_like(X)
+    ncol = rhs_c.shape[-1]
+    for t, (M, scale, keep, Ng, Fg, XUg) in enumerate(folds.folds):
+        Xg, nk = X[t, ~keep], 4 * int(keep.sum())
+        low_r = np.einsum("pi,pac->aic", Ng,
+                          np.einsum("pai,pic->pac", Fg, Xg))
+        r = np.concatenate([rhs_c[t, keep].reshape(nk, ncol),
+                            -low_r.reshape(-1, ncol)])
+        sol = scale[:, None] * np.linalg.solve(M, scale[:, None] * r)
+        back = np.einsum("pj,ajc->pac", Ng, sol[nk:].reshape(2, -1, ncol))
+        y[t, ~keep] = Xg - np.einsum("pia,pac->pic", XUg, back)
+        y[t, keep] = sol[:nk].reshape(-1, 4, ncol)
+    return y
+
+
 # The plain numpy loop of the dual coordinate descent, on numpy scalars.
 # `svc.solve_l1svc_dual` runs the same steps on Python floats and must
 # reproduce it bit for bit: alpha, w, epochs, status and violation.

@@ -18,7 +18,8 @@ from mpecsvc.kkt import (FoldFactorization, KktOperator, KktPoint,
 from scipy.linalg.lapack import get_lapack_funcs
 from mpecsvc.smoothing import fb_value
 
-from conftest import make_tiny_dataset, random_kkt_point
+from conftest import (make_tiny_dataset, plain_fold_solve,
+                      plain_lifted_fold_system, random_kkt_point)
 
 
 def fd_dir(fn, x, d, h):
@@ -546,6 +547,52 @@ class TestFoldSolve:
             rhs_c = rng.standard_normal(pos.shape + (k,))
             fresh = FoldFactorization(p, op.weights, op.curvature, shift)
             assert np.array_equal(folds.solve(rhs_c), fresh.solve(rhs_c))
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5, -0.1j])
+    @pytest.mark.parametrize("name", ["tiny_p", "heart_p", "large_p"])
+    def test_contractions_match_the_einsum_formulas(self, name, shift,
+                                                     request, monkeypatch):
+        # the BLAS products over the points round otherwise than the einsum
+        # loops; large_p's operator and heart's second keep free points
+        p = request.getfixturevalue(name)
+        ops = [KktOperator(p, random_kkt_point(p, 1e-2, seed=71))]
+        if name == "heart_p":
+            ops.append(complementary_weights_operator(
+                p, np.random.default_rng(15)))
+        build, systems = kkt._lifted_fold_system, []
+
+        def spy(D, free, *args):
+            systems.append((build(D, free, *args),
+                            plain_lifted_fold_system(D, free, *args), free))
+            return systems[-1][0]
+
+        monkeypatch.setattr(kkt, "_lifted_fold_system", spy)
+        pos, _ = p.point_index
+        rng = np.random.default_rng(71)
+        for op in ops:
+            folds = FoldFactorization(p, op.weights, op.curvature, shift)
+            for k in (1, 2):
+                rhs_c = rng.standard_normal(pos.shape + (k,))
+                assert rel_err(folds.solve(rhs_c),
+                               plain_fold_solve(folds, rhs_c)) <= 1e-13
+        assert len(systems) == p.T * len(ops)
+        assert any(free.any() for *_, free in systems) or name == "tiny_p"
+        for M, ref, _ in systems:
+            assert M.dtype == ref.dtype
+            assert rel_err(M, ref) <= 1e-13
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5, -0.1j])
+    def test_dense_folds_solve_as_the_einsum_formulas(self, wide_p, shift,
+                                                       monkeypatch):
+        # no lifted unknowns, so nothing is contracted over the points
+        monkeypatch.setattr(kkt, "_lifted_fold_system", None)
+        op = KktOperator(wide_p, random_kkt_point(wide_p, 1e-2, seed=72))
+        pos, _ = wide_p.point_index
+        folds = FoldFactorization(wide_p, op.weights, op.curvature, shift)
+        rhs_c = np.random.default_rng(72).standard_normal(pos.shape + (2,))
+        y, ref = folds.solve(rhs_c), plain_fold_solve(folds, rhs_c)
+        assert y.dtype == ref.dtype
+        assert y.tobytes() == ref.tobytes()
 
     def test_free_points_are_not_eliminated(self, heart_p, monkeypatch):
         # at complementary weights the blocks of the 15 free alphas have
