@@ -14,17 +14,16 @@ is symmetric, so the merit gradient of g = 0.5*||F||^2 is J_r F applied to F.
 The applications are matrix-free through the L^G/L^H maps of the problem
 module, whose products with the data rows are compiled kernel calls on
 A, B, A^T and B^T, bound once per problem (MpecProblem.lh_kernels), seven
-per KKT product.  KktOperator.kkt_apply, the product BiCGStab runs
-on, keeps its intermediate vectors in a work area of the operator; it
-rounds every operation as the plain formula does.  Every direct solve is
-one elimination of the fold structure from the weights, the curvatures and
-the data rows (FoldFactorization, built once for any number of
-right-hand sides, its condition number computed only when read):
-fold_solve, and at lambda = 0 constraint_fold_solves.  Its sums over a
-fold's points are dense matrix products (BLAS) with the fold's data rows.
-The solver assembles no matrix; the assembled J_r F_eps (materialize_kkt,
-245,701 nonzeros on heart) is only the tests' reference for these
-products and solves.
+per KKT product.  KktOperator.kkt_apply, the product BiCGStab runs on,
+shares one product with L^H and one with (L^H)^T between the Hessian and
+the Jacobian blocks.  Every direct solve is one elimination of the fold
+structure from the weights, the curvatures and the data rows
+(FoldFactorization, built once for any number of right-hand sides, its
+condition number computed only when read): fold_solve, and at lambda = 0
+constraint_fold_solves.  Its sums over a fold's points are dense matrix
+products (BLAS) with the fold's data rows.  The solver assembles no
+matrix; the assembled J_r F_eps (materialize_kkt, 245,701 nonzeros on
+heart) is only the tests' reference for these products and solves.
 """
 
 from __future__ import annotations
@@ -58,9 +57,6 @@ class KktPoint:
         r = np.asarray(r, dtype=float)
         return cls(v=r[:p.m + 1].copy(), lam=r[p.m + 1:].copy(), eps=eps)
 
-    def copy(self):
-        return KktPoint(v=self.v.copy(), lam=self.lam.copy(), eps=self.eps)
-
 
 class KktOperator:
     """Linearization of F_eps at a fixed point; caches weights and curvature.
@@ -81,15 +77,13 @@ class KktOperator:
         self.G = pb.eval_G(p, self.v)
         self.H = pb.eval_H(p, self.v)
         self.weights = fb_weights(self.G, self.H, self.eps)
-        self._curv = None
-        self._work = None     # kkt_apply's buffers, allocated on first use
 
-    @property
+    @cached_property
     def curvature(self):
-        if self._curv is None:
-            self._curv = fb_curvature(self.G, self.H, self.lam, self.eps,
-                                      denom=self.weights.denom)
-        return self._curv
+        """Computed on first use: a rejected line-search trial never needs
+        it."""
+        return fb_curvature(self.G, self.H, self.lam, self.eps,
+                            denom=self.weights.denom)
 
     def phi(self):
         return fb_value(self.G, self.H, self.eps)
@@ -123,49 +117,22 @@ class KktOperator:
         return np.concatenate([d, np.zeros(self.p.m)])
 
     def kkt_apply(self, d):
-        """J_r F_eps applied to d of length 2m+1 (symmetric indefinite).
-
-        With u = L^G dv and w = L^H dv, the product is
-        [(L^G)^T g + (L^H)^T h ; -(W^G u + W^H w)] for
-        g = M^G u + M^GH w - W^G dl and h = M^GH u + M^H w - W^H dl, so the
-        Hessian and the Jacobian share one product with L^H and one with
-        (L^H)^T.
-
-        w, g, h and a temporary live in a work area of four length-m
-        vectors, allocated at the first call and kept by the operator, so
-        kkt_apply is not re-entrant: a call must return before the next
-        starts on the same operator.  The result is written straight into
-        a new array, which shares no memory with the work area or with
-        earlier results.  Every operation is that of the formula above, in
-        its order, so the result is bit for bit the formula's.
-        """
+        """J_r F_eps applied to d = (dv; dl) of length 2m+1 (symmetric
+        indefinite): [(L^H)^T h + (L^G)^T g ; -(W^G u + W^H w)] with
+        u = L^G dv, w = L^H dv, g = M^G u + M^GH w - W^G dl and
+        h = M^GH u + M^H w - W^H dl."""
         p = self.p
         d = np.asarray(d, dtype=float)
         nv = p.m + 1
         if d.shape != (nv + p.m,):
             raise ValueError(f"expected length {nv + p.m}, got {d.shape}")
-        if self._work is None:
-            self._work = np.empty((4, p.m))
-        w, g, h, tmp = self._work
         dv, dl = d[:nv], d[nv:]
         wt, c = self.weights, self.curvature
-        u = pb.apply_LG(p, dv)
-        pb.apply_LH(p, dv, out=w)
-        np.multiply(c.mG, u, out=g)
-        g += np.multiply(c.mGH, w, out=tmp)
-        g -= np.multiply(wt.wG, dl, out=tmp)
-        np.multiply(c.mGH, u, out=h)
-        h += np.multiply(c.mH, w, out=tmp)
-        h -= np.multiply(wt.wH, dl, out=tmp)
-        out = np.empty(nv + p.m)
-        # (L^G)^T g + (L^H)^T h, where (L^G)^T g = (0; g)
-        out_v = pb.apply_LH_T(p, h, out=out[:nv])
-        out_v[0] = 0.0 + out_v[0]
-        np.add(g, out_v[1:], out=out_v[1:])
-        out_l = np.multiply(wt.wG, u, out=out[nv:])
-        out_l += np.multiply(wt.wH, w, out=tmp)
-        np.negative(out_l, out=out_l)
-        return out
+        u, w = pb.apply_LG(p, dv), pb.apply_LH(p, dv)
+        g = c.mG * u + c.mGH * w - wt.wG * dl
+        h = c.mGH * u + c.mH * w - wt.wH * dl
+        return np.concatenate([pb.apply_LH_T(p, h) + pb.apply_LG_T(p, g),
+                               -(wt.wG * u + wt.wH * w)])
 
     def materialize_kkt(self):
         """Assembled sparse J_r F_eps, the same operator as kkt_apply.

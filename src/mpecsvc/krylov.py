@@ -3,13 +3,6 @@
 Deterministic by construction: the shadow residual is fixed to the initial
 residual.  Breakdown never raises; the best iterate seen is returned with a
 status the caller can act on.
-
-The iterate, the residuals and the search direction are updated in place,
-in preallocated vectors, the best iterate seen is copied into one, and the
-norms are np.linalg.norm's formula for a real vector, sqrt(x . x): every
-value is rounded as in the textbook expressions written in the comments,
-so the iterates are bit for bit theirs, with no temporary vector per
-update.
 """
 
 from __future__ import annotations
@@ -49,34 +42,31 @@ def _norm(x):
     return math.sqrt(np.dot(x, x))
 
 
-def bicgstab(apply, rhs, x0=None, cfg=None):
-    """Solve apply(x) = rhs.
+def bicgstab(apply, rhs, cfg=None):
+    """Solve apply(x) = rhs, starting from x = 0.
 
-    apply may return its argument, but not an array that a later call
-    overwrites: the recursion keeps v across the call that gives t.
+    apply must return a new array, or its argument: the recursion keeps v
+    across the call that gives t.
     """
     cfg = cfg or KrylovConfig()
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.shape[0]
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(n)
     max_iters = cfg.max_iters if cfg.max_iters is not None else 10 * n
 
     norm_b = _norm(rhs)
     target = max(cfg.rel_tol * norm_b, cfg.abs_tol)
 
     r = rhs - apply(x)
-    r_hat = r.copy()
+    r_hat = r
     norm_r = _norm(r)
-    best_x, best_norm = x.copy(), norm_r
+    best_x, best_norm = x, norm_r
     if norm_r <= target:
         return KrylovResult(x=x, residual_norm=norm_r, iterations=0,
                             status="converged")
 
     rho = alpha = omega = 1.0
-    vv = np.zeros(n)
-    pp = np.zeros(n)
-    s = np.empty(n)
-    tmp = np.empty(n)
+    vv = pp = np.zeros(n)
     status = "max_iters"
     k = 0
     since_improved = 0
@@ -90,23 +80,20 @@ def bicgstab(apply, rhs, x0=None, cfg=None):
             break
         beta = (rho_new / rho) * (alpha / omega)
         rho = rho_new
-        # pp = r + beta * (pp - omega * vv)
-        pp -= np.multiply(omega, vv, out=tmp)
-        np.add(r, np.multiply(beta, pp, out=pp), out=pp)
+        pp = r + beta * (pp - omega * vv)
         vv = apply(pp)
         denom = float(np.dot(r_hat, vv))
         if abs(denom) < BREAKDOWN_EPS:
             status = "breakdown"
             break
         alpha = rho / denom
-        np.subtract(r, np.multiply(alpha, vv, out=s), out=s)
+        s = r - alpha * vv
         norm_s = _norm(s)
         if norm_s <= target:
-            x += np.multiply(alpha, pp, out=tmp)
+            x = x + alpha * pp
             norm_r = norm_s
             if norm_r < best_norm:
-                np.copyto(best_x, x)
-                best_norm = norm_r
+                best_x, best_norm = x, norm_r
             status = "converged"
             break
         t = apply(s)
@@ -118,18 +105,15 @@ def bicgstab(apply, rhs, x0=None, cfg=None):
         if abs(omega) < BREAKDOWN_EPS:
             status = "breakdown"
             break
-        # x = x + alpha * pp + omega * s;  r = s - omega * t
-        x += np.multiply(alpha, pp, out=tmp)
-        x += np.multiply(omega, s, out=tmp)
-        np.subtract(s, np.multiply(omega, t, out=tmp), out=r)
+        x = x + alpha * pp + omega * s
+        r = s - omega * t
         norm_r = _norm(r)
         if norm_r < 0.999 * best_norm:
             since_improved = 0
         else:
             since_improved += 1
         if norm_r < best_norm:
-            np.copyto(best_x, x)
-            best_norm = norm_r
+            best_x, best_norm = x, norm_r
         if norm_r <= target:
             status = "converged"
             break

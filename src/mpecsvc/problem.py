@@ -23,10 +23,9 @@ columns add them, so each output entry is rounded as in the product with
 A, B, A^T or B^T by `@`.  (The row form is also faster than the CSC
 scatter: 5.8 against 8.8 us for (A^T s1; B^T s3) on heart.)  So apply_LH,
 apply_LH_T and eval_H round every entry as their plain formulas with `@`
-do, and apply_LH and apply_LH_T can write into a caller's buffer (out=).
-The maps check their vector arguments once on entry: the kernel would cast
-a vector of another dtype, read past a short one, or write into a copy of
-a strided output, instead of raising.
+do.  The maps check their vector arguments once on entry: the kernel would
+cast a vector of another dtype or read past a short one, instead of
+raising.
 """
 
 from __future__ import annotations
@@ -79,15 +78,11 @@ class LHKernels(NamedTuple):
 
 
 def _check_vector(x, n, name):
-    """Raise ValueError unless x is a float64 vector of length n and, if it
-    is an output (name "out"), C-contiguous: the kernel would write into a
-    copy of a strided one."""
+    """Raise ValueError unless x is a float64 vector of length n."""
     if not (isinstance(x, np.ndarray) and x.dtype == np.float64
-            and x.shape == (n,)
-            and (name != "out" or x.flags.c_contiguous)):
-        raise ValueError(f"{name} must be a float64 vector of length {n}"
-                         f"{', C-contiguous' if name == 'out' else ''}, got "
-                         f"{getattr(x, 'dtype', type(x))} "
+            and x.shape == (n,)):
+        raise ValueError(f"{name} must be a float64 vector of length {n}, "
+                         f"got {getattr(x, 'dtype', type(x))} "
                          f"{getattr(x, 'shape', '')}")
 
 
@@ -299,20 +294,15 @@ def apply_LG_T(p, s):
     return out
 
 
-def apply_LH(p, d, out=None):
+def apply_LH(p, d):
     """L^H d (the linear part of H) for d, a float64 vector of length m+1.
 
-    Written into out, a C-contiguous float64 vector of length m that does
-    not overlap d, or into a new vector; returns it.  Three kernel calls:
-    B^T dalpha, then A and B of it.
+    Three kernel calls: B^T dalpha, then A and B of it.
     """
     _check_vector(d, p.m + 1, "d")
-    if out is None:
-        out = np.empty(p.m)
-    else:
-        _check_vector(out, p.m, "out")
     dC, dzeta, dz, dalpha, dxi = p.split_v(d)
     k = p.lh_kernels
+    out = np.empty(p.m)
     o1, o2, o3, o4 = p.split_m(out)
     y = k.Bt(dalpha)
     k.A(y, o1)
@@ -324,19 +314,15 @@ def apply_LH(p, d, out=None):
     return out
 
 
-def apply_LH_T(p, s, out=None):
+def apply_LH_T(p, s):
     """(L^H)^T s for s, a float64 vector of length m.
 
-    Written into out, a C-contiguous float64 vector of length m+1 that
-    does not overlap s, or into a new vector; returns it.  Four kernel
-    calls: A^T s1 and B^T s3, then B of each.  The alpha block keeps its
-    two B products apart, B (A^T s1) + B (B^T s3) - s4, for their rounding.
+    Four kernel calls: A^T s1 and B^T s3, then B of each.  The alpha block
+    keeps its two B products apart, B (A^T s1) + B (B^T s3) - s4, for
+    their rounding.
     """
     _check_vector(s, p.m, "s")
-    if out is None:
-        out = np.empty(p.m + 1)
-    else:
-        _check_vector(out, p.m + 1, "out")
+    out = np.empty(p.m + 1)
     s1, s2, s3, s4 = p.split_m(s)
     n1, n2 = p.n1, p.n2
     k = p.lh_kernels

@@ -30,7 +30,6 @@ class SmoothingWeights:
     wG: np.ndarray
     wH: np.ndarray
     denom: np.ndarray
-    eps: float
 
 
 def fb_weights(G, H, eps):
@@ -40,7 +39,7 @@ def fb_weights(G, H, eps):
     H = np.asarray(H, dtype=float)
     denom = np.sqrt(G * G + H * H + eps * eps)
     return SmoothingWeights(wG=1.0 - G / denom, wH=1.0 - H / denom,
-                            denom=denom, eps=eps)
+                            denom=denom)
 
 
 @dataclass(frozen=True)

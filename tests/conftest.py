@@ -180,19 +180,10 @@ def plain_products(monkeypatch):
 
     monkeypatch.setattr(pb, "eval_H",
                         lambda p, v: plain_eval_H(p, pb._as_vector(p, v)))
-    monkeypatch.setattr(pb, "apply_LH", lambda p, d, out=None: _into(
-        plain_apply_LH(p, d), out))
-    monkeypatch.setattr(pb, "apply_LH_T", lambda p, s, out=None: _into(
-        plain_apply_LH_T(p, s), out))
+    monkeypatch.setattr(pb, "apply_LH", plain_apply_LH)
+    monkeypatch.setattr(pb, "apply_LH_T", plain_apply_LH_T)
     monkeypatch.setattr(KktOperator, "kkt_apply",
                         lambda op, d: plain_kkt_apply(op, np.asarray(d)))
-
-
-def _into(x, out):
-    if out is None:
-        return x
-    out[:] = x
-    return out
 
 
 # The fold elimination's contractions over the points as plain einsum loops.

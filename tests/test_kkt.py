@@ -690,7 +690,7 @@ class TestFoldSolve:
         c = op.curvature
         mG, mH, mGH = c.mG.copy(), c.mH.copy(), c.mGH.copy()
         mG[pairs] = mH[pairs] = mGH[pairs] = 0.0
-        op._curv = replace(c, mG=mG, mH=mH, mGH=mGH)
+        op.curvature = replace(c, mG=mG, mH=mH, mGH=mGH)
         with pytest.raises(SingularSystemError, match="point block"):
             fold_solve(op, np.ones(2 * tiny_p.m + 1), shift=1.0)
         check_against_oracles(op, np.ones(2 * tiny_p.m + 1), shift=0.5)
@@ -735,10 +735,9 @@ class TestFoldSolve:
             assert np.linalg.norm(K @ x - rhs) <= 1e-12 * np.linalg.norm(x)
 
 
-class TestKktApplyWorkArea:
-    """kkt_apply keeps its intermediate vectors in a work area of the
-    operator.  BiCGStab holds v and t across products, so each result must
-    be a new array that later products leave alone."""
+class TestKktApplyResults:
+    """BiCGStab holds v and t across products, so each result of kkt_apply
+    must be a new array that later products leave alone."""
 
     def test_results_share_no_memory(self, tiny_p):
         op = KktOperator(tiny_p, random_kkt_point(tiny_p, 0.5, seed=30))
@@ -749,7 +748,6 @@ class TestKktApplyWorkArea:
         y2 = op.kkt_apply(d2)
         assert not np.shares_memory(y1, y2)
         for y in (y1, y2):
-            assert not np.shares_memory(y, op._work)
             assert not np.shares_memory(y, d1) and not np.shares_memory(y, d2)
         assert y1.tobytes() == first
         assert op.kkt_apply(d1).tobytes() == first
@@ -773,11 +771,11 @@ class TestKktApplyWorkArea:
                 out.append(op.kkt_apply(d).tobytes())
         assert interleaved == separate
 
-    def test_work_area_allocated_by_the_first_product(self, tiny_p):
+    def test_residual_alone_computes_no_curvature(self, tiny_p):
         op = KktOperator(tiny_p, random_kkt_point(tiny_p, 0.5, seed=32))
         op.residual()        # all a rejected line-search trial computes
-        assert op._work is None
-        op.kkt_apply(np.ones(2 * tiny_p.m + 1))
-        work = op._work
-        op.kkt_apply(np.ones(2 * tiny_p.m + 1))
-        assert op._work is work and work.shape == (4, tiny_p.m)
+        assert "curvature" not in op.__dict__
+        y = op.kkt_apply(np.ones(2 * tiny_p.m + 1))
+        c = op.__dict__["curvature"]
+        assert op.kkt_apply(np.ones(2 * tiny_p.m + 1)).tobytes() == y.tobytes()
+        assert op.curvature is c

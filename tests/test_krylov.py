@@ -75,15 +75,6 @@ class TestRandomSystems:
         np.testing.assert_allclose(res.x, np.linalg.solve(A, b),
                                    rtol=0, atol=1e-9)
 
-    def test_warm_start(self):
-        rng = np.random.default_rng(4)
-        A = well_conditioned(rng, 40)
-        x_true = rng.standard_normal(40)
-        b = A @ x_true
-        res = bicgstab(lambda x: A @ x, b, x0=x_true)
-        assert res.status == "converged"
-        assert res.iterations == 0
-
     def test_residual_norm_is_true(self):
         rng = np.random.default_rng(5)
         A = well_conditioned(rng, 50)

@@ -170,11 +170,11 @@ class TestSubproblem:
         assert (trace, status) == (trace_ref, status_ref)
         assert r.to_vector().tobytes() == r_ref.to_vector().tobytes()
 
-    def test_only_stepping_operators_allocate_a_work_area(self, tiny_p,
-                                                          monkeypatch):
-        # kkt_apply's work area comes with the first product: of the
-        # operators a subproblem builds, only the one each step starts from
-        # has it, and the line search's rejected trials do not
+    def test_only_stepping_operators_compute_curvature(self, tiny_p,
+                                                       monkeypatch):
+        # the curvature is computed on first use: of the operators a
+        # subproblem builds, only the one each step starts from needs it,
+        # and the line search's trials do not
         created = []
 
         class Recorded(KktOperator):
@@ -188,7 +188,7 @@ class TestSubproblem:
         backtracks = sum(row.backtracks for row in trace)
         assert backtracks > 0
         assert len(created) == 1 + len(trace) + backtracks
-        assert sum(op._work is not None for op in created) == len(trace)
+        assert sum("curvature" in op.__dict__ for op in created) == len(trace)
 
     def test_rows_record_each_line_search_and_lm_shift(self, tiny_p,
                                                        monkeypatch):

@@ -239,21 +239,15 @@ class TestKernelProducts:
                 pb._bind(bad_M)
         p, m = tiny_p, tiny_p.m
         d, s = np.ones(m + 1), np.ones(m)
-        bad = [(pb.apply_LH, d.astype(np.float32), None),
-               (pb.apply_LH, d.astype(complex), None),
-               (pb.apply_LH, d[:-1], None),
-               (pb.apply_LH, d, np.zeros(m, dtype=np.float32)),
-               (pb.apply_LH, d, np.zeros(m + 1)),
-               (pb.apply_LH, d, np.zeros(2 * m)[::2]),
-               (pb.apply_LH_T, s.astype(np.float32), None),
-               (pb.apply_LH_T, s.astype(complex), None),
-               (pb.apply_LH_T, np.ones(m + 1), None),
-               (pb.apply_LH_T, s, np.zeros(m + 1, dtype=np.float32)),
-               (pb.apply_LH_T, s, np.zeros(m)),
-               (pb.apply_LH_T, s, np.zeros(2 * m + 2)[::2])]
-        for fn, x, out in bad:
+        bad = [(pb.apply_LH, d.astype(np.float32)),
+               (pb.apply_LH, d.astype(complex)),
+               (pb.apply_LH, d[:-1]),
+               (pb.apply_LH_T, s.astype(np.float32)),
+               (pb.apply_LH_T, s.astype(complex)),
+               (pb.apply_LH_T, np.ones(m + 1))]
+        for fn, x in bad:
             with pytest.raises(ValueError):
-                fn(p, x, out)
+                fn(p, x)
         with pytest.raises(ValueError):
             pb.eval_H(p, d[:-1])
 
