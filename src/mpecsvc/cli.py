@@ -42,8 +42,6 @@ def build_parser():
         sp.add_argument("--scale", action="store_true",
                         help="max-abs scale features to [-1,1] (off by default)")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--json", action="store_true",
-                        help="print the report JSON to stdout")
         sp.add_argument("--quiet", action="store_true")
 
     sp = sub.add_parser("solve", help="run the full smoothing Newton pipeline")
@@ -56,8 +54,6 @@ def build_parser():
     sp.add_argument("--rho", type=float, default=0.5)
     sp.add_argument("--ftol", type=float, default=1e-8)
     sp.add_argument("--newton-maxit", type=int, default=200)
-    sp.add_argument("--dump-problem", action="store_true",
-                    help="also write dimensions and sparsity stats as JSON")
 
     sp = sub.add_parser("grid", help="grid-search baseline over C")
     add_common(sp)
@@ -77,6 +73,10 @@ def _settings(args):
 
     A value out of range raises ValueError.
     """
+    if args.p1 < 1:
+        raise ValueError("--p1 must be at least 1")
+    if args.T < 2:
+        raise ValueError("--folds must be at least 2")
     if args.command == "solve":
         return (driver.OuterConfig(eps0=args.eps0, eps_min=args.eps_min,
                                    kappa=args.kappa, initial_C=args.initial_C),
@@ -146,11 +146,6 @@ def _write_timings(outdir, report):
 def cmd_solve(args, ds, plan, p, ocfg, ncfg):
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    if args.dump_problem:
-        with open(outdir / "problem.json", "w") as fh:
-            json.dump(problem.sparsity_stats(p), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
     v_star, report = driver.run_smoothing(p, ocfg, ncfg)
     report.C_hat, w_hat = driver.postprocess(p, v_star, ds, plan)
     report.E_te = driver.test_error(ds, plan.test_indices, w_hat)
@@ -170,10 +165,7 @@ def cmd_solve(args, ds, plan, p, ocfg, ncfg):
     _write_report(outdir, rd)
     _write_trace(outdir, report.outer_records)
     _write_timings(outdir, report)
-    if args.json:
-        json.dump(rd, sys.stdout, indent=2, sort_keys=True, default=float)
-        print()
-    elif not args.quiet:
+    if not args.quiet:
         print(f"C_raw={report.C_raw:.4f}  C_hat={report.C_hat:.4f}  "
               f"E_cv={report.E_cv:.2f}%  E_te={report.E_te:.2f}%  "
               f"outer={report.outer_iters}  inner={report.inner_iters_total}")

@@ -64,7 +64,6 @@ class SplitPlan:
     cv_indices: tuple
     test_indices: tuple
     folds: tuple
-    seed: int
 
     @property
     def T(self):
@@ -89,12 +88,12 @@ def _parse_label(token, lineno):
     return int(raw)
 
 
-def parse_libsvm(path, n_features=None):
+def parse_libsvm(path):
     """Parse a LIBSVM text file into a Dataset.
 
     Feature indices are 1-based in the file and strictly increasing per line.
-    Labels {0,1} are remapped to {-1,+1}; {-1,+1} kept as-is; mixing 0 with -1
-    is rejected.
+    The Dataset's n_features is the largest index used.  Labels {0,1} are
+    remapped to {-1,+1}; {-1,+1} kept as-is; mixing 0 with -1 is rejected.
     """
     points, raw_labels = [], []
     max_index = 0
@@ -125,12 +124,7 @@ def parse_libsvm(path, n_features=None):
     if 0 in label_set and -1 in label_set:
         raise ParseError(0, "labels mix 0 and -1; cannot normalize")
     labels = tuple(1 if y == 1 else -1 for y in raw_labels)
-
-    if n_features is None:
-        n_features = max_index
-    elif n_features < max_index:
-        raise ValueError(f"n_features={n_features} < max index used ({max_index})")
-    return Dataset(points=tuple(points), labels=labels, n_features=n_features)
+    return Dataset(points=tuple(points), labels=labels, n_features=max_index)
 
 
 def write_libsvm(ds, path):
@@ -145,8 +139,12 @@ def make_split(ds, p1, T, seed):
     """Seeded Fisher-Yates shuffle, then first p1 points form the cv set.
 
     Folds are T contiguous blocks of the shuffled cv set; the remainder is the
-    hold-out test set.
+    hold-out test set.  Raises ValueError unless 1 <= p1 <= len(ds) and
+    T >= 1 divides p1; a plan with T = 1 has no training set, which
+    assemble rejects.
     """
+    if p1 < 1:
+        raise ValueError(f"p1={p1} must be at least 1")
     if p1 > len(ds):
         raise ValueError(f"p1={p1} exceeds dataset size {len(ds)}")
     if T < 1 or p1 % T != 0:
@@ -156,7 +154,7 @@ def make_split(ds, p1, T, seed):
     test = tuple(int(i) for i in perm[p1:])
     m1 = p1 // T
     folds = tuple(cv[t * m1:(t + 1) * m1] for t in range(T))
-    return SplitPlan(cv_indices=cv, test_indices=test, folds=folds, seed=seed)
+    return SplitPlan(cv_indices=cv, test_indices=test, folds=folds)
 
 
 def scale_features(ds):

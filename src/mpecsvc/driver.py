@@ -16,8 +16,8 @@ import numpy as np
 from . import problem as pb
 from .kkt import (KktOperator, KktPoint, SingularSystemError,
                   constraint_fold_solves)
-from .newton import NewtonConfig, solve_subproblem
-from .svc import DualSvcConfig, solve_l1svc_dual, validation_error
+from .newton import NewtonConfig, next_route, solve_subproblem
+from .svc import solve_l1svc_dual, validation_error
 
 
 @dataclass(frozen=True)
@@ -109,23 +109,7 @@ def initial_point(p, C0):
     return KktPoint(v=v, lam=np.zeros(p.m), eps=0.0)
 
 
-def next_route(trace, status):
-    """The route the next subproblem's first step starts on, given this
-    subproblem's trace and status: direct when it converged and its first
-    step was not a BiCGStab step (BiCGStab missed there, or the subproblem
-    started direct), else bicgstab.
-
-    A converged subproblem hands on a point on the path at a smaller eps,
-    where the system is worse conditioned and the forcing target tighter,
-    so a BiCGStab that missed here would miss again.  A failed subproblem
-    hands on a point off the path, so the next one tries BiCGStab again.
-    """
-    if status == "converged" and trace and trace[0].route != "bicgstab":
-        return "direct"
-    return "bicgstab"
-
-
-def run_smoothing(p, ocfg=None, ncfg=None, r0=None):
+def run_smoothing(p, ocfg=None, ncfg=None):
     """Algorithm: solve the eps-schedule of subproblems with warm starts.
 
     Returns (v, SolveReport) with v a float64 copy of the final point's v;
@@ -133,13 +117,13 @@ def run_smoothing(p, ocfg=None, ncfg=None, r0=None):
     subproblem is recorded and the loop continues from its last accepted
     iterate.
 
-    Each subproblem's first step starts on the route that next_route picks
-    from the subproblem before it; the first subproblem starts on bicgstab.
+    Each subproblem's first step starts on the route that newton.next_route
+    picks from the subproblem before it; the first starts on bicgstab.
     """
     ocfg = ocfg or OuterConfig()
     ncfg = ncfg or NewtonConfig()
     t0 = time.perf_counter()
-    r = r0 if r0 is not None else initial_point(p, ocfg.initial_C)
+    r = initial_point(p, ocfg.initial_C)
     report = SolveReport()
     route = "bicgstab"
     for t, eps in enumerate(eps_schedule(ocfg)):
@@ -169,7 +153,7 @@ def run_smoothing(p, ocfg=None, ncfg=None, r0=None):
     return np.array(r.v, dtype=float), report
 
 
-def postprocess(p, v_star, ds, plan, svc_cfg=None):
+def postprocess(p, v_star, ds, plan):
     """Rescale C by T/(T-1) and retrain on the full cv set.
 
     Returns (C_hat, w) with w = sum_i alpha_i y_i x_i over the cv points.
@@ -177,7 +161,7 @@ def postprocess(p, v_star, ds, plan, svc_cfg=None):
     C_raw = float(v_star[0])
     C_hat = C_raw * p.T / (p.T - 1)
     rows = ds.signed_rows(plan.cv_indices)
-    res = solve_l1svc_dual(rows, C_hat, svc_cfg or DualSvcConfig())
+    res = solve_l1svc_dual(rows, C_hat)
     if res.status != "converged":
         import warnings
         warnings.warn(f"baseline retraining stopped at {res.status} "
@@ -247,12 +231,16 @@ def assumption2_value(p, r_star):
             "U": U}
 
 
-def classify_index_sets(p, v, tol_active=1e-6):
-    """Count I_{0+}, I_{+0}, I_{00} with relative activity tolerance."""
+def classify_index_sets(p, v):
+    """Count I_{0+}, I_{+0}, I_{00} at v.
+
+    G_i counts as zero when |G_i| <= 1e-6 * (1 + |G_i|), and H_i likewise.
+    Returns (sizes, listing): the size and the indices of each set.
+    """
     G = pb.eval_G(p, v)
     H = pb.eval_H(p, v)
-    g_zero = np.abs(G) <= tol_active * (1.0 + np.abs(G))
-    h_zero = np.abs(H) <= tol_active * (1.0 + np.abs(H))
+    g_zero = np.abs(G) <= 1e-6 * (1.0 + np.abs(G))
+    h_zero = np.abs(H) <= 1e-6 * (1.0 + np.abs(H))
     i00 = g_zero & h_zero
     i0p = g_zero & ~h_zero
     ip0 = ~g_zero & h_zero

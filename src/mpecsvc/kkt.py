@@ -150,10 +150,10 @@ class KktOperator:
                 + cross + cross.T)
         return sp.bmat([[hess, -J.T], [-J, None]], format="csr")
 
-    def materialize_jacobian(self, max_m=2000):
-        """Explicit sparse-backed dense J_v Phi (small-instance diagnostics)."""
-        if self.p.m > max_m:
-            raise ValueError(f"refusing to materialize for m={self.p.m} > {max_m}")
+    def materialize_jacobian(self):
+        """Explicit sparse-backed dense J_v Phi (diagnostics, m <= 2000)."""
+        if self.p.m > 2000:
+            raise ValueError(f"refusing to materialize for m={self.p.m} > 2000")
         w = self.weights
         LG = pb.materialize_LG(self.p)
         LH = pb.materialize_LH(self.p)
@@ -483,7 +483,7 @@ def jjt_inverse(op):
     return apply
 
 
-def licq_probe(p, v, eps, max_iters=50, tol=1e-10, seed=0):
+def licq_probe(p, v, eps, max_iters=50):
     """Estimate sigma_min(J_v Phi) by inverse iteration on J J^T.
 
     The iteration is accelerated by Lanczos: step k applies (J J^T)^{-1}
@@ -491,11 +491,12 @@ def licq_probe(p, v, eps, max_iters=50, tol=1e-10, seed=0):
     the Krylov space of the iteration's first k iterates, and takes the
     largest Rayleigh-Ritz value theta of (J J^T)^{-1} on that space, so that
     sigma = theta^{-1/2}.  Reorthogonalizing fully against the earlier
-    vectors keeps the basis orthonormal.  Plain inverse iteration converges
+    vectors keeps the basis orthonormal; the first is a normal draw seeded
+    with 0.  Plain inverse iteration converges
     at the ratio of the two smallest singular values, which heart's
     Jacobians bring within 1e-3 of 1; Lanczos converges in tens of steps
     there.  The iteration has converged once theta changes by at most
-    tol * theta, or the Krylov space is invariant (at the latest when it
+    1e-10 * theta, or the Krylov space is invariant (at the latest when it
     is the whole space, after m steps).  Returns (sigma,
     iterations, converged); without convergence within min(max_iters, m)
     steps sigma is the last estimate and converged is False.  When a fold
@@ -516,7 +517,7 @@ def licq_probe(p, v, eps, max_iters=50, tol=1e-10, seed=0):
     dim = min(max_iters, p.m)
     Q = np.empty((dim, p.m))
     T = np.zeros((dim, dim))
-    q = np.random.default_rng(seed).standard_normal(p.m)
+    q = np.random.default_rng(0).standard_normal(p.m)
     Q[0] = q / np.linalg.norm(q)
     theta_prev = None
     for k in range(dim):
@@ -532,7 +533,7 @@ def licq_probe(p, v, eps, max_iters=50, tol=1e-10, seed=0):
         sigma = float(1.0 / np.sqrt(theta)) if theta > 0 else 0.0
         spanned = beta == 0.0 or k + 1 == p.m     # the space is invariant
         if spanned or (theta_prev is not None
-                       and abs(theta - theta_prev) <= tol * theta):
+                       and abs(theta - theta_prev) <= 1e-10 * theta):
             return sigma, k + 1, True
         theta_prev = theta
         if k + 1 < dim:

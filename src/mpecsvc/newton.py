@@ -2,8 +2,8 @@
 
 Each step solves J_r F_eps(r) d = -F_eps(r), and no matrix is assembled.
 A subproblem's steps take one of three routes, and its route only moves
-forward from the one its caller starts it on (driver.run_smoothing picks
-it).  On BiCGStab, each step runs on the matrix-free product
+forward from the one it starts on, which next_route picks from the
+subproblem before it.  On BiCGStab, each step runs on the matrix-free product
 KktOperator.kkt_apply.  The first time BiCGStab misses its forcing target,
 that step and the rest of the subproblem are solved exactly by
 kkt.fold_solve, which works from the fold structure: one 4x4 block per data
@@ -30,13 +30,17 @@ from .kkt import KktOperator, KktPoint, SingularSystemError, fold_solve
 from .krylov import KrylovConfig, bicgstab
 
 
+MAX_BACKTRACKS = 40       # an Armijo search tries at most 1 + this many steps
+
+
 @dataclass(frozen=True)
 class NewtonConfig:
+    """Settings of the damped Newton method; each has a `solve` flag."""
+
     sigma: float = 1e-4        # Armijo slope fraction, in (0, 1/2)
     rho: float = 0.5           # backtracking factor, in (0, 1)
     f_tol: float = 1e-8        # absolute tolerance on ||F||
-    max_iters: int = 200
-    max_backtracks: int = 40
+    max_iters: int = 200       # Newton steps per subproblem
 
     def __post_init__(self):
         if not (0.0 < self.sigma < 0.5):
@@ -45,8 +49,8 @@ class NewtonConfig:
             raise ValueError("rho must lie in (0, 1)")
         if not self.f_tol > 0.0:
             raise ValueError("f_tol must be positive")
-        if self.max_iters < 0 or self.max_backtracks < 0:
-            raise ValueError("max_iters and max_backtracks must be >= 0")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
 
 
 @dataclass
@@ -76,11 +80,12 @@ def armijo_search(merit_fn, g0, grad_dot_d, cfg):
     """Smallest i with g(rho^i) <= g0 + sigma*rho^i*grad_dot_d; returns rho^i.
 
     `merit_fn(s)` evaluates the merit at step length s along the direction.
+    Raises LineSearchError when no i <= MAX_BACKTRACKS qualifies.
     """
     if grad_dot_d >= 0:
         raise ValueError("armijo_search requires a descent direction")
     s = 1.0
-    for _ in range(cfg.max_backtracks + 1):
+    for _ in range(MAX_BACKTRACKS + 1):
         if merit_fn(s) <= g0 + cfg.sigma * s * grad_dot_d:
             return s
         s *= cfg.rho
@@ -103,8 +108,8 @@ def _direction(op, F, route="bicgstab"):
     target, or its step is no descent direction, the step is recomputed as
     on the direct route.  The caller asks for BiCGStab only until it has
     missed once: solve_subproblem goes direct for the rest of the
-    subproblem, and driver.run_smoothing starts the next subproblem direct
-    too when this one converges (driver.next_route).
+    subproblem, and next_route starts the next subproblem direct too when
+    this one converges.
 
     The direct route is kkt.fold_solve, an exact Newton step (order 2,
     again up to a constant) built from the fold structure: one 4x4 block per
@@ -161,11 +166,29 @@ def _direction(op, F, route="bicgstab"):
     return d, grad, gd, lin_iters + 1, route
 
 
+def next_route(trace, status):
+    """The route the next subproblem's first step starts on, given this
+    subproblem's trace and status: direct when it converged and its first
+    step was not a BiCGStab step (BiCGStab missed there, or the subproblem
+    started direct), else bicgstab.
+
+    A converged subproblem hands on a point on the path at a smaller eps,
+    where the system is worse conditioned and the forcing target tighter,
+    so a BiCGStab that missed here would miss again.  A failed subproblem
+    hands on a point off the path, so the next one tries BiCGStab again.
+    """
+    if status == "converged" and trace and trace[0].route != "bicgstab":
+        return "direct"
+    return "bicgstab"
+
+
 def solve_subproblem(p, eps, r0, cfg=None, route="bicgstab"):
     """Run the damped Newton method on F_eps = 0 from r0.
 
-    The first step starts on `route` (bicgstab, direct or lm; anything
-    else raises ValueError), and the route only moves forward from there.
+    The first step starts on `route`, bicgstab or direct as next_route
+    picks it (anything else raises ValueError), and the route only moves
+    forward from there: to direct after BiCGStab's first miss, and to lm
+    after a collapsed line search.
     Returns (KktPoint, trace, status): trace is a list with one TraceRow per
     step, and status is one of
       converged            ||F|| <= cfg.f_tol;
@@ -178,7 +201,7 @@ def solve_subproblem(p, eps, r0, cfg=None, route="bicgstab"):
                            is written, as no step was taken).
     The point returned is the last accepted iterate.
     """
-    if route not in ("bicgstab", "direct", "lm"):
+    if route not in ("bicgstab", "direct"):
         raise ValueError(f"unknown route {route!r}")
     cfg = cfg or NewtonConfig()
     r = KktPoint(v=np.asarray(r0.v, dtype=float).copy(),

@@ -226,7 +226,8 @@ def assemble(ds, plan):
     """
     T, m1, m2 = plan.T, plan.m1, plan.m2
     if m2 == 0:
-        raise ValueError("T=1 leaves an empty training set (m2=0)")
+        raise ValueError(f"T={T} folds of m1={m1} points leave an empty "
+                         "training set (m2=0)")
     for f in plan.folds:
         if len(f) != m1:
             raise ValueError("folds are not of equal size")
@@ -343,10 +344,10 @@ def materialize_LG(p):
     )
 
 
-def materialize_LH(p, max_m=4000):
-    """Explicit sparse L^H (contains dense B B^T blocks; guarded by max_m)."""
-    if p.m > max_m:
-        raise ValueError(f"refusing to materialize L^H for m={p.m} > {max_m}")
+def materialize_LH(p):
+    """Explicit sparse L^H (contains dense B B^T blocks; m <= 4000 only)."""
+    if p.m > 4000:
+        raise ValueError(f"refusing to materialize L^H for m={p.m} > 4000")
     n1, n2 = p.n1, p.n2
     I1 = sp.identity(n1)
     I2 = sp.identity(n2)
@@ -364,7 +365,7 @@ def materialize_LH(p, max_m=4000):
 
 
 def sparsity_stats(p):
-    """Dimension and nnz bookkeeping (for --dump-problem)."""
+    """Dimension and nnz bookkeeping (report.json's dims)."""
     return {
         "T": p.T,
         "m1": p.m1,

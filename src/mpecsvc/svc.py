@@ -38,7 +38,6 @@ import scipy.sparse as sp
 class DualSvcConfig:
     max_epochs: int = 1000
     tol: float = 1e-8          # max projected-gradient violation
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_epochs < 1:
@@ -59,8 +58,8 @@ class DualSvcResult:
 def solve_l1svc_dual(rows, C, cfg=None):
     """Coordinate descent on the dual box QP; returns alpha and w = rows^T a.
 
-    Coordinate order is a fresh seeded permutation per epoch.  Zero-norm rows
-    are skipped (their alpha stays 0).
+    Coordinate order is a fresh permutation per epoch, seeded with 0.
+    Zero-norm rows are skipped (their alpha stays 0).
     """
     cfg = cfg or DualSvcConfig()
     if not (C >= 0):
@@ -76,7 +75,7 @@ def solve_l1svc_dual(rows, C, cfg=None):
     alpha = [0.0] * N
     row = list(R)
     tmp = np.empty(n)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(0)
     status = "max_epochs"
     for epoch in range(1, cfg.max_epochs + 1):
         violation = 0.0
@@ -141,11 +140,10 @@ class GridResult:
     statuses: list
 
 
-def grid_search(ds, plan, grid, cfg=None):
+def grid_search(ds, plan, grid):
     """T-fold CV error (percent) for each C; sign(0) counted as misclassified."""
     if len(grid) == 0:
         raise ValueError("grid must be nonempty")
-    cfg = cfg or DualSvcConfig()
     fold_rows = []
     for t in range(plan.T):
         train = [i for s in range(plan.T) if s != t for i in plan.folds[s]]
@@ -154,7 +152,7 @@ def grid_search(ds, plan, grid, cfg=None):
     for C in grid:
         errs, cell_status = [], []
         for rows, val_idx in fold_rows:
-            res = solve_l1svc_dual(rows, C, cfg)
+            res = solve_l1svc_dual(rows, C)
             cell_status.append(res.status)
             errs.append(validation_error(ds, val_idx, res.w))
         table.append((float(C), 100.0 * float(np.mean(errs))))

@@ -242,7 +242,7 @@ def plain_l1svc_dual(rows, C, cfg=None):
     if C == 0.0 or N == 0:
         return DualSvcResult(alpha=alpha, w=w, epochs=0, max_violation=0.0,
                              status="converged")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(0)
     status = "max_epochs"
     epoch = 0
     violation = np.inf

@@ -1,10 +1,12 @@
 """CLI subcommands, artifacts, and exit codes."""
 
+import argparse
 import csv
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,10 @@ import pytest
 
 import mpecsvc as M
 from mpecsvc.cli import (EXIT_ASSEMBLY, EXIT_CHECK_FAILED, EXIT_OK,
-                         EXIT_PARSE, EXIT_SOLVER, main)
+                         EXIT_PARSE, EXIT_SOLVER, _settings, build_parser,
+                         main)
+from mpecsvc.driver import OuterConfig
+from mpecsvc.newton import NewtonConfig
 
 from conftest import DATA, make_tiny_dataset
 
@@ -33,8 +38,7 @@ class TestSolve:
     def test_writes_artifacts(self, data_file, tmp_path):
         out = tmp_path / "run1"
         code = run(["solve", "--data", data_file, "--p1", 6, "--folds", 3,
-                    "--eps-min", "1e-3", "--out", out, "--quiet",
-                    "--dump-problem"])
+                    "--eps-min", "1e-3", "--out", out, "--quiet"])
         assert code == EXIT_OK
         report = json.loads((out / "report.json").read_text())
         assert report["dims"]["m"] == 36
@@ -53,8 +57,6 @@ class TestSolve:
             assert resid <= {"direct": 1e-10, "bicgstab": 1e-2}.get(
                 row["route"], np.inf)
             assert (shift > 0) if row["route"] == "lm" else shift == 0.0
-        problem = json.loads((out / "problem.json").read_text())
-        assert problem["m"] == 36
 
     def test_deterministic_reports(self, data_file, tmp_path):
         runs = []
@@ -193,6 +195,54 @@ def test_bad_option_values_exit_as_parse_errors(data_file, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["solve", "grid", "check"])
+@pytest.mark.parametrize("split, named", [
+    (["--p1", "0"], "--p1"), (["--p1", "-150"], "--p1"),
+    (["--p1", "6", "--folds", "0"], "--folds"),
+    (["--p1", "6", "--folds", "1"], "--folds")],
+    ids=["p1_zero", "p1_negative", "folds_zero", "folds_one"])
+def test_split_sizes_out_of_range_exit_before_reading(data_file, tmp_path,
+                                                      capsys, monkeypatch,
+                                                      command, split, named):
+    # a cv set needs a point and every fold a training set, whatever the
+    # data: the sizes are rejected before the file is parsed
+    def unread(path):
+        raise AssertionError("the data file was read")
+
+    monkeypatch.setattr(M.cli.dio, "parse_libsvm", unread)
+    assert run([command, "--data", data_file, *split, "--out", tmp_path,
+                "--quiet"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_solve_setting_has_a_flag():
+    # each OuterConfig and NewtonConfig field is settable from the command
+    # line; a field that no flag reaches is an option nothing can set
+    parser = build_parser()
+    [commands] = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    base = ["solve", "--data", "unused", "--p1", "6"]
+    defaults = _settings(parser.parse_args(base))
+    reached = set()
+    for action in commands.choices["solve"]._actions:
+        if action.type not in (int, float) or action.default is None:
+            continue
+        # halving every float default and doubling every integer one stays
+        # inside every range the configs check
+        value = (action.default * 2 if action.type is int
+                 else action.default / 2)
+        args = parser.parse_args([*base, action.option_strings[-1],
+                                  str(value)])
+        for cfg, default in zip(_settings(args), defaults):
+            reached |= {(type(cfg).__name__, f.name) for f in fields(cfg)
+                        if getattr(cfg, f.name) != getattr(default, f.name)}
+    every = {(cls.__name__, f.name) for cls in (OuterConfig, NewtonConfig)
+             for f in fields(cls)}
+    assert every - reached == set()
 
 
 def test_check_and_grid_leave_heavy_scipy_modules_unloaded(data_file,

@@ -56,12 +56,6 @@ class TestParse:
         with pytest.raises(ParseError):
             M.parse_libsvm(write(tmp_path, "+1 0:1\n"))
 
-    def test_n_features_override(self, tmp_path):
-        path = write(tmp_path, "+1 1:1\n")
-        assert M.parse_libsvm(path, n_features=5).n_features == 5
-        with pytest.raises(ValueError):
-            M.parse_libsvm(write(tmp_path, "+1 3:1\n", "e.libsvm"), n_features=2)
-
     def test_round_trip(self, tmp_path, tiny_ds):
         path = tmp_path / "rt.libsvm"
         M.write_libsvm(tiny_ds, path)
@@ -132,6 +126,9 @@ class TestSplit:
             M.make_split(tiny_ds, p1=100, T=2, seed=0)
         with pytest.raises(ValueError):
             M.make_split(tiny_ds, p1=5, T=3, seed=0)
+        for p1, T in ((0, 3), (-150, 3), (6, 0)):
+            with pytest.raises(ValueError):
+                M.make_split(tiny_ds, p1=p1, T=T, seed=0)
 
     def test_scale_features(self, tiny_ds):
         scaled = scale_features(tiny_ds)

@@ -129,8 +129,7 @@ class TestSmoothingLoop:
 
     def test_every_newton_setting_reaches_the_subproblems(self, tiny_p,
                                                           monkeypatch):
-        ncfg = NewtonConfig(sigma=1e-3, rho=0.4, f_tol=1e-7, max_iters=60,
-                            max_backtracks=30)
+        ncfg = NewtonConfig(sigma=1e-3, rho=0.4, f_tol=1e-7, max_iters=60)
         default = NewtonConfig()
         unset = [f.name for f in fields(NewtonConfig)
                  if getattr(ncfg, f.name) == getattr(default, f.name)]

@@ -28,8 +28,6 @@ class TestConfig:
             NewtonConfig(rho=1.0)
         with pytest.raises(ValueError):
             NewtonConfig(max_iters=-1)
-        with pytest.raises(ValueError):
-            NewtonConfig(max_backtracks=-1)
         for f_tol in (float("nan"), 0.0, -1.0):
             with pytest.raises(ValueError):
                 NewtonConfig(f_tol=f_tol)
@@ -54,9 +52,15 @@ class TestArmijo:
             armijo_search(lambda s: s, 1.0, 0.0, NewtonConfig())
 
     def test_exhaustion_raises(self):
-        cfg = NewtonConfig(max_backtracks=5)
+        trials = []
+
+        def flat(s):
+            trials.append(s)
+            return 1.0
+
         with pytest.raises(LineSearchError):
-            armijo_search(lambda s: 1.0 + s * 0, 0.5, -1.0, cfg)
+            armijo_search(flat, 0.5, -1.0, NewtonConfig())
+        assert len(trials) == newton.MAX_BACKTRACKS + 1
 
 
 class TestSubproblem:
@@ -311,6 +315,13 @@ class TestDirection:
         assert {row.route for row in trace} <= {"direct", "lm"}
         with pytest.raises(ValueError):
             solve_subproblem(tiny_p, 0.5, r0, route="splu")
+
+    def test_a_subproblem_cannot_start_on_lm(self, tiny_p):
+        # lm is reached only by a collapsed line search within a subproblem;
+        # next_route never hands it on
+        with pytest.raises(ValueError):
+            solve_subproblem(tiny_p, 0.5, initial_point(tiny_p, 1.0),
+                             route="lm")
 
     @pytest.mark.parametrize("lam", [0.1, 0.0])
     def test_lm_route_solves_the_damped_normal_equations(self, tiny_p, lam):
