@@ -140,14 +140,15 @@ def make_split(ds, p1, T, seed):
 
     Folds are T contiguous blocks of the shuffled cv set; the remainder is the
     hold-out test set.  Raises ValueError unless 1 <= p1 <= len(ds) and
-    T >= 1 divides p1; a plan with T = 1 has no training set, which
-    assemble rejects.
+    T >= 2 divides p1: with T = 1 no fold would have a training set.
     """
     if p1 < 1:
         raise ValueError(f"p1={p1} must be at least 1")
     if p1 > len(ds):
         raise ValueError(f"p1={p1} exceeds dataset size {len(ds)}")
-    if T < 1 or p1 % T != 0:
+    if T < 2:
+        raise ValueError(f"T={T} must be at least 2")
+    if p1 % T != 0:
         raise ValueError(f"T={T} does not divide p1={p1}")
     perm = np.random.default_rng(seed).permutation(len(ds))
     cv = tuple(int(i) for i in perm[:p1])

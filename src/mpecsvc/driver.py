@@ -66,11 +66,11 @@ class SolveReport:
     final_point: KktPoint | None = None
     wall_ms: float = 0.0    # run_smoothing wall time, kept out of to_dict
 
-    def to_dict(self, dataset="", dims=None, config=None):
+    def to_dict(self, dataset, dims, config):
         return {
             "dataset": dataset,
-            "dims": dims or {},
-            "config": config or {},
+            "dims": dims,
+            "config": config,
             "C_raw": self.C_raw,
             "C_hat": self.C_hat,
             "E_cv": self.E_cv,

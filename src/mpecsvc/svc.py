@@ -24,6 +24,11 @@ the epoch count, the status and the violation match it bit for bit:
 A coordinate step costs one ddot and, when alpha_i moves, one multiply and
 one add on length-n vectors: about 2 us on heart (n = 13; 2-core Xeon,
 single-threaded BLAS), against about 5 us for the plain numpy loop.
+
+``grid_search`` runs its T * len(grid) (C, fold) cells in parallel, one
+forked worker process per CPU this process may run on.  The cells share no
+state and the results are put back in grid order, so the table, the best
+row and the statuses do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -140,23 +145,51 @@ class GridResult:
     statuses: list
 
 
+def _cell(rows, C):
+    """One (C, fold) cell of the grid: the dual solve's status and w."""
+    res = solve_l1svc_dual(rows, C)
+    return res.status, res.w
+
+
 def grid_search(ds, plan, grid):
-    """T-fold CV error (percent) for each C; sign(0) counted as misclassified."""
+    """T-fold CV error (percent) for each C; sign(0) counted as misclassified.
+
+    The cells run in min(CPUs, cells) workers, the largest C first (its
+    cells run the most epochs).  The workers are forked: they inherit the
+    loaded modules, where a spawned worker would import numpy, scipy and
+    the caller's main module again.  Every worker is joined before this
+    returns or raises, and the first failing cell in grid order raises.
+    """
+    import multiprocessing
+    import os
+    from concurrent.futures import ProcessPoolExecutor
+
     if len(grid) == 0:
         raise ValueError("grid must be nonempty")
     fold_rows = []
     for t in range(plan.T):
         train = [i for s in range(plan.T) if s != t for i in plan.folds[s]]
         fold_rows.append((ds.signed_rows(train).toarray(), plan.folds[t]))
+    cells = [(rows, C) for C in grid for rows, _ in fold_rows]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:        # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    pool = ProcessPoolExecutor(max_workers=min(cpus, len(cells)),
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        order = sorted(range(len(cells)), key=lambda k: -cells[k][1])
+        futures = {k: pool.submit(_cell, *cells[k]) for k in order}
+        results = [futures[k].result() for k in range(len(cells))]
+    finally:
+        pool.shutdown(cancel_futures=True)
     table, statuses = [], []
-    for C in grid:
-        errs, cell_status = [], []
-        for rows, val_idx in fold_rows:
-            res = solve_l1svc_dual(rows, C)
-            cell_status.append(res.status)
-            errs.append(validation_error(ds, val_idx, res.w))
+    for j, C in enumerate(grid):
+        cell = results[j * plan.T:(j + 1) * plan.T]
+        errs = [validation_error(ds, val_idx, w)
+                for (_, w), (_, val_idx) in zip(cell, fold_rows)]
         table.append((float(C), 100.0 * float(np.mean(errs))))
-        statuses.append(cell_status)
+        statuses.append([status for status, _ in cell])
     best_C, best_error = min(table, key=lambda row: (row[1], row[0]))
     return GridResult(table=table, best_C=best_C, best_error=best_error,
                       statuses=statuses)

@@ -8,7 +8,8 @@ import scipy.sparse as sp
 
 import mpecsvc as M
 from mpecsvc import problem as pb
-from mpecsvc.svc import DualSvcConfig, DualSvcResult
+from mpecsvc.svc import (DualSvcConfig, DualSvcResult, GridResult,
+                         solve_l1svc_dual, validation_error)
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "heart_synth.libsvm"
 
@@ -270,3 +271,26 @@ def plain_l1svc_dual(rows, C, cfg=None):
             break
     return DualSvcResult(alpha=alpha, w=w, epochs=epoch,
                          max_violation=violation, status=status)
+
+
+# The grid search as one serial loop over the C values and folds in grid
+# order.  `svc.grid_search` runs the same cells in worker processes and must
+# return the same table, best row and statuses.
+
+def serial_grid_search(ds, plan, grid):
+    fold_rows = []
+    for t in range(plan.T):
+        train = [i for s in range(plan.T) if s != t for i in plan.folds[s]]
+        fold_rows.append((ds.signed_rows(train).toarray(), plan.folds[t]))
+    table, statuses = [], []
+    for C in grid:
+        errs, cell_status = [], []
+        for rows, val_idx in fold_rows:
+            res = solve_l1svc_dual(rows, C)
+            cell_status.append(res.status)
+            errs.append(validation_error(ds, val_idx, res.w))
+        table.append((float(C), 100.0 * float(np.mean(errs))))
+        statuses.append(cell_status)
+    best_C, best_error = min(table, key=lambda row: (row[1], row[0]))
+    return GridResult(table=table, best_C=best_C, best_error=best_error,
+                      statuses=statuses)

@@ -7,7 +7,12 @@ asserts.
 """
 
 import math
+import os
+import pickle
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +26,7 @@ from mpecsvc.newton import NewtonConfig
 from mpecsvc.smoothing import fb_value
 from mpecsvc.svc import DualSvcConfig, grid_search, solve_l1svc_dual
 
-from conftest import make_tiny_dataset
+from conftest import DATA, make_tiny_dataset, serial_grid_search
 from test_svc import brute_force_box_qp
 
 
@@ -363,3 +368,34 @@ def test_heart_grid_reference(grid_result):
     report("heart_grid_reference", ok,
            f"best C {grid_result.best_C:.4g} at "
            f"{grid_result.best_error:.2f}%, {stuck} of 75 cells at max_epochs")
+
+
+def test_heart_grid_matches_the_serial_loop(grid_result, heart_ds,
+                                             heart_plan):
+    assert grid_result == serial_grid_search(heart_ds, heart_plan,
+                                             np.logspace(-3, 3, 25))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs os.sched_setaffinity")
+def test_heart_grid_on_one_cpu(grid_result):
+    """The grid's result does not depend on the number of workers."""
+    script = (
+        "import os, pickle, sys\n"
+        "import numpy as np\n"
+        "import mpecsvc as M\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        f"ds = M.parse_libsvm({str(DATA)!r})\n"
+        "plan = M.make_split(ds, p1=150, T=3, seed=0)\n"
+        "res = M.grid_search(ds, plan, np.logspace(-3, 3, 25))\n"
+        "sys.stdout.buffer.write(pickle.dumps(\n"
+        "    (len(os.sched_getaffinity(0)), res)))\n")
+    src = str(Path(M.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True).stdout
+    cpus, result = pickle.loads(out)
+    assert cpus == 1
+    assert result == grid_result

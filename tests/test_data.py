@@ -126,7 +126,7 @@ class TestSplit:
             M.make_split(tiny_ds, p1=100, T=2, seed=0)
         with pytest.raises(ValueError):
             M.make_split(tiny_ds, p1=5, T=3, seed=0)
-        for p1, T in ((0, 3), (-150, 3), (6, 0)):
+        for p1, T in ((0, 3), (-150, 3), (6, 0), (6, 1)):
             with pytest.raises(ValueError):
                 M.make_split(tiny_ds, p1=p1, T=T, seed=0)
 

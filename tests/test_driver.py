@@ -89,7 +89,7 @@ class TestSmoothingLoop:
         assert report.C_raw == v_star[0]
         assert report.E_cv == pytest.approx(cv_error(tiny_p, v_star))
         assert report.final_point is not None
-        d = report.to_dict(dataset="x", dims={"m": tiny_p.m})
+        d = report.to_dict(dataset="x", dims={"m": tiny_p.m}, config={})
         assert d["C_raw"] == report.C_raw
         assert d["dims"]["m"] == 36
 

@@ -45,7 +45,9 @@ class TestDimensions:
         assert s["nnz_A"] == tiny_p.A.nnz
 
     def test_assemble_rejects_single_fold(self, tiny_ds):
-        plan = M.make_split(tiny_ds, p1=6, T=1, seed=0)
+        plan = M.SplitPlan(cv_indices=tuple(range(6)),
+                           test_indices=tuple(range(6, len(tiny_ds))),
+                           folds=(tuple(range(6)),))
         with pytest.raises(ValueError):
             M.assemble(tiny_ds, plan)
 

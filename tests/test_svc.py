@@ -1,6 +1,7 @@
 """Dual coordinate-descent SVC and the grid-search oracle."""
 
 import itertools
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import mpecsvc as M
 from mpecsvc.svc import (DualSvcConfig, dual_objective, grid_search,
                          primal_objective, solve_l1svc_dual, validation_error)
 
-from conftest import make_tiny_dataset, plain_l1svc_dual
+from conftest import make_tiny_dataset, plain_l1svc_dual, serial_grid_search
 
 
 def brute_force_box_qp(Q, C, tol=1e-10):
@@ -232,3 +233,50 @@ class TestGridSearch:
         plan = M.make_split(ds, p1=6, T=3, seed=0)
         with pytest.raises(ValueError):
             grid_search(ds, plan, [])
+
+    @pytest.mark.parametrize("n_points, n_features, seed, p1, T, grid", [
+        (18, 3, 5, 12, 3, np.logspace(-2, 2, 7)),
+        (12, 4, 0, 6, 2, [10.0, 0.1, 0.0, 1.0, 10.0]),
+        (30, 2, 7, 24, 4, np.logspace(-3, 3, 9)[::-1]),
+        (20, 6, 2, 15, 5, [1e3]),
+    ])
+    def test_matches_the_serial_loop(self, n_points, n_features, seed, p1,
+                                     T, grid):
+        """Cells come back in grid order, unsorted and repeated C included."""
+        ds = make_tiny_dataset(n_points=n_points, n_features=n_features,
+                               seed=seed)
+        plan = M.make_split(ds, p1=p1, T=T, seed=0)
+        assert grid_search(ds, plan, grid) == serial_grid_search(ds, plan,
+                                                                 grid)
+
+    def test_joins_every_worker(self):
+        ds = make_tiny_dataset(n_points=18, n_features=3, seed=5)
+        plan = M.make_split(ds, p1=12, T=3, seed=0)
+        grid_search(ds, plan, [0.1, 1.0, 10.0])
+        assert multiprocessing.active_children() == []
+
+    def test_a_failing_cell_raises_and_joins_every_worker(self):
+        ds = make_tiny_dataset(n_points=18, n_features=3, seed=5)
+        plan = M.make_split(ds, p1=12, T=3, seed=0)
+        with pytest.raises(ValueError, match="C must be >= 0"):
+            grid_search(ds, plan, [0.1, -1.0, 10.0])
+        assert multiprocessing.active_children() == []
+
+    def test_no_more_workers_than_cells(self, monkeypatch):
+        import concurrent.futures
+        import os
+
+        started = []
+
+        class Spy(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        ds = make_tiny_dataset(n_points=18, n_features=3, seed=5)
+        plan = M.make_split(ds, p1=12, T=3, seed=0)
+        grid_search(ds, plan, [1.0])
+        assert started == [3]
