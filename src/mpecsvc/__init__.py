@@ -11,11 +11,11 @@ from .driver import (OuterConfig, SolveReport, assumption2_value,
                      initial_point, postprocess, run_smoothing, test_error)
 from .kkt import (KktOperator, KktPoint, licq_probe, merit, merit_grad,
                   residual)
-from .krylov import KrylovConfig, KrylovResult, bicgstab
+from .krylov import KrylovResult, bicgstab
 from .newton import NewtonConfig, armijo_search, solve_subproblem
 from .problem import MpecProblem, assemble, eval_G, eval_H
 from .smoothing import (CurvatureCoeffs, SmoothingWeights, fb_curvature,
                         fb_value, fb_weights)
-from .svc import DualSvcConfig, grid_search, solve_l1svc_dual
+from .svc import grid_search, solve_l1svc_dual
 
 __version__ = "0.1.0"

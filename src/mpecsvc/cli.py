@@ -16,6 +16,7 @@ import numpy as np
 
 from . import data as dio
 from . import driver, kkt, problem, svc
+from .driver import OuterConfig
 from .newton import NewtonConfig
 
 EXIT_OK = 0
@@ -46,14 +47,15 @@ def build_parser():
 
     sp = sub.add_parser("solve", help="run the full smoothing Newton pipeline")
     add_common(sp)
-    sp.add_argument("--eps0", type=float, default=1.0)
-    sp.add_argument("--eps-min", type=float, default=1e-6)
-    sp.add_argument("--kappa", type=float, default=0.5)
-    sp.add_argument("--initial-C", type=float, default=1.0)
-    sp.add_argument("--sigma", type=float, default=1e-4)
-    sp.add_argument("--rho", type=float, default=0.5)
-    sp.add_argument("--ftol", type=float, default=1e-8)
-    sp.add_argument("--newton-maxit", type=int, default=200)
+    sp.add_argument("--eps0", type=float, default=OuterConfig.eps0)
+    sp.add_argument("--eps-min", type=float, default=OuterConfig.eps_min)
+    sp.add_argument("--kappa", type=float, default=OuterConfig.kappa)
+    sp.add_argument("--initial-C", type=float, default=OuterConfig.initial_C)
+    sp.add_argument("--sigma", type=float, default=NewtonConfig.sigma)
+    sp.add_argument("--rho", type=float, default=NewtonConfig.rho)
+    sp.add_argument("--ftol", type=float, default=NewtonConfig.f_tol)
+    sp.add_argument("--newton-maxit", type=int,
+                    default=NewtonConfig.max_iters)
 
     sp = sub.add_parser("grid", help="grid-search baseline over C")
     add_common(sp)
@@ -77,9 +79,15 @@ def _settings(args):
         raise ValueError("--p1 must be at least 1")
     if args.T < 2:
         raise ValueError("--folds must be at least 2")
+    if args.seed < 0:
+        raise ValueError("--seed must be non-negative")
+    out = Path(args.out)
+    existing = next(q for q in (out, *out.parents) if q.exists())
+    if not existing.is_dir():
+        raise ValueError(f"--out {out}: {existing} is not a directory")
     if args.command == "solve":
-        return (driver.OuterConfig(eps0=args.eps0, eps_min=args.eps_min,
-                                   kappa=args.kappa, initial_C=args.initial_C),
+        return (OuterConfig(eps0=args.eps0, eps_min=args.eps_min,
+                            kappa=args.kappa, initial_C=args.initial_C),
                 NewtonConfig(sigma=args.sigma, rho=args.rho, f_tol=args.ftol,
                              max_iters=args.newton_maxit))
     if args.command == "grid":
@@ -91,6 +99,8 @@ def _settings(args):
                             args.grid_points),)
     if not args.eps > 0:
         raise ValueError("--eps must be positive")
+    if args.check_seed < 0:
+        raise ValueError("--check-seed must be non-negative")
     return ()
 
 
@@ -154,14 +164,10 @@ def cmd_solve(args, ds, plan, p, ocfg, ncfg):
     report.A2_cone = diag["A2_cone"]
     report.index_set_sizes, _ = driver.classify_index_sets(p, v_star)
 
-    config_echo = {
-        "p1": args.p1, "T": args.T, "seed": args.seed, "scale": args.scale,
-        "eps0": args.eps0, "eps_min": args.eps_min, "kappa": args.kappa,
-        "initial_C": args.initial_C, "sigma": args.sigma, "rho": args.rho,
-        "ftol": args.ftol, "newton_maxit": args.newton_maxit,
-    }
+    config = {key: value for key, value in vars(args).items()
+              if key not in ("command", "data", "out", "quiet")}
     rd = report.to_dict(dataset=str(args.data),
-                        dims=problem.sparsity_stats(p), config=config_echo)
+                        dims=problem.sparsity_stats(p), config=config)
     _write_report(outdir, rd)
     _write_trace(outdir, report.outer_records)
     _write_timings(outdir, report)
@@ -229,10 +235,10 @@ def cmd_check(args, ds, plan, p):
     sigma, _, converged = kkt.licq_probe(p, v_int, eps)
     results.append(("licq_probe_positive", converged and sigma > 1e-10))
 
-    ok = True
-    for name, passed in results:
-        print(f"{'PASS' if passed else 'FAIL'}  {name}")
-        ok = ok and passed
+    if not args.quiet:
+        for name, passed in results:
+            print(f"{'PASS' if passed else 'FAIL'}  {name}")
+    ok = all(passed for _, passed in results)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

@@ -31,10 +31,8 @@ class Dataset:
     def __len__(self):
         return len(self.points)
 
-    def to_csr(self, indices=None):
-        """Rows x_i (optionally a subset, in the given order) as CSR."""
-        if indices is None:
-            indices = range(len(self.points))
+    def to_csr(self, indices):
+        """Rows x_i for the given point indices, in their order, as CSR."""
         data, cols, indptr = [], [], [0]
         for i in indices:
             for j, val in self.points[i]:

@@ -99,7 +99,8 @@ def eps_schedule(cfg):
 
 
 def initial_point(p, C0):
-    """Interior starting point: every variable block at 0.5, lambda = 0."""
+    """Interior starting point: C = C0, alpha at 0.5*min(1, C0) (inside its
+    box 0 <= alpha <= C), zeta, z and xi at 0.5, lambda = 0."""
     if C0 <= 0:
         raise ValueError("C0 must be positive")
     v = np.empty(p.m + 1)

@@ -310,7 +310,7 @@ class FoldFactorization:
         return y
 
 
-def fold_solve(op, rhs, shift=0.0):
+def fold_solve(op, rhs, shift):
     """Solve (K + shift*I) x = rhs for K = J_r F_eps at op's point.
 
     K is never assembled.  Its folds couple through C alone (see

@@ -16,19 +16,6 @@ BREAKDOWN_EPS = 1e-30
 STALL_ITERS = 150       # bail out if the best residual stops improving
 
 
-@dataclass(frozen=True)
-class KrylovConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_iters: int | None = None   # defaults to 10 * dimension
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol < 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-
-
 @dataclass
 class KrylovResult:
     x: np.ndarray
@@ -42,20 +29,23 @@ def _norm(x):
     return math.sqrt(np.dot(x, x))
 
 
-def bicgstab(apply, rhs, cfg=None):
-    """Solve apply(x) = rhs, starting from x = 0.
+def bicgstab(apply, rhs, rel_tol, max_iters, abs_tol=1e-12):
+    """Solve apply(x) = rhs, starting from x = 0, to the residual target
+    max(rel_tol*||rhs||, abs_tol) in at most max_iters iterations.
 
     apply must return a new array, or its argument: the recursion keeps v
     across the call that gives t.
     """
-    cfg = cfg or KrylovConfig()
+    if not (rel_tol > 0 and abs_tol >= 0):
+        raise ValueError("rel_tol must be positive and abs_tol non-negative")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.shape[0]
     x = np.zeros(n)
-    max_iters = cfg.max_iters if cfg.max_iters is not None else 10 * n
 
     norm_b = _norm(rhs)
-    target = max(cfg.rel_tol * norm_b, cfg.abs_tol)
+    target = max(rel_tol * norm_b, abs_tol)
 
     r = rhs - apply(x)
     r_hat = r

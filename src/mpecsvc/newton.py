@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kkt import KktOperator, KktPoint, SingularSystemError, fold_solve
-from .krylov import KrylovConfig, bicgstab
+from .krylov import bicgstab
 
 
 MAX_BACKTRACKS = 40       # an Armijo search tries at most 1 + this many steps
@@ -92,7 +92,7 @@ def armijo_search(merit_fn, g0, grad_dot_d, cfg):
     raise LineSearchError("backtracking exhausted")
 
 
-def _direction(op, F, route="bicgstab"):
+def _direction(op, F, route):
     """Newton direction by `route`: bicgstab, direct or lm.
 
     On the bicgstab route BiCGStab is tried first, capped at
@@ -146,8 +146,8 @@ def _direction(op, F, route="bicgstab"):
 
     lin_iters = 0
     if route == "bicgstab":
-        res = bicgstab(op.kkt_apply, -F, cfg=KrylovConfig(
-            rel_tol=target, max_iters=min(2 * dim, 400)))
+        res = bicgstab(op.kkt_apply, -F, rel_tol=target,
+                       max_iters=min(2 * dim, 400))
         lin_iters = res.iterations
         d = res.x
         gd = float(np.dot(grad, d))

@@ -39,18 +39,6 @@ import numpy as np
 import scipy.sparse as sp
 
 
-@dataclass(frozen=True)
-class DualSvcConfig:
-    max_epochs: int = 1000
-    tol: float = 1e-8          # max projected-gradient violation
-
-    def __post_init__(self):
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if not (self.tol > 0):
-            raise ValueError("tol must be positive")
-
-
 @dataclass
 class DualSvcResult:
     alpha: np.ndarray
@@ -60,13 +48,18 @@ class DualSvcResult:
     status: str                # converged | max_epochs
 
 
-def solve_l1svc_dual(rows, C, cfg=None):
+def solve_l1svc_dual(rows, C, max_epochs=1000, tol=1e-8):
     """Coordinate descent on the dual box QP; returns alpha and w = rows^T a.
 
-    Coordinate order is a fresh permutation per epoch, seeded with 0.
-    Zero-norm rows are skipped (their alpha stays 0).
+    Stops when an epoch's largest projected-gradient violation is at most
+    tol, or after max_epochs epochs.  Coordinate order is a fresh
+    permutation per epoch, seeded with 0.  Zero-norm rows are skipped
+    (their alpha stays 0).
     """
-    cfg = cfg or DualSvcConfig()
+    if max_epochs < 1:
+        raise ValueError("max_epochs must be >= 1")
+    if not (tol > 0):
+        raise ValueError("tol must be positive")
     if not (C >= 0):
         raise ValueError("C must be >= 0")
     C = float(C)
@@ -82,7 +75,7 @@ def solve_l1svc_dual(rows, C, cfg=None):
     tmp = np.empty(n)
     rng = np.random.default_rng(0)
     status = "max_epochs"
-    for epoch in range(1, cfg.max_epochs + 1):
+    for epoch in range(1, max_epochs + 1):
         violation = 0.0
         for i in rng.permutation(N).tolist():
             q = qdiag[i]
@@ -109,7 +102,7 @@ def solve_l1svc_dual(rows, C, cfg=None):
                 if a_new != a:
                     w += np.multiply(a_new - a, r, out=tmp)
                     alpha[i] = a_new
-        if violation <= cfg.tol:
+        if violation <= tol:
             status = "converged"
             break
     return DualSvcResult(alpha=np.array(alpha, dtype=float), w=w,

@@ -8,8 +8,8 @@ import scipy.sparse as sp
 
 import mpecsvc as M
 from mpecsvc import problem as pb
-from mpecsvc.svc import (DualSvcConfig, DualSvcResult, GridResult,
-                         solve_l1svc_dual, validation_error)
+from mpecsvc.svc import (DualSvcResult, GridResult, solve_l1svc_dual,
+                         validation_error)
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "heart_synth.libsvm"
 
@@ -233,8 +233,7 @@ def plain_fold_solve(folds, rhs_c):
 # `svc.solve_l1svc_dual` runs the same steps on Python floats and must
 # reproduce it bit for bit: alpha, w, epochs, status and violation.
 
-def plain_l1svc_dual(rows, C, cfg=None):
-    cfg = cfg or DualSvcConfig()
+def plain_l1svc_dual(rows, C, max_epochs=1000, tol=1e-8):
     R = rows.toarray() if sp.issparse(rows) else np.asarray(rows, dtype=float)
     N, n = R.shape
     qdiag = np.einsum("ij,ij->i", R, R)
@@ -247,7 +246,7 @@ def plain_l1svc_dual(rows, C, cfg=None):
     status = "max_epochs"
     epoch = 0
     violation = np.inf
-    for epoch in range(1, cfg.max_epochs + 1):
+    for epoch in range(1, max_epochs + 1):
         violation = 0.0
         for i in rng.permutation(N):
             if qdiag[i] == 0.0:
@@ -266,7 +265,7 @@ def plain_l1svc_dual(rows, C, cfg=None):
                 if a_new != a:
                     w += (a_new - a) * R[i]
                     alpha[i] = a_new
-        if violation <= cfg.tol:
+        if violation <= tol:
             status = "converged"
             break
     return DualSvcResult(alpha=alpha, w=w, epochs=epoch,

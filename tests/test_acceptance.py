@@ -24,7 +24,7 @@ from mpecsvc.driver import test_error as holdout_error
 from mpecsvc.kkt import KktOperator, KktPoint, licq_probe
 from mpecsvc.newton import NewtonConfig
 from mpecsvc.smoothing import fb_value
-from mpecsvc.svc import DualSvcConfig, grid_search, solve_l1svc_dual
+from mpecsvc.svc import grid_search, solve_l1svc_dual
 
 from conftest import DATA, make_tiny_dataset, serial_grid_search
 from test_svc import brute_force_box_qp
@@ -237,8 +237,7 @@ def test_08_dual_svc_oracle():
         n = int(rng.integers(1, 5))
         rows = rng.standard_normal((n_pts, n))
         C = float(rng.uniform(0.1, 5.0))
-        res = solve_l1svc_dual(rows, C, DualSvcConfig(max_epochs=2000,
-                                                      tol=1e-12))
+        res = solve_l1svc_dual(rows, C, max_epochs=2000, tol=1e-12)
         Q = rows @ rows.T
         obj_ref, _ = brute_force_box_qp(Q, C)
         obj = 0.5 * res.alpha @ Q @ res.alpha - res.alpha.sum()
@@ -270,15 +269,15 @@ def test_09_krylov_vs_dense():
             A = np.diag(rng.uniform(1.0, 2.0, n))
             A += 0.2 / np.sqrt(n) * rng.standard_normal((n, n))
         b = rng.standard_normal(n)
-        res = M.bicgstab(lambda x: A @ x, b,
-                         cfg=M.KrylovConfig(rel_tol=1e-12, abs_tol=0.0))
+        res = M.bicgstab(lambda x: A @ x, b, rel_tol=1e-12,
+                         max_iters=10 * n, abs_tol=0.0)
         x_ref = np.linalg.solve(A, b)
         worst = max(worst, float(np.linalg.norm(res.x - x_ref)
                                  / np.linalg.norm(x_ref)))
     b = rng.standard_normal(40)
-    res_id = M.bicgstab(lambda x: x, b)
+    res_id = M.bicgstab(lambda x: x, b, rel_tol=1e-10, max_iters=400)
     exact_id = np.array_equal(res_id.x, b)
-    res_sc = M.bicgstab(lambda x: 4.0 * x, b)
+    res_sc = M.bicgstab(lambda x: 4.0 * x, b, rel_tol=1e-10, max_iters=400)
     exact_sc = np.allclose(res_sc.x, b / 4.0, rtol=1e-15, atol=0.0)
     ok = worst <= 1e-8 and exact_id and exact_sc
     report("krylov_vs_dense", ok,

@@ -34,6 +34,15 @@ def run(args):
     return main([str(a) for a in args])
 
 
+@pytest.fixture
+def unread(monkeypatch):
+    """Fails the test if the command parses its data file."""
+    def parse_libsvm(path):
+        raise AssertionError("the data file was read")
+
+    monkeypatch.setattr(M.cli.dio, "parse_libsvm", parse_libsvm)
+
+
 class TestSolve:
     def test_writes_artifacts(self, data_file, tmp_path):
         out = tmp_path / "run1"
@@ -45,6 +54,10 @@ class TestSolve:
         assert report["outer_iters"] == 11
         assert report["C_raw"] > 0
         assert 0.0 <= report["E_cv"] <= 100.0
+        assert report["config"] == {
+            "p1": 6, "T": 3, "seed": 0, "scale": False, "eps0": 1.0,
+            "eps_min": 1e-3, "kappa": 0.5, "initial_C": 1.0, "sigma": 1e-4,
+            "rho": 0.5, "ftol": 1e-8, "newton_maxit": 200}
         trace = list(csv.reader((out / "trace.csv").open()))
         assert trace[0] == ["outer_t", "eps", "k", "normF", "step",
                             "lin_iters", "backtracks", "route", "lin_resid",
@@ -137,6 +150,18 @@ class TestCheck:
         assert "FAIL  licq_probe_positive" in lines
         assert code == EXIT_CHECK_FAILED
 
+    def test_quiet_prints_nothing(self, data_file, tmp_path, capsys,
+                                  monkeypatch):
+        # --quiet drops the PASS/FAIL lines; the exit code still tells
+        code = run(["check", "--data", data_file, "--p1", 6,
+                    "--out", tmp_path, "--quiet"])
+        assert (code, capsys.readouterr().out) == (EXIT_OK, "")
+        monkeypatch.setattr(M.kkt, "licq_probe",
+                            lambda p, v, eps: (1.0, 50, False))
+        code = run(["check", "--data", data_file, "--p1", 6,
+                    "--out", tmp_path, "--quiet"])
+        assert (code, capsys.readouterr().out) == (EXIT_CHECK_FAILED, "")
+
     @pytest.mark.parametrize("eps, sigma, iters", [
         (1.0, 0.03540723381350121, 11), (0.1, 0.001002696642289914, 9)])
     def test_heart_probe_is_pinned(self, tmp_path, monkeypatch, eps, sigma,
@@ -182,12 +207,12 @@ def test_load_errors_exit(data_file, tmp_path, capsys, command, case, code):
     ["solve", "--initial-C", "0"], ["grid", "--grid-points", "0"],
     ["grid", "--grid-min", "0"], ["check", "--eps", "0"],
     ["solve", "--ftol", "nan"], ["solve", "--ftol", "0"],
-    ["solve", "--ftol", "-1"]],
+    ["solve", "--ftol", "-1"], ["check", "--check-seed", "-1"]],
     ids=["kappa", "rho", "eps_min", "newton_maxit", "initial_C",
          "grid_points", "grid_min", "check_eps", "ftol_nan", "ftol_zero",
-         "ftol_negative"])
+         "ftol_negative", "check_seed"])
 def test_bad_option_values_exit_as_parse_errors(data_file, tmp_path, capsys,
-                                                argv):
+                                                unread, argv):
     # an out-of-range value is rejected before the data is read, with one
     # line on stderr and argparse's exit code, and writes nothing
     assert run([*argv, "--data", data_file, "--p1", 6, "--out", tmp_path,
@@ -201,22 +226,42 @@ def test_bad_option_values_exit_as_parse_errors(data_file, tmp_path, capsys,
 @pytest.mark.parametrize("split, named", [
     (["--p1", "0"], "--p1"), (["--p1", "-150"], "--p1"),
     (["--p1", "6", "--folds", "0"], "--folds"),
-    (["--p1", "6", "--folds", "1"], "--folds")],
-    ids=["p1_zero", "p1_negative", "folds_zero", "folds_one"])
+    (["--p1", "6", "--folds", "1"], "--folds"),
+    (["--p1", "6", "--seed", "-1"], "--seed")],
+    ids=["p1_zero", "p1_negative", "folds_zero", "folds_one", "seed_negative"])
 def test_split_sizes_out_of_range_exit_before_reading(data_file, tmp_path,
-                                                      capsys, monkeypatch,
+                                                      capsys, unread,
                                                       command, split, named):
-    # a cv set needs a point and every fold a training set, whatever the
-    # data: the sizes are rejected before the file is parsed
-    def unread(path):
-        raise AssertionError("the data file was read")
-
-    monkeypatch.setattr(M.cli.dio, "parse_libsvm", unread)
+    # a cv set needs a point, every fold a training set and the shuffle a
+    # non-negative seed, whatever the data: these are rejected before the
+    # file is parsed
     assert run([command, "--data", data_file, *split, "--out", tmp_path,
                 "--quiet"]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith(f"error: {named}") and len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["solve", "grid", "check"])
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "below_file"])
+def test_out_naming_a_file_exits_before_any_work(data_file, tmp_path, capsys,
+                                                 unread, command, under):
+    # an --out that is, or lies below, an existing file cannot become the
+    # output directory
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    assert run([command, "--data", data_file, "--p1", 6, "--out",
+                taken / under, "--quiet"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == [taken]
+    assert taken.read_text() == "keep\n"
+
+
+def test_solve_defaults_are_the_configs():
+    args = build_parser().parse_args(["solve", "--data", "unused",
+                                      "--p1", "6"])
+    assert _settings(args) == (OuterConfig(), NewtonConfig())
 
 
 def test_every_solve_setting_has_a_flag():

@@ -85,7 +85,7 @@ def test_round_trip_property(tmp_path_factory, rows):
 
 class TestDatasetViews:
     def test_to_csr_matches_dense(self, tiny_ds):
-        X = tiny_ds.to_csr().toarray()
+        X = tiny_ds.to_csr(range(len(tiny_ds))).toarray()
         for i, pt in enumerate(tiny_ds.points):
             dense = np.zeros(tiny_ds.n_features)
             for j, v in pt:
@@ -94,7 +94,7 @@ class TestDatasetViews:
 
     def test_to_csr_subset_order(self, tiny_ds):
         X = tiny_ds.to_csr([3, 1]).toarray()
-        full = tiny_ds.to_csr().toarray()
+        full = tiny_ds.to_csr(range(len(tiny_ds))).toarray()
         np.testing.assert_allclose(X, full[[3, 1]])
 
     def test_signed_rows(self, tiny_ds):
@@ -132,7 +132,7 @@ class TestSplit:
 
     def test_scale_features(self, tiny_ds):
         scaled = scale_features(tiny_ds)
-        X = np.abs(scaled.to_csr().toarray())
+        X = np.abs(scaled.to_csr(range(len(scaled))).toarray())
         assert X.max() <= 1.0 + 1e-12
         # each used feature touches 1 in absolute value
         used = X.max(axis=0) > 0

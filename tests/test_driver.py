@@ -116,7 +116,7 @@ class TestSmoothingLoop:
                                                          monkeypatch):
         # a subproblem without a descent direction takes no step, and the
         # next one starts from the same point
-        def no_descent(op, F, route="bicgstab"):
+        def no_descent(op, F, route):
             raise NoDescentError("no descent direction")
 
         monkeypatch.setattr(M.newton, "_direction", no_descent)
@@ -282,7 +282,8 @@ class TestDiagnostics:
         diag = M.assumption2_value(tiny_p, tiny_final_point)
         e_C = np.zeros(2 * tiny_p.m + 1)
         e_C[0] = 1.0
-        x = fold_solve(KktOperator(tiny_p, tiny_final_point), e_C)
+        x = fold_solve(KktOperator(tiny_p, tiny_final_point), e_C,
+                       shift=0.0)
         assert diag["A2_cone"] == pytest.approx(1.0 / x[0], rel=1e-10)
 
     def test_assumption2_memory_is_bounded_by_the_points(self, large_p):

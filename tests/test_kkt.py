@@ -302,7 +302,7 @@ class TestLicq:
         assert (len(built), len(conds)) == (1, 0)
         # the counters see fold_solve's elimination and its kappa
         op = KktOperator(p, random_kkt_point(p, 0.1, seed=17))
-        fold_solve(op, np.ones(2 * p.m + 1))
+        fold_solve(op, np.ones(2 * p.m + 1), shift=0.0)
         assert (len(built), len(conds)) == (2, p.T)
 
     def test_probe_positive_interior(self, tiny_p):
@@ -603,7 +603,7 @@ class TestFoldSolve:
         check_against_oracles(op, rhs)
         monkeypatch.setattr(kkt, "FREE_DET", 0.0)
         with pytest.raises(SingularSystemError):
-            fold_solve(op, rhs)
+            fold_solve(op, rhs, shift=0.0)
 
     @pytest.mark.parametrize("name", ["tiny_p", "heart_p"])
     def test_zero_multipliers_are_singular(self, name, request):
@@ -611,7 +611,7 @@ class TestFoldSolve:
         for i, eps in enumerate((1.0, 1e-2)):
             op = KktOperator(p, zero_multiplier_point(p, eps, seed=i))
             with pytest.raises(SingularSystemError, match="Schur"):
-                fold_solve(op, np.ones(2 * p.m + 1))
+                fold_solve(op, np.ones(2 * p.m + 1), shift=0.0)
             # an imaginary shift makes the system nonsingular
             x = check_against_oracles(op, np.ones(2 * p.m + 1), shift=-0.1j)
             assert np.all(np.isfinite(x))
@@ -675,7 +675,7 @@ class TestFoldSolve:
         wG[pos[1, 0, :2] - 1] = wH[pos[1, 0, :2] - 1] = 0.0
         op.weights = replace(op.weights, wG=wG, wH=wH)
         with pytest.raises(SingularSystemError, match="zero pivot in a fold"):
-            fold_solve(op, np.ones(2 * p.m + 1))
+            fold_solve(op, np.ones(2 * p.m + 1), shift=0.0)
 
     def test_singular_point_block(self, tiny_p):
         # only a real shift can make a block that is not free singular: with

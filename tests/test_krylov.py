@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mpecsvc.driver import initial_point
 from mpecsvc.kkt import KktOperator, KktPoint
-from mpecsvc.krylov import KrylovConfig, bicgstab
+from mpecsvc.krylov import bicgstab
 
 
 def well_conditioned(rng, n, symmetric=False):
@@ -33,19 +33,20 @@ class TestExactCases:
     def test_identity(self):
         rng = np.random.default_rng(0)
         b = rng.standard_normal(30)
-        res = bicgstab(lambda x: x, b)
+        res = bicgstab(lambda x: x, b, rel_tol=1e-10, max_iters=300)
         assert res.status == "converged"
         np.testing.assert_array_equal(res.x, b)
 
     def test_scaled_identity(self):
         rng = np.random.default_rng(1)
         b = rng.standard_normal(30)
-        res = bicgstab(lambda x: 2.5 * x, b)
+        res = bicgstab(lambda x: 2.5 * x, b, rel_tol=1e-10, max_iters=300)
         assert res.status == "converged"
         np.testing.assert_allclose(res.x, b / 2.5, rtol=1e-15)
 
     def test_zero_rhs(self):
-        res = bicgstab(lambda x: 3.0 * x, np.zeros(10))
+        res = bicgstab(lambda x: 3.0 * x, np.zeros(10), rel_tol=1e-10,
+                       max_iters=100)
         assert res.status == "converged"
         np.testing.assert_array_equal(res.x, np.zeros(10))
 
@@ -57,8 +58,8 @@ class TestRandomSystems:
             n = int(rng.integers(5, 120))
             A = well_conditioned(rng, n, symmetric=bool(k % 2))
             b = rng.standard_normal(n)
-            res = bicgstab(lambda x: A @ x, b,
-                           cfg=KrylovConfig(rel_tol=1e-12, abs_tol=0.0))
+            res = bicgstab(lambda x: A @ x, b, rel_tol=1e-12,
+                           max_iters=10 * n, abs_tol=0.0)
             x_ref = np.linalg.solve(A, b)
             assert res.status == "converged"
             err = np.linalg.norm(res.x - x_ref) / np.linalg.norm(x_ref)
@@ -70,8 +71,8 @@ class TestRandomSystems:
         Q = well_conditioned(rng, n)
         A = Q @ Q.T + np.eye(n)
         b = rng.standard_normal(n)
-        res = bicgstab(lambda x: A @ x, b,
-                       cfg=KrylovConfig(rel_tol=1e-13, abs_tol=0.0))
+        res = bicgstab(lambda x: A @ x, b, rel_tol=1e-13, max_iters=10 * n,
+                       abs_tol=0.0)
         np.testing.assert_allclose(res.x, np.linalg.solve(A, b),
                                    rtol=0, atol=1e-9)
 
@@ -79,7 +80,7 @@ class TestRandomSystems:
         rng = np.random.default_rng(5)
         A = well_conditioned(rng, 50)
         b = rng.standard_normal(50)
-        res = bicgstab(lambda x: A @ x, b)
+        res = bicgstab(lambda x: A @ x, b, rel_tol=1e-10, max_iters=500)
         assert res.residual_norm == pytest.approx(
             np.linalg.norm(A @ res.x - b), rel=1e-10, abs=1e-13)
 
@@ -89,8 +90,8 @@ class TestFailureModes:
         rng = np.random.default_rng(7)
         A = well_conditioned(rng, 80)
         b = rng.standard_normal(80)
-        res = bicgstab(lambda x: A @ x, b,
-                       cfg=KrylovConfig(rel_tol=1e-14, abs_tol=0.0, max_iters=2))
+        res = bicgstab(lambda x: A @ x, b, rel_tol=1e-14, max_iters=2,
+                       abs_tol=0.0)
         assert res.status in ("max_iters", "degraded", "stalled")
         # best iterate bookkeeping: returned residual no worse than b itself
         assert res.residual_norm <= np.linalg.norm(b) * (1 + 1e-12)
@@ -100,15 +101,17 @@ class TestFailureModes:
         u = np.ones(20) / np.sqrt(20)
         b = np.zeros(20)
         b[0] = 1.0
-        res = bicgstab(lambda x: u * np.dot(u, x), b,
-                       cfg=KrylovConfig(max_iters=500))
+        res = bicgstab(lambda x: u * np.dot(u, x), b, rel_tol=1e-10,
+                       max_iters=500)
         assert res.status in ("breakdown", "stalled", "max_iters", "degraded")
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            KrylovConfig(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            KrylovConfig(max_iters=0)
+        for rel_tol, max_iters, abs_tol in [(0.0, 10, 1e-12),
+                                            (np.nan, 10, 1e-12),
+                                            (1e-10, 10, -1.0),
+                                            (1e-10, 0, 1e-12)]:
+            with pytest.raises(ValueError):
+                bicgstab(lambda x: x, np.ones(3), rel_tol, max_iters, abs_tol)
 
 
 @settings(max_examples=25, deadline=None)
@@ -117,8 +120,8 @@ def test_diagonal_property(seed, n):
     rng = np.random.default_rng(seed)
     d = rng.uniform(0.5, 5.0, size=n)
     b = rng.standard_normal(n)
-    res = bicgstab(lambda x: d * x, b,
-                   cfg=KrylovConfig(rel_tol=1e-12, abs_tol=0.0))
+    res = bicgstab(lambda x: d * x, b, rel_tol=1e-12, max_iters=10 * n,
+                   abs_tol=0.0)
     assert res.status == "converged"
     np.testing.assert_allclose(res.x, b / d, rtol=1e-7, atol=1e-9)
 
@@ -131,8 +134,8 @@ class TestPinnedRounding:
         # (values recorded with numpy 2.4.6, scipy 1.17.1 and OpenBLAS)
         r0 = initial_point(heart_p, 1.0)
         op = KktOperator(heart_p, KktPoint(v=r0.v, lam=r0.lam, eps=1.0))
-        res = bicgstab(op.kkt_apply, -op.residual(),
-                       cfg=KrylovConfig(rel_tol=1e-2, max_iters=400))
+        res = bicgstab(op.kkt_apply, -op.residual(), rel_tol=1e-2,
+                       max_iters=400)
         assert (res.iterations, res.status) == (105, "converged")
         assert hashlib.sha256(res.x.tobytes()).hexdigest() == (
             "84d70c7ab6a5e2b7f1ff32e392b0769fbce3aa70ab3b90304847b9b331cb35c5")

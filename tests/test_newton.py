@@ -1,7 +1,6 @@
 """Damped Newton subproblem solver and Armijo line search."""
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -243,9 +242,9 @@ class TestDirection:
         the returned list gets one entry per call."""
         calls = []
 
-        def one_iteration(apply, rhs, cfg):
+        def one_iteration(apply, rhs, rel_tol, max_iters):
             calls.append(0)
-            return bicgstab(apply, rhs, cfg=replace(cfg, max_iters=1))
+            return bicgstab(apply, rhs, rel_tol, max_iters=1)
 
         monkeypatch.setattr(newton, "bicgstab", one_iteration)
         return calls
@@ -255,7 +254,7 @@ class TestDirection:
         op = KktOperator(tiny_p, KktPoint(v=v, lam=np.full(tiny_p.m, 0.1),
                                           eps=0.5))
         F = op.residual()
-        d, grad, gd, lin_iters, route = _direction(op, F)
+        d, grad, gd, lin_iters, route = _direction(op, F, "bicgstab")
         assert route == "direct"
         assert np.linalg.norm(op.kkt_apply(d) + F) <= 1e-10 * np.linalg.norm(F)
         assert gd == pytest.approx(float(grad @ d)) and gd < 0
@@ -271,7 +270,7 @@ class TestDirection:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NoDescentError):
-                _direction(op, F)
+                _direction(op, F, "bicgstab")
             _, _, gd_lm, _, route_lm = _direction(op, F, "lm")
         assert route_lm == "lm" and gd_lm < 0
         assert capfd.readouterr().err == ""
@@ -346,15 +345,15 @@ class TestDirection:
         assert heart_p.m <= 4000
         captured = []
 
-        def capture(apply, rhs, cfg):
+        def capture(apply, rhs, rel_tol, max_iters):
             captured.append(apply)
-            return bicgstab(apply, rhs, cfg=replace(cfg, max_iters=1))
+            return bicgstab(apply, rhs, rel_tol, max_iters=1)
 
         monkeypatch.setattr(newton, "bicgstab", capture)
         v = initial_point(heart_p, 1.0).v
         op = KktOperator(heart_p, KktPoint(
             v=v, lam=np.full(heart_p.m, 0.1), eps=0.5))
-        _direction(op, op.residual())
+        _direction(op, op.residual(), "bicgstab")
         x = np.random.default_rng(0).standard_normal(2 * heart_p.m + 1)
         (apply,) = captured
         assert np.array_equal(apply(x), op.kkt_apply(x))

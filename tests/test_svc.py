@@ -8,8 +8,8 @@ import pytest
 import scipy.sparse as sp
 
 import mpecsvc as M
-from mpecsvc.svc import (DualSvcConfig, dual_objective, grid_search,
-                         primal_objective, solve_l1svc_dual, validation_error)
+from mpecsvc.svc import (dual_objective, grid_search, primal_objective,
+                         solve_l1svc_dual, validation_error)
 
 from conftest import make_tiny_dataset, plain_l1svc_dual, serial_grid_search
 
@@ -90,7 +90,7 @@ class TestDualSolver:
                                     {"tol": 0.0}, {"tol": np.nan}])
     def test_bad_config_rejected(self, kw):
         with pytest.raises(ValueError):
-            DualSvcConfig(**kw)
+            solve_l1svc_dual(np.ones((1, 1)), 1.0, **kw)
 
     def test_zero_row_skipped(self):
         rows = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -102,7 +102,7 @@ class TestDualSolver:
         rng = np.random.default_rng(0)
         rows = rng.standard_normal((12, 4))
         C = 0.7
-        res = solve_l1svc_dual(rows, C, DualSvcConfig(tol=1e-10))
+        res = solve_l1svc_dual(rows, C, tol=1e-10)
         assert res.status == "converged"
         g = rows @ res.w - 1.0
         for a, gi in zip(res.alpha, g):
@@ -119,7 +119,7 @@ class TestDualSolver:
             N = int(rng.integers(1, 6))
             rows = rng.standard_normal((N, 3))
             C = float(rng.uniform(0.1, 3.0))
-            res = solve_l1svc_dual(rows, C, DualSvcConfig(tol=1e-12))
+            res = solve_l1svc_dual(rows, C, tol=1e-12)
             Q = rows @ rows.T
             ref_obj, _ = brute_force_box_qp(Q, C)
             assert dual_objective(rows, res.alpha) == pytest.approx(
@@ -130,7 +130,7 @@ class TestDualSolver:
         rng = np.random.default_rng(2)
         rows = rng.standard_normal((15, 4))
         C = 1.3
-        res = solve_l1svc_dual(rows, C, DualSvcConfig(tol=1e-10))
+        res = solve_l1svc_dual(rows, C, tol=1e-10)
         p_obj = primal_objective(rows, res.w, C)
         d_obj = dual_objective(rows, res.alpha)
         assert -d_obj <= p_obj + 1e-9
@@ -145,9 +145,9 @@ class TestDualSolver:
         np.testing.assert_array_equal(a.alpha, b.alpha)
 
 
-def assert_matches_plain(rows, C, cfg=None):
+def assert_matches_plain(rows, C, **kw):
     """The solver against the plain numpy loop, bit for bit."""
-    got, ref = solve_l1svc_dual(rows, C, cfg), plain_l1svc_dual(rows, C, cfg)
+    got, ref = solve_l1svc_dual(rows, C, **kw), plain_l1svc_dual(rows, C, **kw)
     assert got.alpha.dtype == ref.alpha.dtype == np.float64
     assert got.alpha.tobytes() == ref.alpha.tobytes()
     assert got.w.tobytes() == ref.w.tobytes()
@@ -172,12 +172,12 @@ class TestMatchesPlainLoop:
     @pytest.mark.parametrize("C, cfg", [
         (1e-3, None),
         (np.logspace(-3, 3, 25)[13], None),
-        (1000.0, DualSvcConfig(max_epochs=50))])
+        (1000.0, {"max_epochs": 50})])
     @pytest.mark.parametrize("form", ["csr", "dense"])
     def test_heart_folds(self, heart_fold_rows, C, cfg, form):
         for rows in heart_fold_rows:
             assert_matches_plain(rows if form == "csr" else rows.toarray(),
-                                 C, cfg)
+                                 C, **(cfg or {}))
 
     @pytest.mark.parametrize("layout", ["csr", "C", "F"])
     def test_zero_row_and_layouts(self, layout):
