@@ -42,7 +42,8 @@ def build_parser():
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--scale", action="store_true",
                         help="max-abs scale features to [-1,1] (off by default)")
-        sp.add_argument("--out", default=".", help="output directory")
+        sp.add_argument("--out", default=".",
+                        help="output directory (check writes nothing)")
         sp.add_argument("--quiet", action="store_true")
 
     sp = sub.add_parser("solve", help="run the full smoothing Newton pipeline")

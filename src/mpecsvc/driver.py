@@ -103,10 +103,9 @@ def initial_point(p, C0):
     box 0 <= alpha <= C), zeta, z and xi at 0.5, lambda = 0."""
     if C0 <= 0:
         raise ValueError("C0 must be positive")
-    v = np.empty(p.m + 1)
+    v = np.full(p.m + 1, 0.5)
     v[0] = C0
-    v[1:] = 0.5
-    v[1 + 2 * p.n1:1 + 2 * p.n1 + p.n2] = 0.5 * min(1.0, C0)
+    p.split_v(v)[3][:] = 0.5 * min(1.0, C0)       # alpha
     return KktPoint(v=v, lam=np.zeros(p.m), eps=0.0)
 
 

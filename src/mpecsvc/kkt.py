@@ -18,12 +18,13 @@ per KKT product.  KktOperator.kkt_apply, the product BiCGStab runs on,
 shares one product with L^H and one with (L^H)^T between the Hessian and
 the Jacobian blocks.  Every direct solve is one elimination of the fold
 structure from the weights, the curvatures and the data rows
-(FoldFactorization, built once for any number of right-hand sides, its
-condition number computed only when read): fold_solve, and at lambda = 0
-constraint_fold_solves.  Its sums over a fold's points are dense matrix
-products (BLAS) with the fold's data rows.  The solver assembles no
-matrix; the assembled J_r F_eps (materialize_kkt, 245,701 nonzeros on
-heart) is only the tests' reference for these products and solves.
+(FoldFactorization, built once for any number of right-hand sides):
+fold_solve, whose singularity test alone computes its condition number,
+and at lambda = 0 constraint_fold_solves.  Its sums over a fold's points
+are dense matrix products (BLAS) with the fold's data rows.  The solver
+assembles no matrix; the assembled J_r F_eps (materialize_kkt, 245,701
+nonzeros on heart) is only the tests' reference for these products and
+solves.
 """
 
 from __future__ import annotations
@@ -206,15 +207,16 @@ class FoldFactorization:
       this costs O((m1+m2) n^2 + n^3);
     - dense, of size 4(m1+m2), when 2n + 4k is not smaller (many features,
       few points): K_t itself, formed from the point blocks and the Gram
-      matrix N_t N_t^T (built once per problem), since U_t Cm U_t^T only
-      involves the data through products of data rows.  Per fold this
-      costs O((m1+m2)^3), and no array of size n is formed, so wide data
-      costs no more than its points.
+      matrix N_t N_t^T (MpecProblem.fold_grams, built once per problem),
+      since U_t Cm U_t^T only involves the data through products of data
+      rows.  Per fold this costs O((m1+m2)^3), and no array of size n is
+      formed, so wide data costs no more than its points.
     Built once, it keeps per fold D_p^{-1} U_p of the eliminated points, the
     kept points (the free ones of a lifted fold, all of a dense one) and the
-    scaled dense system; numpy keeps no LU factors, so each solve factors
-    that system again.  A point block with an exactly zero pivot raises
-    SingularSystemError here.
+    scaled dense system, and nothing else: its condition number is
+    fold_solve's to compute.  numpy keeps no LU factors, so each solve
+    factors that system again.  A point block with an exactly zero pivot
+    raises SingularSystemError here.
     """
 
     def __init__(self, p, wt, cv, shift=0.0):
@@ -263,19 +265,13 @@ class FoldFactorization:
                 M = _lifted_fold_system(D[t], keep, XU[t], factors[t], N,
                                         mHa[t])
             else:
-                M = _dense_fold_system(D[t], factors[t], p.fold_gram(t),
+                M = _dense_fold_system(D[t], factors[t], p.fold_grams[t],
                                        mHa[t])
                 N = np.zeros((P, 0))          # no lifted unknowns
             rmax = np.abs(M).max(axis=1)
             scale = 1.0 / np.sqrt(np.where(rmax > 0, rmax, 1.0))
             self.folds.append((M * (scale[:, None] * scale), scale, keep,
                                N[~keep], factors[t, ~keep], XU[t, ~keep]))
-
-    @cached_property
-    def kappa(self):
-        """Largest 1-norm condition number of the scaled dense systems, at
-        least 1; computed on first read, as only fold_solve reads it."""
-        return max([1.0] + [np.linalg.cond(M, 1) for M, *_ in self.folds])
 
     def solve(self, rhs_c):
         """K_t^{-1} rhs_c for every fold t, by one batched 4x4 solve and,
@@ -329,9 +325,9 @@ def fold_solve(op, rhs, shift):
     computation,
     |S| <= eps_mach * kappa * (|K_CC + shift| + sum |c_t|^T |K_t^{-1} c_t|)
     with c_t fold t's part of the column of C and kappa the largest 1-norm
-    condition number of the scaled dense systems (FoldFactorization.kappa),
-    or is not finite.  At lambda = 0, where the Hessian vanishes and K is
-    singular, S is zero.
+    condition number of the scaled dense systems, at least 1, or is not
+    finite.  kappa is computed here, and only when S is finite.  At
+    lambda = 0, where the Hessian vanishes and K is singular, S is zero.
     """
     p = op.p
     pos, _ = p.point_index
@@ -347,8 +343,9 @@ def fold_solve(op, rhs, shift):
     K_CC = np.sum(mHb[:, train]) + shift
     S = K_CC - np.sum(c_col * y[..., 1])
     S_scale = abs(K_CC) + np.sum(np.abs(c_col) * np.abs(y[..., 1]))
-    if not (np.isfinite(S)
-            and abs(S) > np.finfo(float).eps * folds.kappa * S_scale):
+    if not (np.isfinite(S) and abs(S) > np.finfo(float).eps
+            * max([1.0] + [np.linalg.cond(M, 1) for M, *_ in folds.folds])
+            * S_scale):
         raise SingularSystemError("Schur complement zero to rounding")
     x = np.empty(rhs.shape, dtype=y.dtype)
     x[0] = (rhs[0] - np.sum(c_col * y[..., 0])) / S
@@ -388,7 +385,7 @@ def _lifted_fold_system(D, free, XU, factors, N, mHa):
 def _dense_fold_system(D, factors, gram, mHa):
     """Fold t's K_t formed densely for FoldFactorization.
 
-    With the fold's Gram matrix G = N_t N_t^T (MpecProblem.fold_gram),
+    With the fold's Gram matrix G = N_t N_t^T (MpecProblem.fold_grams),
     U_t Cm U_t^T couples points p and q by
     f1_p G_pq f2_q^T + f2_p G_pq f1_q^T + f2_p (G diag(M^H_a) G)_pq f2_q^T,
     f1 and f2 being the point factors of U1 and U2.  Returns K_t of size
@@ -460,7 +457,7 @@ def constraint_fold_solves(op):
         return -fold_solution(r, slice(1, nv))[nv:]
 
     c = np.zeros(p.m)
-    c[p.m - p.n2:] = wt.wH[p.m - p.n2:]
+    p.split_m(c)[3][:] = p.split_m(wt.wH)[3]      # the xi-pair rows
     return solve, solve_t, c
 
 

@@ -236,13 +236,15 @@ def solve_subproblem(p, eps, r0, cfg=None, route="bicgstab"):
         t1 = time.perf_counter()
         nv = p.m + 1
         dv, dl = d[:nv], d[nv:]
-        trials = []
+        # the search keeps a count and its latest trial, the one it accepts
+        n_trials, trial = 0, None
 
         def merit_at(s):
-            trial = KktPoint(v=r.v + s * dv, lam=r.lam + s * dl, eps=eps)
-            trial_op = KktOperator(p, trial)
+            nonlocal n_trials, trial
+            point = KktPoint(v=r.v + s * dv, lam=r.lam + s * dl, eps=eps)
+            trial_op = KktOperator(p, point)
             Ft = trial_op.residual()
-            trials.append((trial, trial_op, Ft))
+            n_trials, trial = n_trials + 1, (point, trial_op, Ft)
             return 0.5 * float(np.dot(Ft, Ft))
 
         try:
@@ -250,10 +252,10 @@ def solve_subproblem(p, eps, r0, cfg=None, route="bicgstab"):
         except LineSearchError:
             s = None
         t2 = time.perf_counter()
-        backtracks = len(trials) - 1
+        backtracks = n_trials - 1
         prev_normF = normF
         if s is not None:
-            r, op, F = trials[-1]     # armijo_search accepts its last trial
+            r, op, F = trial          # armijo_search accepts its last trial
             normF = float(np.linalg.norm(F))
         trace.append(TraceRow(
             k=k, normF=normF, step=0.0 if s is None else s,

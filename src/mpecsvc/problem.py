@@ -206,16 +206,11 @@ class MpecProblem:
         return pos, rows
 
     @cached_property
-    def _fold_grams(self):
-        return {}
-
-    def fold_gram(self, t):
-        """Dense N_t N_t^T of fold t's rows (point_index), built on first
-        use: only folds that fold_solve forms densely need it."""
-        if t not in self._fold_grams:
-            N = self.point_index[1][t]
-            self._fold_grams[t] = (N @ N.T).toarray()
-        return self._fold_grams[t]
+    def fold_grams(self):
+        """Dense N_t N_t^T of each fold's rows (point_index), one per fold,
+        built on first use: only a fold that fold_solve forms densely reads
+        it, so a problem whose folds are all lifted never builds them."""
+        return tuple((N @ N.T).toarray() for N in self.point_index[1])
 
 
 def assemble(ds, plan):

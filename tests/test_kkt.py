@@ -660,9 +660,19 @@ class TestFoldSolve:
 
         monkeypatch.setattr(sp.csr_matrix, "transpose", counting)
         rhs = np.random.default_rng(61).standard_normal(2 * p.m + 1)
-        for shift in (0.0, 0.5, -0.1j, 0.0):
+        fold_solve(op, rhs, shift=0.0)
+        grams = p.fold_grams
+        for shift in (0.5, -0.1j, 0.0):
             fold_solve(op, rhs, shift=shift)
         assert len(calls) == p.T
+        assert p.fold_grams is grams and len(grams) == p.T
+
+    def test_lifted_folds_build_no_gram(self, heart_ds, heart_plan):
+        # heart's folds are all lifted: a direct step builds no Gram matrix
+        p = M.assemble(heart_ds, heart_plan)
+        op = KktOperator(p, random_kkt_point(p, 1e-2, seed=63))
+        fold_solve(op, -op.residual(), shift=0.0)
+        assert "fold_grams" not in p.__dict__
 
     @pytest.mark.parametrize("name", ["tiny_p", "wide_p"])
     def test_zero_weights_at_a_point_are_singular(self, name, request):

@@ -1,6 +1,7 @@
 """Damped Newton subproblem solver and Armijo line search."""
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -192,6 +193,26 @@ class TestSubproblem:
         assert backtracks > 0
         assert len(created) == 1 + len(trace) + backtracks
         assert sum("curvature" in op.__dict__ for op in created) == len(trace)
+
+    def test_line_search_keeps_only_its_latest_trial(self, tiny_p,
+                                                     monkeypatch):
+        # a trial's operator is dropped once the next trial is built: while
+        # one is evaluated, at most it and the one before it are alive.  A
+        # trial never computes its curvature; a stepping operator does
+        live, most = weakref.WeakSet(), []
+
+        class Recorded(KktOperator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                live.add(self)
+                most.append(sum("curvature" not in op.__dict__
+                                for op in live))
+
+        monkeypatch.setattr(newton, "KktOperator", Recorded)
+        _, report = run_smoothing(tiny_p, OuterConfig(), NewtonConfig())
+        rows = [row for rec in report.outer_records for row in rec.trace]
+        assert max(row.backtracks for row in rows) >= 3
+        assert max(most) == 2
 
     def test_rows_record_each_line_search_and_lm_shift(self, tiny_p,
                                                        monkeypatch):
