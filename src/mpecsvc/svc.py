@@ -26,9 +26,9 @@ one add on length-n vectors: about 2 us on heart (n = 13; 2-core Xeon,
 single-threaded BLAS), against about 5 us for the plain numpy loop.
 
 ``grid_search`` runs its T * len(grid) (C, fold) cells in parallel, one
-forked worker process per CPU this process may run on.  The cells share no
-state and the results are put back in grid order, so the table, the best
-row and the statuses do not depend on the CPU count.
+forked worker process per CPU this process may run on, at nice 19.  The
+cells share no state and the results are put back in grid order, so the
+table, the best row and the statuses do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -150,8 +150,10 @@ def grid_search(ds, plan, grid):
     The cells run in min(CPUs, cells) workers, the largest C first (its
     cells run the most epochs).  The workers are forked: they inherit the
     loaded modules, where a spawned worker would import numpy, scipy and
-    the caller's main module again.  Every worker is joined before this
-    returns or raises, and the first failing cell in grid order raises.
+    the caller's main module again.  At nice 19 they leave a CPU at once to
+    a thread of the caller that wakes (a timer).  Every worker is joined
+    before this returns or raises, and the first failing cell in grid
+    order raises.
     """
     import multiprocessing
     import os
@@ -169,7 +171,8 @@ def grid_search(ds, plan, grid):
     except AttributeError:        # no affinity call on this platform
         cpus = os.cpu_count() or 1
     pool = ProcessPoolExecutor(max_workers=min(cpus, len(cells)),
-                               mp_context=multiprocessing.get_context("fork"))
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=os.nice, initargs=(19,))
     try:
         order = sorted(range(len(cells)), key=lambda k: -cells[k][1])
         futures = {k: pool.submit(_cell, *cells[k]) for k in order}

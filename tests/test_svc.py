@@ -2,6 +2,7 @@
 
 import itertools
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -208,6 +209,11 @@ class TestValidationError:
         assert validation_error(ds, [0], np.array([5.0])) == 1.0
 
 
+def niceness_cell(rows, C):
+    """A grid cell that reports its worker's niceness as its status."""
+    return str(os.nice(0)), np.zeros(rows.shape[1])
+
+
 class TestGridSearch:
     def test_table_shape_and_best(self):
         ds = make_tiny_dataset(n_points=18, n_features=3, seed=5)
@@ -280,3 +286,12 @@ class TestGridSearch:
         plan = M.make_split(ds, p1=12, T=3, seed=0)
         grid_search(ds, plan, [1.0])
         assert started == [3]
+
+    def test_workers_run_at_the_lowest_priority(self, monkeypatch):
+        monkeypatch.setattr(M.svc, "_cell", niceness_cell)
+        ds = make_tiny_dataset(n_points=18, n_features=3, seed=5)
+        plan = M.make_split(ds, p1=12, T=3, seed=0)
+        before = os.nice(0)
+        result = grid_search(ds, plan, [0.1, 1.0])
+        assert {s for cell in result.statuses for s in cell} == {"19"}
+        assert os.nice(0) == before     # the caller keeps its priority
