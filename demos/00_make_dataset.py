@@ -15,6 +15,7 @@ reproduces the committed file byte for byte.
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from mpecsvc.data import Dataset, write_libsvm
 
@@ -42,11 +43,12 @@ def make_dataset():
     scale = np.abs(X).max(axis=0)
     scale[scale == 0.0] = 1.0
     X = X / scale
-    points = tuple(
-        tuple((j, round(float(X[i, j]), 6)) for j in range(N) if X[i, j] != 0.0)
-        for i in range(P)
-    )
-    return Dataset(points=points, labels=tuple(int(v) for v in y), n_features=N)
+    # keep each nonzero, rounded to 6 decimals by Python's round (correctly
+    # rounded, unlike np.round), even where it rounds to zero
+    nonzero = X != 0.0
+    rows = sp.csr_matrix(nonzero, dtype=float)
+    rows.data = np.array([round(v, 6) for v in X[nonzero].tolist()])
+    return Dataset(X=rows, labels=y.astype(float))
 
 
 if __name__ == "__main__":

@@ -16,11 +16,10 @@ from mpecsvc.problem import sparsity_stats
 DATA = Path(__file__).resolve().parent.parent / "data" / "heart_synth.libsvm"
 
 ds = M.parse_libsvm(DATA)
-labels = np.array(ds.labels)
-print(f"dataset: {len(ds.points)} points, {ds.n_features} features")
+labels = ds.labels
+print(f"dataset: {len(ds)} points, {ds.n_features} features")
 print(f"labels: {np.sum(labels == 1)} positive, {np.sum(labels == -1)} negative")
-nnz = sum(len(pt) for pt in ds.points)
-print(f"density: {nnz / (len(ds.points) * ds.n_features):.2f}")
+print(f"density: {ds.X.nnz / (len(ds) * ds.n_features):.2f}")
 
 # first p1 points are the cross-validation set, the rest are held out
 plan = M.make_split(ds, p1=150, T=3, seed=0)

@@ -1,11 +1,31 @@
-"""LIBSVM-format parsing and deterministic train/test + fold splits."""
+"""LIBSVM-format parsing and deterministic train/test + fold splits.
+
+A Dataset is one CSR matrix X, a row per point, and a label array.
+parse_libsvm fills X's arrays straight from the lines' tokens: str methods
+split the lines, and float mapped over the parts converts them, so no
+Python loop runs per nonzero and no (index, value) pair is made.  Only a
+file that this read declines, for an error or an unusual layout, is read
+again token by token, which also names the first bad token.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from array import array
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
+_CHUNK = 1 << 20    # characters per read; bounds a chunk's list of parts
+# Newline-ended lines, each a label and then " index:value" per feature,
+# with the index in ASCII digits and no whitespace or colon inside a token.
+# A line that matches has exactly the tokens that str.split gives it, each
+# feature token with one colon.  "1:2:3 4" splits at both separators into
+# the same parts as "1:2 3:4", but it does not match.
+_LINES = re.compile(r"(?:[^\s:]++(?: [0-9]++:[^\s:]++)*+\n)*+")
 
 
 class ParseError(ValueError):
@@ -16,39 +36,41 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Labeled sparse feature vectors.
 
-    points holds (index, value) pairs with 0-based internal indices that are
-    strictly increasing within a point; labels are +1/-1.
+    X is a CSR matrix, one row per point and n_features columns, with
+    float64 data and 0-based column indices strictly increasing within a
+    row; entries written as zero in the file stay stored.  labels is a
+    float64 array of +1/-1, one per row.  A Dataset compares and hashes by
+    identity (eq=False), as its arrays have no hashable value.
     """
 
-    points: tuple
-    labels: tuple
-    n_features: int
+    X: sp.csr_matrix
+    labels: np.ndarray
+
+    @property
+    def n_features(self):
+        return self.X.shape[1]
 
     def __len__(self):
-        return len(self.points)
+        return self.X.shape[0]
 
     def to_csr(self, indices):
         """Rows x_i for the given point indices, in their order, as CSR."""
-        data, cols, indptr = [], [], [0]
-        for i in indices:
-            for j, val in self.points[i]:
-                cols.append(j)
-                data.append(val)
-            indptr.append(len(data))
-        return sp.csr_matrix(
-            (np.asarray(data, dtype=float), cols, indptr),
-            shape=(len(indptr) - 1, self.n_features),
-        )
+        return self.X[np.asarray(indices, dtype=np.intp)]
 
     def signed_rows(self, indices):
-        """Rows y_i * x_i^T for the given point indices, as CSR."""
-        rows = self.to_csr(indices)
-        y = np.asarray([self.labels[i] for i in indices], dtype=float)
-        return sp.diags(y) @ rows
+        """Rows y_i * x_i^T for the given point indices, as CSR.
+
+        Stored zeros are dropped, as the product diag(y) X drops them.
+        """
+        idx = np.asarray(indices, dtype=np.intp)
+        rows = self.X[idx]
+        rows.data *= np.repeat(self.labels[idx], np.diff(rows.indptr))
+        rows.eliminate_zeros()
+        return rows
 
 
 @dataclass(frozen=True)
@@ -86,50 +108,117 @@ def _parse_label(token, lineno):
     return int(raw)
 
 
+def _read_fast(fh):
+    """The label, column (1-based), value and row-pointer arrays of a
+    LIBSVM file; ValueError if the file has an error or a line that this
+    read does not take (see _LINES: no tab or run of spaces inside a line,
+    each index written in ASCII digits).
+
+    The file is read in chunks of about _CHUNK characters.  A chunk's
+    stripped nonblank lines are split at both separators, space and colon,
+    and float is mapped over the parts: a line with k features gives its
+    label and k (index, value) pairs, as the plain read gets them from its
+    tokens.  An index of digits is an integer that float reads exactly.
+    Labels and column order are checked once, at the end.
+    """
+    labels, cols, vals = [np.empty(0)], [np.empty(0)], [np.empty(0)]
+    counts = [np.empty(0, dtype=np.intp)]
+    while chunk := fh.readlines(_CHUNK):
+        lines = list(filter(None, map(str.strip, chunk)))
+        body = "\n".join([*lines, ""])
+        if not _LINES.fullmatch(body):
+            raise ValueError("a line that is not a label and index:value pairs")
+        k = np.fromiter(map(str.count, lines, repeat(":")), dtype=np.intp,
+                        count=len(lines))
+        nums = np.frombuffer(array("d", map(float, body.replace(":", " ").split())))
+        width = 1 + 2 * k                 # a line's label and k pairs
+        label = np.zeros(len(nums), dtype=bool)
+        label[np.cumsum(width) - width] = True
+        feats = nums[~label]
+        labels.append(nums[label])
+        cols.append(feats[0::2])
+        vals.append(feats[1::2])
+        counts.append(k)
+    y, c, v, k = map(np.concatenate, (labels, cols, vals, counts))
+    indptr = np.concatenate([[0], np.cumsum(k)])
+    prev = np.zeros_like(c)       # each row's columns rise from 0
+    prev[1:] = c[:-1]
+    starts = indptr[:-1]
+    prev[starts[starts < len(c)]] = 0
+    if not (np.isin(y, (-1.0, 0.0, 1.0)).all() and (c > prev).all()
+            and (c <= _INT32_MAX).all()):
+        raise ValueError("a label or a column index out of place")
+    return y, c, v, indptr
+
+
+def _read_plain(fh):
+    """_read_fast's arrays, read token by token; raises the ParseError of
+    the first bad line, and in it of the first bad token."""
+    labels, cols, vals = array("d"), array("i"), array("d")
+    indptr = array("i", [0])
+    for lineno, line in enumerate(fh, start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        labels.append(_parse_label(tokens[0], lineno))
+        prev = 0
+        for tok in tokens[1:]:
+            try:
+                idx_s, val_s = tok.split(":", 1)
+                idx, val = int(idx_s), float(val_s)
+            except ValueError:
+                raise ParseError(lineno, f"bad feature token {tok!r}") from None
+            if idx < 1:
+                raise ParseError(lineno, f"feature index {idx} < 1")
+            if idx <= prev:
+                raise ParseError(lineno, f"non-increasing feature index {idx}")
+            if idx > _INT32_MAX:
+                raise ParseError(lineno, f"feature index {idx} > {_INT32_MAX}")
+            prev = idx
+            cols.append(idx)
+            vals.append(val)
+        indptr.append(len(cols))
+    return labels, cols, vals, indptr
+
+
 def parse_libsvm(path):
     """Parse a LIBSVM text file into a Dataset.
 
     Feature indices are 1-based in the file and strictly increasing per line.
-    The Dataset's n_features is the largest index used.  Labels {0,1} are
-    remapped to {-1,+1}; {-1,+1} kept as-is; mixing 0 with -1 is rejected.
-    """
-    points, raw_labels = [], []
-    max_index = 0
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            raw_labels.append(_parse_label(tokens[0], lineno))
-            pairs = []
-            prev = 0
-            for tok in tokens[1:]:
-                try:
-                    idx_s, val_s = tok.split(":", 1)
-                    idx, val = int(idx_s), float(val_s)
-                except ValueError:
-                    raise ParseError(lineno, f"bad feature token {tok!r}") from None
-                if idx < 1:
-                    raise ParseError(lineno, f"feature index {idx} < 1")
-                if idx <= prev:
-                    raise ParseError(lineno, f"non-increasing feature index {idx}")
-                prev = idx
-                pairs.append((idx - 1, val))
-                max_index = max(max_index, idx)
-            points.append(tuple(pairs))
+    The Dataset's n_features is the largest index used (0 if the file has no
+    feature token).  Labels {0,1} are remapped to {-1,+1}; {-1,+1} kept
+    as-is; mixing 0 with -1 is rejected.  Blank lines are skipped; a line
+    with a label and no feature is a point with no nonzero.
 
-    label_set = set(raw_labels)
-    if 0 in label_set and -1 in label_set:
+    A file is read by _read_fast.  One that it declines, for an error or
+    for text that it does not take, is read again by _read_plain, which
+    takes any valid file and names the first error of an invalid one.
+    """
+    try:
+        with open(path) as fh:
+            labels, cols, vals, indptr = _read_fast(fh)
+    except ValueError:
+        with open(path) as fh:
+            labels, cols, vals, indptr = _read_plain(fh)
+    raw = np.asarray(labels)
+    if (raw == 0.0).any() and (raw == -1.0).any():
         raise ParseError(0, "labels mix 0 and -1; cannot normalize")
-    labels = tuple(1 if y == 1 else -1 for y in raw_labels)
-    return Dataset(points=tuple(points), labels=labels, n_features=max_index)
+    indices = np.asarray(cols, dtype=np.int32) - 1
+    n_features = int(indices.max()) + 1 if len(indices) else 0
+    X = sp.csr_matrix((np.asarray(vals), indices,
+                       np.asarray(indptr, dtype=np.int32)),
+                      shape=(len(raw), n_features))
+    return Dataset(X=X, labels=np.where(raw == 1.0, 1.0, -1.0))
 
 
 def write_libsvm(ds, path):
     """Serialize a Dataset back to LIBSVM text (1-based indices, repr values)."""
+    X = ds.X
+    cols, vals = (X.indices + 1).tolist(), X.data.tolist()
+    bounds = X.indptr.tolist()
     with open(path, "w") as fh:
-        for pairs, y in zip(ds.points, ds.labels):
-            feats = " ".join(f"{j + 1}:{v!r}" for j, v in pairs)
+        for y, lo, hi in zip(ds.labels.tolist(), bounds, bounds[1:]):
+            feats = " ".join(f"{j}:{v!r}" for j, v in zip(cols[lo:hi], vals[lo:hi]))
             fh.write(f"{'+1' if y > 0 else '-1'} {feats}".rstrip() + "\n")
 
 
@@ -158,12 +247,10 @@ def make_split(ds, p1, T, seed):
 
 def scale_features(ds):
     """Per-feature max-abs scaling to [-1, 1] (optional preprocessing)."""
+    X = ds.X
     scale = np.zeros(ds.n_features)
-    for pairs in ds.points:
-        for j, v in pairs:
-            scale[j] = max(scale[j], abs(v))
+    np.fmax.at(scale, X.indices, np.abs(X.data))
     scale[scale == 0.0] = 1.0
-    points = tuple(
-        tuple((j, v / scale[j]) for j, v in pairs) for pairs in ds.points
-    )
-    return Dataset(points=points, labels=ds.labels, n_features=ds.n_features)
+    scaled = sp.csr_matrix((X.data / scale[X.indices], X.indices.copy(),
+                            X.indptr.copy()), shape=X.shape)
+    return Dataset(X=scaled, labels=ds.labels)

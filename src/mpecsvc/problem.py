@@ -223,25 +223,36 @@ def assemble(ds, plan):
     if m2 == 0:
         raise ValueError(f"T={T} folds of m1={m1} points leave an empty "
                          "training set (m2=0)")
-    for f in plan.folds:
-        if len(f) != m1:
-            raise ValueError("folds are not of equal size")
-        for i in f:
-            if i < 0 or i >= len(ds):
-                raise ValueError(f"fold index {i} outside dataset")
-    A_blocks, B_blocks = [], []
-    for t in range(T):
-        A_blocks.append(ds.signed_rows(plan.folds[t]))
-        train = [i for s in range(T) if s != t for i in plan.folds[s]]
-        B_blocks.append(ds.signed_rows(train))
-    A, B = (_canonical(sp.block_diag(blocks, format="csr"))
-            for blocks in (A_blocks, B_blocks))
+    if any(len(f) != m1 for f in plan.folds):
+        raise ValueError("folds are not of equal size")
+    folds = np.array(plan.folds, dtype=np.intp).reshape(T, m1)
+    outside = folds[(folds < 0) | (folds >= len(ds))]
+    if outside.size:
+        raise ValueError(f"fold index {outside[0]} outside dataset")
+    train = np.stack([np.delete(folds, t, axis=0).ravel() for t in range(T)])
+    A, B = (_canonical(_fold_diagonal(ds, rows)) for rows in (folds, train))
     return MpecProblem(T=T, m1=m1, m2=m2, n=ds.n_features, A=A, B=B)
+
+
+def _fold_diagonal(ds, rows):
+    """Block-diagonal CSR matrix whose block t holds the signed rows of the
+    points rows[t] (a (T, k) index array), in column block t of n columns.
+
+    One selection of all T*k rows, with each row's column indices shifted
+    by t*n; scipy keeps the indices int32 while the shape allows it.
+    """
+    T, k = rows.shape
+    n = ds.n_features
+    R = ds.signed_rows(rows.ravel())
+    shift = np.repeat(np.repeat(n * np.arange(T), k), np.diff(R.indptr))
+    return sp.csr_matrix((R.data, R.indices + shift, R.indptr),
+                         shape=(T * k, T * n))
 
 
 def _canonical(M):
     """M with float64 data and sorted, duplicate-free indices, as _bind
-    needs (already so for rows from Dataset.signed_rows)."""
+    needs.  Rows from Dataset.signed_rows are so already when the
+    Dataset's X is canonical, as parse_libsvm's is."""
     M = M.astype(np.float64, copy=False)
     M.sum_duplicates()
     return M

@@ -124,9 +124,8 @@ def primal_objective(rows, w, C):
 
 def validation_error(ds, indices, w):
     """Misclassification fraction on the given points; sign(0) counts as error."""
-    X = ds.to_csr(indices)
-    y = np.asarray([ds.labels[i] for i in indices], dtype=float)
-    margins = y * (X @ w)
+    idx = np.asarray(indices, dtype=np.intp)
+    margins = ds.labels[idx] * (ds.X[idx] @ w)
     return float(np.mean(margins <= 0.0))
 
 
@@ -161,10 +160,9 @@ def grid_search(ds, plan, grid):
 
     if len(grid) == 0:
         raise ValueError("grid must be nonempty")
-    fold_rows = []
-    for t in range(plan.T):
-        train = [i for s in range(plan.T) if s != t for i in plan.folds[s]]
-        fold_rows.append((ds.signed_rows(train).toarray(), plan.folds[t]))
+    folds = np.array(plan.folds, dtype=np.intp)
+    fold_rows = [(ds.signed_rows(np.delete(folds, t, axis=0).ravel()).toarray(),
+                  folds[t]) for t in range(plan.T)]
     cells = [(rows, C) for C in grid for rows, _ in fold_rows]
     try:
         cpus = len(os.sched_getaffinity(0))

@@ -14,29 +14,43 @@ from mpecsvc.svc import (DualSvcResult, GridResult, solve_l1svc_dual,
 DATA = Path(__file__).resolve().parent.parent / "data" / "heart_synth.libsvm"
 
 
-def make_tiny_dataset(n_points=12, n_features=4, seed=0):
-    """Small dense-ish random dataset with both labels present."""
+def tiny_arrays(n_points=12, n_features=4, seed=0):
+    """Dense random points X and labels y of +1/-1 with both present."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n_points, n_features))
     w = rng.standard_normal(n_features)
     y = np.where(X @ w >= 0, 1, -1)
     y[0], y[1] = 1, -1   # both classes guaranteed
-    points = tuple(
-        tuple((j, float(X[i, j])) for j in range(n_features))
-        for i in range(n_points)
-    )
-    return M.Dataset(points=points, labels=tuple(int(v) for v in y),
-                     n_features=n_features)
+    return X, y
+
+
+def make_tiny_dataset(n_points=12, n_features=4, seed=0):
+    """Small dense-ish random dataset with both labels present."""
+    X, y = tiny_arrays(n_points, n_features, seed)
+    return M.Dataset(X=sp.csr_matrix(X), labels=y.astype(float))
+
+
+# The generated instances' (n_points, n_features, seed) and p1; each is
+# split into T = 3 folds with seed 0.
+GENERATED = {"tiny_p": ((12, 4, 0), 6), "large_p": ((700, 5, 3), 669),
+             "wide_p": ((100, 300, 5), 60)}
+
+
+def generated(name):
+    """The dataset and split plan of a GENERATED instance."""
+    args, p1 = GENERATED[name]
+    ds = make_tiny_dataset(*args)
+    return ds, M.make_split(ds, p1=p1, T=3, seed=0)
 
 
 @pytest.fixture(scope="session")
 def tiny_ds():
-    return make_tiny_dataset()
+    return generated("tiny_p")[0]
 
 
 @pytest.fixture(scope="session")
-def tiny_plan(tiny_ds):
-    return M.make_split(tiny_ds, p1=6, T=3, seed=0)
+def tiny_plan():
+    return generated("tiny_p")[1]
 
 
 @pytest.fixture(scope="session")
@@ -80,8 +94,7 @@ def tiny_complementary_point(tiny_p):
 def large_p():
     """Generated m = 4014 instance, beyond materialize_LH's m <= 4000 guard,
     so the structured solves there have no assembled reference."""
-    ds = make_tiny_dataset(n_points=700, n_features=5, seed=3)
-    return M.assemble(ds, M.make_split(ds, p1=669, T=3, seed=0))
+    return M.assemble(*generated("large_p"))
 
 
 @pytest.fixture(scope="session")
@@ -89,8 +102,7 @@ def wide_p():
     """Generated instance with more features than points (n = 300, m1 + m2
     = 60 per fold): 2n = 600 > 4(m1 + m2) = 240, so fold_solve forms each
     fold's K_t densely instead of lifting it."""
-    ds = make_tiny_dataset(n_points=100, n_features=300, seed=5)
-    return M.assemble(ds, M.make_split(ds, p1=60, T=3, seed=0))
+    return M.assemble(*generated("wide_p"))
 
 
 @pytest.fixture
@@ -117,6 +129,80 @@ def spread(rng, k):
     zeros = rng.random(k) < 0.1
     x[zeros] = rng.choice([-0.0, 0.0], int(zeros.sum()))
     return x
+
+
+# The dataset as tuples of (index, value) pairs per point, with the
+# tuple-loop views and assembly that `data.Dataset` and `problem.assemble`
+# replace.  The CSR views must reproduce them bit for bit: data, indices,
+# indptr and their dtypes.  A plain dataset is (points, labels, n_features).
+
+def plain_parse(path):
+    """A valid LIBSVM file as a plain dataset, read token by token."""
+    points, labels = [], []
+    with open(path) as fh:
+        for line in fh:
+            tokens = line.split()
+            if tokens:
+                labels.append(int(float(tokens[0])))
+                pairs = (tok.split(":") for tok in tokens[1:])
+                points.append(tuple((int(j) - 1, float(v)) for j, v in pairs))
+    labels = [1 if y == 1 else -1 for y in labels]
+    n = max((j + 1 for pt in points for j, _ in pt), default=0)
+    return tuple(points), tuple(labels), n
+
+
+def plain_generated(name):
+    """A GENERATED instance's dataset as a plain dataset."""
+    (n_points, n_features, seed), _ = GENERATED[name]
+    X, y = tiny_arrays(n_points, n_features, seed)
+    points = tuple(tuple((j, float(X[i, j])) for j in range(n_features))
+                   for i in range(n_points))
+    return points, tuple(int(v) for v in y), n_features
+
+
+def plain_to_csr(plain, indices):
+    points, _, n = plain
+    data, cols, indptr = [], [], [0]
+    for i in indices:
+        for j, val in points[i]:
+            cols.append(j)
+            data.append(val)
+        indptr.append(len(data))
+    return sp.csr_matrix((np.asarray(data, dtype=float), cols, indptr),
+                         shape=(len(indptr) - 1, n))
+
+
+def plain_signed_rows(plain, indices):
+    y = np.asarray([plain[1][i] for i in indices], dtype=float)
+    return sp.diags(y) @ plain_to_csr(plain, indices)
+
+
+def plain_assemble(plain, plan):
+    """(A, B) of problem.assemble, from sp.block_diag of the signed rows."""
+    T = plan.T
+    A_blocks, B_blocks = [], []
+    for t in range(T):
+        A_blocks.append(plain_signed_rows(plain, plan.folds[t]))
+        train = [i for s in range(T) if s != t for i in plan.folds[s]]
+        B_blocks.append(plain_signed_rows(plain, train))
+    A, B = (sp.block_diag(blocks, format="csr").astype(np.float64, copy=False)
+            for blocks in (A_blocks, B_blocks))
+    A.sum_duplicates()
+    B.sum_duplicates()
+    return A, B
+
+
+def plain_scale_features(plain):
+    points, labels, n = plain
+    scale = np.zeros(n)
+    for pairs in points:
+        for j, v in pairs:
+            scale[j] = max(scale[j], abs(v))
+    scale[scale == 0.0] = 1.0
+    points = tuple(
+        tuple((j, v / scale[j]) for j, v in pairs) for pairs in points
+    )
+    return points, labels, n
 
 
 # The plain formulas of the maps, one scipy `@` per product with A, B or a

@@ -198,14 +198,16 @@ class TestMatchesPlainLoop:
 
 class TestValidationError:
     def test_hand_example(self):
-        ds = M.Dataset(points=(((0, 1.0),), ((0, -1.0),), ((0, 2.0),)),
-                       labels=(1, -1, -1), n_features=1)
+        ds = M.Dataset(X=sp.csr_matrix([[1.0], [-1.0], [2.0]]),
+                       labels=np.array([1.0, -1.0, -1.0]))
         w = np.array([1.0])
         # margins y*x^T w: +1, +1, -2 -> one error out of three
         assert validation_error(ds, [0, 1, 2], w) == pytest.approx(1 / 3)
 
     def test_zero_margin_counts_as_error(self):
-        ds = M.Dataset(points=(((0, 0.0),),), labels=(1,), n_features=1)
+        # a stored zero
+        ds = M.Dataset(X=sp.csr_matrix(([0.0], [0], [0, 1]), shape=(1, 1)),
+                       labels=np.array([1.0]))
         assert validation_error(ds, [0], np.array([5.0])) == 1.0
 
 
