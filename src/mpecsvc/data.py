@@ -1,31 +1,20 @@
 """LIBSVM-format parsing and deterministic train/test + fold splits.
 
 A Dataset is one CSR matrix X, a row per point, and a label array.
-parse_libsvm fills X's arrays straight from the lines' tokens: str methods
-split the lines, and float mapped over the parts converts them, so no
-Python loop runs per nonzero and no (index, value) pair is made.  Only a
-file that this read declines, for an error or an unusual layout, is read
-again token by token, which also names the first bad token.
+parse_libsvm reads a file token by token into flat arrays of labels,
+columns, values and row pointers, and builds X from them: no per-nonzero
+(index, value) pair is kept.
 """
 
 from __future__ import annotations
 
-import re
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
 
 _INT32_MAX = int(np.iinfo(np.int32).max)
-_CHUNK = 1 << 20    # characters per read; bounds a chunk's list of parts
-# Newline-ended lines, each a label and then " index:value" per feature,
-# with the index in ASCII digits and no whitespace or colon inside a token.
-# A line that matches has exactly the tokens that str.split gives it, each
-# feature token with one colon.  "1:2:3 4" splits at both separators into
-# the same parts as "1:2 3:4", but it does not match.
-_LINES = re.compile(r"(?:[^\s:]++(?: [0-9]++:[^\s:]++)*+\n)*+")
 
 
 class ParseError(ValueError):
@@ -108,54 +97,11 @@ def _parse_label(token, lineno):
     return int(raw)
 
 
-def _read_fast(fh):
-    """The label, column (1-based), value and row-pointer arrays of a
-    LIBSVM file; ValueError if the file has an error or a line that this
-    read does not take (see _LINES: no tab or run of spaces inside a line,
-    each index written in ASCII digits).
-
-    The file is read in chunks of about _CHUNK characters.  A chunk's
-    stripped nonblank lines are split at both separators, space and colon,
-    and float is mapped over the parts: a line with k features gives its
-    label and k (index, value) pairs, as the plain read gets them from its
-    tokens.  An index of digits is an integer that float reads exactly.
-    Labels and column order are checked once, at the end.
-    """
-    labels, cols, vals = [np.empty(0)], [np.empty(0)], [np.empty(0)]
-    counts = [np.empty(0, dtype=np.intp)]
-    while chunk := fh.readlines(_CHUNK):
-        lines = list(filter(None, map(str.strip, chunk)))
-        body = "\n".join([*lines, ""])
-        if not _LINES.fullmatch(body):
-            raise ValueError("a line that is not a label and index:value pairs")
-        k = np.fromiter(map(str.count, lines, repeat(":")), dtype=np.intp,
-                        count=len(lines))
-        nums = np.frombuffer(array("d", map(float, body.replace(":", " ").split())))
-        width = 1 + 2 * k                 # a line's label and k pairs
-        label = np.zeros(len(nums), dtype=bool)
-        label[np.cumsum(width) - width] = True
-        feats = nums[~label]
-        labels.append(nums[label])
-        cols.append(feats[0::2])
-        vals.append(feats[1::2])
-        counts.append(k)
-    y, c, v, k = map(np.concatenate, (labels, cols, vals, counts))
-    indptr = np.concatenate([[0], np.cumsum(k)])
-    prev = np.zeros_like(c)       # each row's columns rise from 0
-    prev[1:] = c[:-1]
-    starts = indptr[:-1]
-    prev[starts[starts < len(c)]] = 0
-    if not (np.isin(y, (-1.0, 0.0, 1.0)).all() and (c > prev).all()
-            and (c <= _INT32_MAX).all()):
-        raise ValueError("a label or a column index out of place")
-    return y, c, v, indptr
-
-
-def _read_plain(fh):
-    """_read_fast's arrays, read token by token; raises the ParseError of
-    the first bad line, and in it of the first bad token."""
+def _read(fh):
+    """The raw labels, 1-based columns, values and row pointers of a LIBSVM
+    file, as arrays; raises the ParseError of the first bad token."""
     labels, cols, vals = array("d"), array("i"), array("d")
-    indptr = array("i", [0])
+    indptr = array("q", [0])
     for lineno, line in enumerate(fh, start=1):
         tokens = line.split()
         if not tokens:
@@ -189,20 +135,18 @@ def parse_libsvm(path):
     feature token).  Labels {0,1} are remapped to {-1,+1}; {-1,+1} kept
     as-is; mixing 0 with -1 is rejected.  Blank lines are skipped; a line
     with a label and no feature is a point with no nonzero.
-
-    A file is read by _read_fast.  One that it declines, for an error or
-    for text that it does not take, is read again by _read_plain, which
-    takes any valid file and names the first error of an invalid one.
     """
-    try:
-        with open(path) as fh:
-            labels, cols, vals, indptr = _read_fast(fh)
-    except ValueError:
-        with open(path) as fh:
-            labels, cols, vals, indptr = _read_plain(fh)
+    with open(path) as fh:
+        return _dataset(*_read(fh))
+
+
+def _dataset(labels, cols, vals, indptr):
+    """The Dataset of _read's arrays; X's indices and indptr are int32."""
     raw = np.asarray(labels)
     if (raw == 0.0).any() and (raw == -1.0).any():
         raise ParseError(0, "labels mix 0 and -1; cannot normalize")
+    if indptr[-1] > _INT32_MAX:
+        raise ParseError(0, f"{indptr[-1]} nonzeros exceed {_INT32_MAX}")
     indices = np.asarray(cols, dtype=np.int32) - 1
     n_features = int(indices.max()) + 1 if len(indices) else 0
     X = sp.csr_matrix((np.asarray(vals), indices,

@@ -1,6 +1,7 @@
 """Parser, writer, and split-plan tests."""
 
 import functools
+from array import array
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import mpecsvc as M
 from conftest import (DATA, generated, plain_assemble, plain_generated,
                       plain_parse, plain_scale_features, plain_signed_rows,
                       plain_to_csr)
-from mpecsvc.data import ParseError, scale_features
+from mpecsvc.data import ParseError, _dataset, scale_features
 
 
 def write(tmp_path, text, name="d.libsvm"):
@@ -99,8 +100,15 @@ class TestParse:
                            f"{index} > 2147483647$"):
             M.parse_libsvm(write(tmp_path, f"+1 1:1\n+1 {index}:1 2:1\n"))
 
-    # each line follows a valid first line; the message is the one the
-    # token-by-token reader has always given
+    def test_nonzeros_beyond_int32_rejected(self):
+        # X's indptr is int32: a count past its range is an error, not a wrap
+        indptr = array("q", [0, 2**31])
+        with pytest.raises(ParseError, match="^line 0: 2147483648 nonzeros"):
+            _dataset(array("d", [1.0]), array("i", [1]), array("d", [1.0]),
+                     indptr)
+
+    # each line follows a valid first line; the messages and line numbers
+    # are the ones the parser has always given
     @pytest.mark.parametrize("line, message", [
         ("x 1:1", "line 2: bad label 'x'"),
         ("3 1:1", "line 2: label 3.0 outside recognized set {-1, 0, +1}"),
