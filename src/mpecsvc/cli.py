@@ -9,10 +9,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import data as dio
 from . import driver, kkt, problem, svc
@@ -43,7 +46,7 @@ def build_parser():
         sp.add_argument("--scale", action="store_true",
                         help="max-abs scale features to [-1,1] (off by default)")
         sp.add_argument("--out", default=".",
-                        help="output directory (check writes nothing)")
+                        help="output directory (check writes check.json)")
         sp.add_argument("--quiet", action="store_true")
 
     sp = sub.add_parser("solve", help="run the full smoothing Newton pipeline")
@@ -106,6 +109,18 @@ def _write_report(outdir, report_dict):
     return path
 
 
+def _environment():
+    """The software a solve ran on, for report.json: Python, numpy, scipy,
+    numpy's BLAS and its thread setting (None when unset).  The results'
+    last digits depend on them; within one environment they are fixed, so
+    identical runs still write identical reports."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version"),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
+
+
 def _write_trace(outdir, records):
     path = Path(outdir) / "trace.csv"
     with open(path, "w", newline="") as fh:
@@ -153,6 +168,7 @@ def cmd_solve(args, ds, plan, p, ocfg, ncfg):
               if key not in ("command", "data", "out", "quiet")}
     rd = report.to_dict(dataset=str(args.data),
                         dims=problem.sparsity_stats(p), config=config)
+    rd["environment"] = _environment()
     _write_report(outdir, rd)
     _write_trace(outdir, report.outer_records)
     _write_timings(outdir, report)
@@ -181,6 +197,11 @@ def cmd_grid(args, ds, plan, p, grid):
 
 
 def cmd_check(args, ds, plan, p):
+    """Each check compares a value with a bound: it passes when value <=
+    bound, but for the probe, which passes when it converged and its
+    estimate sigma exceeds the bound.  check.json holds every check's name,
+    verdict, value and bound, and the probe's sigma, iterations and
+    convergence."""
     eps = args.eps
     rng = np.random.default_rng(0)
     r = kkt.KktPoint(v=rng.standard_normal(p.m + 1),
@@ -189,12 +210,15 @@ def cmd_check(args, ds, plan, p):
     h = 1e-6 * (1.0 + np.linalg.norm(r.to_vector()))
     results = []
 
+    def compare(name, value, bound):
+        results.append((name, value <= bound, float(value), float(bound)))
+
     d = rng.standard_normal(p.m + 1)
     fd = (kkt.KktOperator(p, kkt.KktPoint(r.v + h * d, r.lam, eps)).phi()
           - kkt.KktOperator(p, kkt.KktPoint(r.v - h * d, r.lam, eps)).phi()) / (2 * h)
     jd = op.jac_apply(d)
-    results.append(("jacobian_fd",
-                    np.linalg.norm(jd - fd) <= 1e-5 * max(np.linalg.norm(fd), 1e-12)))
+    compare("jacobian_fd", np.linalg.norm(jd - fd),
+            1e-5 * max(np.linalg.norm(fd), 1e-12))
 
     def vgrad(v):
         o = kkt.KktOperator(p, kkt.KktPoint(v, r.lam, eps))
@@ -202,28 +226,39 @@ def cmd_check(args, ds, plan, p):
 
     fd = (vgrad(r.v + h * d) - vgrad(r.v - h * d)) / (2 * h)
     hd = op.hess_apply(d)
-    results.append(("hessian_fd",
-                    np.linalg.norm(hd - fd) <= 1e-5 * max(np.linalg.norm(fd), 1e-12)))
+    compare("hessian_fd", np.linalg.norm(hd - fd),
+            1e-5 * max(np.linalg.norm(fd), 1e-12))
 
     dr = rng.standard_normal(2 * p.m + 1)
     gfd = (kkt.merit(p, kkt.KktPoint.from_vector(p, r.to_vector() + h * dr, eps))
            - kkt.merit(p, kkt.KktPoint.from_vector(p, r.to_vector() - h * dr, eps))) / (2 * h)
     gdot = float(np.dot(kkt.merit_grad(p, r), dr))
-    results.append(("merit_grad_fd", abs(gdot - gfd) <= 1e-5 * max(abs(gfd), 1e-12)))
+    compare("merit_grad_fd", abs(gdot - gfd), 1e-5 * max(abs(gfd), 1e-12))
 
     e = rng.standard_normal(2 * p.m + 1)
     sym = abs(float(e @ op.kkt_apply(dr)) - float(dr @ op.kkt_apply(e)))
     scale = np.linalg.norm(dr) * np.linalg.norm(e)
-    results.append(("kkt_symmetry", sym <= 1e-10 * max(scale, 1.0)))
+    compare("kkt_symmetry", sym, 1e-10 * max(scale, 1.0))
 
     v_int = np.abs(rng.standard_normal(p.m + 1)) + 0.1
-    sigma, _, converged = kkt.licq_probe(p, v_int, eps)
-    results.append(("licq_probe_positive", converged and sigma > 1e-10))
+    sigma, iters, converged = kkt.licq_probe(p, v_int, eps)
+    results.append(("licq_probe_positive", converged and sigma > 1e-10,
+                    float(sigma), 1e-10))
 
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    with open(outdir / "check.json", "w") as fh:
+        json.dump({"eps": eps,
+                   "checks": [{"name": name, "verdict": "PASS" if passed
+                               else "FAIL", "value": value, "bound": bound}
+                              for name, passed, value, bound in results],
+                   "probe": {"sigma": float(sigma), "iterations": int(iters),
+                             "converged": bool(converged)}}, fh, indent=2)
+        fh.write("\n")
     if not args.quiet:
-        for name, passed in results:
+        for name, passed, *_ in results:
             print(f"{'PASS' if passed else 'FAIL'}  {name}")
-    ok = all(passed for _, passed in results)
+    ok = all(passed for _, passed, *_ in results)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

@@ -14,13 +14,15 @@ is symmetric, so the merit gradient of g = 0.5*||F||^2 is J_r F applied to F.
 The applications are matrix-free through the L^G/L^H maps of the problem
 module, whose products with the data rows are compiled kernel calls on
 A, B, A^T and B^T, bound once per problem (MpecProblem.lh_kernels), seven
-per KKT product.  KktOperator.kkt_apply, the product BiCGStab runs on,
+per KKT product.  L^G drops C, so (L^G)^T s = (0; s) is not formed: s is
+added to the result of (L^H)^T.  KktOperator.kkt_apply, the product BiCGStab runs on,
 shares one product with L^H and one with (L^H)^T between the Hessian and
 the Jacobian blocks.  Every direct solve is one elimination of the fold
 structure from the weights, the curvatures and the data rows
-(FoldFactorization, built once for any number of right-hand sides):
-fold_solve, whose singularity test alone computes its condition number,
-and at lambda = 0 constraint_fold_solves.  Its sums over a fold's points
+(FoldFactorization, built once for any number of right-hand sides; those
+known at the build share its one solve of the point blocks): fold_solve,
+whose singularity test alone computes its condition number, and at
+lambda = 0 constraint_fold_solves.  Its sums over a fold's points
 are dense matrix products (BLAS) with the fold's data rows.  The solver
 assembles no matrix; the assembled J_r F_eps (materialize_kkt, 245,701
 nonzeros on heart) is only the tests' reference for these products and
@@ -102,8 +104,10 @@ class KktOperator:
         """(J_v Phi)^T applied to y of length m."""
         y = np.asarray(y, dtype=float)
         w = self.weights
-        return (pb.apply_LG_T(self.p, w.wG * y)
-                + pb.apply_LH_T(self.p, w.wH * y))
+        out = pb.apply_LH_T(self.p, w.wH * y)
+        out[0] += 0.0            # + (L^G)^T (W^G y) in place; see kkt_apply
+        out[1:] += w.wG * y
+        return out
 
     def hess_apply(self, d):
         """hess_vv L_eps applied to d of length m+1 (symmetric): the upper
@@ -130,10 +134,24 @@ class KktOperator:
         dv, dl = d[:nv], d[nv:]
         wt, c = self.weights, self.curvature
         u, w = pb.apply_LG(p, dv), pb.apply_LH(p, dv)
-        g = c.mG * u + c.mGH * w - wt.wG * dl
-        h = c.mGH * u + c.mH * w - wt.wH * dl
-        return np.concatenate([pb.apply_LH_T(p, h) + pb.apply_LG_T(p, g),
-                               -(wt.wG * u + wt.wH * w)])
+        # each sum is formed in place, in the formula's order of operations
+        g = c.mG * u
+        g += c.mGH * w
+        g -= wt.wG * dl
+        h = c.mGH * u
+        h += c.mH * w
+        h -= wt.wH * dl
+        out = np.empty(nv + p.m)
+        # (L^H)^T h + (L^G)^T g with (L^G)^T g = (0; g), summed into out;
+        # the + 0.0 on C turns -0.0 into +0.0, as adding two vectors does
+        top = pb.apply_LH_T(p, h)
+        out[0] = top[0] + 0.0
+        np.add(top[1:], g, out=out[1:nv])
+        low = out[nv:]
+        np.multiply(wt.wG, u, out=low)
+        low += wt.wH * w
+        np.negative(low, out=low)
+        return out
 
     def materialize_kkt(self):
         """Assembled sparse J_r F_eps, the same operator as kkt_apply.
@@ -213,15 +231,19 @@ class FoldFactorization:
       formed, so wide data costs no more than its points.
     Built once, it keeps per fold D_p^{-1} U_p of the eliminated points, the
     kept points (the free ones of a lifted fold, all of a dense one) and the
-    scaled dense system, and nothing else: its condition number is
-    fold_solve's to compute.  numpy keeps no LU factors, so each solve
-    factors that system again.  A point block with an exactly zero pivot
-    raises SingularSystemError here.
+    scaled dense system: its condition number is fold_solve's to compute.
+    The build takes the right-hand sides known when it is made, rhs_c
+    (shaped as solve's, with no column at all for constraint_fold_solves),
+    and solves the point blocks once, for the U factors and rhs_c
+    together; `solution` holds K_t^{-1} rhs_c.  numpy keeps no LU factors,
+    so a later solve (the rank probe's) factors the point blocks and the
+    dense systems again.  A point block with an exactly zero pivot raises
+    SingularSystemError here, and so does a dense system when rhs_c has
+    a column.
     """
 
-    def __init__(self, p, wt, cv, shift=0.0):
+    def __init__(self, p, wt, cv, shift, rhs_c):
         pos, rows = p.point_index
-        dtype = np.result_type(shift, float)
         T, P = pos.shape[:2]
         n = p.n
         train = np.arange(P) >= p.m1
@@ -229,15 +251,12 @@ class FoldFactorization:
         wGa, wGb, wHa, wHb = wt.wG[a], wt.wG[b], wt.wH[a], wt.wH[b]
         mHa, mHb, mXa, mXb = cv.mH[a], cv.mH[b], cv.mGH[a], cv.mGH[b]
         zero = np.zeros_like(wGa)
-        D = np.zeros((T, P, 4, 4), dtype=dtype)
-        D[..., 0, 0] = cv.mG[a] + mHb
-        D[..., 1, 1] = mHa + cv.mG[b]
-        D[..., 0, 1] = D[..., 1, 0] = mXa - mXb
-        D[..., 0, 2] = D[..., 2, 0] = -wGa
-        D[..., 1, 2] = D[..., 2, 1] = -wHa
-        D[..., 0, 3] = D[..., 3, 0] = wHb
-        D[..., 1, 3] = D[..., 3, 1] = -wGb
-        D[..., range(4), range(4)] += shift
+        mX = mXa - mXb
+        D = np.stack([(cv.mG[a] + mHb) + shift, mX, -wGa, wHb,
+                      mX, (mHa + cv.mG[b]) + shift, -wHa, -wGb,
+                      -wGa, -wHa, zero + shift, zero,
+                      wHb, -wGb, zero, zero + shift],
+                     axis=-1).reshape(T, P, 4, 4)
         # each point's rows of U1 and U2 are factor (4,) times its data row
         factors = np.stack([np.stack([mXa, mHa, -wHa, zero], axis=-1),
                             np.stack([train + zero, zero, zero, zero],
@@ -250,12 +269,18 @@ class FoldFactorization:
         kept &= det < FREE_DET
         lifted = 2 * n + 4 * kept.sum(axis=1) < 4 * P
         kept[~lifted] = True
-        # the point blocks, identity for the kept points
+        # the point blocks, identity for the kept points, solved once for
+        # the U factors and rhs_c together.  A batched solve of several
+        # columns gives each column the bits it gets among any others, so
+        # the two U columns, and two or more of rhs_c, keep the bits of
+        # their own solve (one column alone rounds otherwise)
         self.blocks = np.where(kept[..., None, None], np.eye(4), D)
         try:
-            XU = np.linalg.solve(self.blocks, factors.swapaxes(2, 3))
+            X = np.linalg.solve(self.blocks, np.concatenate(
+                [factors.swapaxes(2, 3), rhs_c], axis=-1))
         except np.linalg.LinAlgError:
             raise SingularSystemError("zero pivot in a point block") from None
+        XU = X[..., :2]
         # per fold: the scaled system, its scale, the kept points, and the
         # data rows, U factors and D_p^{-1} U_p of the eliminated points
         self.folds = []
@@ -272,21 +297,28 @@ class FoldFactorization:
             scale = 1.0 / np.sqrt(np.where(rmax > 0, rmax, 1.0))
             self.folds.append((M * (scale[:, None] * scale), scale, keep,
                                N[~keep], factors[t, ~keep], XU[t, ~keep]))
+        self.solution = self._fold_solutions(rhs_c, X[..., 2:])
 
     def solve(self, rhs_c):
-        """K_t^{-1} rhs_c for every fold t, by one batched 4x4 solve and,
-        per fold, two matrix products with the data rows of the eliminated
-        points (O((m1+m2) n k), one into the lifted unknowns and one back)
-        and one dense solve.
+        """K_t^{-1} rhs_c for every fold t, by one batched 4x4 solve and
+        the per-fold steps of _fold_solutions.
 
         rhs_c holds k right-hand sides on each point's four unknowns, shape
         (T, m1+m2, 4, k), and the solutions are shaped like it.  A dense
         system with an exactly zero pivot, as from a zero row (a point whose
         weights are all 0), raises SingularSystemError.
         """
-        X = np.linalg.solve(self.blocks, rhs_c)
+        return self._fold_solutions(rhs_c, np.linalg.solve(self.blocks, rhs_c))
+
+    def _fold_solutions(self, rhs_c, X):
+        """K_t^{-1} rhs_c for every fold t from X, the point blocks' solution
+        of rhs_c: per fold, two matrix products with the data rows of the
+        eliminated points (O((m1+m2) n k), one into the lifted unknowns and
+        one back) and one dense solve."""
         y = np.empty_like(X)
         ncol = rhs_c.shape[-1]
+        if ncol == 0:           # factor no dense system for no column
+            return y
         for t, (M, scale, keep, Ng, Fg, XUg) in enumerate(self.folds):
             Xg, nk = X[t, ~keep], 4 * int(keep.sum())
             # U_g^T D_g^{-1} rhs_c on the lifted unknowns, one product with
@@ -338,8 +370,9 @@ def fold_solve(op, rhs, shift):
     c_col = np.stack([-mHb, mXb, np.zeros_like(mHb), -wHb],
                      axis=-1) * train[:, None]
     # K_t^{-1} [rhs_t, c_t]
-    folds = FoldFactorization(p, op.weights, op.curvature, shift)
-    y = folds.solve(np.stack([rhs[pos], c_col], axis=-1))
+    folds = FoldFactorization(p, op.weights, op.curvature, shift,
+                              np.stack([rhs[pos], c_col], axis=-1))
+    y = folds.solution
     K_CC = np.sum(mHb[:, train]) + shift
     S = K_CC - np.sum(c_col * y[..., 1])
     S_scale = abs(K_CC) + np.sum(np.abs(c_col) * np.abs(y[..., 1]))
@@ -370,15 +403,17 @@ def _lifted_fold_system(D, free, XU, factors, N, mHa):
     weighted = coef.reshape(-1, 4)[:, :, None] * Ng[:, None, :]
     low = (Ng.T @ weighted.reshape(len(Ng), 4 * n)).reshape(n, 2, 2, n)
     U_f = np.einsum("pai,pj->piaj", factors[f], N[f])
-    Q = N.T @ (mHa[:, None] * N)
-    eye = np.eye(n)
     M = np.zeros((4 * k + 2 * n,) * 2, dtype=D.dtype)
-    for i, Dp in enumerate(D[f]):
-        M[4 * i:4 * i + 4, 4 * i:4 * i + 4] = Dp
+    at = 4 * np.arange(k)[:, None] + np.arange(4)          # (k, 4)
+    M[at[:, :, None], at[:, None, :]] = D[f]
     M[:4 * k, 4 * k:] = U_f.reshape(4 * k, 2 * n)
     M[4 * k:, :4 * k] = M[:4 * k, 4 * k:].T
-    M[4 * k:, 4 * k:] = (np.block([[Q, -eye], [-eye, np.zeros((n, n))]])
-                         - low.transpose(1, 0, 2, 3).reshape(2 * n, 2 * n))
+    # [[Q, -I], [-I, 0]] - low on the lifted unknowns, filled in place;
+    # -I's off-diagonal zeros are -0.0, which the subtraction keeps apart
+    lifted = M[4 * k:, 4 * k:]
+    lifted[:n, :n] = N.T @ (mHa[:, None] * N)
+    lifted[:n, n:] = lifted[n:, :n] = -np.eye(n)
+    lifted -= low.transpose(1, 0, 2, 3).reshape(2 * n, 2 * n)
     return M
 
 
@@ -439,7 +474,8 @@ def constraint_fold_solves(op):
     nv = p.m + 1
     zero = np.zeros(p.m)
     folds = FoldFactorization(p, wt, CurvatureCoeffs(mG=zero, mH=zero,
-                                                     mGH=zero))
+                                                     mGH=zero),
+                              0.0, np.zeros(pos.shape + (0,)))
 
     def fold_solution(r, at):
         # the fold blocks map (y_v; y_l) to (-J_f^T y_l; -J_f y_v)

@@ -5,7 +5,9 @@ m = 2*T*(m1+m2).  The complementarity pair is G(v) = (zeta; z; alpha; xi)
 and H(v) = (A B^T alpha + z; 1 - zeta; B B^T alpha - 1 + xi; C*1 - alpha),
 where A and B stack the signed validation/training rows y_i x_i^T fold by
 fold.  A B^T and B B^T are never formed densely: H and the linear maps below
-cost O(nnz(A) + nnz(B)) per application.
+cost O(nnz(A) + nnz(B)) per application.  H's constant part b^H is H(0).
+L^G only drops C, so apply_LG is a slice and (L^G)^T has no map here: kkt
+adds (0; s) to the result of apply_LH_T.
 
 Every product with the data rows runs scipy's compiled kernel csr_matvec
 on a CSR matrix whose arguments (shape, indptr, indices, data) are bound
@@ -117,14 +119,6 @@ class MpecProblem:
         return self.T * self.m2
 
     @property
-    def bH(self):
-        """Constant part of H: blocks (0; 1; -1; 0)."""
-        b = np.zeros(self.m)
-        b[self.n1:2 * self.n1] = 1.0
-        b[2 * self.n1:2 * self.n1 + self.n2] = -1.0
-        return b
-
-    @property
     def obj_grad(self):
         """Gradient of f(v) = mean(zeta)/1: value 1/(T*m1) on the zeta block."""
         g = np.zeros(self.m + 1)
@@ -159,26 +153,6 @@ class MpecProblem:
                          Bt=_bind(B.T.tocsr()))
 
     @cached_property
-    def fold_index(self):
-        """Fold index sets of r = (v, lambda) and the border {C}.
-
-        Returns (folds, border): folds[t] holds the positions in r of fold
-        t's zeta, z, alpha and xi and of their multipliers, in that order;
-        border holds the position of C.  A B^T and B B^T are block diagonal
-        over folds and only the H block C*1 - alpha touches C, so J_r F_eps
-        couples two folds through C alone.  Computed on first use.
-        """
-        n1, n2, m1, m2 = self.n1, self.n2, self.m1, self.m2
-        folds = []
-        for t in range(self.T):
-            zeta = np.arange(t * m1, (t + 1) * m1)
-            alpha = np.arange(t * m2, (t + 1) * m2)
-            g = np.concatenate([zeta, n1 + zeta, 2 * n1 + alpha,
-                                2 * n1 + n2 + alpha])   # positions in G
-            folds.append(np.concatenate([1 + g, self.m + 1 + g]))
-        return tuple(folds), np.array([0])
-
-    @cached_property
     def point_index(self):
         """Each data point's four unknowns in r = (v, lambda) and its data row.
 
@@ -190,7 +164,10 @@ class MpecProblem:
         holds the positions of these four unknowns in r, shape (T, m1+m2, 4),
         and rows[t] is fold t's N_t = [A_t; B_t], the points' rows of A and B
         in the fold's column block, as a sparse (m1+m2) x n CSR matrix.
-        Computed on first use.
+        The folds' positions and C's (position 0) partition r: A B^T and
+        B B^T are block diagonal over the folds and only the H block
+        C*1 - alpha touches C, so J_r F_eps couples two folds through C
+        alone.  Computed on first use.
         """
         T, m1, m2, n, n1, n2 = self.T, self.m1, self.m2, self.n, self.n1, self.n2
         a = np.concatenate([np.arange(n1).reshape(T, m1),
@@ -263,7 +240,7 @@ def eval_G(p, v):
 
 
 def eval_H(p, v):
-    """H(v) = L^H v + b^H, computed matrix-free."""
+    """H(v) = L^H v + b^H, b^H = (0; 1; -1; 0) = H(0), computed matrix-free."""
     v = _as_vector(p, v)
     C, zeta, z, alpha, xi = p.split_v(v)
     k = p.lh_kernels
@@ -283,14 +260,6 @@ def eval_H(p, v):
 def apply_LG(p, d):
     """L^G d for d of length m+1 (drops the C component)."""
     return d[1:]
-
-
-def apply_LG_T(p, s):
-    """(L^G)^T s for s of length m."""
-    out = np.empty(p.m + 1)
-    out[0] = 0.0
-    out[1:] = s
-    return out
 
 
 def apply_LH(p, d):

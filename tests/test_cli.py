@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import fields
@@ -11,11 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import mpecsvc as M
 from mpecsvc.cli import (EXIT_ASSEMBLY, EXIT_CHECK_FAILED, EXIT_OK,
-                         EXIT_PARSE, EXIT_SOLVER, _settings, build_parser,
-                         main)
+                         EXIT_PARSE, EXIT_SOLVER, _environment, _settings,
+                         build_parser, main)
 from mpecsvc.driver import OuterConfig
 from mpecsvc.newton import NewtonConfig
 
@@ -57,6 +59,7 @@ class TestSolve:
         assert report["config"] == {
             "p1": 6, "T": 3, "seed": 0, "scale": False, "eps_min": 1e-3,
             "initial_C": 1.0, "ftol": 1e-8, "newton_maxit": 200}
+        assert report["environment"] == _environment()
         trace = list(csv.reader((out / "trace.csv").open()))
         assert trace[0] == ["outer_t", "eps", "k", "normF", "step",
                             "lin_iters", "backtracks", "route", "lin_resid",
@@ -69,6 +72,19 @@ class TestSolve:
             assert resid <= {"direct": 1e-10, "bicgstab": 1e-2}.get(
                 row["route"], np.inf)
             assert (shift > 0) if row["route"] == "lm" else shift == 0.0
+
+    @pytest.mark.parametrize("threads", [None, "1"])
+    def test_environment_is_the_running_interpreters(self, monkeypatch,
+                                                     threads):
+        if threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert _environment() == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "blas": blas["name"],
+            "blas_version": blas["version"], "OPENBLAS_NUM_THREADS": threads}
 
     def test_deterministic_reports(self, data_file, tmp_path):
         runs = []
@@ -148,6 +164,36 @@ class TestCheck:
         lines = capsys.readouterr().out.splitlines()
         assert "FAIL  licq_probe_positive" in lines
         assert code == EXIT_CHECK_FAILED
+        written = json.loads((tmp_path / "check.json").read_text())
+        assert written["probe"] == {"sigma": 1.0, "iterations": 50,
+                                    "converged": False}
+        assert written["checks"][-1] == {
+            "name": "licq_probe_positive", "verdict": "FAIL", "value": 1.0,
+            "bound": 1e-10}
+
+    @pytest.mark.parametrize("eps", [0.1, 1.0])
+    def test_writes_check_json_as_printed(self, data_file, tmp_path, capsys,
+                                          eps):
+        # the verdicts are the PASS/FAIL lines', and a rerun writes the
+        # same bytes
+        written = []
+        for name in ("a", "b"):
+            out = tmp_path / name / "new"      # created by the command
+            code = run(["check", "--data", data_file, "--p1", 6,
+                        "--eps", eps, "--out", out])
+            lines = [ln.split() for ln in capsys.readouterr().out.splitlines()]
+            written.append((out / "check.json").read_bytes())
+        assert written[0] == written[1]
+        result = json.loads(written[0])
+        assert result["eps"] == eps
+        assert [[c["verdict"], c["name"]] for c in result["checks"]] == lines
+        assert code == (EXIT_OK if all(v == "PASS" for v, _ in lines)
+                        else EXIT_CHECK_FAILED)
+        for c in result["checks"][:-1]:
+            assert (c["verdict"] == "PASS") == (c["value"] <= c["bound"])
+        probe = result["probe"]
+        assert result["checks"][-1]["value"] == probe["sigma"]
+        assert probe["converged"] and probe["iterations"] >= 1
 
     def test_quiet_prints_nothing(self, data_file, tmp_path, capsys,
                                   monkeypatch):

@@ -344,9 +344,17 @@ class TestLicq:
                 assert est <= np.linalg.norm(op.jac_t_apply(y)) / np.linalg.norm(y)
 
 
+def fold_index(p):
+    """Fold index sets of r = (v, lambda) and the border {C}: folds[t] holds
+    the positions of fold t's point unknowns (MpecProblem.point_index),
+    sorted, and border the position of C."""
+    pos, _ = p.point_index
+    return tuple(np.sort(idx.ravel()) for idx in pos), np.array([0])
+
+
 def fold_labels(p):
     """Fold number of each position of r, -1 on the border."""
-    folds, border = p.fold_index
+    folds, border = fold_index(p)
     labels = np.full(2 * p.m + 1, -2)
     for t, idx in enumerate(folds):
         labels[idx] = t
@@ -437,7 +445,7 @@ def check_against_oracles(op, rhs, shift=0.0, rtol=1e-10):
     ref = spla.splu(shifted).solve(rhs.astype(shifted.dtype))
     assert x.dtype == ref.dtype
     assert rel_err(x, ref) <= rtol
-    assert rel_err(x, dense_fold_solve(K, rhs, *op.p.fold_index,
+    assert rel_err(x, dense_fold_solve(K, rhs, *fold_index(op.p),
                                        shift=shift)) <= rtol
     return x
 
@@ -452,7 +460,7 @@ def heart_ops(heart_p):
 class TestFoldSolve:
     def test_fold_index_partitions_r(self, tiny_p, heart_p):
         for p in (tiny_p, heart_p):
-            folds, border = p.fold_index
+            folds, border = fold_index(p)
             labels = fold_labels(p)
             assert (labels >= -1).all()
             assert sum(len(idx) for idx in folds) + len(border) == 2 * p.m + 1
@@ -461,12 +469,18 @@ class TestFoldSolve:
 
     def test_point_index_orders_each_fold(self, tiny_p, heart_p):
         for p in (tiny_p, heart_p):
-            folds, _ = p.fold_index
             pos, rows = p.point_index
             N = sp.vstack([p.A, p.B]).toarray()
-            for t, idx in enumerate(folds):
-                np.testing.assert_array_equal(np.sort(pos[t].ravel()),
-                                              np.sort(idx))
+            n1, n2, m1, m2 = p.n1, p.n2, p.m1, p.m2
+            for t in range(p.T):
+                # fold t's zeta, z, alpha and xi and their multipliers
+                zeta = np.arange(t * m1, (t + 1) * m1)
+                alpha = np.arange(t * m2, (t + 1) * m2)
+                g = np.concatenate([zeta, n1 + zeta, 2 * n1 + alpha,
+                                    2 * n1 + n2 + alpha])
+                np.testing.assert_array_equal(
+                    np.sort(pos[t].ravel()),
+                    np.sort(np.concatenate([1 + g, p.m + 1 + g])))
                 # a point's data row is its row of A or B, in its fold's block
                 data_rows = np.concatenate(
                     [np.arange(t * p.m1, (t + 1) * p.m1),
@@ -537,16 +551,41 @@ class TestFoldSolve:
     @pytest.mark.parametrize("name", ["tiny_p", "heart_p", "wide_p"])
     def test_one_factorization_solves_many_right_hand_sides(self, name, shift,
                                                             request):
-        # a kept elimination gives the bits of one built for each solve
+        # a kept elimination gives the bits of one built for each solve,
+        # and the build's solution of its own two columns those of a solve
+        # (a single column rounds otherwise in the batched 4x4 solve)
         p = request.getfixturevalue(name)
         op = KktOperator(p, random_kkt_point(p, 1e-2, seed=70))
         pos, _ = p.point_index
         rng = np.random.default_rng(70)
-        folds = FoldFactorization(p, op.weights, op.curvature, shift)
+        rhs_0 = rng.standard_normal(pos.shape + (2,))
+        folds = FoldFactorization(p, op.weights, op.curvature, shift, rhs_0)
+        assert folds.solution.tobytes() == folds.solve(rhs_0).tobytes()
         for k in (1, 2, 1):
             rhs_c = rng.standard_normal(pos.shape + (k,))
-            fresh = FoldFactorization(p, op.weights, op.curvature, shift)
+            fresh = FoldFactorization(p, op.weights, op.curvature, shift,
+                                      rhs_c)
             assert np.array_equal(folds.solve(rhs_c), fresh.solve(rhs_c))
+
+    @pytest.mark.parametrize("shift", [0.0, -0.1j])
+    @pytest.mark.parametrize("name", ["heart_p", "wide_p"])
+    def test_fold_solve_solves_the_point_blocks_once(self, name, shift,
+                                                     request, monkeypatch):
+        # the U factors and both right-hand sides go through one batched
+        # (T, m1+m2, 4, 4) solve
+        p = request.getfixturevalue(name)
+        op = KktOperator(p, random_kkt_point(p, 1e-2, seed=73))
+        pos, _ = p.point_index
+        solve, batched = np.linalg.solve, []
+
+        def counting_solve(a, b):
+            if a.shape == pos.shape[:2] + (4, 4):
+                batched.append(b.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        fold_solve(op, np.ones(2 * p.m + 1), shift=shift)
+        assert batched == [pos.shape + (4,)]
 
     @pytest.mark.parametrize("shift", [0.0, 0.5, -0.1j])
     @pytest.mark.parametrize("name", ["tiny_p", "heart_p", "large_p"])
@@ -570,7 +609,8 @@ class TestFoldSolve:
         pos, _ = p.point_index
         rng = np.random.default_rng(71)
         for op in ops:
-            folds = FoldFactorization(p, op.weights, op.curvature, shift)
+            folds = FoldFactorization(p, op.weights, op.curvature, shift,
+                                      np.zeros(pos.shape + (0,)))
             for k in (1, 2):
                 rhs_c = rng.standard_normal(pos.shape + (k,))
                 assert rel_err(folds.solve(rhs_c),
@@ -588,9 +628,10 @@ class TestFoldSolve:
         monkeypatch.setattr(kkt, "_lifted_fold_system", None)
         op = KktOperator(wide_p, random_kkt_point(wide_p, 1e-2, seed=72))
         pos, _ = wide_p.point_index
-        folds = FoldFactorization(wide_p, op.weights, op.curvature, shift)
         rhs_c = np.random.default_rng(72).standard_normal(pos.shape + (2,))
-        y, ref = folds.solve(rhs_c), plain_fold_solve(folds, rhs_c)
+        folds = FoldFactorization(wide_p, op.weights, op.curvature, shift,
+                                  rhs_c)
+        y, ref = folds.solution, plain_fold_solve(folds, rhs_c)
         assert y.dtype == ref.dtype
         assert y.tobytes() == ref.tobytes()
 
@@ -718,7 +759,7 @@ class TestFoldSolve:
     def test_zero_fold_pivot_is_singular(self, tiny_p):
         # the dense oracle's own singularity check
         K = KktOperator(tiny_p, random_kkt_point(tiny_p, 0.5)).materialize_kkt()
-        folds, border = tiny_p.fold_index
+        folds, border = fold_index(tiny_p)
         keep = np.ones(K.shape[0])
         keep[folds[1]] = 0.0       # zero fold 1's rows and columns
         K = sp.diags(keep) @ K @ sp.diags(keep)
