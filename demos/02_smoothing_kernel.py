@@ -40,8 +40,8 @@ rng = np.random.default_rng(0)
 G, H = rng.uniform(0.05, 2.0, 5), rng.uniform(0.05, 2.0, 5)
 lam = rng.standard_normal(5)
 eps = 0.05
-c = fb_curvature(G, H, lam, eps)
-denom = np.sqrt(G * G + H * H + eps * eps)
+denom = fb_weights(G, H, eps).denom       # sqrt(G^2 + H^2 + eps^2)
+c = fb_curvature(G, H, lam, eps, denom)
 lhs = c.mG * c.mH - c.mGH ** 2
 rhs = lam ** 2 * eps ** 2 / denom ** 4
 print("\ncurvature identity mG*mH - mGH^2 = (lam*eps)^2 / denom^4:")

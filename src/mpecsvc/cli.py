@@ -101,12 +101,23 @@ def _load(args):
     return ds, plan, p
 
 
-def _write_report(outdir, report_dict):
-    path = Path(outdir) / "report.json"
+def _write_json(path, obj, **options):
+    """obj as JSON indented by 2, with a final newline, into path, whose
+    directory is made if missing; options go to json.dump."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(report_dict, fh, indent=2, sort_keys=True, default=float)
+        json.dump(obj, fh, indent=2, **options)
         fh.write("\n")
-    return path
+
+
+def _write_csv(path, header, rows):
+    """A header and rows in csv's default dialect (lines end in \\r\\n)
+    into path, whose directory is made if missing."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(rows)
 
 
 def _environment():
@@ -121,41 +132,7 @@ def _environment():
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 
-def _write_trace(outdir, records):
-    path = Path(outdir) / "trace.csv"
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["outer_t", "eps", "k", "normF", "step",
-                     "lin_iters", "backtracks", "route", "lin_resid",
-                     "shift"])
-        for rec in records:
-            for row in rec.trace:
-                wr.writerow([rec.t, repr(rec.eps), row.k, repr(row.normF),
-                             repr(row.step), row.lin_iters, row.backtracks,
-                             row.route, repr(row.lin_resid), repr(row.shift)])
-    return path
-
-
-def _write_timings(outdir, report):
-    """timings.json: the solve's wall time, each subproblem's wall time and
-    each step's direction and line-search times, in ms.  Timings differ from
-    run to run, so they stay out of report.json and trace.csv, which
-    identical runs write byte for byte."""
-    path = Path(outdir) / "timings.json"
-    with open(path, "w") as fh:
-        json.dump({"wall_ms": report.wall_ms, "subproblems": [
-            {"t": rec.t, "eps": rec.eps, "wall_ms": rec.wall_ms,
-             "steps": [{"k": row.k, "direction_ms": row.direction_ms,
-                        "line_search_ms": row.line_search_ms}
-                       for row in rec.trace]}
-            for rec in report.outer_records]}, fh, indent=2)
-        fh.write("\n")
-    return path
-
-
 def cmd_solve(args, ds, plan, p, ocfg, ncfg):
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     v_star, report = driver.run_smoothing(p, ocfg, ncfg)
     report.C_hat, w_hat = driver.postprocess(p, v_star, ds, plan)
     report.E_te = driver.test_error(ds, plan.test_indices, w_hat)
@@ -169,9 +146,24 @@ def cmd_solve(args, ds, plan, p, ocfg, ncfg):
     rd = report.to_dict(dataset=str(args.data),
                         dims=problem.sparsity_stats(p), config=config)
     rd["environment"] = _environment()
-    _write_report(outdir, rd)
-    _write_trace(outdir, report.outer_records)
-    _write_timings(outdir, report)
+    outdir = Path(args.out)
+    _write_json(outdir / "report.json", rd, sort_keys=True, default=float)
+    _write_csv(outdir / "trace.csv",
+               ["outer_t", "eps", "k", "normF", "step", "lin_iters",
+                "backtracks", "route", "lin_resid", "shift"],
+               ([rec.t, repr(rec.eps), row.k, repr(row.normF), repr(row.step),
+                 row.lin_iters, row.backtracks, row.route,
+                 repr(row.lin_resid), repr(row.shift)]
+                for rec in report.outer_records for row in rec.trace))
+    # wall times in ms differ from run to run, so they stay out of
+    # report.json and trace.csv, which identical runs write byte for byte
+    _write_json(outdir / "timings.json", {
+        "wall_ms": report.wall_ms, "subproblems": [
+            {"t": rec.t, "eps": rec.eps, "wall_ms": rec.wall_ms,
+             "steps": [{"k": row.k, "direction_ms": row.direction_ms,
+                        "line_search_ms": row.line_search_ms}
+                       for row in rec.trace]}
+            for rec in report.outer_records]})
     if not args.quiet:
         print(f"C_raw={report.C_raw:.4f}  C_hat={report.C_hat:.4f}  "
               f"E_cv={report.E_cv:.2f}%  E_te={report.E_te:.2f}%  "
@@ -182,14 +174,9 @@ def cmd_solve(args, ds, plan, p, ocfg, ncfg):
 
 def cmd_grid(args, ds, plan, p, grid):
     result = svc.grid_search(ds, plan, grid)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "grid.csv"
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["C", "E_cv"])
-        for C, err in result.table:
-            wr.writerow([repr(C), repr(err)])
+    path = Path(args.out) / "grid.csv"
+    _write_csv(path, ["C", "E_cv"],
+               ([repr(C), repr(err)] for C, err in result.table))
     if not args.quiet:
         print(f"best C={result.best_C:.6g}  E_cv={result.best_error:.2f}%  "
               f"({len(result.table)} grid points) -> {path}")
@@ -213,25 +200,27 @@ def cmd_check(args, ds, plan, p):
     def compare(name, value, bound):
         results.append((name, value <= bound, float(value), float(bound)))
 
+    def central(f, x, d):
+        """The central difference (f(x + h d) - f(x - h d)) / 2h."""
+        return (f(x + h * d) - f(x - h * d)) / (2 * h)
+
+    def at(v):
+        return kkt.KktOperator(p, kkt.KktPoint(v, r.lam, eps))
+
     d = rng.standard_normal(p.m + 1)
-    fd = (kkt.KktOperator(p, kkt.KktPoint(r.v + h * d, r.lam, eps)).phi()
-          - kkt.KktOperator(p, kkt.KktPoint(r.v - h * d, r.lam, eps)).phi()) / (2 * h)
+    fd = central(lambda v: at(v).phi(), r.v, d)
     jd = op.jac_apply(d)
     compare("jacobian_fd", np.linalg.norm(jd - fd),
             1e-5 * max(np.linalg.norm(fd), 1e-12))
 
-    def vgrad(v):
-        o = kkt.KktOperator(p, kkt.KktPoint(v, r.lam, eps))
-        return p.obj_grad - o.jac_t_apply(r.lam)
-
-    fd = (vgrad(r.v + h * d) - vgrad(r.v - h * d)) / (2 * h)
+    fd = central(lambda v: p.obj_grad - at(v).jac_t_apply(r.lam), r.v, d)
     hd = op.hess_apply(d)
     compare("hessian_fd", np.linalg.norm(hd - fd),
             1e-5 * max(np.linalg.norm(fd), 1e-12))
 
     dr = rng.standard_normal(2 * p.m + 1)
-    gfd = (kkt.merit(p, kkt.KktPoint.from_vector(p, r.to_vector() + h * dr, eps))
-           - kkt.merit(p, kkt.KktPoint.from_vector(p, r.to_vector() - h * dr, eps))) / (2 * h)
+    gfd = central(lambda x: kkt.merit(p, kkt.KktPoint.from_vector(p, x, eps)),
+                  r.to_vector(), dr)
     gdot = float(np.dot(kkt.merit_grad(p, r), dr))
     compare("merit_grad_fd", abs(gdot - gfd), 1e-5 * max(abs(gfd), 1e-12))
 
@@ -245,16 +234,13 @@ def cmd_check(args, ds, plan, p):
     results.append(("licq_probe_positive", converged and sigma > 1e-10,
                     float(sigma), 1e-10))
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "check.json", "w") as fh:
-        json.dump({"eps": eps,
-                   "checks": [{"name": name, "verdict": "PASS" if passed
-                               else "FAIL", "value": value, "bound": bound}
-                              for name, passed, value, bound in results],
-                   "probe": {"sigma": float(sigma), "iterations": int(iters),
-                             "converged": bool(converged)}}, fh, indent=2)
-        fh.write("\n")
+    _write_json(Path(args.out) / "check.json", {
+        "eps": eps,
+        "checks": [{"name": name, "verdict": "PASS" if passed else "FAIL",
+                    "value": value, "bound": bound}
+                   for name, passed, value, bound in results],
+        "probe": {"sigma": float(sigma), "iterations": int(iters),
+                  "converged": bool(converged)}})
     if not args.quiet:
         for name, passed, *_ in results:
             print(f"{'PASS' if passed else 'FAIL'}  {name}")

@@ -160,7 +160,7 @@ def postprocess(p, v_star, ds, plan):
     """
     C_raw = float(v_star[0])
     C_hat = C_raw * p.T / (p.T - 1)
-    rows = ds.signed_rows(plan.cv_indices)
+    rows = ds.signed_rows(plan.cv_indices).toarray()
     res = solve_l1svc_dual(rows, C_hat)
     if res.status != "converged":
         import warnings
@@ -223,7 +223,7 @@ def assumption2_value(p, r_star):
     A2_paper = float(v @ op.hess_apply(v))
     U = _cone_direction(op)
     A2_cone = float(U @ op.hess_apply(U))
-    UG = pb.apply_LG(p, U)
+    UG = U[1:]                                    # L^G U
     UH = pb.apply_LH(p, U)
     c = op.curvature
     A2_alt = float(UG @ (c.mG * UG) + UH @ (c.mH * UH) + 2.0 * UG @ (c.mGH * UH))

@@ -11,11 +11,12 @@ and its Jacobian
                 [ -J_v Phi              0      ]
 
 is symmetric, so the merit gradient of g = 0.5*||F||^2 is J_r F applied to F.
-The applications are matrix-free through the L^G/L^H maps of the problem
+The applications are matrix-free through the L^H maps of the problem
 module, whose products with the data rows are compiled kernel calls on
 A, B, A^T and B^T, bound once per problem (MpecProblem.lh_kernels), seven
-per KKT product.  L^G drops C, so (L^G)^T s = (0; s) is not formed: s is
-added to the result of (L^H)^T.  KktOperator.kkt_apply, the product BiCGStab runs on,
+per KKT product.  L^G drops C, so L^G d is the slice d[1:] and
+(L^G)^T s = (0; s) is not formed: s is added to the result of (L^H)^T.
+KktOperator.kkt_apply, the product BiCGStab runs on,
 shares one product with L^H and one with (L^H)^T between the Hessian and
 the Jacobian blocks.  Every direct solve is one elimination of the fold
 structure from the weights, the curvatures and the data rows
@@ -133,7 +134,7 @@ class KktOperator:
             raise ValueError(f"expected length {nv + p.m}, got {d.shape}")
         dv, dl = d[:nv], d[nv:]
         wt, c = self.weights, self.curvature
-        u, w = pb.apply_LG(p, dv), pb.apply_LH(p, dv)
+        u, w = dv[1:], pb.apply_LH(p, dv)          # L^G dv, L^H dv
         # each sum is formed in place, in the formula's order of operations
         g = c.mG * u
         g += c.mGH * w
@@ -437,14 +438,9 @@ def _dense_fold_system(D, factors, gram, mHa):
     return K.reshape(4 * P, 4 * P)
 
 
-def residual(p, r):
-    """F_eps(r) of length 2m+1."""
-    return KktOperator(p, r).residual()
-
-
 def merit(p, r):
     """g_eps(r) = 0.5 * ||F_eps(r)||^2."""
-    F = residual(p, r)
+    F = KktOperator(p, r).residual()
     return 0.5 * float(np.dot(F, F))
 
 

@@ -6,8 +6,8 @@ and H(v) = (A B^T alpha + z; 1 - zeta; B B^T alpha - 1 + xi; C*1 - alpha),
 where A and B stack the signed validation/training rows y_i x_i^T fold by
 fold.  A B^T and B B^T are never formed densely: H and the linear maps below
 cost O(nnz(A) + nnz(B)) per application.  H's constant part b^H is H(0).
-L^G only drops C, so apply_LG is a slice and (L^G)^T has no map here: kkt
-adds (0; s) to the result of apply_LH_T.
+L^G only drops C, so neither it nor (L^G)^T has a map here: kkt reads
+L^G d as d[1:] and adds (L^G)^T s = (0; s) to the result of apply_LH_T.
 
 Every product with the data rows runs scipy's compiled kernel csr_matvec
 on a CSR matrix whose arguments (shape, indptr, indices, data) are bound
@@ -255,11 +255,6 @@ def eval_H(p, v):
     h3 += xi
     np.subtract(C, alpha, out=h4)
     return out
-
-
-def apply_LG(p, d):
-    """L^G d for d of length m+1 (drops the C component)."""
-    return d[1:]
 
 
 def apply_LH(p, d):

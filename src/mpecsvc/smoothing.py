@@ -23,8 +23,8 @@ def fb_value(a, b, eps):
 class SmoothingWeights:
     """First-order weights: wG_i = 1 - G_i/denom_i, wH_i = 1 - H_i/denom_i.
 
-    denom_i = sqrt(G_i^2 + H_i^2 + eps^2) >= eps is cached for reuse by the
-    curvature coefficients.  Both weights lie in (0, 2) for eps > 0.
+    denom_i = sqrt(G_i^2 + H_i^2 + eps^2) >= eps is kept for the curvature
+    coefficients, which take it.  Both weights lie in (0, 2) for eps > 0.
     """
 
     wG: np.ndarray
@@ -58,14 +58,13 @@ class CurvatureCoeffs:
     mGH: np.ndarray
 
 
-def fb_curvature(G, H, lam, eps, denom=None):
+def fb_curvature(G, H, lam, eps, denom):
+    """The coefficients at (G, H, lam), with denom the SmoothingWeights'."""
     if eps <= 0:
         raise ValueError("fb_curvature requires eps > 0")
     G = np.asarray(G, dtype=float)
     H = np.asarray(H, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    if denom is None:
-        denom = np.sqrt(G * G + H * H + eps * eps)
     scale = lam / denom**3
     return CurvatureCoeffs(
         mG=scale * (H * H + eps * eps),

@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 
 @dataclass
@@ -51,10 +50,10 @@ class DualSvcResult:
 def solve_l1svc_dual(rows, C, max_epochs=1000, tol=1e-8):
     """Coordinate descent on the dual box QP; returns alpha and w = rows^T a.
 
-    Stops when an epoch's largest projected-gradient violation is at most
-    tol, or after max_epochs epochs.  Coordinate order is a fresh
-    permutation per epoch, seeded with 0.  Zero-norm rows are skipped
-    (their alpha stays 0).
+    rows is a dense (N, n) array of signed rows.  Stops when an epoch's
+    largest projected-gradient violation is at most tol, or after
+    max_epochs epochs.  Coordinate order is a fresh permutation per epoch,
+    seeded with 0.  Zero-norm rows are skipped (their alpha stays 0).
     """
     if max_epochs < 1:
         raise ValueError("max_epochs must be >= 1")
@@ -63,7 +62,7 @@ def solve_l1svc_dual(rows, C, max_epochs=1000, tol=1e-8):
     if not (C >= 0):
         raise ValueError("C must be >= 0")
     C = float(C)
-    R = rows.toarray() if sp.issparse(rows) else np.asarray(rows, dtype=float)
+    R = np.asarray(rows, dtype=float)
     N, n = R.shape
     w = np.zeros(n)
     if C == 0.0 or N == 0:
@@ -110,14 +109,12 @@ def solve_l1svc_dual(rows, C, max_epochs=1000, tol=1e-8):
 
 
 def dual_objective(rows, alpha):
-    R = rows.toarray() if sp.issparse(rows) else np.asarray(rows, dtype=float)
-    w = R.T @ alpha
+    w = rows.T @ alpha
     return 0.5 * float(w @ w) - float(alpha.sum())
 
 
 def primal_objective(rows, w, C):
-    R = rows.toarray() if sp.issparse(rows) else np.asarray(rows, dtype=float)
-    margins = R @ w                      # y_i x_i^T w
+    margins = rows @ w                   # y_i x_i^T w
     hinge = np.maximum(0.0, 1.0 - margins).sum()
     return 0.5 * float(w @ w) + C * float(hinge)
 

@@ -320,7 +320,7 @@ def plain_fold_solve(folds, rhs_c):
 # reproduce it bit for bit: alpha, w, epochs, status and violation.
 
 def plain_l1svc_dual(rows, C, max_epochs=1000, tol=1e-8):
-    R = rows.toarray() if sp.issparse(rows) else np.asarray(rows, dtype=float)
+    R = np.asarray(rows, dtype=float)
     N, n = R.shape
     qdiag = np.einsum("ij,ij->i", R, R)
     alpha = np.zeros(N)

@@ -17,10 +17,6 @@ from conftest import (plain_apply_LH, plain_apply_LH_T, plain_eval_H,
                       plain_kkt_apply, spread)
 
 
-def dense_LG(p):
-    return pb.materialize_LG(p).toarray()
-
-
 def dense_LH(p):
     return pb.materialize_LH(p).toarray()
 
@@ -131,8 +127,9 @@ def test_maps_match_dense_property(seed):
     p = M.assemble(ds, plan)
     rng = np.random.default_rng(seed)
     d = rng.standard_normal(p.m + 1)
-    LG, LH = dense_LG(p), dense_LH(p)
-    np.testing.assert_allclose(pb.apply_LG(p, d), LG @ d, atol=1e-12)
+    LH = dense_LH(p)
+    # L^G drops C: kkt and driver read L^G d as d[1:]
+    np.testing.assert_array_equal(pb.materialize_LG(p) @ d, d[1:])
     np.testing.assert_allclose(pb.apply_LH(p, d), LH @ d, atol=1e-11)
     s = rng.standard_normal(p.m)
     np.testing.assert_allclose(pb.apply_LH_T(p, s), LH.T @ s, atol=1e-11)

@@ -81,8 +81,8 @@ class TestCurvature:
         H = rng.standard_normal(40)
         lam = rng.standard_normal(40)
         eps = 0.25
-        c = fb_curvature(G, H, lam, eps)
         denom = np.sqrt(G * G + H * H + eps * eps)
+        c = fb_curvature(G, H, lam, eps, denom)
         np.testing.assert_allclose(
             c.mG * c.mH - c.mGH * c.mGH,
             lam * lam * eps * eps / denom**4, rtol=1e-12)
@@ -93,7 +93,7 @@ class TestCurvature:
         H = rng.standard_normal(30)
         lam = rng.standard_normal(30)
         eps, h = 0.4, 1e-6
-        c = fb_curvature(G, H, lam, eps)
+        c = fb_curvature(G, H, lam, eps, fb_weights(G, H, eps).denom)
         # mG/lam = -d wG / d G etc. (wG = 1 - G/denom, d phi/da second deriv)
         dwG = (fb_weights(G + h, H, eps).wG - fb_weights(G - h, H, eps).wG) / (2 * h)
         dwH = (fb_weights(G, H + h, eps).wH - fb_weights(G, H - h, eps).wH) / (2 * h)
@@ -102,17 +102,6 @@ class TestCurvature:
         np.testing.assert_allclose(c.mH, -lam * dwH, rtol=1e-5, atol=1e-8)
         np.testing.assert_allclose(c.mGH, -lam * dcross, rtol=1e-5, atol=1e-8)
 
-    def test_reuses_supplied_denom(self):
-        G = np.array([1.0, -2.0])
-        H = np.array([0.5, 0.5])
-        lam = np.array([1.0, 1.0])
-        eps = 0.1
-        denom = np.sqrt(G * G + H * H + eps * eps)
-        a = fb_curvature(G, H, lam, eps)
-        b = fb_curvature(G, H, lam, eps, denom=denom)
-        np.testing.assert_allclose(a.mG, b.mG)
-        np.testing.assert_allclose(a.mGH, b.mGH)
-
     def test_eps_zero_rejected(self):
         with pytest.raises(ValueError):
-            fb_curvature(np.ones(1), np.ones(1), np.ones(1), 0.0)
+            fb_curvature(np.ones(1), np.ones(1), np.ones(1), 0.0, np.ones(1))

@@ -160,10 +160,10 @@ def assert_matches_plain(rows, C, **kw):
 
 @pytest.fixture(scope="module")
 def heart_fold_rows(heart_ds, heart_plan):
-    """Signed rows of heart's three training folds, as CSR."""
+    """Signed rows of heart's three training folds, as dense arrays."""
     T = heart_plan.T
     return [heart_ds.signed_rows([i for s in range(T) if s != t
-                                  for i in heart_plan.folds[s]])
+                                  for i in heart_plan.folds[s]]).toarray()
             for t in range(T)]
 
 
@@ -174,19 +174,19 @@ class TestMatchesPlainLoop:
         (1e-3, None),
         (np.logspace(-3, 3, 25)[13], None),
         (1000.0, {"max_epochs": 50})])
-    @pytest.mark.parametrize("form", ["csr", "dense"])
+    # "fortran" rows are strided views, walked by a strided ddot
+    @pytest.mark.parametrize("form", ["fortran", "dense"])
     def test_heart_folds(self, heart_fold_rows, C, cfg, form):
         for rows in heart_fold_rows:
-            assert_matches_plain(rows if form == "csr" else rows.toarray(),
-                                 C, **(cfg or {}))
+            assert_matches_plain(np.asfortranarray(rows) if form == "fortran"
+                                 else rows, C, **(cfg or {}))
 
-    @pytest.mark.parametrize("layout", ["csr", "C", "F"])
+    @pytest.mark.parametrize("layout", ["C", "F"])
     def test_zero_row_and_layouts(self, layout):
         rng = np.random.default_rng(4)
         R = rng.standard_normal((20, 6))
         R[3] = 0.0
-        rows = (sp.csr_matrix(R) if layout == "csr"
-                else np.asarray(R, order=layout))
+        rows = np.asarray(R, order=layout)
         for C in (0.05, 1.0, 30.0):
             res = assert_matches_plain(rows, C)
             assert res.alpha[3] == 0.0
