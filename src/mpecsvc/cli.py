@@ -177,6 +177,13 @@ def cmd_grid(args, ds, plan, p, grid):
     path = Path(args.out) / "grid.csv"
     _write_csv(path, ["C", "E_cv"],
                ([repr(C), repr(err)] for C, err in result.table))
+    # one row per (C, fold) cell, in grid order
+    _write_csv(path.with_name("grid_cells.csv"),
+               ["C", "fold", "status", "epochs"],
+               ([repr(C), t, status, n]
+                for (C, _), cells, counts in zip(result.table, result.statuses,
+                                                 result.epochs)
+                for t, (status, n) in enumerate(zip(cells, counts))))
     if not args.quiet:
         print(f"best C={result.best_C:.6g}  E_cv={result.best_error:.2f}%  "
               f"({len(result.table)} grid points) -> {path}")

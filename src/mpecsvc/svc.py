@@ -131,13 +131,15 @@ class GridResult:
     table: list                 # rows (C, E_cv percent)
     best_C: float
     best_error: float
-    statuses: list
+    statuses: list              # per C, each fold's dual solve status
+    epochs: list                # per C, each fold's dual solve epochs
 
 
 def _cell(rows, C):
-    """One (C, fold) cell of the grid: the dual solve's status and w."""
+    """One (C, fold) cell of the grid: the dual solve's status, epochs and
+    w."""
     res = solve_l1svc_dual(rows, C)
-    return res.status, res.w
+    return res.status, res.epochs, res.w
 
 
 def grid_search(ds, plan, grid):
@@ -174,13 +176,14 @@ def grid_search(ds, plan, grid):
         results = [futures[k].result() for k in range(len(cells))]
     finally:
         pool.shutdown(cancel_futures=True)
-    table, statuses = [], []
+    table, statuses, epochs = [], [], []
     for j, C in enumerate(grid):
         cell = results[j * plan.T:(j + 1) * plan.T]
         errs = [validation_error(ds, val_idx, w)
-                for (_, w), (_, val_idx) in zip(cell, fold_rows)]
+                for (_, _, w), (_, val_idx) in zip(cell, fold_rows)]
         table.append((float(C), 100.0 * float(np.mean(errs))))
-        statuses.append([status for status, _ in cell])
+        statuses.append([status for status, _, _ in cell])
+        epochs.append([n for _, n, _ in cell])
     best_C, best_error = min(table, key=lambda row: (row[1], row[0]))
     return GridResult(table=table, best_C=best_C, best_error=best_error,
-                      statuses=statuses)
+                      statuses=statuses, epochs=epochs)

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 import mpecsvc as M
 from mpecsvc import problem as pb
+from mpecsvc.kkt import fold_solve
 from mpecsvc.svc import (DualSvcResult, GridResult, solve_l1svc_dual,
                          validation_error)
 
@@ -114,6 +115,23 @@ def forbid_assembly(monkeypatch):
     monkeypatch.setattr(M.KktOperator, "materialize_kkt", refuse)
     monkeypatch.setattr(pb, "materialize_LH", refuse)
     monkeypatch.setattr(pb, "materialize_LG", refuse)
+
+
+def schur_cone_rel_errors(p, r):
+    """fold_solve(K, e_C, 0) at r against assumption2_value at r: the
+    relative errors of 1/x_C against A2_cone and of x_v/x_C against U.
+
+    K x = e_C forces x_v = x_C U (the multiplier rows say J x_v = 0) and
+    x_C U^T hess U = 1 (U^T times the v rows), so 1/x_C, the Schur
+    complement on C, is the curvature A2_cone along the critical cone.
+    """
+    diag = M.assumption2_value(p, r)
+    e_C = np.zeros(2 * p.m + 1)
+    e_C[0] = 1.0
+    x = fold_solve(M.KktOperator(p, r), e_C, 0.0)
+    U = diag["U"]
+    return (abs(1.0 / x[0] - diag["A2_cone"]) / abs(diag["A2_cone"]),
+            np.linalg.norm(x[:p.m + 1] / x[0] - U) / np.linalg.norm(U))
 
 
 def random_kkt_point(p, eps, seed=0):
@@ -360,22 +378,24 @@ def plain_l1svc_dual(rows, C, max_epochs=1000, tol=1e-8):
 
 # The grid search as one serial loop over the C values and folds in grid
 # order.  `svc.grid_search` runs the same cells in worker processes and must
-# return the same table, best row and statuses.
+# return the same table, best row, statuses and epochs.
 
 def serial_grid_search(ds, plan, grid):
     fold_rows = []
     for t in range(plan.T):
         train = [i for s in range(plan.T) if s != t for i in plan.folds[s]]
         fold_rows.append((ds.signed_rows(train).toarray(), plan.folds[t]))
-    table, statuses = [], []
+    table, statuses, epochs = [], [], []
     for C in grid:
-        errs, cell_status = [], []
+        errs, cell_status, cell_epochs = [], [], []
         for rows, val_idx in fold_rows:
             res = solve_l1svc_dual(rows, C)
             cell_status.append(res.status)
+            cell_epochs.append(res.epochs)
             errs.append(validation_error(ds, val_idx, res.w))
         table.append((float(C), 100.0 * float(np.mean(errs))))
         statuses.append(cell_status)
+        epochs.append(cell_epochs)
     best_C, best_error = min(table, key=lambda row: (row[1], row[0]))
     return GridResult(table=table, best_C=best_C, best_error=best_error,
-                      statuses=statuses)
+                      statuses=statuses, epochs=epochs)

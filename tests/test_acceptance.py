@@ -6,9 +6,9 @@ once.  Each test prints a single PASS/FAIL line naming the check, then
 asserts.
 """
 
+import csv
 import math
 import os
-import pickle
 import subprocess
 import sys
 import time
@@ -19,6 +19,7 @@ import pytest
 
 import mpecsvc as M
 from mpecsvc import problem as pb
+from mpecsvc.cli import main
 from mpecsvc.driver import (OuterConfig, postprocess, run_smoothing)
 from mpecsvc.driver import test_error as holdout_error
 from mpecsvc.kkt import KktOperator, KktPoint, licq_probe
@@ -26,7 +27,8 @@ from mpecsvc.newton import NewtonConfig
 from mpecsvc.smoothing import fb_value
 from mpecsvc.svc import grid_search, solve_l1svc_dual
 
-from conftest import DATA, make_tiny_dataset, serial_grid_search
+from conftest import (DATA, make_tiny_dataset, schur_cone_rel_errors,
+                      serial_grid_search)
 from test_svc import brute_force_box_qp
 
 
@@ -304,6 +306,17 @@ def test_10_determinism(tmp_path):
            else "reports differ")
 
 
+@pytest.mark.parametrize("fixture", ["solve_result", "tail_trace"])
+def test_schur_complement_on_C_is_the_cone_curvature(heart_p, request,
+                                                      fixture):
+    # at heart's final point and at the eps_min = 2e-2 point, a direct
+    # step's Schur complement on C is already A2_cone, and its solution
+    # along e_C the cone direction U (schur_cone_rel_errors)
+    value = request.getfixturevalue(fixture)
+    rep = value["report"] if fixture == "solve_result" else value[2]
+    assert max(schur_cone_rel_errors(heart_p, rep.final_point)) <= 1e-10
+
+
 def test_heart_reference_results(solve_result):
     # the benchmark's pinned heart results, at its tolerances
     rep = solve_result["report"]
@@ -377,24 +390,40 @@ def test_heart_grid_matches_the_serial_loop(grid_result, heart_ds,
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="needs os.sched_setaffinity")
-def test_heart_grid_on_one_cpu(grid_result):
-    """The grid's result does not depend on the number of workers."""
+def test_heart_grid_on_one_cpu(grid_result, tmp_path, monkeypatch):
+    """grid.csv and grid_cells.csv do not depend on the number of workers.
+
+    The two files hold the whole GridResult (its best row is the table's
+    minimum), so equal bytes mean equal results.
+    """
+    args = ["grid", "--data", str(DATA), "--p1", "150", "--quiet", "--out"]
     script = (
-        "import os, pickle, sys\n"
-        "import numpy as np\n"
-        "import mpecsvc as M\n"
+        "import os\n"
+        "from mpecsvc.cli import main\n"
         "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-        f"ds = M.parse_libsvm({str(DATA)!r})\n"
-        "plan = M.make_split(ds, p1=150, T=3, seed=0)\n"
-        "res = M.grid_search(ds, plan, np.logspace(-3, 3, 25))\n"
-        "sys.stdout.buffer.write(pickle.dumps(\n"
-        "    (len(os.sched_getaffinity(0)), res)))\n")
+        f"code = main({args + [str(tmp_path / 'one')]!r})\n"
+        "print(len(os.sched_getaffinity(0)), code)\n")
     src = str(Path(M.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                         capture_output=True).stdout
-    cpus, result = pickle.loads(out)
-    assert cpus == 1
-    assert result == grid_result
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["1", "0"]      # one CPU, exit code 0
+    # the same files from the fixture's result, computed on all CPUs
+    monkeypatch.setattr(M.svc, "grid_search", lambda *args: grid_result)
+    assert main(args + [str(tmp_path / "all")]) == 0
+    for name in ("grid.csv", "grid_cells.csv"):
+        assert ((tmp_path / "one" / name).read_bytes()
+                == (tmp_path / "all" / name).read_bytes())
+    header, *cells = csv.reader((tmp_path / "all" / "grid_cells.csv").open())
+    assert header == ["C", "fold", "status", "epochs"]
+    assert len(cells) == 75
+    assert [(C, int(t)) for C, t, _, _ in cells] == [
+        (repr(C), t) for C, _ in grid_result.table for t in range(3)]
+    assert [s for _, _, s, _ in cells] == [
+        s for row in grid_result.statuses for s in row]
+    # grid_result's epochs are the serial loop's (the test above)
+    assert [int(n) for *_, n in cells] == [
+        n for row in grid_result.epochs for n in row]
+    assert sum(s == "max_epochs" for _, _, s, _ in cells) == 25

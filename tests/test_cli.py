@@ -141,6 +141,13 @@ class TestGrid:
         assert len(rows) == 26
         Cs = [float(r[0]) for r in rows[1:]]
         assert Cs == sorted(Cs)
+        # one row per (C, fold) cell in grid order, C written as in grid.csv
+        cells = list(csv.reader((tmp_path / "grid_cells.csv").open()))
+        assert cells[0] == ["C", "fold", "status", "epochs"]
+        assert [(C, int(t)) for C, t, *_ in cells[1:]] == [
+            (r[0], t) for r in rows[1:] for t in range(3)]
+        assert all(s in ("converged", "max_epochs") and 0 < int(n) <= 1000
+                   for *_, s, n in cells[1:])
 
 
 class TestCheck:

@@ -213,7 +213,7 @@ class TestValidationError:
 
 def niceness_cell(rows, C):
     """A grid cell that reports its worker's niceness as its status."""
-    return str(os.nice(0)), np.zeros(rows.shape[1])
+    return str(os.nice(0)), 0, np.zeros(rows.shape[1])
 
 
 class TestGridSearch:
