@@ -16,9 +16,9 @@ module, whose products with the data rows are compiled kernel calls on
 A, B, A^T and B^T, bound once per problem (MpecProblem.lh_kernels), seven
 per KKT product.  L^G drops C, so L^G d is the slice d[1:] and
 (L^G)^T s = (0; s) is not formed: s is added to the result of (L^H)^T.
-KktOperator.kkt_apply, the product BiCGStab runs on,
-shares one product with L^H and one with (L^H)^T between the Hessian and
-the Jacobian blocks.  Every direct solve is one elimination of the fold
+KktOperator.kkt_apply, the product BiCGStab runs on, shares one product
+with L^H and one with (L^H)^T between the Hessian and the Jacobian
+blocks.  Every direct solve is one elimination of the fold
 structure from the weights, the curvatures and the data rows
 (FoldFactorization, built once for any number of right-hand sides; those
 known at the build share its one solve of the point blocks): fold_solve,
