@@ -12,6 +12,7 @@ import json
 import os
 import platform
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ import scipy
 from . import data as dio
 from . import driver, kkt, problem, svc
 from .driver import OuterConfig
-from .newton import NewtonConfig
+from .newton import NewtonConfig, TraceRow
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -87,8 +88,8 @@ def _settings(args):
                 NewtonConfig(f_tol=args.ftol, max_iters=args.newton_maxit))
     if args.command == "grid":
         return (np.logspace(-3, 3, 25),)
-    if not args.eps > 0:
-        raise ValueError("--eps must be positive")
+    if not 0 < args.eps < np.inf:
+        raise ValueError("--eps must be positive and finite")
     return ()
 
 
@@ -134,41 +135,46 @@ def _environment():
 
 def cmd_solve(args, ds, plan, p, ocfg, ncfg):
     v_star, report = driver.run_smoothing(p, ocfg, ncfg)
-    report.C_hat, w_hat = driver.postprocess(p, v_star, ds, plan)
-    report.E_te = driver.test_error(ds, plan.test_indices, w_hat)
+    C_hat, w_hat = driver.postprocess(p, v_star, ds, plan)
+    E_te = driver.test_error(ds, plan.test_indices, w_hat)
     diag = driver.assumption2_value(p, report.final_point)
-    report.A2_paper = diag["A2_paper"]
-    report.A2_cone = diag["A2_cone"]
-    report.index_set_sizes, _ = driver.classify_index_sets(p, v_star)
-
-    config = {key: value for key, value in vars(args).items()
-              if key not in ("command", "data", "out", "quiet")}
-    rd = report.to_dict(dataset=str(args.data),
-                        dims=problem.sparsity_stats(p), config=config)
-    rd["environment"] = _environment()
+    records = report.outer_records
     outdir = Path(args.out)
-    _write_json(outdir / "report.json", rd, sort_keys=True, default=float)
-    _write_csv(outdir / "trace.csv",
-               ["outer_t", "eps", "k", "normF", "step", "lin_iters",
-                "backtracks", "route", "lin_resid", "shift"],
-               ([rec.t, repr(rec.eps), row.k, repr(row.normF), repr(row.step),
-                 row.lin_iters, row.backtracks, row.route,
-                 repr(row.lin_resid), repr(row.shift)]
-                for rec in report.outer_records for row in rec.trace))
-    # wall times in ms differ from run to run, so they stay out of
-    # report.json and trace.csv, which identical runs write byte for byte
+    _write_json(outdir / "report.json", {
+        "dataset": str(args.data),
+        "dims": problem.sparsity_stats(p),
+        "config": {key: value for key, value in vars(args).items()
+                   if key not in ("command", "data", "out", "quiet")},
+        "environment": _environment(),
+        "C_raw": report.C_raw, "C_hat": C_hat,
+        "E_cv": report.E_cv, "E_te": E_te,
+        "A2_paper": diag["A2_paper"], "A2_cone": diag["A2_cone"],
+        "index_set_sizes": driver.classify_index_sets(p, v_star),
+        "outer_iters": report.outer_iters,
+        "inner_iters_total": report.inner_iters_total,
+        "subproblems": [{"t": rec.t, "eps": rec.eps, "status": rec.status,
+                         "inner_iters": rec.inner_iters, "normF": rec.normF}
+                        for rec in records]}, sort_keys=True, default=float)
+    # a TraceRow's compared fields are the trajectory, which identical runs
+    # repeat byte for byte; its uncompared ones are wall times, which
+    # differ from run to run and go to timings.json
+    compared = [f.name for f in fields(TraceRow) if f.compare]
+    timed = [f.name for f in fields(TraceRow) if not f.compare]
+    _write_csv(outdir / "trace.csv", ["outer_t", "eps", *compared],
+               ([rec.t, rec.eps, *(getattr(row, name) for name in compared)]
+                for rec in records for row in rec.trace))
     _write_json(outdir / "timings.json", {
         "wall_ms": report.wall_ms, "subproblems": [
             {"t": rec.t, "eps": rec.eps, "wall_ms": rec.wall_ms,
-             "steps": [{"k": row.k, "direction_ms": row.direction_ms,
-                        "line_search_ms": row.line_search_ms}
+             "steps": [{"k": row.k, **{name: getattr(row, name)
+                                      for name in timed}}
                        for row in rec.trace]}
-            for rec in report.outer_records]})
+            for rec in records]})
     if not args.quiet:
-        print(f"C_raw={report.C_raw:.4f}  C_hat={report.C_hat:.4f}  "
-              f"E_cv={report.E_cv:.2f}%  E_te={report.E_te:.2f}%  "
+        print(f"C_raw={report.C_raw:.4f}  C_hat={C_hat:.4f}  "
+              f"E_cv={report.E_cv:.2f}%  E_te={E_te:.2f}%  "
               f"outer={report.outer_iters}  inner={report.inner_iters_total}")
-    failed = [rec for rec in report.outer_records if rec.status != "converged"]
+    failed = [rec for rec in records if rec.status != "converged"]
     return EXIT_SOLVER if failed else EXIT_OK
 
 

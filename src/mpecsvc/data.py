@@ -110,15 +110,17 @@ def _parse_label(token, lineno):
 
 
 def _read(fh):
-    """The raw labels, 1-based columns, values and row pointers of a LIBSVM
-    file, as arrays; raises the ParseError of the first bad token."""
+    """The raw labels, 1-based columns, values, row pointers and each row's
+    1-based line number of a LIBSVM file, as arrays; raises the ParseError
+    of the first bad token."""
     labels, cols, vals = array("d"), array("i"), array("d")
-    indptr = array("q", [0])
+    indptr, linenos = array("q", [0]), array("q")
     for lineno, line in enumerate(fh, start=1):
         tokens = line.split()
         if not tokens:
             continue
         labels.append(_parse_label(tokens[0], lineno))
+        linenos.append(lineno)
         prev = 0
         for tok in tokens[1:]:
             try:
@@ -136,7 +138,7 @@ def _read(fh):
             cols.append(idx)
             vals.append(val)
         indptr.append(len(cols))
-    return labels, cols, vals, indptr
+    return labels, cols, vals, indptr, linenos
 
 
 def parse_libsvm(path):
@@ -146,23 +148,34 @@ def parse_libsvm(path):
     The Dataset's n_features is the largest index used (0 if the file has no
     feature token).  Labels {0,1} are remapped to {-1,+1}; {-1,+1} kept
     as-is; mixing 0 with -1 is rejected.  Blank lines are skipped; a line
-    with a label and no feature is a point with no nonzero.
+    with a label and no feature is a point with no nonzero.  A feature
+    value that is not finite is a ParseError.
     """
     with open(path) as fh:
         return _dataset(*_read(fh))
 
 
-def _dataset(labels, cols, vals, indptr):
-    """The Dataset of _read's arrays; X's indices and indptr are int32."""
+def _dataset(labels, cols, vals, indptr, linenos):
+    """The Dataset of _read's arrays; X's indices and indptr are int32.
+
+    A value that is not finite (nan, inf, or one that overflows float64)
+    raises the ParseError of the first line that holds one.
+    """
     raw = np.asarray(labels)
     if (raw == 0.0).any() and (raw == -1.0).any():
         raise ParseError(0, "labels mix 0 and -1; cannot normalize")
     if indptr[-1] > _INT32_MAX:
         raise ParseError(0, f"{indptr[-1]} nonzeros exceed {_INT32_MAX}")
+    data = np.asarray(vals)
+    bad = np.flatnonzero(~np.isfinite(data))
+    if len(bad):
+        k = int(bad[0])
+        row = int(np.searchsorted(indptr, k, side="right")) - 1
+        raise ParseError(linenos[row], f"feature {cols[k]} value "
+                         f"{vals[k]!r} is not finite")
     indices = np.asarray(cols, dtype=np.int32) - 1
     n_features = int(indices.max()) + 1 if len(indices) else 0
-    X = sp.csr_matrix((np.asarray(vals), indices,
-                       np.asarray(indptr, dtype=np.int32)),
+    X = sp.csr_matrix((data, indices, np.asarray(indptr, dtype=np.int32)),
                       shape=(len(raw), n_features))
     return Dataset(X=X, labels=np.where(raw == 1.0, 1.0, -1.0))
 

@@ -10,7 +10,7 @@ eps_min = 1e-6 yields exactly 21 subproblems.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -32,8 +32,8 @@ class OuterConfig:
     def __post_init__(self):
         if not (self.eps0 >= self.eps_min > 0):
             raise ValueError("require eps0 >= eps_min > 0")
-        if not self.initial_C > 0:
-            raise ValueError("initial_C must be positive")
+        if not 0 < self.initial_C < np.inf:
+            raise ValueError("initial_C must be positive and finite")
 
 
 @dataclass
@@ -51,40 +51,26 @@ class OuterRecord:
     wall_ms: float = 0.0    # wall time of the subproblem's Newton solve
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveReport:
-    C_raw: float = 0.0
-    C_hat: float = 0.0
-    E_cv: float = 0.0
-    E_te: float = 0.0
-    A2_paper: float = 0.0
-    A2_cone: float = 0.0
-    index_set_sizes: dict = field(default_factory=dict)
-    outer_iters: int = 0
-    inner_iters_total: int = 0
-    outer_records: list = field(default_factory=list)
-    final_point: KktPoint | None = None
-    wall_ms: float = 0.0    # run_smoothing wall time, kept out of to_dict
+    """What run_smoothing computes: C and E_cv at the final point, one
+    OuterRecord per subproblem, the final KktPoint and the run's wall time
+    in ms.  C_hat, E_te and the diagnostics at the final point come from
+    postprocess, test_error, assumption2_value and classify_index_sets."""
 
-    def to_dict(self, dataset, dims, config):
-        return {
-            "dataset": dataset,
-            "dims": dims,
-            "config": config,
-            "C_raw": self.C_raw,
-            "C_hat": self.C_hat,
-            "E_cv": self.E_cv,
-            "E_te": self.E_te,
-            "A2_paper": self.A2_paper,
-            "A2_cone": self.A2_cone,
-            "index_set_sizes": self.index_set_sizes,
-            "outer_iters": self.outer_iters,
-            "inner_iters_total": self.inner_iters_total,
-            "subproblems": [
-                {"t": rec.t, "eps": rec.eps, "status": rec.status,
-                 "inner_iters": rec.inner_iters, "normF": rec.normF}
-                for rec in self.outer_records],
-        }
+    C_raw: float
+    E_cv: float
+    outer_records: list
+    final_point: KktPoint
+    wall_ms: float
+
+    @property
+    def outer_iters(self):
+        return len(self.outer_records)
+
+    @property
+    def inner_iters_total(self):
+        return sum(rec.inner_iters for rec in self.outer_records)
 
 
 def eps_schedule(cfg):
@@ -124,7 +110,7 @@ def run_smoothing(p, ocfg=None, ncfg=None):
     ncfg = ncfg or NewtonConfig()
     t0 = time.perf_counter()
     r = initial_point(p, ocfg.initial_C)
-    report = SolveReport()
+    records = []
     route = "bicgstab"
     for t, eps in enumerate(eps_schedule(ocfg)):
         # solving much below the eps^2/2 complementarity scale wastes work,
@@ -138,18 +124,15 @@ def run_smoothing(p, ocfg=None, ncfg=None):
         op = KktOperator(p, r)
         normF = float(np.linalg.norm(op.residual()))
         gap = float(np.max(np.abs(op.G * op.H - 0.5 * eps * eps)))
-        report.outer_records.append(OuterRecord(
+        records.append(OuterRecord(
             t=t, eps=eps, f_tol=f_tol, status=status, normF=normF,
             inner_iters=len(trace), max_comp_gap=gap,
             min_G=float(op.G.min()), min_H=float(op.H.min()), trace=trace,
             wall_ms=wall_ms,
         ))
-    report.outer_iters = len(report.outer_records)
-    report.inner_iters_total = sum(rec.inner_iters for rec in report.outer_records)
-    report.final_point = r
-    report.C_raw = float(r.v[0])
-    report.E_cv = cv_error(p, r.v)
-    report.wall_ms = 1000.0 * (time.perf_counter() - t0)
+    report = SolveReport(C_raw=float(r.v[0]), E_cv=cv_error(p, r.v),
+                         outer_records=records, final_point=r,
+                         wall_ms=1000.0 * (time.perf_counter() - t0))
     return np.array(r.v, dtype=float), report
 
 
@@ -235,20 +218,13 @@ def classify_index_sets(p, v):
     """Count I_{0+}, I_{+0}, I_{00} at v.
 
     G_i counts as zero when |G_i| <= 1e-6 * (1 + |G_i|), and H_i likewise.
-    Returns (sizes, listing): the size and the indices of each set.
+    Returns the size of each set, by name.
     """
     G = pb.eval_G(p, v)
     H = pb.eval_H(p, v)
     g_zero = np.abs(G) <= 1e-6 * (1.0 + np.abs(G))
     h_zero = np.abs(H) <= 1e-6 * (1.0 + np.abs(H))
-    i00 = g_zero & h_zero
-    i0p = g_zero & ~h_zero
-    ip0 = ~g_zero & h_zero
-    listing = {
-        "I_0+": np.flatnonzero(i0p),
-        "I_+0": np.flatnonzero(ip0),
-        "I_00": np.flatnonzero(i00),
-    }
-    sizes = {k: int(len(idx)) for k, idx in listing.items()}
-    return sizes, listing
+    return {"I_0+": int(np.count_nonzero(g_zero & ~h_zero)),
+            "I_+0": int(np.count_nonzero(~g_zero & h_zero)),
+            "I_00": int(np.count_nonzero(g_zero & h_zero))}
 

@@ -47,8 +47,8 @@ class NewtonConfig:
     max_iters: int = 200       # Newton steps per subproblem
 
     def __post_init__(self):
-        if not self.f_tol > 0.0:
-            raise ValueError("f_tol must be positive")
+        if not 0.0 < self.f_tol < np.inf:
+            raise ValueError("f_tol must be positive and finite")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
 

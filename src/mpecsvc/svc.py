@@ -108,17 +108,6 @@ def solve_l1svc_dual(rows, C, max_epochs=1000, tol=1e-8):
                          epochs=epoch, max_violation=violation, status=status)
 
 
-def dual_objective(rows, alpha):
-    w = rows.T @ alpha
-    return 0.5 * float(w @ w) - float(alpha.sum())
-
-
-def primal_objective(rows, w, C):
-    margins = rows @ w                   # y_i x_i^T w
-    hinge = np.maximum(0.0, 1.0 - margins).sum()
-    return 0.5 * float(w @ w) + C * float(hinge)
-
-
 def validation_error(ds, indices, w):
     """Misclassification fraction on the given points; sign(0) counts as error."""
     idx = np.asarray(indices, dtype=np.intp)

@@ -52,8 +52,20 @@ class TestSolve:
                     "--eps-min", "1e-3", "--out", out, "--quiet"])
         assert code == EXIT_OK
         report = json.loads((out / "report.json").read_text())
-        assert report["dims"]["m"] == 36
+        # every key, so that none is dropped or renamed unnoticed
+        assert set(report) == {
+            "dataset", "dims", "config", "environment", "C_raw", "C_hat",
+            "E_cv", "E_te", "A2_paper", "A2_cone", "index_set_sizes",
+            "outer_iters", "inner_iters_total", "subproblems"}
+        assert report["dataset"] == str(data_file)
+        # T folds of m1 = 2 points, m2 = 4 training points per fold and
+        # n = 4 dense features: m = 3 * (2 * 2 + 2 * 4) constraints
+        assert report["dims"] == {"T": 3, "m1": 2, "m2": 4, "n": 4, "m": 36,
+                                  "n_vars": 37, "nnz_A": 24, "nnz_B": 48}
         assert report["outer_iters"] == 11
+        assert report["C_hat"] == report["C_raw"] * 3 / 2
+        assert 0.0 <= report["E_te"] <= 100.0
+        assert set(report["index_set_sizes"]) == {"I_0+", "I_+0", "I_00"}
         assert report["C_raw"] > 0
         assert 0.0 <= report["E_cv"] <= 100.0
         assert report["config"] == {
@@ -257,9 +269,11 @@ def test_load_errors_exit(data_file, tmp_path, capsys, command, case, code):
     ["solve", "--eps-min", "0"], ["solve", "--newton-maxit", "-1"],
     ["solve", "--initial-C", "0"], ["check", "--eps", "0"],
     ["solve", "--ftol", "nan"], ["solve", "--ftol", "0"],
-    ["solve", "--ftol", "-1"]],
+    ["solve", "--ftol", "-1"], ["solve", "--initial-C", "inf"],
+    ["solve", "--ftol", "inf"], ["check", "--eps", "inf"]],
     ids=["eps_min", "newton_maxit", "initial_C", "check_eps", "ftol_nan",
-         "ftol_zero", "ftol_negative"])
+         "ftol_zero", "ftol_negative", "initial_C_inf", "ftol_inf",
+         "check_eps_inf"])
 def test_bad_option_values_exit_as_parse_errors(data_file, tmp_path, capsys,
                                                 unread, argv):
     # an out-of-range value is rejected before the data is read, with one

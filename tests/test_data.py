@@ -105,7 +105,16 @@ class TestParse:
         indptr = array("q", [0, 2**31])
         with pytest.raises(ParseError, match="^line 0: 2147483648 nonzeros"):
             _dataset(array("d", [1.0]), array("i", [1]), array("d", [1.0]),
-                     indptr)
+                     indptr, array("q", [1]))
+
+    @pytest.mark.parametrize("value, written", [
+        ("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"), ("1e400", "inf")])
+    def test_non_finite_value_rejected(self, tmp_path, value, written):
+        # named by its line, past blank lines and a label-only point
+        path = write(tmp_path, f"-1 1:0.5\n\n+1\n+1 1:1 3:{value} 4:2\n")
+        with pytest.raises(ParseError, match=f"^line 4: feature 3 value "
+                           f"{written} is not finite$"):
+            M.parse_libsvm(path)
 
     # each line follows a valid first line; the messages and line numbers
     # are the ones the parser has always given

@@ -35,6 +35,9 @@ class TestSchedule:
     def test_validation(self):
         with pytest.raises(ValueError):
             OuterConfig(eps_min=2.0)            # above eps0 = 1
+        for initial_C in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                OuterConfig(initial_C=initial_C)
 
 
 class TestInitialPoint:
@@ -85,10 +88,11 @@ class TestSmoothingLoop:
         v_star, report = tiny_solution
         assert report.C_raw == v_star[0]
         assert report.E_cv == pytest.approx(cv_error(tiny_p, v_star))
-        assert report.final_point is not None
-        d = report.to_dict(dataset="x", dims={"m": tiny_p.m}, config={})
-        assert d["C_raw"] == report.C_raw
-        assert d["dims"]["m"] == 36
+        np.testing.assert_array_equal(report.final_point.v, v_star)
+        assert report.wall_ms >= sum(rec.wall_ms
+                                     for rec in report.outer_records) > 0.0
+        assert {f.name for f in fields(report)} == {
+            "C_raw", "E_cv", "outer_records", "final_point", "wall_ms"}
 
     def test_deterministic(self, tiny_p, tiny_solution):
         v_a, rep_a = tiny_solution
@@ -213,10 +217,21 @@ def tiny_final_point(tiny_p):
 class TestDiagnostics:
     def test_classify_index_sets(self, tiny_p):
         v = np.abs(np.random.default_rng(0).standard_normal(tiny_p.m + 1)) + 1.0
-        sizes, listing = classify_index_sets(tiny_p, v)
-        assert set(sizes) == {"I_0+", "I_+0", "I_00"}
-        assert sum(sizes.values()) <= tiny_p.m
-        assert all(len(listing[k]) == sizes[k] for k in sizes)
+        # G pairs zeta with A y + z, z with 1 - zeta and xi with C - alpha:
+        # zeta_i = 0 puts a pair in I_0+, zeta_i = 1 one in I_+0, and
+        # xi_i = 0 with alpha_i = C one in I_00
+        C, zeta, _, alpha, xi = tiny_p.split_v(v)
+        zeta[:2] = 0.0
+        zeta[2:5] = 1.0
+        xi[0], alpha[0] = 0.0, C
+        G, H = M.eval_G(tiny_p, v), M.eval_H(tiny_p, v)
+        g_zero = np.abs(G) <= 1e-6 * (1.0 + np.abs(G))
+        h_zero = np.abs(H) <= 1e-6 * (1.0 + np.abs(H))
+        sizes = classify_index_sets(tiny_p, v)
+        assert sizes == {"I_0+": int(np.sum(g_zero & ~h_zero)),
+                         "I_+0": int(np.sum(~g_zero & h_zero)),
+                         "I_00": int(np.sum(g_zero & h_zero))}
+        assert sizes == {"I_0+": 2, "I_+0": 3, "I_00": 1}
 
     def test_assumption2_two_path_agreement(self, tiny_p, tiny_final_point):
         diag = M.assumption2_value(tiny_p, tiny_final_point)

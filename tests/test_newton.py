@@ -22,7 +22,7 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             NewtonConfig(max_iters=-1)
-        for f_tol in (float("nan"), 0.0, -1.0):
+        for f_tol in (float("nan"), float("inf"), 0.0, -1.0):
             with pytest.raises(ValueError):
                 NewtonConfig(f_tol=f_tol)
 

@@ -9,8 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 import mpecsvc as M
-from mpecsvc.svc import (dual_objective, grid_search, primal_objective,
-                         solve_l1svc_dual, validation_error)
+from mpecsvc.svc import grid_search, solve_l1svc_dual, validation_error
 
 from conftest import make_tiny_dataset, plain_l1svc_dual, serial_grid_search
 
@@ -54,6 +53,17 @@ def brute_force_box_qp(Q, C, tol=1e-10):
         if obj < best[0]:
             best = (obj, a)
     return best
+
+
+def dual_objective(rows, alpha):
+    w = rows.T @ alpha
+    return 0.5 * float(w @ w) - float(alpha.sum())
+
+
+def primal_objective(rows, w, C):
+    margins = rows @ w                   # y_i x_i^T w
+    hinge = np.maximum(0.0, 1.0 - margins).sum()
+    return 0.5 * float(w @ w) + C * float(hinge)
 
 
 class TestDualSolver:
