@@ -1,7 +1,8 @@
 """Command-line entry point: solve | grid | check.
 
 Exit codes: 0 ok, 1 failed check, 2 parse error or option value out of
-range, 3 assembly/dimension error, 4 solver failure (report still written).
+range (a finite --initial-C or --eps whose residual overflows included),
+3 assembly/dimension error, 4 solver failure (report still written).
 """
 
 from __future__ import annotations
@@ -133,7 +134,20 @@ def _environment():
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 
+def _finite_residual(p, point):
+    """Whether F_eps is finite at point, evaluated under np.errstate: a
+    finite option value can still overflow there (--initial-C 1e300 in
+    H, --eps 1e300 in eps^2), and the overflow warns nowhere."""
+    with np.errstate(all="ignore"):
+        return bool(np.all(np.isfinite(kkt.KktOperator(p, point).residual())))
+
+
 def cmd_solve(args, ds, plan, p, ocfg, ncfg):
+    start = driver.initial_point(p, ocfg.initial_C)
+    if not _finite_residual(p, kkt.KktPoint(start.v, start.lam, ocfg.eps0)):
+        print(f"error: --initial-C {args.initial_C!r}: the residual at the "
+              "start point is not finite", file=sys.stderr)
+        return EXIT_PARSE
     v_star, report = driver.run_smoothing(p, ocfg, ncfg)
     C_hat, w_hat = driver.postprocess(p, v_star, ds, plan)
     E_te = driver.test_error(ds, plan.test_indices, w_hat)
@@ -206,6 +220,10 @@ def cmd_check(args, ds, plan, p):
     rng = np.random.default_rng(0)
     r = kkt.KktPoint(v=rng.standard_normal(p.m + 1),
                      lam=rng.standard_normal(p.m), eps=eps)
+    if not _finite_residual(p, r):
+        print(f"error: --eps {eps!r}: the residual at the check's point is "
+              "not finite", file=sys.stderr)
+        return EXIT_PARSE
     op = kkt.KktOperator(p, r)
     h = 1e-6 * (1.0 + np.linalg.norm(r.to_vector()))
     results = []

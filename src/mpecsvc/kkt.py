@@ -13,18 +13,21 @@ and its Jacobian
 is symmetric, so the merit gradient of g = 0.5*||F||^2 is J_r F applied to F.
 The applications are matrix-free through the L^H maps of the problem
 module, whose products with the data rows are compiled kernel calls on
-A, B, A^T and B^T, bound once per problem (MpecProblem.lh_kernels), seven
-per KKT product.  L^G drops C, so L^G d is the slice d[1:] and
-(L^G)^T s = (0; s) is not formed: s is added to the result of (L^H)^T.
-KktOperator.kkt_apply, the product BiCGStab runs on, shares one product
-with L^H and one with (L^H)^T between the Hessian and the Jacobian
-blocks.  Every direct solve is one elimination of the fold
-structure from the weights, the curvatures and the data rows
-(FoldFactorization, built once for any number of right-hand sides; those
-known at the build share its one solve of the point blocks): fold_solve,
-whose singularity test alone computes its condition number, and at
-lambda = 0 constraint_fold_solves.  Its sums over a fold's points
-are dense matrix products (BLAS) with the fold's data rows.  The solver
+A, B and the stacked diag(A^T, B^T), bound once per problem
+(MpecProblem.lh_kernels), six per KKT product.  L^G drops C, so L^G d is
+the slice d[1:] and (L^G)^T s = (0; s) is not formed: s is added to the
+result of (L^H)^T.  KktOperator.kkt_apply, the product BiCGStab runs on,
+checks its vector once and shares one product with L^H and one with
+(L^H)^T between the Hessian and the Jacobian blocks.  Every direct solve
+is one elimination of the fold structure from the weights, the
+curvatures and the data rows (FoldFactorization, built once for any
+number of right-hand sides; those known at the build share its one solve
+of the point blocks): fold_solve, whose singularity test reads the
+condition number that the build's dense solves give alongside its
+solution, and at lambda = 0 constraint_fold_solves.  Its sums over a
+fold's points are dense matrix products (BLAS) with the fold's data rows,
+and its per-point contractions are each one einsum over every point of
+every fold.  The solver
 assembles no matrix; the assembled J_r F_eps (materialize_kkt, 245,701
 nonzeros on heart) is only the tests' reference for these products and
 solves.
@@ -134,7 +137,7 @@ class KktOperator:
             raise ValueError(f"expected length {nv + p.m}, got {d.shape}")
         dv, dl = d[:nv], d[nv:]
         wt, c = self.weights, self.curvature
-        u, w = dv[1:], pb.apply_LH(p, dv)          # L^G dv, L^H dv
+        u, w = dv[1:], pb._apply_LH(p, dv)         # L^G dv, L^H dv
         # each sum is formed in place, in the formula's order of operations
         g = c.mG * u
         g += c.mGH * w
@@ -145,7 +148,7 @@ class KktOperator:
         out = np.empty(nv + p.m)
         # (L^H)^T h + (L^G)^T g with (L^G)^T g = (0; g), summed into out;
         # the + 0.0 on C turns -0.0 into +0.0, as adding two vectors does
-        top = pb.apply_LH_T(p, h)
+        top = pb._apply_LH_T(p, h)
         out[0] = top[0] + 0.0
         np.add(top[1:], g, out=out[1:nv])
         low = out[nv:]
@@ -230,17 +233,21 @@ class FoldFactorization:
       since U_t Cm U_t^T only involves the data through products of data
       rows.  Per fold this costs O((m1+m2)^3), and no array of size n is
       formed, so wide data costs no more than its points.
-    Built once, it keeps per fold D_p^{-1} U_p of the eliminated points, the
-    kept points (the free ones of a lifted fold, all of a dense one) and the
-    scaled dense system: its condition number is fold_solve's to compute.
-    The build takes the right-hand sides known when it is made, rhs_c
-    (shaped as solve's, with no column at all for constraint_fold_solves),
-    and solves the point blocks once, for the U factors and rhs_c
-    together; `solution` holds K_t^{-1} rhs_c.  numpy keeps no LU factors,
-    so a later solve (the rank probe's) factors the point blocks and the
-    dense systems again.  A point block with an exactly zero pivot raises
-    SingularSystemError here, and so does a dense system when rhs_c has
-    a column.
+    Built once, it keeps the U factors F and D_p^{-1} U_p of every point
+    (XU), both with the points last (_points_last), the kept points (the
+    free ones of a lifted fold, all of a dense one), and per fold the
+    scaled dense system and the dense data rows.  The build takes the
+    right-hand sides known when it is made, rhs_c (shaped as solve's, with
+    no column at all for constraint_fold_solves), and solves the point
+    blocks once, for the U factors and rhs_c together, and each scaled
+    dense system once, for its part of rhs_c and the identity together:
+    `solution` holds K_t^{-1} rhs_c, and `kappa` the largest 1-norm
+    condition number of the scaled dense systems, at least 1, which
+    fold_solve's singularity test reads (None without a column).  numpy
+    keeps no LU factors, so a later solve (the rank probe's) factors the
+    point blocks and the dense systems again, for its columns alone.  A
+    point block with an exactly zero pivot raises SingularSystemError
+    here, and so does a dense system when rhs_c has a column.
     """
 
     def __init__(self, p, wt, cv, shift, rhs_c):
@@ -251,18 +258,21 @@ class FoldFactorization:
         a, b = pos[..., 0] - 1, pos[..., 1] - 1    # the pairs, positions in G
         wGa, wGb, wHa, wHb = wt.wG[a], wt.wG[b], wt.wH[a], wt.wH[b]
         mHa, mHb, mXa, mXb = cv.mH[a], cv.mH[b], cv.mGH[a], cv.mGH[b]
-        zero = np.zeros_like(wGa)
         mX = mXa - mXb
-        D = np.stack([(cv.mG[a] + mHb) + shift, mX, -wGa, wHb,
-                      mX, (mHa + cv.mG[b]) + shift, -wHa, -wGb,
-                      -wGa, -wHa, zero + shift, zero,
-                      wHb, -wGb, zero, zero + shift],
-                     axis=-1).reshape(T, P, 4, 4)
-        # each point's rows of U1 and U2 are factor (4,) times its data row
-        factors = np.stack([np.stack([mXa, mHa, -wHa, zero], axis=-1),
-                            np.stack([train + zero, zero, zero, zero],
-                                     axis=-1)],
-                           axis=2)                             # (T, P, 2, 4)
+        # the point blocks, filled in place; the two zeros are +0.0
+        D = np.zeros((T, P, 4, 4), dtype=np.result_type(wGa, shift))
+        D[..., 0, 0] = (cv.mG[a] + mHb) + shift
+        D[..., 1, 1] = (mHa + cv.mG[b]) + shift
+        D[..., 2, 2] = D[..., 3, 3] = np.add(0.0, shift)
+        D[..., 0, 1] = D[..., 1, 0] = mX
+        D[..., 0, 2] = D[..., 2, 0] = -wGa
+        D[..., 0, 3] = D[..., 3, 0] = wHb
+        D[..., 1, 2] = D[..., 2, 1] = -wHa
+        D[..., 1, 3] = D[..., 3, 1] = -wGb
+        # each point's rows of U1 and U2 are a factor (4,) times its data
+        # row, F[a, :, t, p] for a = 1, 2
+        F = np.zeros((2, 4, T, P))
+        F[0, 0], F[0, 1], F[0, 2], F[1, 0] = mXa, mHa, -wHa, train
         det = np.abs(wGa * wGb + wHa * wHb)
         kept = np.zeros(det.shape, dtype=bool)
         np.put_along_axis(kept, np.argsort(det, axis=1)[:, :2 * n], True,
@@ -277,66 +287,106 @@ class FoldFactorization:
         # their own solve (one column alone rounds otherwise)
         self.blocks = np.where(kept[..., None, None], np.eye(4), D)
         try:
-            X = np.linalg.solve(self.blocks, np.concatenate(
-                [factors.swapaxes(2, 3), rhs_c], axis=-1))
+            X = _points_last(np.linalg.solve(self.blocks, np.concatenate(
+                [F.transpose(2, 3, 1, 0), rhs_c], axis=-1)))
         except np.linalg.LinAlgError:
             raise SingularSystemError("zero pivot in a point block") from None
-        XU = X[..., :2]
+        self.F, self.XU, self.kept = F, X[:, :2], kept
+        # F_p D_p^{-1} F_p^T (2x2) of every point of every fold
+        coef = np.einsum("aitp,ictp->actp", F, self.XU)
         # per fold: the scaled system, its scale, the kept points, and the
-        # data rows, U factors and D_p^{-1} U_p of the eliminated points
+        # dense data rows, all of them and those of the eliminated points
         self.folds = []
         for t, keep in enumerate(kept):
+            Ft = F[:, :, t].transpose(2, 0, 1)                 # (P, 2, 4)
             if lifted[t]:
                 N = rows[t].toarray()
-                M = _lifted_fold_system(D[t], keep, XU[t], factors[t], N,
-                                        mHa[t])
+                M = _lifted_fold_system(D[t], keep,
+                                        coef[:, :, t].transpose(2, 0, 1), Ft,
+                                        N, mHa[t])
             else:
-                M = _dense_fold_system(D[t], factors[t], p.fold_grams[t],
-                                       mHa[t])
+                M = _dense_fold_system(D[t], Ft, p.fold_grams[t], mHa[t])
                 N = np.zeros((P, 0))          # no lifted unknowns
             rmax = np.abs(M).max(axis=1)
             scale = 1.0 / np.sqrt(np.where(rmax > 0, rmax, 1.0))
-            self.folds.append((M * (scale[:, None] * scale), scale, keep,
-                               N[~keep], factors[t, ~keep], XU[t, ~keep]))
-        self.solution = self._fold_solutions(rhs_c, X[..., 2:])
+            self.folds.append((M * (scale[:, None] * scale), scale, keep, N,
+                               N[~keep]))
+        self.solution, self.kappa = self._fold_solutions(rhs_c, X[:, 2:],
+                                                         True)
 
     def solve(self, rhs_c):
         """K_t^{-1} rhs_c for every fold t, by one batched 4x4 solve and
-        the per-fold steps of _fold_solutions.
+        the steps of _fold_solutions.
 
         rhs_c holds k right-hand sides on each point's four unknowns, shape
         (T, m1+m2, 4, k), and the solutions are shaped like it.  A dense
         system with an exactly zero pivot, as from a zero row (a point whose
         weights are all 0), raises SingularSystemError.
         """
-        return self._fold_solutions(rhs_c, np.linalg.solve(self.blocks, rhs_c))
+        X = _points_last(np.linalg.solve(self.blocks, rhs_c))
+        return self._fold_solutions(rhs_c, X, False)[0]
 
-    def _fold_solutions(self, rhs_c, X):
-        """K_t^{-1} rhs_c for every fold t from X, the point blocks' solution
-        of rhs_c: per fold, two matrix products with the data rows of the
-        eliminated points (O((m1+m2) n k), one into the lifted unknowns and
-        one back) and one dense solve."""
-        y = np.empty_like(X)
-        ncol = rhs_c.shape[-1]
+    def _fold_solutions(self, rhs_c, X, inverses):
+        """(K_t^{-1} rhs_c for every fold t, kappa) from X, the point blocks'
+        solution of rhs_c with the points last: two contractions over every
+        point of every fold, and per fold two matrix products with the data
+        rows (O((m1+m2) n k), one into the lifted unknowns and one back)
+        and one dense solve.  With inverses, each scaled dense system M is
+        solved for [r | I] at once, and kappa is the largest
+        ||M||_1 ||M^{-1}||_1 (the formula of np.linalg.cond(M, 1)), at
+        least 1; otherwise kappa is None."""
+        ncol, (T, P) = rhs_c.shape[-1], X.shape[2:]
+        y = np.empty((T, P, 4, ncol), dtype=X.dtype)
         if ncol == 0:           # factor no dense system for no column
-            return y
-        for t, (M, scale, keep, Ng, Fg, XUg) in enumerate(self.folds):
-            Xg, nk = X[t, ~keep], 4 * int(keep.sum())
+            return y, None
+        inner = np.einsum("aitp,ictp->actp", self.F, X)   # U^T D^{-1} rhs_c
+        back = np.empty((2, ncol, T, P), dtype=X.dtype)
+        kappa = 1.0 if inverses else None
+        for t, (M, scale, keep, N, Ng) in enumerate(self.folds):
+            nk = 4 * int(keep.sum())
             # U_g^T D_g^{-1} rhs_c on the lifted unknowns, one product with
             # the data rows: its rows are (i; a, c), the system's (a, i; c)
-            inner = np.einsum("pai,pic->pac", Fg, Xg)
-            low_r = Ng.T @ inner.reshape(len(Ng), 2 * ncol)
+            low_r = Ng.T @ inner[:, :, t, ~keep].transpose(2, 0, 1).reshape(
+                len(Ng), 2 * ncol)
             low_r = low_r.reshape(-1, 2, ncol).swapaxes(0, 1)
             r = np.concatenate([rhs_c[t, keep].reshape(nk, ncol),
                                 -low_r.reshape(-1, ncol)])
+            r *= scale[:, None]
+            if inverses:                        # M^{-1} from the same solve
+                r = np.concatenate([r, np.eye(len(r))], axis=1)
             try:
-                sol = scale[:, None] * np.linalg.solve(M, scale[:, None] * r)
+                sol = np.linalg.solve(M, r)
             except np.linalg.LinAlgError:
                 raise SingularSystemError("zero pivot in a fold system") from None
-            back = Ng @ sol[nk:].reshape(2, -1, ncol)        # (a, p, c)
-            y[t, ~keep] = Xg - np.einsum("pia,apc->pic", XUg, back)
+            if inverses:
+                kappa = max(kappa, _norm1(M) * _norm1(sol[:, ncol:]))
+            sol = scale[:, None] * sol[:, :ncol]
+            # every point's back-substitution; the kept points' are
+            # overwritten with their own unknowns below
+            back[:, :, t] = (N @ sol[nk:].reshape(2, -1, ncol)).transpose(
+                0, 2, 1)
             y[t, keep] = sol[:nk].reshape(-1, 4, ncol)
-        return y
+        g = ~self.kept
+        y[g] = (X - np.einsum("iatp,actp->ictp", self.XU, back)).transpose(
+            2, 3, 0, 1)[g]
+        return y, kappa
+
+
+def _norm1(M):
+    """||M||_1, the largest column sum of |M|, as np.linalg.norm(M, 1)
+    computes it."""
+    return float(np.abs(M).sum(axis=0).max())
+
+
+def _points_last(X):
+    """A copy of X, shaped (T, m1+m2, r, c), with the points last: shaped
+    (r, c, T, m1+m2).
+
+    einsum runs its loops along the last axis, so a contraction over every
+    point of every fold takes one call, many times faster with the points
+    last than with them first, and rounds as it does per point.
+    """
+    return X.transpose(2, 3, 0, 1).copy()
 
 
 def fold_solve(op, rhs, shift):
@@ -358,9 +408,10 @@ def fold_solve(op, rhs, shift):
     computation,
     |S| <= eps_mach * kappa * (|K_CC + shift| + sum |c_t|^T |K_t^{-1} c_t|)
     with c_t fold t's part of the column of C and kappa the largest 1-norm
-    condition number of the scaled dense systems, at least 1, or is not
-    finite.  kappa is computed here, and only when S is finite.  At
-    lambda = 0, where the Hessian vanishes and K is singular, S is zero.
+    condition number of the scaled dense systems, at least 1
+    (FoldFactorization.kappa, from the same dense solves), or is not
+    finite.  At lambda = 0, where the Hessian vanishes and K is singular,
+    S is zero.
     """
     p = op.p
     pos, _ = p.point_index
@@ -368,18 +419,21 @@ def fold_solve(op, rhs, shift):
     train = np.arange(pos.shape[1]) >= p.m1
     b = pos[..., 1] - 1                          # pair b, its position in G
     wHb, mHb, mXb = op.weights.wH[b], op.curvature.mH[b], op.curvature.mGH[b]
-    c_col = np.stack([-mHb, mXb, np.zeros_like(mHb), -wHb],
-                     axis=-1) * train[:, None]
-    # K_t^{-1} [rhs_t, c_t]
-    folds = FoldFactorization(p, op.weights, op.curvature, shift,
-                              np.stack([rhs[pos], c_col], axis=-1))
-    y = folds.solution
+    # [rhs_t, c_t] on each point's unknowns, c_t fold t's part of the
+    # column of C, filled in place
+    rc = np.zeros(pos.shape + (2,), dtype=np.result_type(rhs, mHb))
+    rc[..., 0] = rhs[pos]
+    rc[..., 0, 1] = -mHb * train
+    rc[..., 1, 1] = mXb * train
+    rc[..., 3, 1] = -wHb * train
+    c_col = rc[..., 1]
+    folds = FoldFactorization(p, op.weights, op.curvature, shift, rc)
+    y = folds.solution                           # K_t^{-1} [rhs_t, c_t]
     K_CC = np.sum(mHb[:, train]) + shift
     S = K_CC - np.sum(c_col * y[..., 1])
     S_scale = abs(K_CC) + np.sum(np.abs(c_col) * np.abs(y[..., 1]))
-    if not (np.isfinite(S) and abs(S) > np.finfo(float).eps
-            * max([1.0] + [np.linalg.cond(M, 1) for M, *_ in folds.folds])
-            * S_scale):
+    if not (np.isfinite(S)
+            and abs(S) > np.finfo(float).eps * folds.kappa * S_scale):
         raise SingularSystemError("Schur complement zero to rounding")
     x = np.empty(rhs.shape, dtype=y.dtype)
     x[0] = (rhs[0] - np.sum(c_col * y[..., 0])) / S
@@ -387,23 +441,22 @@ def fold_solve(op, rhs, shift):
     return x
 
 
-def _lifted_fold_system(D, free, XU, factors, N, mHa):
+def _lifted_fold_system(D, free, coef, factors, N, mHa):
     """Fold t's lifted system of size 2n + 4k for FoldFactorization.
 
-    XU holds D_p^{-1} U_p for the points that are not free; N is the fold's
-    dense data rows.  The system is not yet scaled.
+    coef holds F_p D_p^{-1} F_p^T (2x2) of every point, read for the points
+    that are not free; N is the fold's dense data rows.  The system is not
+    yet scaled.
     """
     n = N.shape[1]
     g, f = ~free, free
     k = int(f.sum())
-    Ng, XUg, Fg = N[g], XU[g], factors[g]
-    # U_g^T D_g^{-1} U_g on the 2n lifted unknowns
-    coef = np.einsum("pai,pic->pac", Fg, XUg)                  # (g, 2, 2)
-    # one product with the data rows: its rows are (i; a, c, j), the
-    # system's (a, i; c, j)
-    weighted = coef.reshape(-1, 4)[:, :, None] * Ng[:, None, :]
+    Ng = N[g]
+    # U_g^T D_g^{-1} U_g on the 2n lifted unknowns, one product with the
+    # data rows: its rows are (i; a, c, j), the system's (a, i; c, j)
+    weighted = coef[g].reshape(-1, 4)[:, :, None] * Ng[:, None, :]
     low = (Ng.T @ weighted.reshape(len(Ng), 4 * n)).reshape(n, 2, 2, n)
-    U_f = np.einsum("pai,pj->piaj", factors[f], N[f])
+    U_f = factors[f].swapaxes(1, 2)[..., None] * N[f][:, None, None, :]
     M = np.zeros((4 * k + 2 * n,) * 2, dtype=D.dtype)
     at = 4 * np.arange(k)[:, None] + np.arange(4)          # (k, 4)
     M[at[:, :, None], at[:, None, :]] = D[f]

@@ -129,9 +129,12 @@ def _direction(op, F, route):
     nonsingular whenever F != 0 (the driver steps only while
     ||F|| > f_tol > 0), and d is a descent direction in exact arithmetic.
 
-    Returns (d, grad, grad_dot_d, lin_iters, route), where route is the one
-    the step took: direct when BiCGStab missed, else the route asked for.
-    lin_iters counts BiCGStab's iterations plus one for a fold solve.
+    Returns (d, grad, grad_dot_d, lin_iters, route, lin_resid), where
+    route is the one the step took: direct when BiCGStab missed, else the
+    route asked for.  lin_iters counts BiCGStab's iterations plus one for a
+    fold solve.  lin_resid is ||J d + F|| / ||F||: BiCGStab's own true
+    residual ||apply(d) - (-F)||, the same norm of the same vector (a - (-b)
+    is a + b in floating point), or for a fold solve one more product.
     Raises NoDescentError when the fold solve is singular or its d is not
     finite or not a descent direction.
     """
@@ -152,7 +155,8 @@ def _direction(op, F, route):
         d = res.x
         gd = float(np.dot(grad, d))
         if res.residual_norm <= target * normF and is_descent(d, gd):
-            return d, grad, gd, lin_iters, "bicgstab"
+            return (d, grad, gd, lin_iters, "bicgstab",
+                    res.residual_norm / normF)
         route = "direct"
 
     shift = -1j * normF if route == "lm" else 0.0
@@ -163,7 +167,8 @@ def _direction(op, F, route):
     gd = float(np.dot(grad, d))
     if not (np.all(np.isfinite(d)) and is_descent(d, gd)):
         raise NoDescentError("the fold solve gave no descent direction")
-    return d, grad, gd, lin_iters + 1, route
+    lin_resid = float(np.linalg.norm(op.kkt_apply(d) + F)) / normF
+    return d, grad, gd, lin_iters + 1, route, lin_resid
 
 
 def next_route(trace, status):
@@ -228,11 +233,11 @@ def solve_subproblem(p, eps, r0, cfg=None, route="bicgstab"):
             break
         t0 = time.perf_counter()
         try:
-            d, grad, gd, lin_iters, route = _direction(op, F, route)
+            d, grad, gd, lin_iters, route, lin_resid = _direction(op, F,
+                                                                  route)
         except NoDescentError:
             status = "no_descent"
             break
-        lin_resid = float(np.linalg.norm(op.kkt_apply(d) + F)) / normF
         t1 = time.perf_counter()
         nv = p.m + 1
         dv, dl = d[:nv], d[nv:]

@@ -295,13 +295,12 @@ def plain_products(monkeypatch):
 # kkt's lifted fold systems and FoldFactorization.solve contract with BLAS
 # products on the data rows instead, and must agree with these to rounding.
 
-def plain_lifted_fold_system(D, free, XU, factors, N, mHa):
+def plain_lifted_fold_system(D, free, coef, factors, N, mHa):
     n = N.shape[1]
     g, f = ~free, free
     k = int(f.sum())
-    Ng, XUg, Fg = N[g], XU[g], factors[g]
-    coef = np.einsum("pai,pic->pac", Fg, XUg)
-    low = np.einsum("pi,pac,pj->aicj", Ng, coef, Ng)
+    Ng = N[g]
+    low = np.einsum("pi,pac,pj->aicj", Ng, coef[g], Ng)
     U_f = np.einsum("pai,pj->piaj", factors[f], N[f])
     Q = np.einsum("pi,p,pj->ij", N, mHa, N)
     eye = np.eye(n)
@@ -320,8 +319,12 @@ def plain_fold_solve(folds, rhs_c):
     X = np.linalg.solve(folds.blocks, rhs_c)
     y = np.empty_like(X)
     ncol = rhs_c.shape[-1]
-    for t, (M, scale, keep, Ng, Fg, XUg) in enumerate(folds.folds):
+    for t, (M, scale, keep, _, Ng) in enumerate(folds.folds):
         Xg, nk = X[t, ~keep], 4 * int(keep.sum())
+        # the per-point arrays keep the points last: (row, column, fold,
+        # point)
+        Fg = folds.F[:, :, t].transpose(2, 0, 1)[~keep]
+        XUg = folds.XU[:, :, t].transpose(2, 0, 1)[~keep]
         low_r = np.einsum("pi,pac->aic", Ng,
                           np.einsum("pai,pic->pac", Fg, Xg))
         r = np.concatenate([rhs_c[t, keep].reshape(nk, ncol),

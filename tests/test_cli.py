@@ -285,6 +285,29 @@ def test_bad_option_values_exit_as_parse_errors(data_file, tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, named", [
+    (["solve", "--initial-C", "1e300"], "--initial-C"),
+    (["check", "--eps", "1e300"], "--eps")],
+    ids=["initial_C_overflows", "check_eps_overflows"])
+def test_finite_values_that_overflow_exit_as_parse_errors(
+        data_file, tmp_path, capsys, monkeypatch, argv, named):
+    # a finite value passes the range checks, but the residual at the start
+    # point (solve) or the drawn point (check) overflows: rejected before
+    # any subproblem or check runs, without a warning, with one line on
+    # stderr, and nothing written
+    def never(*args, **kwargs):
+        raise AssertionError("ran past the residual check")
+
+    monkeypatch.setattr(M.driver, "run_smoothing", never)
+    monkeypatch.setattr(M.kkt.KktOperator, "jac_apply", never)
+    assert run([*argv, "--data", data_file, "--p1", 6, "--out", tmp_path,
+                "--quiet"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["solve", "grid", "check"])
 @pytest.mark.parametrize("split, named", [
     (["--p1", "0"], "--p1"), (["--p1", "-150"], "--p1"),

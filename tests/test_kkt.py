@@ -19,7 +19,7 @@ from scipy.linalg.lapack import get_lapack_funcs
 from mpecsvc.smoothing import fb_value
 
 from conftest import (make_tiny_dataset, plain_fold_solve,
-                      plain_lifted_fold_system, random_kkt_point)
+                      plain_lifted_fold_system, random_kkt_point, spread)
 
 
 def fd_dir(fn, x, d, h):
@@ -276,21 +276,21 @@ class TestLicq:
     def test_diagnostics_factor_once_without_condition_numbers(
             self, heart_p, monkeypatch, diagnostic):
         # every solve of the probe and the cone direction reuses one
-        # elimination, and only fold_solve reads its condition number
+        # elimination, and only fold_solve's computes a condition number,
+        # from its own dense solves: nothing calls np.linalg.cond
         p = heart_p
-        built, conds = [], []
-        init, cond = FoldFactorization.__init__, np.linalg.cond
+        kappas = []
+        init = FoldFactorization.__init__
 
         def counting_init(self, *args):
-            built.append(args)
             init(self, *args)
+            kappas.append(self.kappa)
 
-        def counting_cond(*args):
-            conds.append(args)
-            return cond(*args)
+        def no_cond(*args):
+            raise AssertionError("np.linalg.cond called")
 
         monkeypatch.setattr(FoldFactorization, "__init__", counting_init)
-        monkeypatch.setattr(np.linalg, "cond", counting_cond)
+        monkeypatch.setattr(np.linalg, "cond", no_cond)
         rng = np.random.default_rng(17)
         v = np.abs(rng.standard_normal(p.m + 1)) + 0.1
         if diagnostic == "licq_probe":
@@ -299,11 +299,11 @@ class TestLicq:
         else:
             r = KktPoint(v=v, lam=rng.standard_normal(p.m), eps=0.1)
             assert np.isfinite(M.assumption2_value(p, r)["A2_cone"])
-        assert (len(built), len(conds)) == (1, 0)
+        assert kappas == [None]
         # the counters see fold_solve's elimination and its kappa
         op = KktOperator(p, random_kkt_point(p, 0.1, seed=17))
         fold_solve(op, np.ones(2 * p.m + 1), shift=0.0)
-        assert (len(built), len(conds)) == (2, p.T)
+        assert len(kappas) == 2 and kappas[1] >= 1.0
 
     def test_probe_positive_interior(self, tiny_p):
         rng = np.random.default_rng(9)
@@ -547,6 +547,28 @@ class TestFoldSolve:
             check_against_oracles(op, rng.standard_normal(2 * p.m + 1),
                                   shift=shift)
 
+    @pytest.mark.parametrize("shift", [0.0, -0.1j, -3.7j])
+    @pytest.mark.parametrize("name", ["tiny_p", "heart_p"])
+    def test_kappa_of_the_joint_solve_is_that_of_np_linalg_cond(
+            self, name, shift, request):
+        # the build solves each scaled fold system for [r | I] at once;
+        # ||M||_1 ||M^{-1}||_1 from those inverse columns is np.linalg.cond's
+        # 1-norm condition number to the bit, real and complex (LM) shifts,
+        # at random points and, on heart, with free points kept
+        p = request.getfixturevalue(name)
+        ops = [KktOperator(p, random_kkt_point(p, eps, seed=80 + i))
+               for i, eps in enumerate((1.0, 1e-2))]
+        if name == "heart_p":
+            ops.append(complementary_weights_operator(
+                p, np.random.default_rng(15)))
+        pos, _ = p.point_index
+        rng = np.random.default_rng(80)
+        for op in ops:
+            folds = FoldFactorization(p, op.weights, op.curvature, shift,
+                                      rng.standard_normal(pos.shape + (2,)))
+            conds = [np.linalg.cond(M, 1) for M, *_ in folds.folds]
+            assert folds.kappa == max([1.0] + conds)
+
     @pytest.mark.parametrize("shift", [0.0, 0.5, -0.1j])
     @pytest.mark.parametrize("name", ["tiny_p", "heart_p", "wide_p"])
     def test_one_factorization_solves_many_right_hand_sides(self, name, shift,
@@ -620,6 +642,35 @@ class TestFoldSolve:
         for M, ref, _ in systems:
             assert M.dtype == ref.dtype
             assert rel_err(M, ref) <= 1e-13
+
+    @pytest.mark.parametrize("shift", [0.0, -0.1j])
+    @pytest.mark.parametrize("name", ["tiny_p", "heart_p"])
+    def test_contractions_with_the_points_last_round_as_per_fold(
+            self, name, shift, request):
+        # the elimination contracts every point of every fold in one einsum
+        # with the points last, where its loops run along them; each
+        # fold's eliminated points get the bits of an einsum over them
+        # alone with the points first, for the 4-term sums of the U
+        # factors and the 2-term sums of the back-substitution
+        p = request.getfixturevalue(name)
+        op = KktOperator(p, random_kkt_point(p, 1e-2, seed=74))
+        pos, _ = p.point_index
+        rng = np.random.default_rng(74)
+        folds = FoldFactorization(p, op.weights, op.curvature, shift,
+                                  rng.standard_normal(pos.shape + (2,)))
+        shape = (2, 2) + pos.shape[:2]
+        back = spread(rng, np.prod(shape)).reshape(shape)
+        if shift:
+            back = back + 1j * spread(rng, back.size).reshape(shape)
+        coef = np.einsum("aitp,ictp->actp", folds.F, folds.XU)
+        sub = np.einsum("iatp,actp->ictp", folds.XU, back)
+        for t, keep in enumerate(folds.kept):
+            Fg, XUg, bg = (A[:, :, t].transpose(2, 0, 1)[~keep]
+                           for A in (folds.F, folds.XU, back))
+            assert (coef[:, :, t].transpose(2, 0, 1)[~keep].tobytes()
+                    == np.einsum("pai,pic->pac", Fg, XUg).tobytes())
+            assert (sub[:, :, t].transpose(2, 0, 1)[~keep].tobytes()
+                    == np.einsum("pia,pac->pic", XUg, bg).tobytes())
 
     @pytest.mark.parametrize("shift", [0.0, 0.5, -0.1j])
     def test_dense_folds_solve_as_the_einsum_formulas(self, wide_p, shift,

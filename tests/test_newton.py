@@ -269,9 +269,12 @@ class TestDirection:
         op = KktOperator(tiny_p, KktPoint(v=v, lam=np.full(tiny_p.m, 0.1),
                                           eps=0.5))
         F = op.residual()
-        d, grad, gd, lin_iters, route = _direction(op, F, "bicgstab")
+        d, grad, gd, lin_iters, route, lin_resid = _direction(op, F,
+                                                              "bicgstab")
         assert route == "direct"
-        assert np.linalg.norm(op.kkt_apply(d) + F) <= 1e-10 * np.linalg.norm(F)
+        assert lin_resid == float(np.linalg.norm(op.kkt_apply(d) + F)
+                                  / np.linalg.norm(F))
+        assert lin_resid <= 1e-10
         assert gd == pytest.approx(float(grad @ d)) and gd < 0
 
     @pytest.mark.parametrize("name", ["tiny_p", "heart_p"])
@@ -286,7 +289,7 @@ class TestDirection:
             warnings.simplefilter("error")
             with pytest.raises(NoDescentError):
                 _direction(op, F, "bicgstab")
-            _, _, gd_lm, _, route_lm = _direction(op, F, "lm")
+            _, _, gd_lm, _, route_lm, _ = _direction(op, F, "lm")
         assert route_lm == "lm" and gd_lm < 0
         assert capfd.readouterr().err == ""
 
@@ -348,7 +351,7 @@ class TestDirection:
         K = op.materialize_kkt().toarray()
         mu = float(F @ F)
         ref = np.linalg.solve(K @ K + mu * np.eye(K.shape[0]), -K @ F)
-        d, grad, gd, lin_iters, route = _direction(op, F, "lm")
+        d, grad, gd, lin_iters, route, _ = _direction(op, F, "lm")
         assert (route, lin_iters) == ("lm", 1)
         assert np.linalg.norm(d - ref) <= 1e-10 * np.linalg.norm(ref)
         assert gd == pytest.approx(float(grad @ d)) and gd < 0
@@ -373,13 +376,31 @@ class TestDirection:
         (apply,) = captured
         assert np.array_equal(apply(x), op.kkt_apply(x))
 
+    def test_bicgstab_rows_take_its_own_residual(self, tiny_p, monkeypatch):
+        # a BiCGStab step's lin_resid is BiCGStab's true residual over
+        # ||F||, with no product of its own; it equals the recomputed one
+        calls = []
+
+        def recording(apply, rhs, rel_tol, max_iters):
+            res = bicgstab(apply, rhs, rel_tol, max_iters)
+            calls.append(res.residual_norm / float(np.linalg.norm(rhs)))
+            return res
+
+        monkeypatch.setattr(newton, "bicgstab", recording)
+        r = KktPoint(v=initial_point(tiny_p, 1.0).v,
+                     lam=np.full(tiny_p.m, 0.1), eps=0.5)
+        _, trace, _ = solve_subproblem(tiny_p, 0.01, r,
+                                       NewtonConfig(f_tol=1e-3))
+        rows = [row.lin_resid for row in trace if row.route == "bicgstab"]
+        assert rows and rows == calls[:len(rows)]
+
     @pytest.mark.parametrize("lm", [False, True])
     def test_step_assembles_nothing(self, tiny_p, lm, forbid_assembly):
         op = KktOperator(tiny_p, KktPoint(v=initial_point(tiny_p, 1.0).v,
                                           lam=np.full(tiny_p.m, 0.1), eps=0.5))
         F = op.residual()
         asked = "lm" if lm else "bicgstab"
-        d, grad, gd, lin_iters, route = _direction(op, F, asked)
+        d, grad, gd, lin_iters, route, _ = _direction(op, F, asked)
         assert route == asked and gd < 0
         assert np.array_equal(grad, op.kkt_apply(F))
 
