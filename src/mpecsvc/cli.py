@@ -135,9 +135,10 @@ def _environment():
 
 
 def _finite_residual(p, point):
-    """Whether F_eps is finite at point, evaluated under np.errstate: a
-    finite option value can still overflow there (--initial-C 1e300 in
-    H, --eps 1e300 in eps^2), and the overflow warns nowhere."""
+    """Whether F_eps is finite at point.  A finite option value can still
+    overflow there (--initial-C 1e300 in H, --eps 1e300 in eps^2); the
+    residual is evaluated under np.errstate, so the overflow prints no
+    warning."""
     with np.errstate(all="ignore"):
         return bool(np.all(np.isfinite(kkt.KktOperator(p, point).residual())))
 
