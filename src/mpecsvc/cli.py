@@ -135,19 +135,22 @@ def _environment():
 
 
 def _finite_residual(p, point):
-    """Whether F_eps is finite at point.  A finite option value can still
-    overflow there (--initial-C 1e300 in H, --eps 1e300 in eps^2); the
-    residual is evaluated under np.errstate, so the overflow prints no
-    warning."""
+    """Whether F_eps and the cube of the smoothing's denominator, which the
+    curvature divides by, are finite at point.  A finite option value can
+    still overflow there (--initial-C 1e300 in H, --eps 1e300 in eps^2,
+    either at 1e150 in denom^3); both are evaluated under np.errstate, so
+    the overflow prints no warning."""
     with np.errstate(all="ignore"):
-        return bool(np.all(np.isfinite(kkt.KktOperator(p, point).residual())))
+        op = kkt.KktOperator(p, point)
+        return bool(np.all(np.isfinite(op.residual()))
+                    and np.all(np.isfinite(op.weights.denom ** 3)))
 
 
 def cmd_solve(args, ds, plan, p, ocfg, ncfg):
     start = driver.initial_point(p, ocfg.initial_C)
     if not _finite_residual(p, kkt.KktPoint(start.v, start.lam, ocfg.eps0)):
-        print(f"error: --initial-C {args.initial_C!r}: the residual at the "
-              "start point is not finite", file=sys.stderr)
+        print(f"error: --initial-C {args.initial_C!r}: the residual or the "
+              "curvature at the start point is not finite", file=sys.stderr)
         return EXIT_PARSE
     v_star, report = driver.run_smoothing(p, ocfg, ncfg)
     C_hat, w_hat = driver.postprocess(p, v_star, ds, plan)
@@ -222,8 +225,8 @@ def cmd_check(args, ds, plan, p):
     r = kkt.KktPoint(v=rng.standard_normal(p.m + 1),
                      lam=rng.standard_normal(p.m), eps=eps)
     if not _finite_residual(p, r):
-        print(f"error: --eps {eps!r}: the residual at the check's point is "
-              "not finite", file=sys.stderr)
+        print(f"error: --eps {eps!r}: the residual or the curvature at the "
+              "check's point is not finite", file=sys.stderr)
         return EXIT_PARSE
     op = kkt.KktOperator(p, r)
     h = 1e-6 * (1.0 + np.linalg.norm(r.to_vector()))

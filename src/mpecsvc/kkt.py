@@ -13,24 +13,22 @@ and its Jacobian
 is symmetric, so the merit gradient of g = 0.5*||F||^2 is J_r F applied to F.
 The applications are matrix-free through the L^H maps of the problem
 module, whose products with the data rows are compiled kernel calls on
-A, B and the stacked diag(A^T, B^T), bound once per problem
-(MpecProblem.lh_kernels), six per KKT product.  L^G drops C, so L^G d is
-the slice d[1:] and (L^G)^T s = (0; s) is not formed: s is added to the
-result of (L^H)^T.  KktOperator.kkt_apply, the product BiCGStab runs on,
-checks its vector once and shares one product with L^H and one with
-(L^H)^T between the Hessian and the Jacobian blocks.  Every direct solve
-is one elimination of the fold structure from the weights, the
-curvatures and the data rows (FoldFactorization, built once for any
-number of right-hand sides; those known at the build share its one solve
-of the point blocks): fold_solve, whose singularity test reads the
-condition number that the build's dense solves give alongside its
-solution, and at lambda = 0 constraint_fold_solves.  Its sums over a
+A, B, A^T and B^T, bound once per problem (MpecProblem.lh_kernels), seven
+per KKT product.  L^G drops C, so L^G d is the slice d[1:] and
+(L^G)^T s = (0; s) is not formed: s is added to the result of (L^H)^T.
+KktOperator.kkt_apply, the product BiCGStab runs on, shares one product
+with L^H and one with (L^H)^T between the Hessian and the Jacobian
+blocks.  Every direct solve is one elimination of the fold structure from
+the weights, the curvatures and the data rows (FoldFactorization, built
+once for any number of right-hand sides; those known at the build share
+its one solve of the point blocks): fold_solve, whose singularity test
+reads the condition number that the build's dense solves give alongside
+its solution, and at lambda = 0 constraint_fold_solves.  Its sums over a
 fold's points are dense matrix products (BLAS) with the fold's data rows,
 and its per-point contractions are each one einsum over every point of
-every fold.  The solver
-assembles no matrix; the assembled J_r F_eps (materialize_kkt, 245,701
-nonzeros on heart) is only the tests' reference for these products and
-solves.
+every fold.  The solver assembles no matrix; the assembled J_r F_eps
+(materialize_kkt, 245,701 nonzeros on heart) is only the tests' reference
+for these products and solves.
 """
 
 from __future__ import annotations
@@ -137,7 +135,7 @@ class KktOperator:
             raise ValueError(f"expected length {nv + p.m}, got {d.shape}")
         dv, dl = d[:nv], d[nv:]
         wt, c = self.weights, self.curvature
-        u, w = dv[1:], pb._apply_LH(p, dv)         # L^G dv, L^H dv
+        u, w = dv[1:], pb.apply_LH(p, dv)          # L^G dv, L^H dv
         # each sum is formed in place, in the formula's order of operations
         g = c.mG * u
         g += c.mGH * w
@@ -148,7 +146,7 @@ class KktOperator:
         out = np.empty(nv + p.m)
         # (L^H)^T h + (L^G)^T g with (L^G)^T g = (0; g), summed into out;
         # the + 0.0 on C turns -0.0 into +0.0, as adding two vectors does
-        top = pb._apply_LH_T(p, h)
+        top = pb.apply_LH_T(p, h)
         out[0] = top[0] + 0.0
         np.add(top[1:], g, out=out[1:nv])
         low = out[nv:]
@@ -359,7 +357,8 @@ class FoldFactorization:
             except np.linalg.LinAlgError:
                 raise SingularSystemError("zero pivot in a fold system") from None
             if inverses:
-                kappa = max(kappa, _norm1(M) * _norm1(sol[:, ncol:]))
+                kappa = max(kappa, np.linalg.norm(M, 1)
+                            * np.linalg.norm(sol[:, ncol:], 1))
             sol = scale[:, None] * sol[:, :ncol]
             # every point's back-substitution; the kept points' are
             # overwritten with their own unknowns below
@@ -370,12 +369,6 @@ class FoldFactorization:
         y[g] = (X - np.einsum("iatp,actp->ictp", self.XU, back)).transpose(
             2, 3, 0, 1)[g]
         return y, kappa
-
-
-def _norm1(M):
-    """||M||_1, the largest column sum of |M|, as np.linalg.norm(M, 1)
-    computes it."""
-    return float(np.abs(M).sum(axis=0).max())
 
 
 def _points_last(X):
@@ -565,7 +558,10 @@ def jjt_inverse(op):
     return apply
 
 
-def licq_probe(p, v, eps, max_iters=50):
+PROBE_MAX_ITERS = 50      # licq_probe's iteration budget
+
+
+def licq_probe(p, v, eps):
     """Estimate sigma_min(J_v Phi) by inverse iteration on J J^T.
 
     The iteration is accelerated by Lanczos: step k applies (J J^T)^{-1}
@@ -579,15 +575,13 @@ def licq_probe(p, v, eps, max_iters=50):
     Jacobians bring within 1e-3 of 1; Lanczos converges in tens of steps
     there.  The iteration has converged once theta changes by at most
     1e-10 * theta, or the Krylov space is invariant (at the latest when it
-    is the whole space, after m steps).  Returns (sigma,
-    iterations, converged); without convergence within min(max_iters, m)
-    steps sigma is the last estimate and converged is False.  When a fold
+    is the whole space, after m steps).  Returns (sigma, iterations,
+    converged); without convergence within min(PROBE_MAX_ITERS, m) steps
+    sigma is the last estimate and converged is False.  When a fold
     system is singular (jjt_inverse raises), or a solve is not finite,
     sigma is the last estimate (NaN before the first) and converged is
     False.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
     point = KktPoint(v=np.asarray(v, dtype=float),
                      lam=np.zeros(p.m), eps=eps)
     sigma = float("nan")
@@ -596,7 +590,7 @@ def licq_probe(p, v, eps, max_iters=50):
     except SingularSystemError:
         return sigma, 0, False
 
-    dim = min(max_iters, p.m)
+    dim = min(PROBE_MAX_ITERS, p.m)
     Q = np.empty((dim, p.m))
     T = np.zeros((dim, dim))
     q = np.random.default_rng(0).standard_normal(p.m)

@@ -14,26 +14,20 @@ on a CSR matrix whose arguments (shape, indptr, indices, data) are bound
 once per problem, on first use, and whose float64 data and canonical form
 are checked then (_bind), not at each product.  The kernels
 (MpecProblem.lh_kernels) bind A and B in place, sharing their arrays, and
-S = diag(A^T, B^T) stored once as CSR with its columns on the four blocks
-of a length-m vector, A^T's on the first and B^T's on the third: the only
-copy of the data rows that the maps add.  (L^H)^T takes three kernel
-calls: S s = (A^T s1; B^T s3), then B of each half, kept apart and summed
-into the alpha block.  L^H takes three too: B^T alpha from S's B^T rows
-alone (the product into a vector of their length reads them through a
-slice of S's indptr), on d[1:], whose alpha block sits where s's third
-block does, then A and B of it, straight into the A B^T and B B^T blocks
-of H.  csr_matvec adds a row's entries in stored order to
-a zeroed output, as `@` does into a new zero vector, and a row of a
-transpose stored as CSR lists its entries in the order in which the CSC
-transpose's columns add them, so each output entry is rounded as in the
-product with A, B, A^T or B^T by `@`.  (The row form is also faster than
-the CSC scatter: 5.8 against 8.8 us for (A^T s1; B^T s3) on heart.)  So
-apply_LH, apply_LH_T and eval_H round every entry as their plain formulas
-with `@` do.  The maps check their vector arguments once on entry: the
-kernel would cast a vector of another dtype or read past a short one,
-instead of raising.  _apply_LH and _apply_LH_T are the maps without that
-check, for callers that have checked the vector they derive the argument
-from (KktOperator.kkt_apply).
+A^T and B^T, each stored once as CSR; these two are the only copies of the
+data rows that the maps add.  L^H takes three kernel calls: B^T alpha, then
+A and B of it, straight into the A B^T and B B^T blocks of H.  (L^H)^T
+takes four: A^T s1 and B^T s3, then B of each, kept apart and summed into
+the alpha block.  csr_matvec adds a row's entries in stored order to a
+zeroed output, as `@` does into a new zero vector, and a row of a transpose
+stored as CSR lists its entries in the order in which the CSC transpose's
+columns add them, so each output entry is rounded as in the product with
+A, B, A^T or B^T by `@`.  (The row form is also faster than the CSC
+scatter: 5.8 against 8.8 us for (A^T s1; B^T s3) on heart.)  So apply_LH,
+apply_LH_T and eval_H round every entry as their plain formulas with `@`
+do.  The maps check their vector arguments once on entry: the kernel would
+cast a vector of another dtype or read past a short one, instead of
+raising.
 """
 
 from __future__ import annotations
@@ -53,13 +47,10 @@ def _bind(M):
     M is a CSR matrix with float64 data in canonical form (sorted,
     duplicate-free indices); anything else raises ValueError.  The product
     takes x, a float64 vector of length M.shape[1], and out, a C-contiguous
-    float64 vector of at most M.shape[0] entries that does not overlap x,
-    or None for a new vector of M.shape[0].  It computes M's last len(out)
-    rows, which it reads through a slice of M's indptr (its offsets still
-    point into M's indices and data): it zeroes out, adds each row's
-    products in stored order, and returns out, bit for bit
-    M[-len(out):] @ x.  It does not check x and out: its callers do, once
-    per map.
+    float64 vector of length M.shape[0] that does not overlap x, or None
+    for a new vector; it zeroes out, adds each row's products in stored
+    order, and returns out, bit for bit M @ x.  It does not check x and
+    out: its callers do, once per map.
     """
     if M.format != "csr" or M.data.dtype != np.float64 \
             or not M.has_canonical_format:
@@ -72,10 +63,8 @@ def _bind(M):
     def product(x, out=None):
         if out is None:
             out = np.empty(nrow)
-        rows = len(out)
         out.fill(0.0)
-        kernel(rows, ncol, indptr if rows == nrow else indptr[nrow - rows:],
-               indices, data, x, out)
+        kernel(nrow, ncol, indptr, indices, data, x, out)
         return out
 
     return product
@@ -86,8 +75,8 @@ class LHKernels(NamedTuple):
 
     A: object        # y (T*n) -> A y (n1), on p.A's own arrays
     B: object        # y (T*n) -> B y (n2), on p.B's own arrays
-    S: object        # s (m) -> (A^T s1; B^T s3) (2*T*n); into an out of
-                     # T*n, its B^T rows: d[1:] -> B^T dalpha
+    At: object       # s1 (n1) -> A^T s1 (T*n)
+    Bt: object       # alpha (n2) -> B^T alpha (T*n)
 
 
 def _check_vector(x, n, name):
@@ -103,9 +92,9 @@ def _check_vector(x, n, name):
 class MpecProblem:
     """The CV-MPEC's dimensions and its stacked data rows A and B.
 
-    The maps' bound products and the stacked transposes diag(A^T, B^T)
-    (lh_kernels; see the module docstring) are built on first use and kept;
-    assemble builds none.
+    The maps' bound products and the transposes A^T and B^T (lh_kernels;
+    see the module docstring) are built on first use and kept; assemble
+    builds none.
     """
 
     T: int
@@ -157,17 +146,11 @@ class MpecProblem:
 
     @cached_property
     def lh_kernels(self):
-        """The maps' three products (LHKernels), bound once, on first use:
-        A and B on their own arrays, and S = diag(A^T, B^T) stored as CSR,
-        its columns on s's four blocks (module docstring)."""
+        """The maps' four products (LHKernels), bound once, on first use:
+        A and B on their own arrays, A^T and B^T stored as CSR."""
         A, B = self.A, self.B
-        At, Bt = A.T.tocsr(), B.T.tocsr()
-        S = sp.csr_matrix(
-            (np.concatenate([At.data, Bt.data]),
-             np.concatenate([At.indices, Bt.indices + 2 * self.n1]),
-             np.concatenate([At.indptr, Bt.indptr[1:] + At.nnz])),
-            shape=(At.shape[0] + Bt.shape[0], self.m))
-        return LHKernels(A=_bind(A), B=_bind(B), S=_bind(S))
+        return LHKernels(A=_bind(A), B=_bind(B), At=_bind(A.T.tocsr()),
+                         Bt=_bind(B.T.tocsr()))
 
     @cached_property
     def point_index(self):
@@ -263,7 +246,7 @@ def eval_H(p, v):
     k = p.lh_kernels
     out = np.empty(p.m)
     h1, h2, h3, h4 = p.split_m(out)
-    y = k.S(v[1:], np.empty(p.T * p.n))       # B^T alpha
+    y = k.Bt(alpha)
     k.A(y, h1)
     k.B(y, h3)
     h1 += z
@@ -280,16 +263,11 @@ def apply_LH(p, d):
     Three kernel calls: B^T dalpha, then A and B of it.
     """
     _check_vector(d, p.m + 1, "d")
-    return _apply_LH(p, d)
-
-
-def _apply_LH(p, d):
-    """apply_LH without the check of d."""
     dC, dzeta, dz, dalpha, dxi = p.split_v(d)
     k = p.lh_kernels
     out = np.empty(p.m)
     o1, o2, o3, o4 = p.split_m(out)
-    y = k.S(d[1:], np.empty(p.T * p.n))       # B^T dalpha
+    y = k.Bt(dalpha)
     k.A(y, o1)
     k.B(y, o3)
     o1 += dz
@@ -302,26 +280,20 @@ def _apply_LH(p, d):
 def apply_LH_T(p, s):
     """(L^H)^T s for s, a float64 vector of length m.
 
-    Three kernel calls: (A^T s1; B^T s3), then B of each.  The alpha block
+    Four kernel calls: A^T s1 and B^T s3, then B of each.  The alpha block
     keeps its two B products apart, B (A^T s1) + B (B^T s3) - s4, for
     their rounding.
     """
     _check_vector(s, p.m, "s")
-    return _apply_LH_T(p, s)
-
-
-def _apply_LH_T(p, s):
-    """apply_LH_T without the check of s."""
     out = np.empty(p.m + 1)
     s1, s2, s3, s4 = p.split_m(s)
-    n1, n2, Tn = p.n1, p.n2, p.T * p.n
+    n1, n2 = p.n1, p.n2
     k = p.lh_kernels
     out[0] = s4.sum()
     np.negative(s2, out=out[1:1 + n1])
     out[1 + n1:1 + 2 * n1] = s1
-    y = k.S(s)                                # (A^T s1; B^T s3)
-    o3 = k.B(y[:Tn], out[1 + 2 * n1:1 + 2 * n1 + n2])
-    o3 += k.B(y[Tn:])
+    o3 = k.B(k.At(s1), out[1 + 2 * n1:1 + 2 * n1 + n2])
+    o3 += k.B(k.Bt(s3))
     o3 -= s4
     out[1 + 2 * n1 + n2:] = s3
     return out

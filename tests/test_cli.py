@@ -288,14 +288,18 @@ def test_bad_option_values_exit_as_parse_errors(data_file, tmp_path, capsys,
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv, named", [
     (["solve", "--initial-C", "1e300"], "--initial-C"),
-    (["check", "--eps", "1e300"], "--eps")],
-    ids=["initial_C_overflows", "check_eps_overflows"])
+    (["check", "--eps", "1e300"], "--eps"),
+    (["solve", "--initial-C", "1e150"], "--initial-C"),
+    (["check", "--eps", "1e150"], "--eps")],
+    ids=["initial_C_overflows", "check_eps_overflows",
+         "initial_C_cube_overflows", "check_eps_cube_overflows"])
 def test_finite_values_that_overflow_exit_as_parse_errors(
         data_file, tmp_path, capsys, monkeypatch, argv, named):
     # a finite value passes the range checks, but the residual at the start
-    # point (solve) or the drawn point (check) overflows: rejected before
-    # any subproblem or check runs, without a warning, with one line on
-    # stderr, and nothing written
+    # point (solve) or the drawn point (check) overflows, or at 1e150 the
+    # cube of the smoothing's denominator that the curvature divides by
+    # does: rejected before any subproblem or check runs, without a
+    # warning, with one line on stderr, and nothing written
     def never(*args, **kwargs):
         raise AssertionError("ran past the residual check")
 

@@ -311,9 +311,10 @@ class TestLicq:
         est, _, converged = licq_probe(tiny_p, v, 0.1)
         assert converged and est > 1e-10
 
-    def test_one_step_is_not_converged(self, heart_p):
+    def test_one_step_is_not_converged(self, heart_p, monkeypatch):
+        monkeypatch.setattr(kkt, "PROBE_MAX_ITERS", 1)
         v = np.abs(np.random.default_rng(11).standard_normal(heart_p.m + 1)) + 0.1
-        est, iters, converged = licq_probe(heart_p, v, 0.1, max_iters=1)
+        est, iters, converged = licq_probe(heart_p, v, 0.1)
         assert (iters, converged) == (1, False)
         assert np.isfinite(est)
 
