@@ -1,11 +1,14 @@
 """Compare the continuation solver against a brute-force grid search.
 
-The grid oracle trains T dual coordinate-descent classifiers per candidate
-C and tabulates the cross-validation error; it is independent of the
-equilibrium-constrained formulation and serves as ground truth for the
-error level the solver should reach.  The solver, by contrast, treats C
-as a variable and lands near the bottom of the same valley in one
-continuation run.
+The grid trains T dual coordinate-descent classifiers per candidate C and
+tabulates the cross-validation error, independently of the
+equilibrium-constrained formulation.  The solver instead treats C as a
+variable and selects it in one continuation run.  Prints the grid's table
+with its minimum marked, the grid's best C and error, the solver's, and
+the gap between them.  On heart the grid's best is 18.00% at C = 1.778,
+and the solver ends at C = 0.6960 with 19.33%, 1.33 points above it: from
+subproblem 4 (eps = 0.0625) on, the run follows a maximizer of the
+smoothed cross-validation error along C, not a minimizer.
 """
 
 import time

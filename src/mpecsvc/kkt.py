@@ -26,9 +26,10 @@ reads the condition number that the build's dense solves give alongside
 its solution, and at lambda = 0 constraint_fold_solves.  Its sums over a
 fold's points are dense matrix products (BLAS) with the fold's data rows,
 and its per-point contractions are each one einsum over every point of
-every fold.  The solver assembles no matrix; the assembled J_r F_eps
-(materialize_kkt, 245,701 nonzeros on heart) is only the tests' reference
-for these products and solves.
+every fold.  The solver assembles no matrix.  The assembled J_r F_eps
+(materialize_kkt, 245,701 nonzeros on heart) is the tests' reference for
+these products and solves, and its negated lower-left block J_v Phi
+(materialize_jacobian) the benchmark's sigma_min oracle's.
 """
 
 from __future__ import annotations
@@ -77,8 +78,6 @@ class KktOperator:
         self.v = np.asarray(point.v, dtype=float).copy()
         self.lam = np.asarray(point.lam, dtype=float).copy()
         self.eps = float(point.eps)
-        if self.eps <= 0:
-            raise ValueError("KktOperator requires eps > 0")
         self.G = pb.eval_G(p, self.v)
         self.H = pb.eval_H(p, self.v)
         self.weights = fb_weights(self.G, self.H, self.eps)
@@ -162,7 +161,7 @@ class KktOperator:
         kkt_apply, fold_solve and the LM step.  materialize_LH's m guard
         applies.
         """
-        LG = pb.materialize_LG(self.p)
+        LG = sp.eye(self.p.m, self.p.m + 1, k=1, format="csr")
         LH = pb.materialize_LH(self.p)
         w, c = self.weights, self.curvature
         J = sp.diags(w.wG) @ LG + sp.diags(w.wH) @ LH
@@ -172,13 +171,11 @@ class KktOperator:
         return sp.bmat([[hess, -J.T], [-J, None]], format="csr")
 
     def materialize_jacobian(self):
-        """Explicit sparse-backed dense J_v Phi (diagnostics, m <= 2000)."""
-        if self.p.m > 2000:
-            raise ValueError(f"refusing to materialize for m={self.p.m} > 2000")
-        w = self.weights
-        LG = pb.materialize_LG(self.p)
-        LH = pb.materialize_LH(self.p)
-        return (sp.diags(w.wG) @ LG + sp.diags(w.wH) @ LH).toarray()
+        """J_v Phi, dense: materialize_kkt's negated lower-left block."""
+        m = self.p.m
+        if m > 2000:
+            raise ValueError(f"refusing to materialize for m={m} > 2000")
+        return (-self.materialize_kkt()[m + 1:, :m + 1]).toarray()
 
 
 class SingularSystemError(RuntimeError):

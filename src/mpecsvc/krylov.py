@@ -30,11 +30,12 @@ def _norm(x):
 
 
 def bicgstab(apply, rhs, rel_tol, max_iters, abs_tol=1e-12):
-    """Solve apply(x) = rhs, starting from x = 0, to the residual target
+    """Solve apply(x) = rhs from x = 0, with r = rhs, to the residual target
     max(rel_tol*||rhs||, abs_tol) in at most max_iters iterations.
 
-    apply must return a new array, or its argument: the recursion keeps v
-    across the call that gives t.
+    apply runs in the iterations and once on the x returned, for its true
+    residual, and must return a new array, or its argument: the recursion
+    keeps v across the call that gives t.
     """
     if not (rel_tol > 0 and abs_tol >= 0):
         raise ValueError("rel_tol must be positive and abs_tol non-negative")
@@ -47,12 +48,10 @@ def bicgstab(apply, rhs, rel_tol, max_iters, abs_tol=1e-12):
     norm_b = _norm(rhs)
     target = max(rel_tol * norm_b, abs_tol)
 
-    r = rhs - apply(x)
-    r_hat = r
-    norm_r = _norm(r)
-    best_x, best_norm = x, norm_r
-    if norm_r <= target:
-        return KrylovResult(x=x, residual_norm=norm_r, iterations=0,
+    r = r_hat = rhs
+    best_x, best_norm = x, norm_b
+    if norm_b <= target:
+        return KrylovResult(x=x, residual_norm=norm_b, iterations=0,
                             status="converged")
 
     rho = alpha = omega = 1.0

@@ -25,9 +25,9 @@ columns add them, so each output entry is rounded as in the product with
 A, B, A^T or B^T by `@`.  (The row form is also faster than the CSC
 scatter: 5.8 against 8.8 us for (A^T s1; B^T s3) on heart.)  So apply_LH,
 apply_LH_T and eval_H round every entry as their plain formulas with `@`
-do.  The maps check their vector arguments once on entry: the kernel would
-cast a vector of another dtype or read past a short one, instead of
-raising.
+do.  The maps, eval_G and eval_H check their vector arguments once on
+entry (_check_vector): the kernel would cast a vector of another dtype or
+read past a short one, instead of raising.
 """
 
 from __future__ import annotations
@@ -227,21 +227,15 @@ def _fold_diagonal(ds, rows):
                          shape=(T * k, T * n))
 
 
-def _as_vector(p, v):
-    v = np.asarray(v, dtype=float)
-    if v.shape != (p.m + 1,):
-        raise ValueError(f"expected v of length {p.m + 1}, got {v.shape}")
-    return v
-
-
 def eval_G(p, v):
     """G(v) = (zeta; z; alpha; xi) = L^G v."""
-    return _as_vector(p, v)[1:].copy()
+    _check_vector(v, p.m + 1, "v")
+    return v[1:].copy()
 
 
 def eval_H(p, v):
     """H(v) = L^H v + b^H, b^H = (0; 1; -1; 0) = H(0), computed matrix-free."""
-    v = _as_vector(p, v)
+    _check_vector(v, p.m + 1, "v")
     C, zeta, z, alpha, xi = p.split_v(v)
     k = p.lh_kernels
     out = np.empty(p.m)
@@ -297,13 +291,6 @@ def apply_LH_T(p, s):
     o3 -= s4
     out[1 + 2 * n1 + n2:] = s3
     return out
-
-
-def materialize_LG(p):
-    """Explicit sparse L^G."""
-    return sp.hstack(
-        [sp.csr_matrix((p.m, 1)), sp.identity(p.m, format="csr")], format="csr"
-    )
 
 
 def materialize_LH(p):

@@ -108,13 +108,12 @@ def wide_p():
 
 @pytest.fixture
 def forbid_assembly(monkeypatch):
-    """Makes every builder of an explicit matrix (K, L^H, L^G) raise."""
+    """Makes every builder of an explicit matrix (K and L^H) raise."""
     def refuse(*args, **kwargs):
         raise AssertionError("the solver assembled a matrix")
 
     monkeypatch.setattr(M.KktOperator, "materialize_kkt", refuse)
     monkeypatch.setattr(pb, "materialize_LH", refuse)
-    monkeypatch.setattr(pb, "materialize_LG", refuse)
 
 
 def schur_cone_rel_errors(p, r):
@@ -283,8 +282,7 @@ def plain_products(monkeypatch):
     products: eval_H, apply_LH, apply_LH_T and kkt_apply."""
     from mpecsvc.kkt import KktOperator
 
-    monkeypatch.setattr(pb, "eval_H",
-                        lambda p, v: plain_eval_H(p, pb._as_vector(p, v)))
+    monkeypatch.setattr(pb, "eval_H", plain_eval_H)
     monkeypatch.setattr(pb, "apply_LH", plain_apply_LH)
     monkeypatch.setattr(pb, "apply_LH_T", plain_apply_LH_T)
     monkeypatch.setattr(KktOperator, "kkt_apply",

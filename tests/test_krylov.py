@@ -44,6 +44,20 @@ class TestExactCases:
         assert res.status == "converged"
         np.testing.assert_allclose(res.x, b / 2.5, rtol=1e-15)
 
+    def test_identity_applies_twice(self):
+        # once in its one iteration and once for the true residual: the
+        # zero start's residual is rhs itself, not a product
+        calls = []
+
+        def identity(x):
+            calls.append(x.copy())
+            return x
+
+        b = np.random.default_rng(0).standard_normal(30)
+        res = bicgstab(identity, b, rel_tol=1e-10, max_iters=300)
+        assert res.iterations == 1 and len(calls) == 2
+        assert all(np.any(x != 0) for x in calls)
+
     def test_zero_rhs(self):
         res = bicgstab(lambda x: 3.0 * x, np.zeros(10), rel_tol=1e-10,
                        max_iters=100)

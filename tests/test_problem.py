@@ -117,6 +117,14 @@ class TestAffineMaps:
         with pytest.raises(ValueError):
             pb.eval_G(tiny_p, np.zeros(5))
 
+    def test_eval_rejects_a_list_and_float32(self, tiny_p):
+        # as apply_LH does: G and H check their vector instead of casting it
+        v = np.ones(tiny_p.m + 1)
+        for fn in (pb.eval_G, pb.eval_H):
+            for bad in (list(v), v.astype(np.float32)):
+                with pytest.raises(ValueError):
+                    fn(tiny_p, bad)
+
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000))
@@ -129,8 +137,9 @@ def test_maps_match_dense_property(seed):
     rng = np.random.default_rng(seed)
     d = rng.standard_normal(p.m + 1)
     LH = dense_LH(p)
-    # L^G drops C: kkt and driver read L^G d as d[1:]
-    np.testing.assert_array_equal(pb.materialize_LG(p) @ d, d[1:])
+    # L^G drops C: kkt and driver read L^G d as d[1:], and materialize_kkt
+    # assembles it as this shifted identity
+    np.testing.assert_array_equal(sp.eye(p.m, p.m + 1, k=1) @ d, d[1:])
     np.testing.assert_allclose(pb.apply_LH(p, d), LH @ d, atol=1e-11)
     s = rng.standard_normal(p.m)
     np.testing.assert_allclose(pb.apply_LH_T(p, s), LH.T @ s, atol=1e-11)
