@@ -9,7 +9,7 @@ from .data import Dataset, SplitPlan, make_split, parse_libsvm, write_libsvm
 from .driver import (OuterConfig, SolveReport, assumption2_value,
                      classify_index_sets, cv_error, eps_schedule,
                      initial_point, postprocess, run_smoothing, test_error)
-from .kkt import KktOperator, KktPoint, licq_probe, merit, merit_grad
+from .kkt import KktOperator, KktPoint, licq_probe, merit
 from .krylov import KrylovResult, bicgstab
 from .newton import NewtonConfig, armijo_search, solve_subproblem
 from .problem import MpecProblem, assemble, eval_G, eval_H

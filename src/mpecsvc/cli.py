@@ -256,7 +256,7 @@ def cmd_check(args, ds, plan, p):
     dr = rng.standard_normal(2 * p.m + 1)
     gfd = central(lambda x: kkt.merit(p, kkt.KktPoint.from_vector(p, x, eps)),
                   r.to_vector(), dr)
-    gdot = float(np.dot(kkt.merit_grad(p, r), dr))
+    gdot = float(np.dot(op.kkt_apply(op.residual()), dr))
     compare("merit_grad_fd", abs(gdot - gfd), 1e-5 * max(abs(gfd), 1e-12))
 
     e = rng.standard_normal(2 * p.m + 1)

@@ -68,7 +68,7 @@ class Dataset:
         Stored zeros are dropped, as the product diag(y) X drops them.
         """
         idx = np.asarray(indices, dtype=np.intp)
-        rows = self.X[idx]
+        rows = self.to_csr(idx)
         rows.data *= np.repeat(self.labels[idx], np.diff(rows.indptr))
         rows.eliminate_zeros()
         return rows

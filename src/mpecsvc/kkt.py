@@ -116,11 +116,8 @@ class KktOperator:
         return self.kkt_apply(self._lift(d))[:self.p.m + 1]
 
     def _lift(self, d):
-        """(d; 0) for d of length m+1."""
-        d = np.asarray(d, dtype=float)
-        if d.shape != (self.p.m + 1,):
-            raise ValueError(f"expected length {self.p.m + 1}, got {d.shape}")
-        return np.concatenate([d, np.zeros(self.p.m)])
+        """(d; 0) for d of length m+1; kkt_apply checks the length."""
+        return np.concatenate([np.asarray(d, dtype=float), np.zeros(self.p.m)])
 
     def kkt_apply(self, d):
         """J_r F_eps applied to d = (dv; dl) of length 2m+1 (symmetric
@@ -485,12 +482,6 @@ def merit(p, r):
     """g_eps(r) = 0.5 * ||F_eps(r)||^2."""
     F = KktOperator(p, r).residual()
     return 0.5 * float(np.dot(F, F))
-
-
-def merit_grad(p, r):
-    """grad g_eps(r) = J_r F_eps(r) F_eps(r) (Jacobian is symmetric)."""
-    op = KktOperator(p, r)
-    return op.kkt_apply(op.residual())
 
 
 def constraint_fold_solves(op):

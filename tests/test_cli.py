@@ -16,8 +16,9 @@ import scipy
 
 import mpecsvc as M
 from mpecsvc.cli import (EXIT_ASSEMBLY, EXIT_CHECK_FAILED, EXIT_OK,
-                         EXIT_PARSE, EXIT_SOLVER, _environment, _settings,
-                         build_parser, main)
+                         EXIT_PARSE, EXIT_SOLVER, _environment, _load,
+                         _settings, build_parser, main)
+from mpecsvc.data import scale_features
 from mpecsvc.driver import OuterConfig
 from mpecsvc.newton import NewtonConfig
 
@@ -141,6 +142,22 @@ class TestSolve:
         failed = [s for s in subs if s["status"] != "converged"]
         assert code == (EXIT_SOLVER if failed else EXIT_OK)
         assert bool(failed) == (maxit == 1)
+
+    def test_scale_loads_the_scaled_dataset(self, data_file, tmp_path):
+        def parts(ds):
+            X = ds.X
+            return (X.shape, X.data.tobytes(), X.indices.tobytes(),
+                    X.indptr.tobytes(), ds.labels.tobytes())
+
+        args = build_parser().parse_args(
+            ["solve", "--data", str(data_file), "--p1", "6", "--scale"])
+        ds, _, _ = _load(args)
+        read = M.parse_libsvm(data_file)
+        assert parts(ds) == parts(scale_features(read)) != parts(read)
+        code = run(["solve", "--data", data_file, "--p1", 6, "--scale",
+                    "--eps-min", "1e-3", "--out", tmp_path, "--quiet"])
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert code == EXIT_OK and report["config"]["scale"] is True
 
 
 class TestGrid:

@@ -182,6 +182,27 @@ class TestPostprocess:
         assert C_hat == pytest.approx(1.2 * 3 / 2)
         assert w.shape == (tiny_ds.n_features,)
 
+    def test_retraining_that_stops_early_warns(self, heart_ds, heart_plan,
+                                               heart_p):
+        # heart's C_hat 3.907, where ROADMAP item 3's design ends: the
+        # coordinate descent stops at max_epochs, and the w it stops at
+        # still gives the oracle's E_te; at today's 1.044 nothing is said
+        v = np.zeros(heart_p.m + 1)
+        v[0] = 3.907 * 2 / 3
+        with pytest.warns(UserWarning) as record:
+            C_hat, w = postprocess(heart_p, v, heart_ds, heart_plan)
+        assert C_hat == 3.907
+        assert [str(r.message) for r in record] == [
+            "baseline retraining stopped at max_epochs (violation 1.22e-06)"]
+        assert holdout_error(heart_ds, heart_plan.test_indices,
+                             w) == pytest.approx(100 * 20 / 120)
+
+        v[0] = 0.6960167719513022
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            C_hat, _ = postprocess(heart_p, v, heart_ds, heart_plan)
+        assert C_hat == pytest.approx(1.044, abs=1e-3)
+
     def test_test_error_empty_set(self, tiny_ds):
         assert holdout_error(tiny_ds, (), np.zeros(4)) == 0.0
 

@@ -113,6 +113,20 @@ class TestDerivatives:
         assert abs(lhs - rhs) <= 1e-10 * max(
             np.linalg.norm(d) * np.linalg.norm(e), 1.0)
 
+    def test_products_reject_other_lengths(self, tiny_p):
+        # at length m + 2, dl would be one entry that broadcasts, and the
+        # product would return a vector of length 2m + 1 unchecked; the
+        # blocks lift (d; 0), so kkt_apply's check is theirs too
+        op = KktOperator(tiny_p, random_kkt_point(tiny_p, eps=0.4, seed=6))
+        m = tiny_p.m
+        for apply, lengths in ((op.kkt_apply, (2 * m, 2 * m + 2, m + 2)),
+                               (op.hess_apply, (m, m + 2)),
+                               (op.jac_apply, (m, m + 2))):
+            for n in lengths:
+                with pytest.raises(ValueError,
+                                   match=f"expected length {2 * m + 1}"):
+                    apply(np.ones(n))
+
     @pytest.mark.parametrize("name", ["tiny_p", "heart_p", "complementary"])
     def test_kkt_apply_matches_assembled(self, name, request):
         if name == "complementary":
@@ -134,7 +148,8 @@ class TestDerivatives:
         r = random_kkt_point(tiny_p, eps=0.3, seed=7)
         rng = np.random.default_rng(7)
         h = 1e-6 * (1.0 + np.linalg.norm(r.to_vector()))
-        grad = M.merit_grad(tiny_p, r)
+        op = KktOperator(tiny_p, r)
+        grad = op.kkt_apply(op.residual())
         for _ in range(3):
             dr = rng.standard_normal(2 * tiny_p.m + 1)
             fd = (M.merit(tiny_p, KktPoint.from_vector(tiny_p, r.to_vector() + h * dr, 0.3))

@@ -119,6 +119,17 @@ class TestFailureModes:
                        max_iters=500)
         assert res.status in ("breakdown", "stalled", "max_iters", "degraded")
 
+    def test_breakdown_returns_the_zero_start(self):
+        # a rotation by 90 degrees: its product with the first search
+        # direction e1 is orthogonal to the shadow residual e1, so the first
+        # iteration breaks down before it moves x
+        rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        res = bicgstab(lambda x: rotation @ x, np.array([1.0, 0.0]),
+                       rel_tol=1e-10, max_iters=10)
+        assert (res.status, res.iterations) == ("breakdown", 1)
+        np.testing.assert_array_equal(res.x, np.zeros(2))
+        assert res.residual_norm == 1.0
+
     def test_config_validation(self):
         for rel_tol, max_iters, abs_tol in [(0.0, 10, 1e-12),
                                             (np.nan, 10, 1e-12),

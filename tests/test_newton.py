@@ -115,6 +115,36 @@ class TestSubproblem:
         norms = [normF0] + [row.normF for row in trace]
         assert all(b > (1.0 - 1e-3) * a for a, b in zip(norms, norms[1:]))
 
+    def test_exhausted_line_search_ends_the_subproblem(self, tiny_p,
+                                                       monkeypatch):
+        # a slope that no trial can meet: every one of the 1 + MAX_BACKTRACKS
+        # trials is rejected, the failed step is the one row, and the
+        # subproblem returns its start point
+        direction = newton._direction
+
+        def steep(op, F, route):
+            d, grad, _, lin_iters, route, lin_resid = direction(op, F, route)
+            return d, grad, -1e300, lin_iters, route, lin_resid
+
+        monkeypatch.setattr(newton, "_direction", steep)
+        r0 = KktPoint(v=initial_point(tiny_p, 1.0).v,
+                      lam=np.full(tiny_p.m, 0.1), eps=0.5)
+        normF0 = float(np.linalg.norm(KktOperator(tiny_p, r0).residual()))
+        r, trace, status = solve_subproblem(tiny_p, 0.5, r0)
+        assert status == "line_search_failure" and len(trace) == 1
+        row = trace[0]
+        assert (row.k, row.step, row.backtracks) == (0, 0.0,
+                                                     newton.MAX_BACKTRACKS)
+        assert row.normF == normF0
+        np.testing.assert_array_equal(r.to_vector(), r0.to_vector())
+
+        # run_smoothing records the status and goes on from the same point
+        v, report = run_smoothing(tiny_p, OuterConfig(eps_min=0.25))
+        assert [(rec.status, rec.inner_iters)
+                for rec in report.outer_records] == [
+            ("line_search_failure", 1)] * 3
+        np.testing.assert_array_equal(v, initial_point(tiny_p, 1.0).v)
+
     def test_products_build_no_transpose(self, tiny_ds, tiny_plan,
                                          monkeypatch):
         # every transposed product reuses the problem's bound kernels, so a
@@ -299,6 +329,22 @@ class TestDirection:
         p = request.getfixturevalue(name)
         r0 = KktPoint(v=initial_point(p, 1.0).v, lam=np.zeros(p.m), eps=0.5)
         r, trace, status = solve_subproblem(p, 0.5, r0)
+        assert (status, trace) == ("no_descent", [])
+        np.testing.assert_array_equal(r.to_vector(), r0.to_vector())
+
+    def test_an_ascent_step_raises_no_descent(self, tiny_p, monkeypatch):
+        # a fold solve whose step goes uphill gives no direction, and the
+        # subproblem ends without a row at its start point
+        fold_solve = newton.fold_solve
+        monkeypatch.setattr(newton, "fold_solve",
+                            lambda op, rhs, shift: -fold_solve(op, rhs, shift))
+        r0 = KktPoint(v=initial_point(tiny_p, 1.0).v,
+                      lam=np.full(tiny_p.m, 0.1), eps=0.5)
+        op = KktOperator(tiny_p, r0)
+        with pytest.raises(NoDescentError,
+                           match="^the fold solve gave no descent direction$"):
+            _direction(op, op.residual(), "direct")
+        r, trace, status = solve_subproblem(tiny_p, 0.5, r0, route="direct")
         assert (status, trace) == ("no_descent", [])
         np.testing.assert_array_equal(r.to_vector(), r0.to_vector())
 

@@ -48,6 +48,16 @@ class TestDimensions:
         with pytest.raises(ValueError):
             M.assemble(tiny_ds, plan)
 
+    @pytest.mark.parametrize("folds, message", [
+        (((0, 1), (2, 3), (4,)), "folds are not of equal size"),
+        (((0, 1), (2, 3), (4, 12)), "fold index 12 outside dataset"),
+        (((0, 1), (-1, 3), (4, 5)), "fold index -1 outside dataset")])
+    def test_assemble_rejects_bad_folds(self, tiny_ds, folds, message):
+        cv = tuple(i for fold in folds for i in fold)
+        plan = M.SplitPlan(cv_indices=cv, test_indices=(), folds=folds)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            M.assemble(tiny_ds, plan)
+
 
 class TestBlockDiagonal:
     def test_A_blocks_are_validation_rows(self, tiny_ds, tiny_plan, tiny_p):
