@@ -4,19 +4,19 @@ At a fixed smoothing level eps the first-order conditions form a square
 nonlinear system F_eps(v, lambda) = 0 of dimension 2m+1.  A damped Newton
 method drives ||F_eps|| to zero, and no matrix is assembled.  The linear
 systems are tried first by BiCGStab on the matrix-free Jacobian product
-(solve_subproblem's default route="bicgstab"; in the full schedule,
-run_smoothing starts a subproblem on "direct" instead when the one before
-it converged after a first step that was not a BiCGStab step).  The first
-time BiCGStab misses its forcing target, the step and the rest of the
-subproblem are solved directly from the fold structure (route "direct"):
-one 4x4 block per data point, a rank-2n coupling per fold and a Schur
-complement on C.  After a collapsed line search the rest of the steps are
-Levenberg-Marquardt directions (route "lm"), the real part of the same fold
-solve with the imaginary shift -i*||F||.  The route never goes back within a
-subproblem.  This script runs one subproblem on the bundled dataset and
-prints the per-iteration trace, with the route each step took, its linear
-iterations (BiCGStab's, plus one for a fold solve) and the relative residual
-of its linear solve.
+(this script passes route "bicgstab", the route newton.next_route picks for
+the first subproblem; in the full schedule, next_route starts a subproblem
+on "direct" instead when the one before it converged after a first step that
+was not a BiCGStab step).  The first time BiCGStab misses its forcing
+target, the step and the rest of the subproblem are solved directly from the
+fold structure (route "direct"): one 4x4 block per data point, a rank-2n
+coupling per fold and a Schur complement on C.  After a collapsed line
+search the rest of the steps are Levenberg-Marquardt directions (route
+"lm"), the real part of the same fold solve with the imaginary shift
+-i*||F||.  The route never goes back within a subproblem.  This script runs
+one subproblem on the bundled dataset and prints the per-iteration trace,
+with the route each step took, its linear iterations (BiCGStab's, plus one
+for a fold solve) and the relative residual of its linear solve.
 """
 
 import time
@@ -38,7 +38,7 @@ r0 = M.initial_point(p, C0=1.0)
 cfg = M.NewtonConfig(f_tol=1e-2 * eps * eps)
 
 t0 = time.perf_counter()
-r, trace, status = M.solve_subproblem(p, eps, r0, cfg)
+r, trace, status = M.solve_subproblem(p, eps, r0, cfg, "bicgstab")
 wall = time.perf_counter() - t0
 
 print(f"\n{'k':>3} {'||F||':>12} {'step':>8} {'lin iters':>9} "

@@ -103,24 +103,24 @@ def run_smoothing(p, ocfg=None, ncfg=None):
     subproblem is recorded and the loop continues from its last accepted
     iterate.
 
-    Each subproblem's first step starts on the route that newton.next_route
-    picks from the subproblem before it; the first starts on bicgstab.
+    newton.next_route picks every subproblem's start route from the one
+    before it, and the first one's from ([], None).
     """
     ocfg = ocfg or OuterConfig()
     ncfg = ncfg or NewtonConfig()
     t0 = time.perf_counter()
     r = initial_point(p, ocfg.initial_C)
     records = []
-    route = "bicgstab"
+    trace, status = [], None
     for t, eps in enumerate(eps_schedule(ocfg)):
         # solving much below the eps^2/2 complementarity scale wastes work,
         # so the tolerance is relaxed while eps is large and floors at f_tol
         f_tol = max(ncfg.f_tol, 1e-2 * eps * eps)
         sub_cfg = replace(ncfg, f_tol=f_tol)
-        t1 = time.perf_counter()
-        r, trace, status = solve_subproblem(p, eps, r, sub_cfg, route=route)
-        wall_ms = 1000.0 * (time.perf_counter() - t1)
         route = next_route(trace, status)
+        t1 = time.perf_counter()
+        r, trace, status = solve_subproblem(p, eps, r, sub_cfg, route)
+        wall_ms = 1000.0 * (time.perf_counter() - t1)
         op = KktOperator(p, r)
         normF = float(np.linalg.norm(op.residual()))
         gap = float(np.max(np.abs(op.G * op.H - 0.5 * eps * eps)))

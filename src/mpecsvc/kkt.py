@@ -106,8 +106,7 @@ class KktOperator:
         y = np.asarray(y, dtype=float)
         w = self.weights
         out = pb.apply_LH_T(self.p, w.wH * y)
-        out[0] += 0.0            # + (L^G)^T (W^G y) in place; see kkt_apply
-        out[1:] += w.wG * y
+        out[1:] += w.wG * y      # + (L^G)^T (W^G y) = (0; W^G y), in place
         return out
 
     def hess_apply(self, d):
@@ -140,10 +139,9 @@ class KktOperator:
         h += c.mH * w
         h -= wt.wH * dl
         out = np.empty(nv + p.m)
-        # (L^H)^T h + (L^G)^T g with (L^G)^T g = (0; g), summed into out;
-        # the + 0.0 on C turns -0.0 into +0.0, as adding two vectors does
+        # (L^H)^T h + (L^G)^T g with (L^G)^T g = (0; g), summed into out
         top = pb.apply_LH_T(p, h)
-        out[0] = top[0] + 0.0
+        out[0] = top[0]
         np.add(top[1:], g, out=out[1:nv])
         low = out[nv:]
         np.multiply(wt.wG, u, out=low)

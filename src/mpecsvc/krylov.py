@@ -14,6 +14,7 @@ import numpy as np
 
 BREAKDOWN_EPS = 1e-30
 STALL_ITERS = 150       # bail out if the best residual stops improving
+ABS_TOL = 1e-12         # the residual target never falls below this
 
 
 @dataclass
@@ -29,16 +30,16 @@ def _norm(x):
     return math.sqrt(np.dot(x, x))
 
 
-def bicgstab(apply, rhs, rel_tol, max_iters, abs_tol=1e-12):
+def bicgstab(apply, rhs, rel_tol, max_iters):
     """Solve apply(x) = rhs from x = 0, with r = rhs, to the residual target
-    max(rel_tol*||rhs||, abs_tol) in at most max_iters iterations.
+    max(rel_tol*||rhs||, ABS_TOL) in at most max_iters iterations.
 
     apply runs in the iterations and once on the x returned, for its true
     residual, and must return a new array, or its argument: the recursion
     keeps v across the call that gives t.
     """
-    if not (rel_tol > 0 and abs_tol >= 0):
-        raise ValueError("rel_tol must be positive and abs_tol non-negative")
+    if not (rel_tol > 0):
+        raise ValueError("rel_tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     rhs = np.asarray(rhs, dtype=float)
@@ -46,7 +47,7 @@ def bicgstab(apply, rhs, rel_tol, max_iters, abs_tol=1e-12):
     x = np.zeros(n)
 
     norm_b = _norm(rhs)
-    target = max(rel_tol * norm_b, abs_tol)
+    target = max(rel_tol * norm_b, ABS_TOL)
 
     r = r_hat = rhs
     best_x, best_norm = x, norm_b

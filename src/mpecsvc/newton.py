@@ -2,19 +2,19 @@
 
 Each step solves J_r F_eps(r) d = -F_eps(r), and no matrix is assembled.
 A subproblem's steps take one of three routes, and its route only moves
-forward from the one it starts on, which next_route picks from the
-subproblem before it.  On BiCGStab, each step runs on the matrix-free product
-KktOperator.kkt_apply.  The first time BiCGStab misses its forcing target,
-that step and the rest of the subproblem are solved exactly by
-kkt.fold_solve, which works from the fold structure: one 4x4 block per data
-point, a rank-2n coupling per fold and a Schur complement on C.  After a
-collapsed line search the rest of the subproblem takes Levenberg-Marquardt
-directions, the real part of the same fold solve with the complex shift
--i*||F||.  When the fold solve is singular or gives no descent direction
-for the merit g = 0.5*||F||^2, no step is taken and the subproblem ends
-with the status no_descent.  A subproblem's trace is a list with one
-TraceRow per step: the route the step took, the relative residual of the
-step in the Newton system, the shift used, the backtracks of its line
+forward from the one it starts on.  next_route alone picks it, from the
+subproblem before, or from ([], None) for the first.  On BiCGStab, each step
+runs on the matrix-free product KktOperator.kkt_apply.  The first time
+BiCGStab misses its forcing target, that step and the rest of the subproblem
+are solved exactly by kkt.fold_solve, which works from the fold structure:
+one 4x4 block per data point, a rank-2n coupling per fold and a Schur
+complement on C.  After a collapsed line search the rest of the subproblem
+takes Levenberg-Marquardt directions, the real part of the same fold solve
+with the complex shift -i*||F||.  When the fold solve is singular or gives
+no descent direction for the merit g = 0.5*||F||^2, no step is taken and the
+subproblem ends with the status no_descent.  A subproblem's trace is a list
+with one TraceRow per step: the route the step took, the relative residual
+of the step in the Newton system, the shift used, the backtracks of its line
 search, and the wall time of the step's two phases, which rows ignore when
 compared.
 """
@@ -175,7 +175,8 @@ def next_route(trace, status):
     """The route the next subproblem's first step starts on, given this
     subproblem's trace and status: direct when it converged and its first
     step was not a BiCGStab step (BiCGStab missed there, or the subproblem
-    started direct), else bicgstab.
+    started direct), else bicgstab.  Before the first subproblem there is
+    no trace, and next_route([], None) is bicgstab.
 
     A converged subproblem hands on a point on the path at a smaller eps,
     where the system is worse conditioned and the forcing target tighter,
@@ -187,11 +188,11 @@ def next_route(trace, status):
     return "bicgstab"
 
 
-def solve_subproblem(p, eps, r0, cfg=None, route="bicgstab"):
+def solve_subproblem(p, eps, r0, cfg, route):
     """Run the damped Newton method on F_eps = 0 from r0.
 
-    The first step starts on `route`, bicgstab or direct as next_route
-    picks it (anything else raises ValueError), and the route only moves
+    The first step starts on `route`, bicgstab or direct, the one next_route
+    picks (anything else raises ValueError), and the route only moves
     forward from there: to direct after BiCGStab's first miss, and to lm
     after a collapsed line search.
     Returns (KktPoint, trace, status): trace is a list with one TraceRow per
@@ -208,7 +209,6 @@ def solve_subproblem(p, eps, r0, cfg=None, route="bicgstab"):
     """
     if route not in ("bicgstab", "direct"):
         raise ValueError(f"unknown route {route!r}")
-    cfg = cfg or NewtonConfig()
     r = KktPoint(v=np.asarray(r0.v, dtype=float).copy(),
                  lam=np.asarray(r0.lam, dtype=float).copy(), eps=eps)
     trace = []

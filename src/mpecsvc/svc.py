@@ -47,18 +47,18 @@ class DualSvcResult:
     status: str                # converged | max_epochs
 
 
-def solve_l1svc_dual(rows, C, max_epochs=1000, tol=1e-8):
+MAX_EPOCHS = 1000   # epochs before the dual solve stops at max_epochs
+TOL = 1e-8          # largest projected-gradient violation that converges
+
+
+def solve_l1svc_dual(rows, C):
     """Coordinate descent on the dual box QP; returns alpha and w = rows^T a.
 
     rows is a dense (N, n) array of signed rows.  Stops when an epoch's
-    largest projected-gradient violation is at most tol, or after
-    max_epochs epochs.  Coordinate order is a fresh permutation per epoch,
+    largest projected-gradient violation is at most TOL, or after
+    MAX_EPOCHS epochs.  Coordinate order is a fresh permutation per epoch,
     seeded with 0.  Zero-norm rows are skipped (their alpha stays 0).
     """
-    if max_epochs < 1:
-        raise ValueError("max_epochs must be >= 1")
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
     if not (C >= 0):
         raise ValueError("C must be >= 0")
     C = float(C)
@@ -74,7 +74,7 @@ def solve_l1svc_dual(rows, C, max_epochs=1000, tol=1e-8):
     tmp = np.empty(n)
     rng = np.random.default_rng(0)
     status = "max_epochs"
-    for epoch in range(1, max_epochs + 1):
+    for epoch in range(1, MAX_EPOCHS + 1):
         violation = 0.0
         for i in rng.permutation(N).tolist():
             q = qdiag[i]
@@ -101,7 +101,7 @@ def solve_l1svc_dual(rows, C, max_epochs=1000, tol=1e-8):
                 if a_new != a:
                     w += np.multiply(a_new - a, r, out=tmp)
                     alpha[i] = a_new
-        if violation <= tol:
+        if violation <= TOL:
             status = "converged"
             break
     return DualSvcResult(alpha=np.array(alpha, dtype=float), w=w,

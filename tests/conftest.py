@@ -106,6 +106,33 @@ def wide_p():
     return M.assemble(*generated("wide_p"))
 
 
+# Rows copied, labels with them, onto the rows after them: LIBSVM files
+# often hold the same point twice.
+DUPLICATES = {0: 1, 2: 3, 8: 9, 10: 11}
+
+
+def duplicated(n_points, n_features, p1):
+    """tiny_arrays(n_points, n_features, seed=5) with the DUPLICATES copied,
+    as (dataset, split plan) split into T = 3 folds with seed 0."""
+    X, y = tiny_arrays(n_points, n_features, seed=5)
+    src, dst = list(DUPLICATES), list(DUPLICATES.values())
+    X[dst], y[dst] = X[src], y[src]
+    ds = M.Dataset(X=sp.csr_matrix(X), labels=y.astype(float))
+    return ds, M.make_split(ds, p1=p1, T=3, seed=0)
+
+
+@pytest.fixture(scope="session")
+def duplicated_instances():
+    """(split plan, problem) with duplicated points, by name: narrow (60
+    points, 4 features, p1 = 30; its folds are lifted) and wide (100
+    points, 300 features, p1 = 60; its folds are formed densely)."""
+    out = {}
+    for name, args in (("narrow", (60, 4, 30)), ("wide", (100, 300, 60))):
+        ds, plan = duplicated(*args)
+        out[name] = plan, M.assemble(ds, plan)
+    return out
+
+
 @pytest.fixture
 def forbid_assembly(monkeypatch):
     """Makes every builder of an explicit matrix (K and L^H) raise."""

@@ -61,7 +61,8 @@ def tail_trace(heart_p):
     pt, rep = run_smoothing(heart_p, ocfg, NewtonConfig(max_iters=100))
     eps = 1e-2
     cfg = NewtonConfig(max_iters=100, f_tol=1e-2 * eps * eps)
-    r, trace, status = M.solve_subproblem(heart_p, eps, rep.final_point, cfg)
+    r, trace, status = M.solve_subproblem(heart_p, eps, rep.final_point, cfg,
+                                          "bicgstab")
     return trace, status, rep
 
 
@@ -231,7 +232,9 @@ def test_07_end_to_end_vs_grid(solve_result, grid_result):
            f"E_te {solve_result['E_te']:.2f}%, solve {solve_result['wall']:.1f}s")
 
 
-def test_08_dual_svc_oracle():
+def test_08_dual_svc_oracle(monkeypatch):
+    monkeypatch.setattr(M.svc, "MAX_EPOCHS", 2000)
+    monkeypatch.setattr(M.svc, "TOL", 1e-12)
     rng = np.random.default_rng(2)
     worst_obj, worst_kkt = 0.0, 0.0
     for i in range(20):
@@ -239,7 +242,7 @@ def test_08_dual_svc_oracle():
         n = int(rng.integers(1, 5))
         rows = rng.standard_normal((n_pts, n))
         C = float(rng.uniform(0.1, 5.0))
-        res = solve_l1svc_dual(rows, C, max_epochs=2000, tol=1e-12)
+        res = solve_l1svc_dual(rows, C)
         Q = rows @ rows.T
         obj_ref, _ = brute_force_box_qp(Q, C)
         obj = 0.5 * res.alpha @ Q @ res.alpha - res.alpha.sum()
@@ -258,7 +261,8 @@ def test_08_dual_svc_oracle():
            f"{worst_kkt:.1e}")
 
 
-def test_09_krylov_vs_dense():
+def test_09_krylov_vs_dense(monkeypatch):
+    monkeypatch.setattr(M.krylov, "ABS_TOL", 0.0)
     rng = np.random.default_rng(3)
     worst = 0.0
     for i in range(50):
@@ -271,8 +275,7 @@ def test_09_krylov_vs_dense():
             A = np.diag(rng.uniform(1.0, 2.0, n))
             A += 0.2 / np.sqrt(n) * rng.standard_normal((n, n))
         b = rng.standard_normal(n)
-        res = M.bicgstab(lambda x: A @ x, b, rel_tol=1e-12,
-                         max_iters=10 * n, abs_tol=0.0)
+        res = M.bicgstab(lambda x: A @ x, b, rel_tol=1e-12, max_iters=10 * n)
         x_ref = np.linalg.solve(A, b)
         worst = max(worst, float(np.linalg.norm(res.x - x_ref)
                                  / np.linalg.norm(x_ref)))

@@ -1,6 +1,7 @@
 """CLI subcommands, artifacts, and exit codes."""
 
 import argparse
+import ast
 import csv
 import json
 import os
@@ -413,6 +414,35 @@ def test_command_line_surface():
                            (OuterConfig, {"eps0": 1.0, "kappa": 0.5})):
         assert not set(constants) & {f.name for f in fields(cls)}
         assert {k: getattr(cls(), k) for k in constants} == constants
+
+
+def test_defaulted_parameters():
+    # every parameter of the package that has a default; a new default is
+    # a deliberate edit here, as a new option is in test_command_line_surface
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    args = child.args
+                    positional = args.posonlyargs + args.args
+                    defaulted = positional[len(positional)
+                                           - len(args.defaults):]
+                    defaulted += [a for a, d in zip(args.kwonlyargs,
+                                                    args.kw_defaults)
+                                  if d is not None]
+                    found.update(f"{name}.{a.arg}" for a in defaulted)
+                visit(child, name)
+            else:
+                visit(child, prefix)
+
+    for path in sorted(Path(M.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert found == {"cli.main.argv", "driver.run_smoothing.ocfg",
+                     "driver.run_smoothing.ncfg", "problem._bind.product.out"}
 
 
 def test_check_and_grid_leave_heavy_scipy_modules_unloaded(data_file,

@@ -174,6 +174,13 @@ class TestSmoothingLoop:
         assert starts == ["bicgstab", "direct", "bicgstab", "direct",
                           "bicgstab", "bicgstab"]
 
+    def test_duplicated_points_converge(self, duplicated_instances):
+        # three pairs of equal points in the cv set, lifted folds
+        _, p = duplicated_instances["narrow"]
+        _, report = run_smoothing(p)
+        assert [rec.status for rec in report.outer_records] == [
+            "converged"] * 21
+
 
 class TestPostprocess:
     def test_rescales_C(self, tiny_ds, tiny_plan, tiny_p):

@@ -18,7 +18,7 @@ from mpecsvc.kkt import (FoldFactorization, KktOperator, KktPoint,
 from scipy.linalg.lapack import get_lapack_funcs
 from mpecsvc.smoothing import fb_value
 
-from conftest import (make_tiny_dataset, plain_fold_solve,
+from conftest import (DUPLICATES, make_tiny_dataset, plain_fold_solve,
                       plain_lifted_fold_system, random_kkt_point, spread)
 
 
@@ -851,6 +851,49 @@ class TestFoldSolve:
         else:
             x = dense_fold_solve(sp.csr_matrix(K), rhs, folds, border)
             assert np.linalg.norm(K @ x - rhs) <= 1e-12 * np.linalg.norm(x)
+
+
+class TestDuplicatedPoints:
+    """Two copies of a point, as LIBSVM files often hold, at the bounds of
+    check_against_oracles (1e-10) and acceptance test_02 (1e-6)."""
+
+    @pytest.mark.parametrize("name, pairs", [("narrow", 3), ("wide", 4)])
+    def test_pairs_land_in_the_cv_set(self, duplicated_instances, name,
+                                      pairs):
+        plan, _ = duplicated_instances[name]
+        cv = set(plan.cv_indices)
+        assert sum(a in cv and b in cv for a, b in DUPLICATES.items()) == pairs
+
+    def test_wide_folds_are_dense_with_singular_grams(self,
+                                                      duplicated_instances):
+        # each fold holds every cv point, both copies of a pair among them,
+        # so N_t has equal rows and N_t N_t^T is singular to rounding
+        _, p = duplicated_instances["wide"]
+        assert 2 * p.n >= 4 * (p.m1 + p.m2)     # fold_solve forms K_t densely
+        for gram in p.fold_grams:
+            eig = np.linalg.eigvalsh(gram)
+            assert abs(eig[0]) <= 1e-12 * eig[-1]
+
+    @pytest.mark.parametrize("shift", [0.0, -0.1j])
+    @pytest.mark.parametrize("name", ["narrow", "wide"])
+    def test_fold_solve_matches_oracles(self, duplicated_instances, name,
+                                        shift):
+        _, p = duplicated_instances[name]
+        rng = np.random.default_rng(36)
+        for i, eps in enumerate((1.0, 1e-2, 1e-4)):
+            op = KktOperator(p, random_kkt_point(p, eps, seed=80 + i))
+            check_against_oracles(op, rng.standard_normal(2 * p.m + 1),
+                                  shift=shift)
+
+    @pytest.mark.parametrize("name", ["narrow", "wide"])
+    def test_probe_matches_dense_svd(self, duplicated_instances, name):
+        _, p = duplicated_instances[name]
+        rng = np.random.default_rng(37)
+        for eps in (1.0, 1e-2, 1e-4):
+            v = np.abs(rng.standard_normal(p.m + 1)) + 0.1
+            est, _, converged = licq_probe(p, v, eps)
+            assert converged
+            assert est == pytest.approx(dense_sigma_min(p, v, eps), rel=1e-6)
 
 
 class TestKktApplyResults:

@@ -7,9 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpecsvc import krylov
 from mpecsvc.driver import initial_point
 from mpecsvc.kkt import KktOperator, KktPoint
 from mpecsvc.krylov import bicgstab
+
+
+@pytest.fixture
+def no_abs_tol(monkeypatch):
+    """A residual target of rel_tol * ||rhs|| alone, however small."""
+    monkeypatch.setattr(krylov, "ABS_TOL", 0.0)
 
 
 def well_conditioned(rng, n, symmetric=False):
@@ -66,27 +73,25 @@ class TestExactCases:
 
 
 class TestRandomSystems:
-    def test_matches_direct_solve(self):
+    def test_matches_direct_solve(self, no_abs_tol):
         rng = np.random.default_rng(2)
         for k in range(10):
             n = int(rng.integers(5, 120))
             A = well_conditioned(rng, n, symmetric=bool(k % 2))
             b = rng.standard_normal(n)
-            res = bicgstab(lambda x: A @ x, b, rel_tol=1e-12,
-                           max_iters=10 * n, abs_tol=0.0)
+            res = bicgstab(lambda x: A @ x, b, rel_tol=1e-12, max_iters=10 * n)
             x_ref = np.linalg.solve(A, b)
             assert res.status == "converged"
             err = np.linalg.norm(res.x - x_ref) / np.linalg.norm(x_ref)
             assert err <= 1e-8
 
-    def test_spd(self):
+    def test_spd(self, no_abs_tol):
         rng = np.random.default_rng(3)
         n = 60
         Q = well_conditioned(rng, n)
         A = Q @ Q.T + np.eye(n)
         b = rng.standard_normal(n)
-        res = bicgstab(lambda x: A @ x, b, rel_tol=1e-13, max_iters=10 * n,
-                       abs_tol=0.0)
+        res = bicgstab(lambda x: A @ x, b, rel_tol=1e-13, max_iters=10 * n)
         np.testing.assert_allclose(res.x, np.linalg.solve(A, b),
                                    rtol=0, atol=1e-9)
 
@@ -100,12 +105,11 @@ class TestRandomSystems:
 
 
 class TestFailureModes:
-    def test_max_iters(self):
+    def test_max_iters(self, no_abs_tol):
         rng = np.random.default_rng(7)
         A = well_conditioned(rng, 80)
         b = rng.standard_normal(80)
-        res = bicgstab(lambda x: A @ x, b, rel_tol=1e-14, max_iters=2,
-                       abs_tol=0.0)
+        res = bicgstab(lambda x: A @ x, b, rel_tol=1e-14, max_iters=2)
         assert res.status in ("max_iters", "degraded", "stalled")
         # best iterate bookkeeping: returned residual no worse than b itself
         assert res.residual_norm <= np.linalg.norm(b) * (1 + 1e-12)
@@ -131,12 +135,9 @@ class TestFailureModes:
         assert res.residual_norm == 1.0
 
     def test_config_validation(self):
-        for rel_tol, max_iters, abs_tol in [(0.0, 10, 1e-12),
-                                            (np.nan, 10, 1e-12),
-                                            (1e-10, 10, -1.0),
-                                            (1e-10, 0, 1e-12)]:
+        for rel_tol, max_iters in [(0.0, 10), (np.nan, 10), (1e-10, 0)]:
             with pytest.raises(ValueError):
-                bicgstab(lambda x: x, np.ones(3), rel_tol, max_iters, abs_tol)
+                bicgstab(lambda x: x, np.ones(3), rel_tol, max_iters)
 
 
 @settings(max_examples=25, deadline=None)
@@ -145,8 +146,11 @@ def test_diagonal_property(seed, n):
     rng = np.random.default_rng(seed)
     d = rng.uniform(0.5, 5.0, size=n)
     b = rng.standard_normal(n)
-    res = bicgstab(lambda x: d * x, b, rel_tol=1e-12, max_iters=10 * n,
-                   abs_tol=0.0)
+    # hypothesis runs every example under one function-scoped fixture, so
+    # the constant is patched here rather than by no_abs_tol
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(krylov, "ABS_TOL", 0.0)
+        res = bicgstab(lambda x: d * x, b, rel_tol=1e-12, max_iters=10 * n)
     assert res.status == "converged"
     np.testing.assert_allclose(res.x, b / d, rtol=1e-7, atol=1e-9)
 

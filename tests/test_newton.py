@@ -61,7 +61,7 @@ class TestSubproblem:
     def test_already_converged_returns_immediately(self, tiny_p):
         r0 = initial_point(tiny_p, 1.0)
         cfg = NewtonConfig(f_tol=1e9)
-        r, trace, status = solve_subproblem(tiny_p, 1.0, r0, cfg)
+        r, trace, status = solve_subproblem(tiny_p, 1.0, r0, cfg, "bicgstab")
         assert status == "converged"
         assert len(trace) == 0
         np.testing.assert_allclose(r.v, r0.v)
@@ -70,7 +70,7 @@ class TestSubproblem:
         eps = 0.5
         r0 = initial_point(tiny_p, 1.0)
         cfg = NewtonConfig(f_tol=1e-2 * eps * eps, max_iters=100)
-        r, trace, status = solve_subproblem(tiny_p, eps, r0, cfg)
+        r, trace, status = solve_subproblem(tiny_p, eps, r0, cfg, "bicgstab")
         assert status == "converged"
         op = KktOperator(tiny_p, r)
         normF = np.linalg.norm(op.residual())
@@ -83,7 +83,7 @@ class TestSubproblem:
     def test_trace_norm_decreases(self, tiny_p):
         r0 = initial_point(tiny_p, 1.0)
         cfg = NewtonConfig(f_tol=1e-3, max_iters=50)
-        _, trace, _ = solve_subproblem(tiny_p, 0.5, r0, cfg)
+        _, trace, _ = solve_subproblem(tiny_p, 0.5, r0, cfg, "bicgstab")
         norms = [row.normF for row in trace]
         assert len(norms) >= 1
         assert all(b < a for a, b in zip(norms, norms[1:]))
@@ -93,7 +93,7 @@ class TestSubproblem:
     def test_max_iters_status(self, tiny_p):
         r0 = initial_point(tiny_p, 1.0)
         cfg = NewtonConfig(f_tol=1e-14, max_iters=1)
-        _, trace, status = solve_subproblem(tiny_p, 0.5, r0, cfg)
+        _, trace, status = solve_subproblem(tiny_p, 0.5, r0, cfg, "bicgstab")
         assert status in ("max_iters", "line_search_failure")
         assert len(trace) <= 2
 
@@ -109,7 +109,8 @@ class TestSubproblem:
         normF0 = np.linalg.norm(KktOperator(
             tiny_p, KktPoint(v=r0.v, lam=r0.lam, eps=0.5)).residual())
         _, trace, status = solve_subproblem(tiny_p, 0.5, r0,
-                                            NewtonConfig(f_tol=1e-3))
+                                            NewtonConfig(f_tol=1e-3),
+                                            "bicgstab")
         assert status == "stagnated"
         assert len(trace) == 5
         norms = [normF0] + [row.normF for row in trace]
@@ -130,7 +131,8 @@ class TestSubproblem:
         r0 = KktPoint(v=initial_point(tiny_p, 1.0).v,
                       lam=np.full(tiny_p.m, 0.1), eps=0.5)
         normF0 = float(np.linalg.norm(KktOperator(tiny_p, r0).residual()))
-        r, trace, status = solve_subproblem(tiny_p, 0.5, r0)
+        r, trace, status = solve_subproblem(tiny_p, 0.5, r0, NewtonConfig(),
+                                            "bicgstab")
         assert status == "line_search_failure" and len(trace) == 1
         row = trace[0]
         assert (row.k, row.step, row.backtracks) == (0, 0.0,
@@ -159,7 +161,7 @@ class TestSubproblem:
 
         monkeypatch.setattr(sp.csr_matrix, "transpose", counted)
         _, trace, _ = solve_subproblem(p, 0.01, initial_point(p, 1.0),
-                                       NewtonConfig(f_tol=1e-3))
+                                       NewtonConfig(f_tol=1e-3), "bicgstab")
         assert {"bicgstab", "direct"} <= {row.route for row in trace}
         assert len(builds) <= 2
 
@@ -178,7 +180,7 @@ class TestSubproblem:
 
                 monkeypatch.setattr(cls, name, counted)
         _, trace, _ = solve_subproblem(p, 0.01, initial_point(p, 1.0),
-                                       NewtonConfig(f_tol=1e-3))
+                                       NewtonConfig(f_tol=1e-3), "bicgstab")
         assert {"bicgstab", "direct"} <= {row.route for row in trace}
         assert dispatches == []
 
@@ -189,7 +191,7 @@ class TestSubproblem:
         # formulas with `@`: the rounding of every product is the formula's
         def first_subproblem():
             return solve_subproblem(heart_p, 1.0, initial_point(heart_p, 1.0),
-                                    NewtonConfig(f_tol=1e-2))
+                                    NewtonConfig(f_tol=1e-2), "bicgstab")
 
         r, trace, status = first_subproblem()
         request.getfixturevalue("plain_products")
@@ -212,7 +214,7 @@ class TestSubproblem:
 
         monkeypatch.setattr(newton, "KktOperator", Recorded)
         _, trace, _ = solve_subproblem(tiny_p, 0.01, initial_point(tiny_p, 1.0),
-                                       NewtonConfig(f_tol=1e-3))
+                                       NewtonConfig(f_tol=1e-3), "bicgstab")
         backtracks = sum(row.backtracks for row in trace)
         assert backtracks > 0
         assert len(created) == 1 + len(trace) + backtracks
@@ -269,14 +271,16 @@ class TestSubproblem:
         # solve at eps=0.5, then warm-start eps=0.25: few iterations needed
         r0 = initial_point(tiny_p, 1.0)
         cfg = NewtonConfig(f_tol=1e-3, max_iters=100)
-        r1, _, s1 = solve_subproblem(tiny_p, 0.5, r0, cfg)
+        r1, _, s1 = solve_subproblem(tiny_p, 0.5, r0, cfg, "bicgstab")
         assert s1 == "converged"
         cfg2 = NewtonConfig(f_tol=1e-3 / 4, max_iters=100)
-        r2, trace2, s2 = solve_subproblem(tiny_p, 0.25, r1, cfg2)
+        r2, trace2, s2 = solve_subproblem(tiny_p, 0.25, r1, cfg2,
+                                         "bicgstab")
         assert s2 == "converged"
         cold_cfg = NewtonConfig(f_tol=1e-3 / 4, max_iters=100)
         _, trace_cold, _ = solve_subproblem(tiny_p, 0.25,
-                                            initial_point(tiny_p, 1.0), cold_cfg)
+                                            initial_point(tiny_p, 1.0),
+                                            cold_cfg, "bicgstab")
         assert len(trace2) <= len(trace_cold)
 
 
@@ -328,7 +332,8 @@ class TestDirection:
                                                            request, starved):
         p = request.getfixturevalue(name)
         r0 = KktPoint(v=initial_point(p, 1.0).v, lam=np.zeros(p.m), eps=0.5)
-        r, trace, status = solve_subproblem(p, 0.5, r0)
+        r, trace, status = solve_subproblem(p, 0.5, r0, NewtonConfig(),
+                                            "bicgstab")
         assert (status, trace) == ("no_descent", [])
         np.testing.assert_array_equal(r.to_vector(), r0.to_vector())
 
@@ -344,22 +349,24 @@ class TestDirection:
         with pytest.raises(NoDescentError,
                            match="^the fold solve gave no descent direction$"):
             _direction(op, op.residual(), "direct")
-        r, trace, status = solve_subproblem(tiny_p, 0.5, r0, route="direct")
+        r, trace, status = solve_subproblem(tiny_p, 0.5, r0, NewtonConfig(),
+                                            "direct")
         assert (status, trace) == ("no_descent", [])
         np.testing.assert_array_equal(r.to_vector(), r0.to_vector())
 
     def test_a_miss_latches_the_subproblem_onto_the_fold_solve(self, tiny_p,
                                                                starved):
         # BiCGStab's first miss sends that step and the rest of its
-        # subproblem to the fold solve; a new call started on bicgstab (the
-        # default) tries BiCGStab again.  A latched direct row's lin_iters
+        # subproblem to the fold solve; a new call started on bicgstab tries
+        # BiCGStab again.  A latched direct row's lin_iters
         # is the fold solve alone.
         r = KktPoint(v=initial_point(tiny_p, 1.0).v,
                      lam=np.full(tiny_p.m, 0.1), eps=0.5)
         for eps in (0.5, 0.25):
             starved.clear()
             r, trace, status = solve_subproblem(tiny_p, eps, r,
-                                                NewtonConfig(f_tol=1e-3))
+                                                NewtonConfig(f_tol=1e-3),
+                                                "bicgstab")
             assert status == "converged" and len(trace) > 1
             assert len(starved) == 1
             assert (trace[0].route, trace[0].lin_iters) == ("direct", 2)
@@ -372,19 +379,19 @@ class TestDirection:
                       lam=np.full(tiny_p.m, 0.1), eps=0.5)
         r, trace, status = solve_subproblem(tiny_p, 0.5, r0,
                                             NewtonConfig(f_tol=1e-3),
-                                            route="direct")
+                                            "direct")
         assert status == "converged" and len(trace) > 1 and starved == []
         assert (trace[0].route, trace[0].lin_iters) == ("direct", 1)
         assert {row.route for row in trace} <= {"direct", "lm"}
         with pytest.raises(ValueError):
-            solve_subproblem(tiny_p, 0.5, r0, route="splu")
+            solve_subproblem(tiny_p, 0.5, r0, NewtonConfig(), "splu")
 
     def test_a_subproblem_cannot_start_on_lm(self, tiny_p):
         # lm is reached only by a collapsed line search within a subproblem;
         # next_route never hands it on
         with pytest.raises(ValueError):
             solve_subproblem(tiny_p, 0.5, initial_point(tiny_p, 1.0),
-                             route="lm")
+                             NewtonConfig(), "lm")
 
     @pytest.mark.parametrize("lam", [0.1, 0.0])
     def test_lm_route_solves_the_damped_normal_equations(self, tiny_p, lam):
@@ -436,7 +443,7 @@ class TestDirection:
         r = KktPoint(v=initial_point(tiny_p, 1.0).v,
                      lam=np.full(tiny_p.m, 0.1), eps=0.5)
         _, trace, _ = solve_subproblem(tiny_p, 0.01, r,
-                                       NewtonConfig(f_tol=1e-3))
+                                       NewtonConfig(f_tol=1e-3), "bicgstab")
         rows = [row.lin_resid for row in trace if row.route == "bicgstab"]
         assert rows and rows == calls[:len(rows)]
 
@@ -457,7 +464,8 @@ class TestLargeInstance:
         # BiCGStab does not finish are solved exactly from the fold structure
         assert large_p.m > 4000
         r, trace, status = solve_subproblem(
-            large_p, 1.0, initial_point(large_p, 1.0), NewtonConfig(f_tol=1e-2))
+            large_p, 1.0, initial_point(large_p, 1.0),
+            NewtonConfig(f_tol=1e-2), "bicgstab")
         assert status == "converged"
         routes = [row.route for row in trace]
         assert "direct" in routes and set(routes) <= {"bicgstab", "direct",
