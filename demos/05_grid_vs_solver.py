@@ -38,7 +38,7 @@ print(f"\ngrid: best C = {g.best_C:.4g}, E_cv = {g.best_error:.2f}% "
 
 p = M.assemble(ds, plan)
 t0 = time.perf_counter()
-_, report = run_smoothing(p, M.OuterConfig(), M.NewtonConfig(max_iters=100))
+report = run_smoothing(p, M.OuterConfig(), M.NewtonConfig(max_iters=100))
 t_solve = time.perf_counter() - t0
 
 print(f"solver: C = {report.C_raw:.4f}, E_cv = {report.E_cv:.2f}% "

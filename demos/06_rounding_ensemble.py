@@ -27,8 +27,8 @@ endpoints = collections.Counter()
 t0 = time.perf_counter()
 for k in range(-3, 4):
     initial_C = 1.0 + k * 1e-13
-    _, report = run_smoothing(p, M.OuterConfig(initial_C=initial_C),
-                              M.NewtonConfig(max_iters=100))
+    report = run_smoothing(p, M.OuterConfig(initial_C=initial_C),
+                           M.NewtonConfig(max_iters=100))
     statuses = collections.Counter(rec.status for rec in report.outer_records)
     print(f"{k:3d} {initial_C!r:>18} {report.C_raw:16.11f} "
           f"{report.E_cv:7.2f} {report.inner_iters_total:5d}  "

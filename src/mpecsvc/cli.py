@@ -135,25 +135,25 @@ def _environment():
 
 
 def _finite_residual(p, point):
-    """Whether F_eps and the cube of the smoothing's denominator, which the
-    curvature divides by, are finite at point.  A finite option value can
-    still overflow there (--initial-C 1e300 in H, --eps 1e300 in eps^2,
-    either at 1e150 in denom^3); both are evaluated under np.errstate, so
-    the overflow prints no warning."""
+    """The KktOperator at point when F_eps and the cube of the smoothing's
+    denominator, which the curvature divides by, are finite there, else
+    None.  A finite option value can still overflow there (--initial-C
+    1e300 in H, --eps 1e300 in eps^2, either at 1e150 in denom^3); both are
+    evaluated under np.errstate, so the overflow prints no warning."""
     with np.errstate(all="ignore"):
         op = kkt.KktOperator(p, point)
-        return bool(np.all(np.isfinite(op.residual()))
-                    and np.all(np.isfinite(op.weights.denom ** 3)))
+        finite = (np.all(np.isfinite(op.residual()))
+                  and np.all(np.isfinite(op.weights.denom ** 3)))
+    return op if finite else None
 
 
 def cmd_solve(args, ds, plan, p, ocfg, ncfg):
-    start = driver.initial_point(p, ocfg.initial_C)
-    if not _finite_residual(p, kkt.KktPoint(start.v, start.lam, ocfg.eps0)):
+    if _finite_residual(p, driver.initial_point(p, ocfg.initial_C)) is None:
         print(f"error: --initial-C {args.initial_C!r}: the residual or the "
               "curvature at the start point is not finite", file=sys.stderr)
         return EXIT_PARSE
-    v_star, report = driver.run_smoothing(p, ocfg, ncfg)
-    C_hat, w_hat = driver.postprocess(p, v_star, ds, plan)
+    report = driver.run_smoothing(p, ocfg, ncfg)
+    C_hat, w_hat = driver.postprocess(report.C_raw, ds, plan)
     E_te = driver.test_error(ds, plan.test_indices, w_hat)
     diag = driver.assumption2_value(p, report.final_point)
     records = report.outer_records
@@ -167,7 +167,8 @@ def cmd_solve(args, ds, plan, p, ocfg, ncfg):
         "C_raw": report.C_raw, "C_hat": C_hat,
         "E_cv": report.E_cv, "E_te": E_te,
         "A2_paper": diag["A2_paper"], "A2_cone": diag["A2_cone"],
-        "index_set_sizes": driver.classify_index_sets(p, v_star),
+        "index_set_sizes": driver.classify_index_sets(
+            p, report.final_point.v),
         "outer_iters": report.outer_iters,
         "inner_iters_total": report.inner_iters_total,
         "subproblems": [{"t": rec.t, "eps": rec.eps, "status": rec.status,
@@ -224,11 +225,11 @@ def cmd_check(args, ds, plan, p):
     rng = np.random.default_rng(0)
     r = kkt.KktPoint(v=rng.standard_normal(p.m + 1),
                      lam=rng.standard_normal(p.m), eps=eps)
-    if not _finite_residual(p, r):
+    op = _finite_residual(p, r)
+    if op is None:
         print(f"error: --eps {eps!r}: the residual or the curvature at the "
               "check's point is not finite", file=sys.stderr)
         return EXIT_PARSE
-    op = kkt.KktOperator(p, r)
     h = 1e-6 * (1.0 + np.linalg.norm(r.to_vector()))
     results = []
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import problem as pb
 from .kkt import (KktOperator, KktPoint, SingularSystemError,
                   constraint_fold_solves)
-from .newton import NewtonConfig, next_route, solve_subproblem
+from .newton import next_route, solve_subproblem
 from .svc import solve_l1svc_dual, validation_error
 
 
@@ -85,29 +85,27 @@ def eps_schedule(cfg):
 
 
 def initial_point(p, C0):
-    """Interior starting point: C = C0, alpha at 0.5*min(1, C0) (inside its
-    box 0 <= alpha <= C), zeta, z and xi at 0.5, lambda = 0."""
+    """Interior starting point at the schedule's first eps (eps0): C = C0,
+    alpha at 0.5*min(1, C0) (inside its box 0 <= alpha <= C), zeta, z and
+    xi at 0.5, lambda = 0."""
     if C0 <= 0:
         raise ValueError("C0 must be positive")
     v = np.full(p.m + 1, 0.5)
     v[0] = C0
     p.split_v(v)[3][:] = 0.5 * min(1.0, C0)       # alpha
-    return KktPoint(v=v, lam=np.zeros(p.m), eps=0.0)
+    return KktPoint(v=v, lam=np.zeros(p.m), eps=OuterConfig.eps0)
 
 
-def run_smoothing(p, ocfg=None, ncfg=None):
+def run_smoothing(p, ocfg, ncfg):
     """Algorithm: solve the eps-schedule of subproblems with warm starts.
 
-    Returns (v, SolveReport) with v a float64 copy of the final point's v;
-    the report carries the final KktPoint and the per-eps trace.  A failed
-    subproblem is recorded and the loop continues from its last accepted
-    iterate.
+    Returns the SolveReport, which carries the final KktPoint and the
+    per-eps trace.  A failed subproblem is recorded and the loop continues
+    from its last accepted iterate.
 
     newton.next_route picks every subproblem's start route from the one
     before it, and the first one's from ([], None).
     """
-    ocfg = ocfg or OuterConfig()
-    ncfg = ncfg or NewtonConfig()
     t0 = time.perf_counter()
     r = initial_point(p, ocfg.initial_C)
     records = []
@@ -130,19 +128,17 @@ def run_smoothing(p, ocfg=None, ncfg=None):
             min_G=float(op.G.min()), min_H=float(op.H.min()), trace=trace,
             wall_ms=wall_ms,
         ))
-    report = SolveReport(C_raw=float(r.v[0]), E_cv=cv_error(p, r.v),
-                         outer_records=records, final_point=r,
-                         wall_ms=1000.0 * (time.perf_counter() - t0))
-    return np.array(r.v, dtype=float), report
+    return SolveReport(C_raw=float(r.v[0]), E_cv=cv_error(p, r.v),
+                       outer_records=records, final_point=r,
+                       wall_ms=1000.0 * (time.perf_counter() - t0))
 
 
-def postprocess(p, v_star, ds, plan):
-    """Rescale C by T/(T-1) and retrain on the full cv set.
+def postprocess(C_raw, ds, plan):
+    """Rescale the selected C_raw by T/(T-1) and retrain on the full cv set.
 
     Returns (C_hat, w) with w = sum_i alpha_i y_i x_i over the cv points.
     """
-    C_raw = float(v_star[0])
-    C_hat = C_raw * p.T / (p.T - 1)
+    C_hat = C_raw * plan.T / (plan.T - 1)
     rows = ds.signed_rows(plan.cv_indices).toarray()
     res = solve_l1svc_dual(rows, C_hat)
     if res.status != "converged":

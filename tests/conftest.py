@@ -87,7 +87,7 @@ def heart_p(heart_ds, heart_plan):
 def tiny_complementary_point(tiny_p):
     """Solution at eps ~ 1e-6: strictly complementary pairs, weights ~ 1e-13."""
     ocfg = M.OuterConfig(eps_min=1e-6)
-    _, report = M.run_smoothing(tiny_p, ocfg, M.NewtonConfig(max_iters=100))
+    report = M.run_smoothing(tiny_p, ocfg, M.NewtonConfig(max_iters=100))
     return report.final_point
 
 

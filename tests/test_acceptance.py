@@ -40,11 +40,11 @@ def report(name, ok, detail=""):
 @pytest.fixture(scope="module")
 def solve_result(heart_ds, heart_plan, heart_p):
     t0 = time.perf_counter()
-    pt, rep = run_smoothing(heart_p, OuterConfig(), NewtonConfig(max_iters=100))
-    C_hat, w = postprocess(heart_p, pt, heart_ds, heart_plan)
+    rep = run_smoothing(heart_p, OuterConfig(), NewtonConfig(max_iters=100))
+    C_hat, w = postprocess(rep.C_raw, heart_ds, heart_plan)
     E_te = holdout_error(heart_ds, heart_plan.test_indices, w)
     wall = time.perf_counter() - t0
-    return {"point": pt, "report": rep, "C_hat": C_hat, "w": w,
+    return {"report": rep, "C_hat": C_hat, "w": w,
             "E_te": E_te, "wall": wall}
 
 
@@ -58,7 +58,7 @@ def grid_result(heart_ds, heart_plan):
 def tail_trace(heart_p):
     """Warm-started subproblem at eps = 1e-2 for the convergence-rate check."""
     ocfg = OuterConfig(eps_min=2e-2)   # chain down to eps = 0.015625
-    pt, rep = run_smoothing(heart_p, ocfg, NewtonConfig(max_iters=100))
+    rep = run_smoothing(heart_p, ocfg, NewtonConfig(max_iters=100))
     eps = 1e-2
     cfg = NewtonConfig(max_iters=100, f_tol=1e-2 * eps * eps)
     r, trace, status = M.solve_subproblem(heart_p, eps, rep.final_point, cfg,

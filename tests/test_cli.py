@@ -264,6 +264,23 @@ class TestCheck:
         assert converged and steps == iters
         assert est == pytest.approx(sigma, rel=1e-12)
 
+    def test_heart_check_evaluates_its_point_once(self, tmp_path,
+                                                  monkeypatch):
+        # the operator whose residual was found finite is the one the checks
+        # use: one at the drawn point, four for the differences of phi and
+        # of the gradient, two for the merit's and one in the probe
+        init = M.kkt.KktOperator.__init__
+        built = []
+
+        def counted(self, p, point):
+            built.append(point.eps)
+            init(self, p, point)
+
+        monkeypatch.setattr(M.kkt.KktOperator, "__init__", counted)
+        assert run(["check", "--data", DATA, "--p1", 150, "--out", tmp_path,
+                    "--quiet"]) == EXIT_OK
+        assert built == [0.1] * 8
+
 
 @pytest.mark.parametrize("command", ["solve", "grid", "check"])
 @pytest.mark.parametrize("case, code", [
@@ -441,8 +458,7 @@ def test_defaulted_parameters():
 
     for path in sorted(Path(M.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
-    assert found == {"cli.main.argv", "driver.run_smoothing.ocfg",
-                     "driver.run_smoothing.ncfg", "problem._bind.product.out"}
+    assert found == {"cli.main.argv", "problem._bind.product.out"}
 
 
 def test_check_and_grid_leave_heavy_scipy_modules_unloaded(data_file,

@@ -58,6 +58,14 @@ class TestInitialPoint:
         with pytest.raises(ValueError):
             initial_point(tiny_p, 0.0)
 
+    def test_is_at_the_first_eps(self, tiny_p):
+        # the start point is the first subproblem's, so an operator builds
+        # at it as it stands
+        r = initial_point(tiny_p, 1.0)
+        assert r.eps == OuterConfig.eps0 == eps_schedule(OuterConfig())[0]
+        op = KktOperator(tiny_p, r)
+        assert np.all(np.isfinite(op.residual()))
+
 
 @pytest.fixture(scope="module")
 def tiny_solution(tiny_p):
@@ -68,14 +76,14 @@ def tiny_solution(tiny_p):
 
 class TestSmoothingLoop:
     def test_record_count_matches_schedule(self, tiny_p, tiny_solution):
-        _, report = tiny_solution
+        report = tiny_solution
         assert report.outer_iters == len(eps_schedule(
             OuterConfig(eps_min=1e-4)))
         assert report.inner_iters_total == sum(
             rec.inner_iters for rec in report.outer_records)
 
     def test_converged_subproblems_satisfy_gap(self, tiny_p, tiny_solution):
-        _, report = tiny_solution
+        report = tiny_solution
         converged = [rec for rec in report.outer_records
                      if rec.status == "converged"]
         assert converged, "no subproblem converged on the tiny instance"
@@ -85,7 +93,8 @@ class TestSmoothingLoop:
             assert rec.min_G > 0 and rec.min_H > 0
 
     def test_report_consistency(self, tiny_p, tiny_solution):
-        v_star, report = tiny_solution
+        report = tiny_solution
+        v_star = report.final_point.v
         assert report.C_raw == v_star[0]
         assert report.E_cv == pytest.approx(cv_error(tiny_p, v_star))
         np.testing.assert_array_equal(report.final_point.v, v_star)
@@ -95,9 +104,10 @@ class TestSmoothingLoop:
             "C_raw", "E_cv", "outer_records", "final_point", "wall_ms"}
 
     def test_deterministic(self, tiny_p, tiny_solution):
-        v_a, rep_a = tiny_solution
+        rep_a = tiny_solution
         ocfg = OuterConfig(eps_min=1e-4)
-        v_b, rep_b = run_smoothing(tiny_p, ocfg, NewtonConfig(max_iters=100))
+        rep_b = run_smoothing(tiny_p, ocfg, NewtonConfig(max_iters=100))
+        v_a, v_b = rep_a.final_point.v, rep_b.final_point.v
         np.testing.assert_array_equal(v_a, v_b)
         assert rep_a.E_cv == rep_b.E_cv
 
@@ -105,8 +115,8 @@ class TestSmoothingLoop:
                                           tiny_complementary_point,
                                           forbid_assembly):
         # every route runs, and the solve is the one without the patches
-        _, report = run_smoothing(tiny_p, OuterConfig(),
-                                  NewtonConfig(max_iters=100))
+        report = run_smoothing(tiny_p, OuterConfig(),
+                               NewtonConfig(max_iters=100))
         routes = {row.route for rec in report.outer_records
                   for row in rec.trace}
         assert {"bicgstab", "direct", "lm"} <= routes
@@ -121,7 +131,9 @@ class TestSmoothingLoop:
             raise NoDescentError("no descent direction")
 
         monkeypatch.setattr(M.newton, "_direction", no_descent)
-        v, report = run_smoothing(tiny_p, OuterConfig(eps_min=0.25))
+        report = run_smoothing(tiny_p, OuterConfig(eps_min=0.25),
+                               NewtonConfig())
+        v = report.final_point.v
         assert [rec.status for rec in report.outer_records] == [
             "no_descent"] * 3
         assert report.inner_iters_total == 0
@@ -170,44 +182,39 @@ class TestSmoothingLoop:
             return KktPoint(v=r0.v, lam=r0.lam, eps=eps), trace, status
 
         monkeypatch.setattr(M.driver, "solve_subproblem", fake)
-        run_smoothing(tiny_p, OuterConfig(eps_min=2.0 ** -5))
+        run_smoothing(tiny_p, OuterConfig(eps_min=2.0 ** -5), NewtonConfig())
         assert starts == ["bicgstab", "direct", "bicgstab", "direct",
                           "bicgstab", "bicgstab"]
 
     def test_duplicated_points_converge(self, duplicated_instances):
         # three pairs of equal points in the cv set, lifted folds
         _, p = duplicated_instances["narrow"]
-        _, report = run_smoothing(p)
+        report = run_smoothing(p, OuterConfig(), NewtonConfig())
         assert [rec.status for rec in report.outer_records] == [
             "converged"] * 21
 
 
 class TestPostprocess:
-    def test_rescales_C(self, tiny_ds, tiny_plan, tiny_p):
-        v = initial_point(tiny_p, 1.2).v
-        C_hat, w = postprocess(tiny_p, v, tiny_ds, tiny_plan)
+    def test_rescales_C(self, tiny_ds, tiny_plan):
+        C_hat, w = postprocess(1.2, tiny_ds, tiny_plan)
         assert C_hat == pytest.approx(1.2 * 3 / 2)
         assert w.shape == (tiny_ds.n_features,)
 
-    def test_retraining_that_stops_early_warns(self, heart_ds, heart_plan,
-                                               heart_p):
+    def test_retraining_that_stops_early_warns(self, heart_ds, heart_plan):
         # heart's C_hat 3.907, where ROADMAP item 3's design ends: the
         # coordinate descent stops at max_epochs, and the w it stops at
         # still gives the oracle's E_te; at today's 1.044 nothing is said
-        v = np.zeros(heart_p.m + 1)
-        v[0] = 3.907 * 2 / 3
         with pytest.warns(UserWarning) as record:
-            C_hat, w = postprocess(heart_p, v, heart_ds, heart_plan)
+            C_hat, w = postprocess(3.907 * 2 / 3, heart_ds, heart_plan)
         assert C_hat == 3.907
         assert [str(r.message) for r in record] == [
             "baseline retraining stopped at max_epochs (violation 1.22e-06)"]
         assert holdout_error(heart_ds, heart_plan.test_indices,
                              w) == pytest.approx(100 * 20 / 120)
 
-        v[0] = 0.6960167719513022
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            C_hat, _ = postprocess(heart_p, v, heart_ds, heart_plan)
+            C_hat, _ = postprocess(0.6960167719513022, heart_ds, heart_plan)
         assert C_hat == pytest.approx(1.044, abs=1e-3)
 
     def test_test_error_empty_set(self, tiny_ds):
@@ -238,7 +245,7 @@ def _curve_slope(p, r, C):
 @pytest.fixture(scope="module")
 def tiny_final_point(tiny_p):
     ocfg = OuterConfig(eps_min=1e-3)
-    _, report = run_smoothing(tiny_p, ocfg, NewtonConfig(max_iters=100))
+    report = run_smoothing(tiny_p, ocfg, NewtonConfig(max_iters=100))
     return report.final_point
 
 

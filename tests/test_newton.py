@@ -141,7 +141,9 @@ class TestSubproblem:
         np.testing.assert_array_equal(r.to_vector(), r0.to_vector())
 
         # run_smoothing records the status and goes on from the same point
-        v, report = run_smoothing(tiny_p, OuterConfig(eps_min=0.25))
+        report = run_smoothing(tiny_p, OuterConfig(eps_min=0.25),
+                               NewtonConfig())
+        v = report.final_point.v
         assert [(rec.status, rec.inner_iters)
                 for rec in report.outer_records] == [
             ("line_search_failure", 1)] * 3
@@ -235,7 +237,7 @@ class TestSubproblem:
                                 for op in live))
 
         monkeypatch.setattr(newton, "KktOperator", Recorded)
-        _, report = run_smoothing(tiny_p, OuterConfig(), NewtonConfig())
+        report = run_smoothing(tiny_p, OuterConfig(), NewtonConfig())
         rows = [row for rec in report.outer_records for row in rec.trace]
         assert max(row.backtracks for row in rows) >= 3
         assert max(most) == 2
@@ -257,7 +259,7 @@ class TestSubproblem:
             return armijo_search(merit, g0, grad_dot_d, cfg)
 
         monkeypatch.setattr(newton, "armijo_search", counted)
-        _, report = run_smoothing(tiny_p, OuterConfig(), NewtonConfig())
+        report = run_smoothing(tiny_p, OuterConfig(), NewtonConfig())
         traces = [rec.trace for rec in report.outer_records]
         rows = [row for trace in traces for row in trace]
         assert [row.backtracks for row in rows] == [n - 1 for n in evaluations]
