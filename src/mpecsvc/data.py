@@ -1,20 +1,36 @@
 """LIBSVM-format parsing and deterministic train/test + fold splits.
 
 A Dataset is one CSR matrix X, a row per point, and a label array.
-parse_libsvm reads a file token by token into flat arrays of labels,
-columns, values and row pointers, and builds X from them: no per-nonzero
-(index, value) pair is kept.
+parse_libsvm reads a file READ_BLOCK lines at a time into flat arrays of
+labels, columns, values and row pointers, and builds X from them: no
+per-nonzero (index, value) pair is kept.  Each block is split once; its
+indices go through one map(int) and its values and labels through one
+map(float) each, the same conversions a token-by-token reader makes, so
+every value keeps its bits; the checks on the indices run as array
+operations.  A block that fails any check is read again line by line, and
+that raises the ParseError of its first bad token, the one a token-by-token
+reader raises.  The reader holds at most one block's tokens and values
+beyond its output arrays.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 import scipy.sparse as sp
 
 _INT32_MAX = int(np.iinfo(np.int32).max)
+
+# Lines per block of the reader: a block's tokens, their pieces and their
+# converted values are all it holds beyond its output arrays.
+READ_BLOCK = 512
+
+# Every byte but ':' and ' ', deleted to see the separators of a block's
+# feature tokens alone.
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b": ")
 
 
 class ParseError(ValueError):
@@ -99,14 +115,79 @@ class SplitPlan:
         return (self.T - 1) * self.m1
 
 
-def _parse_label(token, lineno):
+def _check_label(token, lineno):
+    """Raise the ParseError of a bad label."""
     try:
         raw = float(token)
     except ValueError:
         raise ParseError(lineno, f"bad label {token!r}") from None
     if raw not in (-1.0, 0.0, 1.0):
         raise ParseError(lineno, f"label {raw} outside recognized set {{-1, 0, +1}}")
-    return int(raw)
+
+
+def _check_features(tokens, lineno):
+    """Raise the ParseError of the first bad feature token of a line."""
+    prev = 0
+    for tok in tokens:
+        try:
+            idx_s, val_s = tok.split(":", 1)
+            idx = int(idx_s)
+            float(val_s)
+        except ValueError:
+            raise ParseError(lineno, f"bad feature token {tok!r}") from None
+        if idx < 1:
+            raise ParseError(lineno, f"feature index {idx} < 1")
+        if idx <= prev:
+            raise ParseError(lineno, f"non-increasing feature index {idx}")
+        if idx > _INT32_MAX:
+            raise ParseError(lineno, f"feature index {idx} > {_INT32_MAX}")
+        prev = idx
+
+
+def _locate(lines, start):
+    """Raise the ParseError of the first bad token of a block whose checks
+    failed, running the line checks over its lines in order."""
+    for lineno, line in enumerate(lines, start=start):
+        tokens = line.split()
+        if tokens:
+            _check_label(tokens[0], lineno)
+            _check_features(tokens[1:], lineno)
+    raise AssertionError(f"lines {start}-{start + len(lines) - 1} failed "
+                         "a block check but no line check")
+
+
+def _read_block(lines, start):
+    """The labels, 1-based columns, values, feature counts and line numbers
+    of the points in a block of lines, or None when a check fails."""
+    rows = list(map(str.split, lines))
+    linenos = [n for n, tokens in enumerate(rows, start=start) if tokens]
+    rows = [tokens for tokens in rows if tokens]
+    label_s = [tokens.pop(0) for tokens in rows]
+    counts = np.fromiter(map(len, rows), np.int64, len(rows))
+    k = int(counts.sum())
+    # tokens hold no space, so each holds exactly one ':' iff the joined
+    # tokens' separators alternate ':', ' ', ..., ':'
+    feats = " ".join(chain.from_iterable(rows))
+    seps = feats.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATORS)
+    if seps != (b": " * k)[:-1]:
+        return None
+    pieces = feats.replace(":", " ").split(" ") if k else []
+    try:
+        labels = np.fromiter(map(float, label_s), np.float64, len(label_s))
+        cols = np.fromiter(map(int, pieces[0::2]), np.int64, k)
+        vals = np.fromiter(map(float, pieces[1::2]), np.float64, k)
+    except (ValueError, OverflowError):   # OverflowError: |index| >= 2**63
+        return None
+    if not np.isin(labels, (-1.0, 0.0, 1.0)).all():
+        return None
+    if k and not (cols.min() >= 1 and cols.max() <= _INT32_MAX):
+        return None
+    # each index above the one before it, unless it starts a row
+    row = np.repeat(np.arange(len(rows)), counts)
+    if not ((np.diff(cols) > 0) | (np.diff(row) > 0)).all():
+        return None
+    # + 0.0: a label -0 reads 0, as a token loop's int(label) makes it
+    return labels + 0.0, cols, vals, counts, linenos
 
 
 def _read(fh):
@@ -115,29 +196,18 @@ def _read(fh):
     of the first bad token."""
     labels, cols, vals = array("d"), array("i"), array("d")
     indptr, linenos = array("q", [0]), array("q")
-    for lineno, line in enumerate(fh, start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        labels.append(_parse_label(tokens[0], lineno))
-        linenos.append(lineno)
-        prev = 0
-        for tok in tokens[1:]:
-            try:
-                idx_s, val_s = tok.split(":", 1)
-                idx, val = int(idx_s), float(val_s)
-            except ValueError:
-                raise ParseError(lineno, f"bad feature token {tok!r}") from None
-            if idx < 1:
-                raise ParseError(lineno, f"feature index {idx} < 1")
-            if idx <= prev:
-                raise ParseError(lineno, f"non-increasing feature index {idx}")
-            if idx > _INT32_MAX:
-                raise ParseError(lineno, f"feature index {idx} > {_INT32_MAX}")
-            prev = idx
-            cols.append(idx)
-            vals.append(val)
-        indptr.append(len(cols))
+    start = 1
+    while lines := list(islice(fh, READ_BLOCK)):
+        block = _read_block(lines, start)
+        if block is None:
+            _locate(lines, start)
+        b_labels, b_cols, b_vals, b_counts, b_linenos = block
+        labels.frombytes(b_labels.tobytes())
+        cols.frombytes(b_cols.astype(np.intc).tobytes())
+        vals.frombytes(b_vals.tobytes())
+        indptr.frombytes((indptr[-1] + np.cumsum(b_counts)).tobytes())
+        linenos.extend(b_linenos)
+        start += len(lines)
     return labels, cols, vals, indptr, linenos
 
 
@@ -207,8 +277,8 @@ def make_split(ds, p1, T, seed):
     if p1 % T != 0:
         raise ValueError(f"T={T} does not divide p1={p1}")
     perm = np.random.default_rng(seed).permutation(len(ds))
-    cv = tuple(int(i) for i in perm[:p1])
-    test = tuple(int(i) for i in perm[p1:])
+    cv = tuple(perm[:p1].tolist())
+    test = tuple(perm[p1:].tolist())
     m1 = p1 // T
     folds = tuple(cv[t * m1:(t + 1) * m1] for t in range(T))
     return SplitPlan(cv_indices=cv, test_indices=test, folds=folds)

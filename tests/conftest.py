@@ -1,5 +1,6 @@
 """Shared fixtures: tiny synthetic instances and the bundled benchmark."""
 
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.sparse as sp
 
 import mpecsvc as M
 from mpecsvc import problem as pb
+from mpecsvc.data import ParseError
 from mpecsvc.kkt import fold_solve
 from mpecsvc.svc import (DualSvcResult, GridResult, solve_l1svc_dual,
                          validation_error)
@@ -193,6 +195,66 @@ def plain_parse(path):
     labels = [1 if y == 1 else -1 for y in labels]
     n = max((j + 1 for pt in points for j, _ in pt), default=0)
     return tuple(points), tuple(labels), n
+
+
+# The token-by-token reader that `data._read`'s blocks replace, verbatim.
+# The block reader must return its arrays bit for bit, or raise its
+# ParseError with the same message and line number.
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def plain_parse_label(token, lineno):
+    try:
+        raw = float(token)
+    except ValueError:
+        raise ParseError(lineno, f"bad label {token!r}") from None
+    if raw not in (-1.0, 0.0, 1.0):
+        raise ParseError(lineno, f"label {raw} outside recognized set {{-1, 0, +1}}")
+    return int(raw)
+
+
+def plain_read(fh):
+    labels, cols, vals = array("d"), array("i"), array("d")
+    indptr, linenos = array("q", [0]), array("q")
+    for lineno, line in enumerate(fh, start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        labels.append(plain_parse_label(tokens[0], lineno))
+        linenos.append(lineno)
+        prev = 0
+        for tok in tokens[1:]:
+            try:
+                idx_s, val_s = tok.split(":", 1)
+                idx, val = int(idx_s), float(val_s)
+            except ValueError:
+                raise ParseError(lineno, f"bad feature token {tok!r}") from None
+            if idx < 1:
+                raise ParseError(lineno, f"feature index {idx} < 1")
+            if idx <= prev:
+                raise ParseError(lineno, f"non-increasing feature index {idx}")
+            if idx > _INT32_MAX:
+                raise ParseError(lineno, f"feature index {idx} > {_INT32_MAX}")
+            prev = idx
+            cols.append(idx)
+            vals.append(val)
+        indptr.append(len(cols))
+    return labels, cols, vals, indptr, linenos
+
+
+def write_generated_libsvm(path, n_points=1500, n_features=30, seed=0):
+    """A seeded LIBSVM file of n_points rows, about 30% of the features
+    set, with every 7th row label-only; returns its Dataset."""
+    rng = np.random.default_rng(seed)
+    X = sp.random(n_points, n_features, density=0.3, format="csr",
+                  random_state=rng, data_rvs=rng.standard_normal)
+    X.data[np.repeat(np.arange(n_points) % 7 == 0, np.diff(X.indptr))] = 0.0
+    X.eliminate_zeros()
+    y = np.where(rng.random(n_points) < 0.5, -1.0, 1.0)
+    ds = M.Dataset(X=X, labels=y)
+    M.write_libsvm(ds, path)
+    return ds
 
 
 def plain_generated(name):

@@ -1,7 +1,10 @@
 """Parser, writer, and split-plan tests."""
 
 import functools
+import sys
+import tracemalloc
 from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +14,9 @@ from hypothesis import strategies as st
 
 import mpecsvc as M
 from conftest import (DATA, generated, plain_assemble, plain_generated,
-                      plain_parse, plain_scale_features, plain_signed_rows,
-                      plain_to_csr)
+                      plain_parse, plain_read, plain_scale_features,
+                      plain_signed_rows, plain_to_csr, write_generated_libsvm)
+from mpecsvc import data
 from mpecsvc.data import ParseError, _dataset, scale_features
 
 
@@ -277,6 +281,133 @@ class TestSplit:
 
 # Each case beside its plain dataset (conftest): heart at three split seeds,
 # the generated instances, and a file with stored zeros and a label-only line.
+def outcome(read, path):
+    """What `read` makes of a file: its five arrays (typecodes and bytes)
+    and the Dataset's parts, or its ParseError's message and line number."""
+    try:
+        with open(path) as fh:
+            arrays = read(fh)
+        ds = _dataset(*arrays)
+    except ParseError as err:
+        return str(err), err.lineno
+    return ([(a.typecode, a.tobytes()) for a in arrays], csr_parts(ds.X),
+            ds.labels.tobytes())
+
+
+# Label sets of a file: +1/-1, 0/1, or any, which may mix 0 with -1 or hold
+# a bad label.
+LABEL_SETS = [["-1", "+1", "1", "-1.0"], ["0", "1", "+1", "-0"],
+              ["-1", "+1", "1", "0", "2", "x", "1.0"]]
+# Index and value spellings beside the plain ones.  int and float accept
+# some (+3, 03, 1_0, a non-ASCII digit); the others are errors.
+ODD_INDICES = ["0", "+3", "03", "1_0", "\u0663", "2147483647", "2147483648",
+               str(10**20), "-1", "", "x"]
+ODD_VALUES = ["nan", "inf", "-inf", "1e400", "-0.0", "1_0", "\u0663.5", "",
+              "x"]
+# ':' mostly; else a token with no ':', two of them, or an empty side
+COLONS = [":"] * 6 + ["", "::", ":1:"]
+
+
+@st.composite
+def libsvm_line(draw, labels, noisy):
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from(["", " ", "\t", " \t "]))
+    cols = sorted(draw(st.sets(st.integers(1, 40), max_size=6)))
+    order = draw(st.sampled_from(["sorted"] * 6 + ["repeat", "reverse"])
+                 if noisy else st.just("sorted"))
+    if cols and order == "repeat":
+        cols.insert(draw(st.integers(0, len(cols) - 1)), cols[0])
+    elif order == "reverse":
+        cols.reverse()
+    plain_value = st.floats(-1e6, 1e6, allow_nan=False).map(repr)
+    tokens = [draw(st.sampled_from(labels))]
+    for j in cols:
+        if noisy:
+            idx = draw(st.sampled_from([str(j)] * 12 + ODD_INDICES))
+            colon = draw(st.sampled_from(COLONS))
+            val = draw(st.one_of(*[plain_value] * 8,
+                                 st.sampled_from(ODD_VALUES)))
+        else:
+            idx, colon, val = str(j), ":", draw(plain_value)
+        tokens.append(f"{idx}{colon}{val}")
+    gap = st.sampled_from([" ", "\t", "  ", " \t"])
+    head, tail = draw(st.sampled_from(["", " ", "\t"])), draw(gap) * draw(st.booleans())
+    return head + "".join(t + draw(gap) for t in tokens[:-1]) + tokens[-1] + tail
+
+
+@st.composite
+def libsvm_text(draw):
+    labels = draw(st.sampled_from(LABEL_SETS))
+    noisy = draw(st.booleans())
+    lines = draw(st.lists(libsvm_line(labels, noisy), max_size=12))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end * draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(libsvm_text(), st.sampled_from([1, 2, 3, 7, data.READ_BLOCK]))
+def test_reader_is_the_token_loop(tmp_path_factory, text, block):
+    # a Dataset bit for bit, or the same ParseError: message and line
+    path = tmp_path_factory.mktemp("read") / "r.libsvm"
+    path.write_bytes(text.encode("utf-8"))
+    want = outcome(plain_read, path)
+    with mock.patch.object(data, "READ_BLOCK", block):
+        assert outcome(data._read, path) == want
+        try:
+            ds = M.parse_libsvm(path)
+        except ParseError as err:
+            assert (str(err), err.lineno) == want
+        else:
+            assert (csr_parts(ds.X), ds.labels.tobytes()) == want[1:]
+
+
+class TestReadBlocks:
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_block_sizes_read_alike(self, tmp_path, monkeypatch, block):
+        gen = tmp_path / "gen.libsvm"
+        write_generated_libsvm(gen)
+        want = [outcome(plain_read, path) for path in (DATA, gen)]
+        monkeypatch.setattr(data, "READ_BLOCK", block)
+        assert [outcome(data._read, path) for path in (DATA, gen)] == want
+
+    @pytest.mark.parametrize("bad", ["x 1:1", "+1 1:2:3 4", "+1 3:1 2:2",
+                                     "+1 0:1", "+1 2147483648:1", "+1 1:a",
+                                     "+1 1:1 3"])
+    @pytest.mark.parametrize("lineno", [5, 8])
+    def test_bad_line_at_a_block_edge(self, tmp_path, monkeypatch, bad,
+                                      lineno):
+        # blocks of 4 lines: line 5 starts the second, line 8 ends it; a
+        # later block's bad line 10 is not the one named
+        lines = ["+1 1:0.5 2:1", "-1 2:3"] * 5
+        lines[lineno - 1], lines[9] = bad, "+1 a:1"
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        want = outcome(plain_read, path)
+        assert want[1] == lineno
+        monkeypatch.setattr(data, "READ_BLOCK", 4)
+        assert outcome(data._read, path) == want
+
+    def test_memory_stays_within_a_block(self, tmp_path):
+        # the peak above the output arrays (their allocation, slack
+        # included) is one block's, at 50k and at 200k nonzeros alike
+        extra, size = [], []
+        for n_points in (5000, 20000):
+            path = tmp_path / f"{n_points}.libsvm"
+            rng = np.random.default_rng(0)
+            X = sp.random(n_points, 10, density=1.0, format="csr",
+                          random_state=rng, data_rvs=rng.standard_normal)
+            M.write_libsvm(M.Dataset(X=X, labels=np.ones(n_points)), path)
+            with open(path) as fh:
+                tracemalloc.start()
+                try:
+                    arrays = data._read(fh)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            size.append(sum(map(sys.getsizeof, arrays)))
+            extra.append(peak - size[-1])
+        assert extra[1] - extra[0] < 0.2 * (size[1] - size[0])
+
+
 ZEROS = ("+1 1:0 2:1.5 3:-0.0\n-1\n-1 2:0.0 4:-2.5\n+1 1:3 4:0\n+1 2:1\n"
          "-1 1:-1 3:2\n")
 

@@ -97,7 +97,11 @@ class TestSmoothingLoop:
         v_star = report.final_point.v
         assert report.C_raw == v_star[0]
         assert report.E_cv == pytest.approx(cv_error(tiny_p, v_star))
-        np.testing.assert_array_equal(report.final_point.v, v_star)
+        last = report.outer_records[-1]
+        assert report.final_point.eps == last.eps
+        # run_smoothing's normF is this norm at its final point, to the bit
+        op = KktOperator(tiny_p, report.final_point)
+        assert float(np.linalg.norm(op.residual())) == last.normF
         assert report.wall_ms >= sum(rec.wall_ms
                                      for rec in report.outer_records) > 0.0
         assert {f.name for f in fields(report)} == {

@@ -39,6 +39,19 @@ class TestResidual:
         np.testing.assert_allclose(
             F[:nv], tiny_p.obj_grad - op.jac_t_apply(r.lam), atol=1e-12)
 
+    @pytest.mark.parametrize("name", ["tiny_p", "heart_p"])
+    def test_phi_is_fb_value_to_the_byte(self, name, request,
+                                         tiny_complementary_point):
+        # phi takes the square root from the weights' denom
+        p = request.getfixturevalue(name)
+        points = [random_kkt_point(p, eps, seed)
+                  for seed, eps in enumerate((1.0, 0.1, 1e-6))]
+        if name == "tiny_p":
+            points.append(tiny_complementary_point)
+        for r in points:
+            op = KktOperator(p, r)
+            assert op.phi().tobytes() == fb_value(op.G, op.H, r.eps).tobytes()
+
     def test_eps_positive_required(self, tiny_p):
         r = random_kkt_point(tiny_p, eps=0.0)
         with pytest.raises(ValueError):
