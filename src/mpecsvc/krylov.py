@@ -1,8 +1,8 @@
 """BiCGStab for arbitrary linear-operator applies (van der Vorst's recursion).
 
 Deterministic by construction: the shadow residual is fixed to the initial
-residual.  Breakdown never raises; the best iterate seen is returned with a
-status the caller can act on.
+residual.  Breakdown never raises; the iterate the recursion stopped at is
+returned, with its true residual and a status the caller can act on.
 """
 
 from __future__ import annotations
@@ -14,15 +14,15 @@ import numpy as np
 
 BREAKDOWN_EPS = 1e-30
 STALL_ITERS = 150       # bail out if the best residual stops improving
-ABS_TOL = 1e-12         # the residual target never falls below this
 
 
 @dataclass
 class KrylovResult:
+    """The iterate bicgstab stopped at and its true residual."""
     x: np.ndarray
     residual_norm: float   # true residual ||apply(x) - rhs||, recomputed
     iterations: int
-    status: str            # converged | max_iters | breakdown | stalled | degraded
+    status: str            # converged | max_iters | breakdown | stalled
 
 
 def _norm(x):
@@ -32,7 +32,8 @@ def _norm(x):
 
 def bicgstab(apply, rhs, rel_tol, max_iters):
     """Solve apply(x) = rhs from x = 0, with r = rhs, to the residual target
-    max(rel_tol*||rhs||, ABS_TOL) in at most max_iters iterations.
+    rel_tol*||rhs|| alone in at most max_iters iterations, and return the
+    iterate it stopped at, with its true residual and why it stopped.
 
     apply runs in the iterations and once on the x returned, for its true
     residual, and must return a new array, or its argument: the recursion
@@ -47,10 +48,9 @@ def bicgstab(apply, rhs, rel_tol, max_iters):
     x = np.zeros(n)
 
     norm_b = _norm(rhs)
-    target = max(rel_tol * norm_b, ABS_TOL)
+    target = rel_tol * norm_b
 
     r = r_hat = rhs
-    best_x, best_norm = x, norm_b
     if norm_b <= target:
         return KrylovResult(x=x, residual_norm=norm_b, iterations=0,
                             status="converged")
@@ -58,8 +58,7 @@ def bicgstab(apply, rhs, rel_tol, max_iters):
     rho = alpha = omega = 1.0
     vv = pp = np.zeros(n)
     status = "max_iters"
-    k = 0
-    since_improved = 0
+    best_norm, since_improved = norm_b, 0
     for k in range(1, max_iters + 1):
         if since_improved >= STALL_ITERS:
             status = "stalled"
@@ -81,9 +80,6 @@ def bicgstab(apply, rhs, rel_tol, max_iters):
         norm_s = _norm(s)
         if norm_s <= target:
             x = x + alpha * pp
-            norm_r = norm_s
-            if norm_r < best_norm:
-                best_x, best_norm = x, norm_r
             status = "converged"
             break
         t = apply(s)
@@ -102,16 +98,10 @@ def bicgstab(apply, rhs, rel_tol, max_iters):
             since_improved = 0
         else:
             since_improved += 1
-        if norm_r < best_norm:
-            best_x, best_norm = x, norm_r
+        best_norm = min(best_norm, norm_r)
         if norm_r <= target:
             status = "converged"
             break
 
-    if status != "converged":
-        x = best_x
     true_res = _norm(apply(x) - rhs)
-    if status == "converged" and true_res > max(target, 1e-8 * norm_b):
-        # recursive residual drifted away from the true one
-        status = "degraded"
     return KrylovResult(x=x, residual_norm=true_res, iterations=k, status=status)

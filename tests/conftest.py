@@ -1,5 +1,6 @@
 """Shared fixtures: tiny synthetic instances and the bundled benchmark."""
 
+import math
 from array import array
 from pathlib import Path
 
@@ -421,6 +422,36 @@ def plain_fold_solve(folds, rhs_c):
         y[t, ~keep] = Xg - np.einsum("pia,pac->pic", XUg, back)
         y[t, keep] = sol[:nk].reshape(-1, 4, ncol)
     return y
+
+
+# Van der Vorst's BiCGStab recursion with no stopping test, no absolute floor
+# and no best iterate.  `krylov.bicgstab` runs the same update expressions
+# from the same start and must stop at one of these iterates, bit for bit.
+
+def plain_bicgstab(apply, rhs, iters):
+    """The iterates x_0, ..., x_iters of BiCGStab from x_0 = 0 on
+    apply(x) = rhs, and their recursive residual norms ||r_k||.  iters must
+    end before the recursion converges, which divides by zero."""
+    x = np.zeros(rhs.shape[0])
+    r = r_hat = rhs
+    rho = alpha = omega = 1.0
+    v = p = np.zeros(rhs.shape[0])
+    xs, norms = [x], [math.sqrt(np.dot(r, r))]
+    for _ in range(iters):
+        rho_new = float(np.dot(r_hat, r))
+        beta = (rho_new / rho) * (alpha / omega)
+        rho = rho_new
+        p = r + beta * (p - omega * v)
+        v = apply(p)
+        alpha = rho / float(np.dot(r_hat, v))
+        s = r - alpha * v
+        t = apply(s)
+        omega = float(np.dot(t, s)) / float(np.dot(t, t))
+        x = x + alpha * p + omega * s
+        r = s - omega * t
+        xs.append(x)
+        norms.append(math.sqrt(np.dot(r, r)))
+    return xs, norms
 
 
 # The plain numpy loop of the dual coordinate descent, on numpy scalars.

@@ -602,9 +602,16 @@ class TestFoldSolve:
     @pytest.mark.parametrize("name", ["tiny_p", "heart_p", "wide_p"])
     def test_one_factorization_solves_many_right_hand_sides(self, name, shift,
                                                             request):
-        # a kept elimination gives the bits of one built for each solve,
-        # and the build's solution of its own two columns those of a solve
-        # (a single column rounds otherwise in the batched 4x4 solve)
+        """A kept elimination gives the bits of one built for each solve,
+        and the build's solution of its own two columns those of a solve
+        (a single column rounds otherwise in the batched 4x4 solve).
+
+        Kernel-bound: the equal bytes of two computations that call LAPACK
+        and BLAS with operands of different shapes hold under OpenBLAS's
+        SkylakeX kernels.  The wide_p case at shift -0.1i fails under the
+        Haswell kernels, and the heart_p cases at shifts 0 and 0.5 under the
+        Prescott kernels.
+        """
         p = request.getfixturevalue(name)
         op = KktOperator(p, random_kkt_point(p, 1e-2, seed=70))
         pos, _ = p.point_index
@@ -704,7 +711,12 @@ class TestFoldSolve:
     @pytest.mark.parametrize("shift", [0.0, 0.5, -0.1j])
     def test_dense_folds_solve_as_the_einsum_formulas(self, wide_p, shift,
                                                        monkeypatch):
-        # no lifted unknowns, so nothing is contracted over the points
+        """No lifted unknowns, so nothing is contracted over the points.
+
+        Kernel-bound: the solution's bytes equal the einsum formulas' under
+        OpenBLAS's SkylakeX kernels; the case at shift -0.1i fails under the
+        Haswell kernels.
+        """
         monkeypatch.setattr(kkt, "_lifted_fold_system", None)
         op = KktOperator(wide_p, random_kkt_point(wide_p, 1e-2, seed=72))
         pos, _ = wide_p.point_index

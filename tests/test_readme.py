@@ -9,7 +9,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_library_example_runs(monkeypatch, capsys):
-    # one heart solve, from the repository root as the README's paths assume
+    """One heart solve, from the repository root as the README's paths
+    assume.
+
+    Kernel-bound: E_cv 19.33% is heart's endpoint under OpenBLAS's SkylakeX
+    (and Haswell) kernels.  Under the Prescott kernels the solve ends at
+    C_raw 0.7634 and E_cv 18.67%, and the test fails.
+    """
     text = (ROOT / "README.md").read_text()
     [example] = re.findall(r"```python\n(.*?)```", text, flags=re.S)
     monkeypatch.chdir(ROOT)
