@@ -205,15 +205,13 @@ def solve_subproblem(p, eps, r0, cfg, route):
                            less than 0.1%;
       no_descent           _direction found no descent direction (no row
                            is written, as no step was taken).
-    The point returned is the last accepted iterate.
+    The point returned is the last accepted iterate, held by its operator
+    alone (KktOperator copies its point, so r0 is left as it was).
     """
     if route not in ("bicgstab", "direct"):
         raise ValueError(f"unknown route {route!r}")
-    r = KktPoint(v=np.asarray(r0.v, dtype=float).copy(),
-                 lam=np.asarray(r0.lam, dtype=float).copy(), eps=eps)
     trace = []
-
-    op = KktOperator(p, r)
+    op = KktOperator(p, KktPoint(v=r0.v, lam=r0.lam, eps=eps))
     F = op.residual()
     normF = float(np.linalg.norm(F))
     stagnant = 0
@@ -246,10 +244,10 @@ def solve_subproblem(p, eps, r0, cfg, route):
 
         def merit_at(s):
             nonlocal n_trials, trial
-            point = KktPoint(v=r.v + s * dv, lam=r.lam + s * dl, eps=eps)
-            trial_op = KktOperator(p, point)
+            trial_op = KktOperator(p, KktPoint(v=op.v + s * dv,
+                                               lam=op.lam + s * dl, eps=eps))
             Ft = trial_op.residual()
-            n_trials, trial = n_trials + 1, (point, trial_op, Ft)
+            n_trials, trial = n_trials + 1, (trial_op, Ft)
             return 0.5 * float(np.dot(Ft, Ft))
 
         try:
@@ -260,7 +258,7 @@ def solve_subproblem(p, eps, r0, cfg, route):
         backtracks = n_trials - 1
         prev_normF = normF
         if s is not None:
-            r, op, F = trial          # armijo_search accepts its last trial
+            op, F = trial             # armijo_search accepts its last trial
             normF = float(np.linalg.norm(F))
         trace.append(TraceRow(
             k=k, normF=normF, step=0.0 if s is None else s,
@@ -280,4 +278,4 @@ def solve_subproblem(p, eps, r0, cfg, route):
         # self-tunes as mu = ||F||^2)
         if backtracks >= 4:
             route = "lm"
-    return r, trace, status
+    return KktPoint(v=op.v, lam=op.lam, eps=eps), trace, status

@@ -15,8 +15,12 @@ once per problem, on first use, and whose float64 data and canonical form
 are checked then (_bind), not at each product.  The kernels
 (MpecProblem.lh_kernels) bind A and B in place, sharing their arrays, and
 A^T and B^T, each stored once as CSR; these two are the only copies of the
-data rows that the maps add.  L^H takes three kernel calls: B^T alpha, then
-A and B of it, straight into the A B^T and B B^T blocks of H.  (L^H)^T
+data rows that the maps add.  H and L^H share one body, _lh: three kernel
+calls, B^T alpha and then A and B of it, straight into the A B^T and B B^T
+blocks, and a constant b subtracted from the third block before xi is
+added.  H takes b = 1, so H3 is (B B^T alpha - 1) + xi, as apply_LH(v) +
+b^H would not be, and adds 1 to -zeta, which is 1 - zeta to the bit; L^H
+takes b = 0.0, as x - 0.0 is x for every float, -0.0 included.  (L^H)^T
 takes four: A^T s1 and B^T s3, then B of each, kept apart and summed into
 the alpha block.  csr_matvec adds a row's entries in stored order to a
 zeroed output, as `@` does into a new zero vector, and a row of a transpose
@@ -233,42 +237,36 @@ def eval_G(p, v):
     return v[1:].copy()
 
 
-def eval_H(p, v):
-    """H(v) = L^H v + b^H, b^H = (0; 1; -1; 0) = H(0), computed matrix-free."""
-    _check_vector(v, p.m + 1, "v")
-    C, zeta, z, alpha, xi = p.split_v(v)
+def _lh(p, x, name, b):
+    """(A B^T alpha + z; -zeta; (B B^T alpha - b) + xi; C - alpha) for
+    x = (C, zeta, z, alpha, xi), checked under `name` (module docstring)."""
+    _check_vector(x, p.m + 1, name)
+    C, zeta, z, alpha, xi = p.split_v(x)
     k = p.lh_kernels
     out = np.empty(p.m)
-    h1, h2, h3, h4 = p.split_m(out)
+    o1, o2, o3, o4 = p.split_m(out)
     y = k.Bt(alpha)
-    k.A(y, h1)
-    k.B(y, h3)
-    h1 += z
-    np.subtract(1.0, zeta, out=h2)
-    h3 -= 1.0
-    h3 += xi
-    np.subtract(C, alpha, out=h4)
+    k.A(y, o1)
+    k.B(y, o3)
+    o1 += z
+    np.negative(zeta, out=o2)
+    o3 -= b
+    o3 += xi
+    np.subtract(C, alpha, out=o4)
+    return out
+
+
+def eval_H(p, v):
+    """H(v) = L^H v + b^H, b^H = (0; 1; -1; 0) = H(0), computed matrix-free."""
+    out = _lh(p, v, "v", 1.0)
+    _, h2, _, _ = p.split_m(out)
+    h2 += 1.0
     return out
 
 
 def apply_LH(p, d):
-    """L^H d (the linear part of H) for d, a float64 vector of length m+1.
-
-    Three kernel calls: B^T dalpha, then A and B of it.
-    """
-    _check_vector(d, p.m + 1, "d")
-    dC, dzeta, dz, dalpha, dxi = p.split_v(d)
-    k = p.lh_kernels
-    out = np.empty(p.m)
-    o1, o2, o3, o4 = p.split_m(out)
-    y = k.Bt(dalpha)
-    k.A(y, o1)
-    k.B(y, o3)
-    o1 += dz
-    np.negative(dzeta, out=o2)
-    o3 += dxi
-    np.subtract(dC, dalpha, out=o4)
-    return out
+    """L^H d (the linear part of H) for d, a float64 vector of length m+1."""
+    return _lh(p, d, "d", 0.0)
 
 
 def apply_LH_T(p, s):

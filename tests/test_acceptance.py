@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import mpecsvc as M
+from mpecsvc import driver
 from mpecsvc import problem as pb
 from mpecsvc.cli import main
 from mpecsvc.driver import (OuterConfig, postprocess, run_smoothing)
@@ -40,13 +41,24 @@ def report(name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def solve_result(heart_ds, heart_plan, heart_p):
-    t0 = time.perf_counter()
-    rep = run_smoothing(heart_p, OuterConfig(), NewtonConfig(max_iters=100))
+    # each subproblem's (eps, start point, route), recorded on the way
+    starts = []
+    solve = driver.solve_subproblem
+
+    def recorded(p, eps, r0, cfg, route):
+        starts.append((eps, r0, route))
+        return solve(p, eps, r0, cfg, route)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(driver, "solve_subproblem", recorded)
+        t0 = time.perf_counter()
+        rep = run_smoothing(heart_p, OuterConfig(),
+                            NewtonConfig(max_iters=100))
     C_hat, w = postprocess(rep.C_raw, heart_ds, heart_plan)
     E_te = holdout_error(heart_ds, heart_plan.test_indices, w)
     wall = time.perf_counter() - t0
     return {"report": rep, "C_hat": C_hat, "w": w,
-            "E_te": E_te, "wall": wall}
+            "E_te": E_te, "wall": wall, "starts": starts}
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +263,47 @@ def test_heart_direct_steps_are_quadratic_at_every_eps(solve_result):
     report("heart_quadratic_rate", ok,
            f"{len(pairs)} pairs of full direct steps, largest "
            f"eps*|F_k+1|/|F_k|^2 {worst:.2f} against K {RATE_K}")
+
+
+def test_heart_newton_is_quadratic_from_the_pinned_start_points(
+        heart_p, solve_result):
+    """Subproblems 5-20 re-run from the pinned run's own start points, at
+    their eps and on the route next_route gave them, with f_tol 1e-15 and
+    at most 6 steps, so that each runs down to the rounding floor.  Every
+    step whose ||F_{k+1}|| is above RATE_FLOOR meets
+    eps*||F_{k+1}||/||F_k||^2 <= RATE_K, with ||F_0|| the start point's
+    residual at the subproblem's eps.  Unlike the pinned run's trace, this
+    takes in each subproblem's first step, whose start sits near the edge
+    of the quadratic region (||F_0|| about 0.1-0.2 eps), and the steps
+    below the pinned run's f_tol.
+
+    Kernel-bound: it reads heart's trajectory and pins no bits.  Under the
+    SkylakeX and Haswell kernels it finds 67 steps (66 full, one half
+    step), every subproblem on the direct route, and a largest constant of
+    11.41.  Under the Prescott kernels it fails: subproblem 7, which ends
+    stagnated in that run, takes damped steps of 0.125 and 0.03125 from
+    ||F|| = 3.2e-4 that read 22.0 and 24.0, subproblem 8 starts on
+    BiCGStab (which misses, so its steps are direct), and the 74 steps
+    (69 full) read 24.0 at most.
+    """
+    cfg = NewtonConfig(f_tol=1e-15, max_iters=6)
+    steps, routes = [], set()
+    for eps, r0, route in solve_result["starts"][5:]:
+        start = KktOperator(heart_p, KktPoint(v=r0.v, lam=r0.lam, eps=eps))
+        normF = float(np.linalg.norm(start.residual()))
+        _, trace, _ = M.solve_subproblem(heart_p, eps, r0, cfg, route)
+        for row in trace:
+            steps.append(((eps, normF, row.normF), row.step))
+            normF = row.normF
+        routes.add(route)
+    above = [(pair, step) for pair, step in steps if pair[2] > RATE_FLOOR]
+    worst = max(rate_constants([pair for pair, _ in above]))
+    full = sum(step == 1.0 for _, step in above)
+    ok = len(above) >= 60 and worst <= RATE_K
+    report("heart_quadratic_rate_from_starts", ok,
+           f"{len(above)} steps above {RATE_FLOOR:g} ({full} full) on "
+           f"{sorted(routes)}, largest eps*|F_k+1|/|F_k|^2 {worst:.2f} "
+           f"against K {RATE_K}")
 
 
 def test_quadratic_rate_check_rejects_a_linear_tail():

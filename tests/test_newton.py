@@ -66,6 +66,21 @@ class TestSubproblem:
         assert len(trace) == 0
         np.testing.assert_allclose(r.v, r0.v)
 
+    @pytest.mark.parametrize("f_tol", [1e9, 1e-3])
+    def test_returned_point_shares_no_memory_with_r0(self, tiny_p, f_tol):
+        # converged at its start (f_tol 1e9) or after steps (1e-3): the
+        # point returned holds its own arrays, and r0 is left as it was
+        r0 = initial_point(tiny_p, 1.0)
+        v0, lam0 = r0.v.tobytes(), r0.lam.tobytes()
+        r, trace, status = solve_subproblem(tiny_p, 0.5, r0,
+                                            NewtonConfig(f_tol=f_tol),
+                                            "bicgstab")
+        assert status == "converged" and (len(trace) > 0) == (f_tol < 1)
+        for a in (r.v, r.lam):
+            for b in (r0.v, r0.lam):
+                assert not np.shares_memory(a, b)
+        assert (r0.v.tobytes(), r0.lam.tobytes()) == (v0, lam0)
+
     def test_converges_on_tiny_instance(self, tiny_p):
         eps = 0.5
         r0 = initial_point(tiny_p, 1.0)
