@@ -100,16 +100,6 @@ class TestSolve:
             "scipy": scipy.__version__, "blas": blas["name"],
             "blas_version": blas["version"], "OPENBLAS_NUM_THREADS": threads}
 
-    def test_deterministic_reports(self, data_file, tmp_path):
-        runs = []
-        for name in ("a", "b"):
-            out = tmp_path / name
-            run(["solve", "--data", data_file, "--p1", 6, "--eps-min", "1e-3",
-                 "--out", out, "--quiet"])
-            runs.append([(out / f).read_bytes()
-                         for f in ("report.json", "trace.csv")])
-        assert runs[0] == runs[1]
-
     def test_timings_follow_the_trace(self, data_file, tmp_path):
         run(["solve", "--data", data_file, "--p1", 6, "--out", tmp_path,
              "--quiet"])

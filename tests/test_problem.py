@@ -179,6 +179,19 @@ class TestPrebuiltTransposes:
                     (op.kkt_apply(d), plain_kkt_apply(op, d))]:
                 assert got.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("name", ["tiny_p", "heart_p", "wide_p",
+                                      "large_p"])
+    def test_eval_H_rounds_H3_in_the_plain_order(self, name, request):
+        # B B^T alpha of median magnitude 1 and xi in (-1, 1), where
+        # (B B^T alpha - 1) + xi and (B B^T alpha + xi) - 1 round apart
+        p = request.getfixturevalue(name)
+        rng = np.random.default_rng(8)
+        v = rng.standard_normal(p.m + 1)
+        _, _, _, alpha, xi = p.split_v(v)
+        alpha /= np.median(np.abs(p.B @ (p.B.T @ alpha)))
+        xi[:] = rng.uniform(-1.0, 1.0, xi.size)
+        assert pb.eval_H(p, v).tobytes() == plain_eval_H(p, v).tobytes()
+
     def test_stacked_matrices_built_once_per_problem(self, tiny_ds,
                                                      tiny_plan, monkeypatch):
         binds = []
